@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .linalg import DEFAULT_TOL, as_square, maxabs, sym_eigen
-from .qforms import ZERO_FORM_REL
+from .linalg import DEFAULT_TOL, as_square, matrix_powers, maxabs, sym_eigen
+from .qforms import is_zero_part
 
 _NORMALITY_REL = 1e-9  # commutator threshold, scaled by max|A|^2
 
@@ -70,7 +70,7 @@ def expansion_eigenbasis(A, tol=DEFAULT_TOL):
     A = as_square(A)
     n = A.shape[0]
     Asym = 0.5 * (A + A.T)
-    if maxabs(Asym) <= ZERO_FORM_REL * maxabs(A):
+    if is_zero_part(Asym, A):
         raise InputError("expansion form is zero (pure skew matrix); use skew_canonical_basis")
     w, P = sym_eigen(Asym, tol)
     P = _sign_fix(P)
@@ -99,7 +99,7 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     A = as_square(A)
     n = A.shape[0]
     K = 0.5 * (A - A.T)
-    if maxabs(K) <= ZERO_FORM_REL * max(maxabs(A), 1e-300):
+    if is_zero_part(K, A):
         raise InputError("skew part is zero (symmetric matrix); use expansion_eigenbasis")
     zero_thresh = max(n * tol.rank_tol * maxabs(K), 1e-300)
 
@@ -150,8 +150,8 @@ def normality_report(A, tol=DEFAULT_TOL):
     threshold = _NORMALITY_REL * max(scale * scale, 1e-300)
     Asym = 0.5 * (A + A.T)
     Askew = 0.5 * (A - A.T)
-    pure_skew = maxabs(Asym) <= ZERO_FORM_REL * scale
-    pure_sym = maxabs(Askew) <= ZERO_FORM_REL * scale
+    pure_skew = is_zero_part(Asym, A)
+    pure_sym = is_zero_part(Askew, A)
     if pure_skew or pure_sym:
         eigs = ()
         if not pure_skew:
@@ -220,11 +220,7 @@ def normal_power_basis(A, tol=DEFAULT_TOL):
             f"matrix is not normal: commutator norm {report.commutator_norm:.3e}"
         )
     Askew = 0.5 * (A - A.T)
-    sym_powers = []
-    M = np.eye(n)
-    for _ in range(n):
-        M = M @ A
-        sym_powers.append(0.5 * (M + M.T))
+    sym_powers = [0.5 * (M + M.T) for M in matrix_powers(A, n)[1:]]
     family = sym_powers + [Askew @ Askew]
     P = _refine_blocks(family, tol)
 

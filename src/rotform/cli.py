@@ -11,6 +11,7 @@ error.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -20,7 +21,6 @@ import numpy as np
 from . import canonical, frenet, invariants, qforms, spectral
 from .errors import InputError, NumericalError
 from .linalg import DEFAULT_TOL, ToleranceConfig, maxabs
-from .quasirot import plane_pairs
 
 
 @dataclasses.dataclass
@@ -251,14 +251,13 @@ def _normality_section(report):
     }
 
 
-def _forms_section(A, tol, seed):
+def _forms_section(A, tol, seed, bromwich):
+    """Form report for A; bromwich is A's Bromwich box, whose real bounds are
+    the expansion-form extremes."""
     n = A.shape[0]
     e_form = qforms.expansion_form(A)
-    lo, hi, _, _ = qforms.form_extremes(e_form, tol)
-    rotation_traces = {
-        _pair_key(pair): float(np.trace(qforms.rotation_form(A, pair).matrix))
-        for pair in plane_pairs(n)
-    }
+    lo, hi = bromwich[:2]
+    rotation_traces = {_pair_key(pair): t for pair, t in qforms.rotation_traces(A).items()}
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(n)
     u = u / np.linalg.norm(u)
@@ -284,12 +283,7 @@ def _invariants_section(A, seed):
     report = invariants.invariant_report(A, seed=seed)
     theta, shear, twist = report.ecs
     n = A.shape[0]
-    diag_part = np.diag(np.diag(A))
-    collings_gap = abs(
-        invariants.collings_det(diag_part, A - diag_part)
-        - float(np.linalg.det(A))
-    ) / max(1.0, abs(float(np.linalg.det(A))))
-    return {
+    section = {
         "principal_minor_sums": list(report.pms),
         "residuals": {key: report.residuals[key] for key in sorted(report.residuals)},
         "euler_cauchy_stokes": {
@@ -300,8 +294,18 @@ def _invariants_section(A, seed):
                 (theta / n) * np.eye(n) + shear + twist - A
             ),
         },
-        "collings_residual": collings_gap,
     }
+    if n > invariants.COLLINGS_MAX_DIM:
+        section["collings_residual"] = None
+        section["collings_skipped"] = (
+            f"subset expansion is 2^n; skipped for n = {n} > {invariants.COLLINGS_MAX_DIM}"
+        )
+    else:
+        diag_part = np.diag(np.diag(A))
+        det = float(np.linalg.det(A))
+        collings = invariants.collings_det(diag_part, A - diag_part)
+        section["collings_residual"] = abs(collings - det) / max(1.0, abs(det))
+    return section
 
 
 def _apply_basis(A, mode, tol):
@@ -335,7 +339,7 @@ def _cmd_analyze(request):
         doc["matrix_in_basis"] = B.tolist()
     doc["spectral"] = _spectral_section(spec_report)
     doc["normality"] = _normality_section(norm_report)
-    doc["forms"] = _forms_section(B, request.tol, request.seed)
+    doc["forms"] = _forms_section(B, request.tol, request.seed, spec_report.bromwich)
     if spec_report.flags:
         raise NumericalError(
             "tolerance failure: " + "; ".join(spec_report.flags),
@@ -377,7 +381,7 @@ def _cmd_identities(request):
     if request.input_path is not None:
         A = load_matrix(request.input_path)
     else:
-        n = int(request.params.get("n", 4))
+        n = request.params.get("n", 4)
         if n < 1:
             raise InputError(f"dimension must be >= 1, got {n}")
         rng = np.random.default_rng(request.seed)
@@ -424,8 +428,7 @@ def _cmd_frenet(request):
         point = np.array([float(request.params["r"]), 0.0, 0.0])
     else:
         raise InputError("frenet command needs --point (or a radius parameter r)")
-    forms = frenet.frenet_rotation_forms(field, point)
-    comparison = frenet.model_compare(field, point)
+    forms, comparison = frenet.frenet_report(field, point)
     data = forms.data
     return {
         "command": "frenet",
@@ -445,20 +448,7 @@ def _cmd_frenet(request):
             "delta_max": {_pair_key(p): forms.deltas[p] for p in forms.deltas},
         },
         "expansion_norm": forms.expansion_norm,
-        "model_comparison": {
-            "skew_residual": comparison.skew_residual,
-            "entry_12": comparison.entry_12,
-            "model_entry_12": comparison.model_entry_12,
-            "delta_12": comparison.delta_12,
-            "diag_22": comparison.diag_22,
-            "diag_33": comparison.diag_33,
-            "expansion_norm": comparison.expansion_norm,
-            "kernel_residual": comparison.kernel_residual,
-            "sigma": comparison.sigma,
-            "sigma_commutator": comparison.sigma_commutator,
-            "sigma_alt": comparison.sigma_alt,
-            "sigma_spread": comparison.sigma_spread,
-        },
+        "model_comparison": dataclasses.asdict(comparison),
     }
 
 
@@ -513,7 +503,13 @@ def _parse_params(raw):
             number = float(value)
         except ValueError:
             raise InputError(f"parameter {name!r} needs a numeric value, got {value!r}") from None
-        params[name.strip()] = int(number) if number == int(number) and name.strip() == "n" else number
+        if not math.isfinite(number):
+            raise InputError(f"parameter {name!r} must be finite, got {value!r}")
+        if name.strip() == "n":
+            if number != int(number):
+                raise InputError(f"parameter 'n' must be an integer, got {value!r}")
+            number = int(number)
+        params[name.strip()] = number
     return params
 
 
@@ -564,6 +560,8 @@ def request_from_args(args):
         raise InputError(f"{args.command} needs --input")
     if args.command != "analyze" and args.basis != "given":
         raise InputError("--basis applies to the analyze command only")
+    if args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     return AnalysisRequest(
         command=args.command,
         input_path=args.input,

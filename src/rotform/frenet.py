@@ -72,47 +72,25 @@ def field_jacobian(field, x):
         return J
     h = field.step(x)
     J = np.zeros((3, 3))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = 1.0
-        f1 = field.at(x - 2.0 * h * e)
-        f2 = field.at(x - h * e)
-        f3 = field.at(x + h * e)
-        f4 = field.at(x + 2.0 * h * e)
-        J[:, j] = (f1 - 8.0 * f2 + 8.0 * f3 - f4) / (12.0 * h)
+    for j, e in enumerate(np.eye(3)):
+        J[:, j] = _difference([field.at(y) for y in _stencil(x, e, h)], h)
     return J
 
 
-def _directional(fn, x, direction, h):
-    """Fourth-order directional derivative of a vector-valued function."""
-    d = direction
-    f1 = fn(x - 2.0 * h * d)
-    f2 = fn(x - h * d)
-    f3 = fn(x + h * d)
-    f4 = fn(x + 2.0 * h * d)
+def _stencil(x, d, h):
+    """The four points of a fourth-order central difference along d."""
+    return (x - 2.0 * h * d, x - h * d, x + h * d, x + 2.0 * h * d)
+
+
+def _difference(samples, h):
+    """Fourth-order central difference from the values at the _stencil points."""
+    f1, f2, f3, f4 = samples
     return (f1 - 8.0 * f2 + 8.0 * f3 - f4) / (12.0 * h)
 
 
-def _normal_at(field, x, kappa_tol):
-    J = field_jacobian(field, x)
-    d = J @ field.at(x)
-    norm = float(np.linalg.norm(d))
-    if norm <= kappa_tol:
-        raise InputError(
-            f"straight flow: curvature {norm:.3e} at {tuple(float(c) for c in x)} "
-            f"is below {kappa_tol:.3e}"
-        )
-    return d / norm
-
-
-def frenet_frame(field, x, kappa_tol=1e-8):
-    """(T, N, B, kappa, tau) at x.
-
-    T is the field value, N the normalised turning direction, B their cross
-    product; tau comes from a directional difference of the normal field
-    along T.  Curvature at or below kappa_tol raises (straight flow).
-    """
-    x = _point(x)
+def _frame_at(field, x, kappa_tol):
+    """(T, N, J, kappa) at x: the field value, its normalised turning
+    direction, the Jacobian and the curvature.  Straight flow raises."""
     T = field.at(x)
     J = field_jacobian(field, x)
     dT = J @ T
@@ -122,12 +100,7 @@ def frenet_frame(field, x, kappa_tol=1e-8):
             f"straight flow: curvature {kappa:.3e} at {tuple(float(c) for c in x)} "
             f"is below {kappa_tol:.3e}"
         )
-    N = dT / kappa
-    B = np.cross(T, N)
-    h = 10.0 * field.step(x)
-    dN = _directional(lambda y: _normal_at(field, y, kappa_tol * 0.01), x, T, h)
-    tau = float(dN @ B)
-    return T, N, B, kappa, tau
+    return T, dT / kappa, J, kappa
 
 
 @dataclass(frozen=True)
@@ -153,6 +126,40 @@ def model_shape_matrix(kappa, tau, sigma):
     )
 
 
+def _shape_map(field, x, kappa_tol):
+    """FrenetData at x, plus the Jacobian there and the differences dN, dB
+    of the normal and binormal fields along T.  The field and its Jacobian
+    are sampled once each at x and at the four stencil points along T."""
+    x = _point(x)
+    T, N, J, kappa = _frame_at(field, x, kappa_tol)
+    B = np.cross(T, N)
+    h = 10.0 * field.step(x)
+    frames = [_frame_at(field, y, kappa_tol * 0.01)[:2] for y in _stencil(x, T, h)]
+    dN = _difference([n for _, n in frames], h)
+    dB = _difference([np.cross(t, n) for t, n in frames], h)
+    tau = float(dN @ B)
+    F = np.column_stack([T, N, B])
+    A_F = F.T @ J @ F
+    sigma = tau - float(A_F[2, 1])
+    data = FrenetData(
+        T=T, N=N, B=B, kappa=kappa, tau=tau, sigma=sigma,
+        shape_matrix=A_F, model_matrix=model_shape_matrix(kappa, tau, sigma),
+        skew_residual=float(np.max(np.abs(A_F + A_F.T))),
+    )
+    return data, J, dN, dB
+
+
+def frenet_frame(field, x, kappa_tol=1e-8):
+    """(T, N, B, kappa, tau) at x.
+
+    T is the field value, N the normalised turning direction, B their cross
+    product; tau comes from a directional difference of the normal field
+    along T.  Curvature at or below kappa_tol raises (straight flow).
+    """
+    data = _shape_map(field, x, kappa_tol)[0]
+    return data.T, data.N, data.B, data.kappa, data.tau
+
+
 def shape_map_frenet(field, x, kappa_tol=1e-8):
     """Shape map of the field at x in its own Frenet frame.
 
@@ -160,18 +167,7 @@ def shape_map_frenet(field, x, kappa_tol=1e-8):
     numerical matrix, which makes the model's (3, 2) entry match by
     construction; every other model entry is a genuine prediction.
     """
-    x = _point(x)
-    T, N, B, kappa, tau = frenet_frame(field, x, kappa_tol)
-    J = field_jacobian(field, x)
-    F = np.column_stack([T, N, B])
-    A_F = F.T @ J @ F
-    sigma = tau - float(A_F[2, 1])
-    model = model_shape_matrix(kappa, tau, sigma)
-    skew_residual = float(np.max(np.abs(A_F + A_F.T)))
-    return FrenetData(
-        T=T, N=N, B=B, kappa=kappa, tau=tau, sigma=sigma,
-        shape_matrix=A_F, model_matrix=model, skew_residual=skew_residual,
-    )
+    return _shape_map(field, x, kappa_tol)[0]
 
 
 def model_rotation_forms(kappa, tau, sigma):
@@ -201,7 +197,10 @@ def frenet_rotation_forms(field, x, kappa_tol=1e-8):
 
     The model predicts a zero expansion form; its actual norm is reported.
     """
-    data = shape_map_frenet(field, x, kappa_tol)
+    return _rotation_forms(shape_map_frenet(field, x, kappa_tol))
+
+
+def _rotation_forms(data):
     computed = {pair: rotation_form(data.shape_matrix, pair) for pair in plane_pairs(3)}
     model = model_rotation_forms(data.kappa, data.tau, data.sigma)
     deltas = {
@@ -254,40 +253,28 @@ def compare_matrix_to_model(A_F, kappa, tau, sigma):
 
 def model_compare(field, x, kappa_tol=1e-8):
     """Structured discrepancy report for the shape matrix at x."""
-    x = _point(x)
-    data = shape_map_frenet(field, x, kappa_tol)
+    return _comparison(*_shape_map(field, x, kappa_tol))
+
+
+def _comparison(data, J, dN, dB):
     base = compare_matrix_to_model(data.shape_matrix, data.kappa, data.tau, data.sigma)
-    h = 10.0 * field.step(x)
-    J = field_jacobian(field, x)
-
-    def normal_fn(y):
-        return _normal_at(field, y, kappa_tol * 0.01)
-
-    def binormal_fn(y):
-        return np.cross(field.at(y), _normal_at(field, y, kappa_tol * 0.01))
-
-    dN = _directional(normal_fn, x, data.T, h)
-    dB = _directional(binormal_fn, x, data.T, h)
-    bracket_TN = dN - J @ data.N
-    bracket_TB = dB - J @ data.B
-    sigma_commutator = float(bracket_TN @ data.B)
-    sigma_alt = float(-(bracket_TB @ data.N))
+    sigma_commutator = float((dN - J @ data.N) @ data.B)
+    sigma_alt = float(-((dB - J @ data.B) @ data.N))
     sigmas = (data.sigma, sigma_commutator, sigma_alt)
     spread = max(abs(a - b) for a in sigmas for b in sigmas)
     return ModelComparison(
-        skew_residual=base["skew_residual"],
-        entry_12=base["entry_12"],
-        model_entry_12=base["model_entry_12"],
-        delta_12=base["delta_12"],
-        diag_22=base["diag_22"],
-        diag_33=base["diag_33"],
-        expansion_norm=base["expansion_norm"],
-        kernel_residual=base["kernel_residual"],
+        **base,
         sigma=data.sigma,
         sigma_commutator=sigma_commutator,
         sigma_alt=sigma_alt,
         sigma_spread=spread,
     )
+
+
+def frenet_report(field, x, kappa_tol=1e-8):
+    """(frenet_rotation_forms, model_compare) at x from one sampling of the field."""
+    data, J, dN, dB = _shape_map(field, x, kappa_tol)
+    return _rotation_forms(data), _comparison(data, J, dN, dB)
 
 
 def helix_field(c, analytic=True):

@@ -2,10 +2,19 @@
 rotation forms.
 
 Every *_residual function returns a relative residual that an exact identity
-would make zero; the test suite and the CLI report them.  The subset
-determinant expansion and the diagonal-plus-skew determinant audit live here
-too, as does the linear system that recovers the characteristic-polynomial
-coefficients of a normal matrix from its form eigenvalues.
+would make zero; the test suite and the CLI report them.  The identity terms
+come from closed forms of the forms rather than from built form matrices:
+the (k, l) rotation form of M has trace M[l,k] - M[k,l] and value
+rotation_values(M, u) at u, the expansion form has trace tr M and value
+u.Mu, and pm^2 of M is (tr(M)^2 - tr(M^2)) / 2.  The test suite checks each
+closed form against the form definitions.  invariant_report computes the
+powers, minor sums and symmetric/skew parts of its matrix once and hands
+them to every identity.
+
+The subset determinant expansion and the diagonal-plus-skew determinant
+audit live here too, as does the linear system that recovers the
+characteristic-polynomial coefficients of a normal matrix from its form
+eigenvalues.
 """
 
 from dataclasses import dataclass
@@ -20,12 +29,14 @@ from .linalg import (
     DEFAULT_TOL,
     as_square,
     as_vector,
+    matrix_powers,
     maxabs,
-    power_traces,
-    principal_minor_sums,
+    minor_sums_from_traces,
 )
-from .qforms import ZERO_FORM_REL, evaluate, expansion_form, rotation_form, rotation_values
-from .quasirot import apply_quasi_rotation, check_plane_pair, plane_pairs
+from .qforms import is_zero_part, rotation_form_matrix, rotation_traces
+from .quasirot import apply_quasi_rotation, check_plane_pair, plane_pairs, rotation_values
+
+COLLINGS_MAX_DIM = 20  # largest n the 2^n subset expansion accepts by default
 
 
 @dataclass(frozen=True)
@@ -35,9 +46,36 @@ class InvariantReport:
     ecs: tuple       # (theta, shear matrix, twist matrix)
 
 
+class _Parts:
+    """What the identities of one matrix share, each computed once: the
+    powers I, A, ..., A^top (top >= n), pm^0..pm^n from their traces, and the
+    symmetric and skew parts."""
+
+    def __init__(self, A, top=0):
+        self.A = A = as_square(A)
+        self.n = n = A.shape[0]
+        self.pows = matrix_powers(A, max(n, top))
+        self.traces = [float(np.trace(M)) for M in self.pows[1 : n + 1]]
+        self.pm = (1.0,) + minor_sums_from_traces(self.traces)
+        self.sym = 0.5 * (A + A.T)
+        self.skew = 0.5 * (A - A.T)
+
+
+def _parts(A, top=0):
+    """The shared quantities of A; invariant_report passes its own through."""
+    return A if isinstance(A, _Parts) else _Parts(A, top)
+
+
 def _rel(total, terms):
     denom = max(1.0, max((abs(t) for t in terms), default=0.0))
     return abs(total) / denom
+
+
+def _pm2(M):
+    """Second minor sum (tr(M)^2 - tr(M^2)) / 2; bit-identical to
+    principal_minor_sums(M)[1]."""
+    t = float(np.trace(M))
+    return (t * t - float(np.trace(M @ M))) / 2
 
 
 def _unit(u, name="vector"):
@@ -48,25 +86,14 @@ def _unit(u, name="vector"):
     return u
 
 
-def _powers(A, top):
-    """I, A, A^2, ..., A^top."""
-    n = A.shape[0]
-    out = [np.eye(n)]
-    for _ in range(top):
-        out.append(out[-1] @ A)
-    return out
-
-
 def newton_residuals(A):
     """Relative residual of the k-th trace identity, k = 1..n.
 
     tr(A^k) - pm1 tr(A^(k-1)) + ... + (-1)^(k-1) pm^(k-1) tr(A) + (-1)^k n pm^k
     must equal (n-k)(-1)^k pm^k.
     """
-    A = as_square(A)
-    n = A.shape[0]
-    pm = (1.0,) + principal_minor_sums(A)
-    traces = power_traces(A, n)
+    s = _parts(A)
+    n, pm, traces = s.n, s.pm, s.traces
     out = []
     for k in range(1, n + 1):
         terms = [traces[k - 1]]
@@ -81,15 +108,13 @@ def newton_residuals(A):
 def cayley_hamilton_residual(A, u, v):
     """The characteristic polynomial annihilates A, probed against unit u, v:
     sum over k of (-1)^k pm^k (A^(n-k) u).v, relative to the term sizes."""
-    A = as_square(A)
-    n = A.shape[0]
+    s = _parts(A)
+    n, pm = s.n, s.pm
     u = _unit(u, "u")
     v = _unit(v, "v")
     if len(u) != n or len(v) != n:
         raise InputError("probe vectors must match the matrix dimension")
-    pm = (1.0,) + principal_minor_sums(A)
-    pows = _powers(A, n)
-    terms = [(-1.0) ** k * pm[k] * float((pows[n - k] @ u) @ v) for k in range(n + 1)]
+    terms = [(-1.0) ** k * pm[k] * float((s.pows[n - k] @ u) @ v) for k in range(n + 1)]
     return _rel(sum(terms), terms)
 
 
@@ -99,23 +124,17 @@ def ch_form_residuals(A, u):
 
     Returns (expansion residual, {pair: rotation residual}).
     """
-    A = as_square(A)
-    n = A.shape[0]
+    s = _parts(A)
+    n, pm = s.n, s.pm
     u = _unit(u, "u")
     if len(u) != n:
         raise InputError("probe vector must match the matrix dimension")
-    pm = (1.0,) + principal_minor_sums(A)
-    pows = _powers(A, n)
-    e_terms = [
-        (-1.0) ** k * pm[k] * evaluate(expansion_form(pows[n - k]), u) for k in range(n + 1)
-    ]
+    e_terms = [(-1.0) ** k * pm[k] * float(u @ (s.pows[n - k] @ u)) for k in range(n + 1)]
     expansion_residual = _rel(sum(e_terms), e_terms)
+    values = [rotation_values(s.pows[n - k], u) for k in range(n)]
     rotation_residuals = {}
     for pair in plane_pairs(n):
-        r_terms = [
-            (-1.0) ** k * pm[k] * evaluate(rotation_form(pows[n - k], pair), u)
-            for k in range(n)
-        ]
+        r_terms = [(-1.0) ** k * pm[k] * values[k][pair] for k in range(n)]
         rotation_residuals[pair] = _rel(sum(r_terms), r_terms)
     return expansion_residual, rotation_residuals
 
@@ -123,22 +142,15 @@ def ch_form_residuals(A, u):
 def ch_trace_residuals(A):
     """Trace versions of the form identities: the expansion line gains an
     n * det term, the rotation lines close without one."""
-    A = as_square(A)
-    n = A.shape[0]
-    pm = (1.0,) + principal_minor_sums(A)
-    pows = _powers(A, n)
-    e_terms = [
-        (-1.0) ** k * pm[k] * float(np.trace(expansion_form(pows[n - k]).matrix))
-        for k in range(n)
-    ]
+    s = _parts(A)
+    n, pm = s.n, s.pm
+    e_terms = [(-1.0) ** k * pm[k] * s.traces[n - k - 1] for k in range(n)]
     e_terms.append((-1.0) ** n * n * pm[n])
     expansion_residual = _rel(sum(e_terms), e_terms)
+    traces = [rotation_traces(s.pows[n - k]) for k in range(n)]
     rotation_residuals = {}
     for pair in plane_pairs(n):
-        r_terms = [
-            (-1.0) ** k * pm[k] * float(np.trace(rotation_form(pows[n - k], pair).matrix))
-            for k in range(n)
-        ]
+        r_terms = [(-1.0) ** k * pm[k] * traces[k][pair] for k in range(n)]
         rotation_residuals[pair] = _rel(sum(r_terms), r_terms)
     return expansion_residual, rotation_residuals
 
@@ -146,47 +158,41 @@ def ch_trace_residuals(A):
 def pm2_identity_residual(A):
     """pm^2 of A equals pm^2 of the expansion form plus a quarter of the
     summed squared rotation-form traces."""
-    A = as_square(A)
-    n = A.shape[0]
-    if n < 2:
+    s = _parts(A)
+    if s.n < 2:
         raise InputError("the second minor sum needs n >= 2")
-    pm2 = principal_minor_sums(A)[1]
-    pm2_sym = principal_minor_sums(0.5 * (A + A.T))[1]
-    skew = 0.5 * (A - A.T)
-    trace_sq = sum(
-        (-2.0 * skew[k - 1, l - 1]) ** 2 for k, l in plane_pairs(n)
-    )
+    pm2 = s.pm[2]
+    pm2_sym = _pm2(s.sym)
+    trace_sq = sum(t ** 2 for t in rotation_traces(s.A).values())
     rhs = pm2_sym + 0.25 * trace_sq
     return _rel(pm2 - rhs, [pm2, pm2_sym, 0.25 * trace_sq])
 
 
 def pm2_sym_skew_residual(A):
     """pm^2 splits across the symmetric and skew parts."""
-    A = as_square(A)
-    if A.shape[0] < 2:
+    s = _parts(A)
+    if s.n < 2:
         raise InputError("the second minor sum needs n >= 2")
-    pm2 = principal_minor_sums(A)[1]
-    pm2_sym = principal_minor_sums(0.5 * (A + A.T))[1]
-    pm2_skew = principal_minor_sums(0.5 * (A - A.T))[1]
+    pm2 = s.pm[2]
+    pm2_sym = _pm2(s.sym)
+    pm2_skew = _pm2(s.skew)
     return _rel(pm2 - pm2_sym - pm2_skew, [pm2, pm2_sym, pm2_skew])
 
 
 def gram_trace_identity_residual(A):
     """n tr(A A^T) against the rotation/expansion invariants, both printed
     forms; returns the larger of the two relative residuals."""
-    A = as_square(A)
-    n = A.shape[0]
+    s = _parts(A)
+    A, n = s.A, s.n
     lhs = n * float(np.sum(A * A))
     tr_e = float(np.trace(A))  # equals tr of the expansion form exactly
     rot_sq = 0.0
     pm2_rot = 0.0
-    trace_sq = 0.0
     for pair in plane_pairs(n):
-        M = rotation_form(A, pair).matrix
+        M = rotation_form_matrix(A, pair)
         rot_sq += float(np.trace(M @ M))
-        trace_sq += float(np.trace(M)) ** 2
-        if n >= 2:
-            pm2_rot += principal_minor_sums(M)[1]
+        pm2_rot += _pm2(M)
+    trace_sq = sum(t ** 2 for t in rotation_traces(A).values())
     first = _rel(lhs - 2.0 * rot_sq - tr_e**2, [lhs, 2.0 * rot_sq, tr_e**2])
     if n < 2:
         return first
@@ -200,15 +206,13 @@ def gram_trace_identity_residual(A):
 def euler_cauchy_stokes(A):
     """Unique split into mean expansion, traceless shear and twist:
     A = (theta/n) I + Sigma + Omega."""
-    A = as_square(A)
-    n = A.shape[0]
-    theta = float(np.trace(A))
-    sigma = 0.5 * (A + A.T) - (theta / n) * np.eye(n)
-    omega = 0.5 * (A - A.T)
-    return theta, sigma, omega
+    s = _parts(A)
+    theta = float(np.trace(s.A))
+    sigma = s.sym - (theta / s.n) * np.eye(s.n)
+    return theta, sigma, s.skew
 
 
-def collings_det(Dd, B, max_dim=20):
+def collings_det(Dd, B, max_dim=COLLINGS_MAX_DIM):
     """det(D + B) for diagonal D as a sum over all index subsets of products
     of complementary principal minors.  Cost 2^n; guarded at n <= max_dim."""
     Dd = as_square(Dd, "diagonal matrix")
@@ -240,24 +244,24 @@ def collings_det(Dd, B, max_dim=20):
 def n4_det_identity_residual(A):
     """Audit of the six-term determinant identity for the diagonal-plus-skew
     split of a 4x4 matrix; the relative residual is reported, not asserted."""
-    A = as_square(A)
-    if A.shape[0] != 4:
+    s = _parts(A)
+    if s.n != 4:
         raise InputError("this determinant audit is specific to 4x4 matrices")
-    if maxabs(0.5 * (A + A.T)) <= ZERO_FORM_REL * maxabs(A):
+    if is_zero_part(s.sym, s.A):
         D = np.zeros((4, 4))
-        S = 0.5 * (A - A.T)
+        S = s.skew
     else:
-        split = expansion_eigenbasis(A)
+        split = expansion_eigenbasis(s.A)
         D = np.diag(split.D)
         S = split.S
-    det_a = principal_minor_sums(A)[3]
+    det_a = s.pm[4]
     rhs = (
         float(np.prod(np.diag(D)))
         + float(np.linalg.det(S))
         - float(np.trace(D @ D @ S @ S))
         - 0.5 * float(np.trace(S @ D @ S @ D))
         + float(np.trace(S @ D @ S)) * float(np.trace(D))
-        + principal_minor_sums(D)[1] * principal_minor_sums(S)[1]
+        + _pm2(D) * _pm2(S)
     )
     return abs(det_a - rhs) / max(1.0, abs(det_a))
 
@@ -276,11 +280,11 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
     report = normality_report(A, tol)
     if not report.is_normal:
         raise InputError(f"matrix is not normal: commutator norm {report.commutator_norm:.3e}")
-    if maxabs(0.5 * (A - A.T)) <= ZERO_FORM_REL * maxabs(A):
+    if is_zero_part(0.5 * (A - A.T), A):
         raise InputError("matrix is symmetric; the power system degenerates")
     P, _checks = normal_power_basis(A, tol)
 
-    pows = _powers(A, n)
+    pows = matrix_powers(A, n)
     diag_powers = []  # diag_powers[p][i] = eigenvalue of the p-th power form
     for p in range(n + 1):
         M = P.T @ (0.5 * (pows[p] + pows[p].T)) @ P
@@ -342,19 +346,18 @@ def power_form_step(A, m, u):
     unit u against its recurrence value, and per-pair rotation forms of
     A^(m+1) against theirs.
     """
-    A = as_square(A)
-    n = A.shape[0]
+    s = _parts(A, m + 1)
+    A, n, pows = s.A, s.n, s.pows
     if m < 1:
         raise InputError("power step needs m >= 1")
     u = _unit(u, "u")
     if len(u) != n:
         raise InputError("probe vector must match the matrix dimension")
-    pows = _powers(A, m + 1)
-    e_m = evaluate(expansion_form(pows[m]), u)
-    e_1 = evaluate(expansion_form(A), u)
+    e_m = float(u @ (pows[m] @ u))
+    e_1 = float(u @ (A @ u))
     r_m = rotation_values(pows[m], u)
     r_T = rotation_values(A.T, u)
-    lhs_e = evaluate(expansion_form(pows[m + 1]), u)
+    lhs_e = float(u @ (pows[m + 1] @ u))
     rhs_e = e_m * e_1 + sum(r_m[pair] * r_T[pair] for pair in plane_pairs(n))
 
     r_1 = rotation_values(A, u)
@@ -379,32 +382,25 @@ def diagonal_rotation_recursion(A, m, pq):
     A = as_square(A)
     n = A.shape[0]
     p, q = check_plane_pair(n, pq)
-    pows = _powers(A, m + 1)
-    e_p = np.zeros(n)
-    e_p[p - 1] = 1.0
-    r_m = rotation_values(pows[m], e_p)
-    lhs = rotation_values(pows[m + 1], e_p)[(p, q)]
-
-    def basis_vec(i):
-        v = np.zeros(n)
-        v[i - 1] = 1.0
-        return v
-
-    rhs = evaluate(expansion_form(pows[m]), e_p) * rotation_values(A, e_p)[(p, q)]
-    rhs += r_m[(p, q)] * evaluate(expansion_form(A), basis_vec(q))
+    pows = matrix_powers(A, m + 1)
+    b = np.eye(n)  # b[i - 1] is the basis vector b_i
+    r_m = rotation_values(pows[m], b[p - 1])
+    lhs = rotation_values(pows[m + 1], b[p - 1])[(p, q)]
+    rhs = pows[m][p - 1, p - 1] * rotation_values(A, b[p - 1])[(p, q)]
+    rhs += r_m[(p, q)] * A[q - 1, q - 1]
     for l in range(p + 1, q):
-        rhs += r_m[(p, l)] * rotation_values(A, basis_vec(l))[(l, q)]
+        rhs += r_m[(p, l)] * rotation_values(A, b[l - 1])[(l, q)]
     for l in range(q + 1, n + 1):
-        rhs -= r_m[(p, l)] * rotation_values(A, basis_vec(l))[(q, l)]
+        rhs -= r_m[(p, l)] * rotation_values(A, b[l - 1])[(q, l)]
     for k in range(1, p):
-        rhs -= r_m[(k, p)] * rotation_values(A, basis_vec(k))[(k, q)]
+        rhs -= r_m[(k, p)] * rotation_values(A, b[k - 1])[(k, q)]
     return lhs, rhs
 
 
 def invariant_report(A, seed=0, power_steps=3):
     """All identity residuals for one matrix, with seeded probe vectors."""
-    A = as_square(A)
-    n = A.shape[0]
+    s = _Parts(A, power_steps + 1)
+    n = s.n
     rng = np.random.default_rng(seed)
 
     def unit_sample():
@@ -417,32 +413,32 @@ def invariant_report(A, seed=0, power_steps=3):
     u = unit_sample()
     v = unit_sample()
     residuals = {}
-    for k, value in enumerate(newton_residuals(A), start=1):
+    for k, value in enumerate(newton_residuals(s), start=1):
         residuals[f"newton_{k}"] = value
-    residuals["ch_vector"] = cayley_hamilton_residual(A, u, v)
-    e_res, r_res = ch_form_residuals(A, u)
+    residuals["ch_vector"] = cayley_hamilton_residual(s, u, v)
+    e_res, r_res = ch_form_residuals(s, u)
     residuals["ch_expansion"] = e_res
     for (k, l), value in r_res.items():
         residuals[f"ch_rotation_{k}_{l}"] = value
-    e_res, r_res = ch_trace_residuals(A)
+    e_res, r_res = ch_trace_residuals(s)
     residuals["tr_ch_expansion"] = e_res
     for (k, l), value in r_res.items():
         residuals[f"tr_ch_rotation_{k}_{l}"] = value
     if n >= 2:
-        residuals["pm2"] = pm2_identity_residual(A)
-        residuals["pm2_sym_skew"] = pm2_sym_skew_residual(A)
-    residuals["gram_trace"] = gram_trace_identity_residual(A)
+        residuals["pm2"] = pm2_identity_residual(s)
+        residuals["pm2_sym_skew"] = pm2_sym_skew_residual(s)
+    residuals["gram_trace"] = gram_trace_identity_residual(s)
     for m in range(1, power_steps + 1):
-        lhs_e, rhs_e, lhs_r, rhs_r = power_form_step(A, m, u)
+        lhs_e, rhs_e, lhs_r, rhs_r = power_form_step(s, m, u)
         residuals[f"power_expansion_{m}"] = _rel(lhs_e - rhs_e, [lhs_e, rhs_e])
         worst = 0.0
         for pair in lhs_r:
             worst = max(worst, _rel(lhs_r[pair] - rhs_r[pair], [lhs_r[pair], rhs_r[pair]]))
         residuals[f"power_rotation_{m}"] = worst
     if n == 4:
-        residuals["n4_det"] = n4_det_identity_residual(A)
+        residuals["n4_det"] = n4_det_identity_residual(s)
     return InvariantReport(
-        pms=principal_minor_sums(A),
+        pms=s.pm[1:],
         residuals=residuals,
-        ecs=euler_cauchy_stokes(A),
+        ecs=euler_cauchy_stokes(s),
     )

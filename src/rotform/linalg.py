@@ -151,29 +151,33 @@ def sym_eigen(Q, tol=DEFAULT_TOL):
     return w[order], P[:, order]
 
 
+def matrix_powers(A, top):
+    """[I, A, A^2, ..., A^top], by repeated multiplication."""
+    out = [np.eye(A.shape[0]), A]
+    for _ in range(top - 1):
+        out.append(out[-1] @ A)
+    return out[: top + 1]
+
+
 def power_traces(A, kmax):
-    """tr(A^k) for k = 1..kmax, by repeated multiplication."""
-    A = as_square(A)
-    traces = []
-    M = A.copy()
-    for k in range(1, kmax + 1):
-        if k > 1:
-            M = M @ A
-        traces.append(float(np.trace(M)))
-    return traces
+    """tr(A^k) for k = 1..kmax."""
+    return [float(np.trace(M)) for M in matrix_powers(as_square(A), kmax)[1:]]
 
 
 def principal_minor_sums(A):
-    """Sums of k x k principal minors, k = 1..n, via the trace recurrence.
+    """Sums of k x k principal minors, k = 1..n, via the trace recurrence."""
+    A = as_square(A)
+    return minor_sums_from_traces(power_traces(A, A.shape[0]))
 
-    pm^1 = tr(A), pm^n = det(A); the sequence is built from tr(A^k) with
+
+def minor_sums_from_traces(p):
+    """pm^1..pm^n from p = (tr A, ..., tr A^n).
+
+    pm^1 = tr(A), pm^n = det(A); the sequence follows
     k * pm^k = sum_{i=1..k} (-1)^(i-1) pm^(k-i) tr(A^i).
     """
-    A = as_square(A)
-    n = A.shape[0]
-    p = power_traces(A, n)
     pm = [1.0]
-    for k in range(1, n + 1):
+    for k in range(1, len(p) + 1):
         acc = 0.0
         for i in range(1, k + 1):
             acc += (-1.0) ** (i - 1) * pm[k - i] * p[i - 1]

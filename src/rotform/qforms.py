@@ -28,7 +28,9 @@ from .quasirot import (
     check_plane_pair,
     plane_pairs,
     quasi_rotation,
+    reassemble,
     rotation_change_of_basis,
+    rotation_values,
 )
 
 ZERO_FORM_REL = 1e-12  # a form is "zero" when max|M| <= ZERO_FORM_REL * max|A|
@@ -83,12 +85,23 @@ def rotation_form(A, pair):
     rows and columns can be non-zero.
     """
     A = as_square(A)
+    return QForm(A.shape[0], rotation_form_matrix(A, pair))
+
+
+def rotation_form_matrix(A, pair):
+    """The symmetric matrix of rotation_form(A, pair), without a QForm."""
     n = A.shape[0]
     k, l = check_plane_pair(n, pair)
     X = np.zeros((n, n))
     X[k - 1, :] = A[l - 1, :]
     X[l - 1, :] = -A[k - 1, :]
-    return QForm(n, 0.5 * (X + X.T))
+    return 0.5 * (X + X.T)
+
+
+def rotation_traces(A):
+    """Trace of every rotation form of A, keyed by plane pair: A[l,k] - A[k,l]."""
+    A = as_square(A)
+    return {(k, l): float(A[l - 1, k - 1] - A[k - 1, l - 1]) for k, l in plane_pairs(A.shape[0])}
 
 
 def evaluate(q, u):
@@ -148,19 +161,9 @@ def form_extremes(q, tol=DEFAULT_TOL):
     return float(w[0]), float(w[-1]), P[:, 0].copy(), P[:, -1].copy()
 
 
-def is_zero_form(q, ref_scale):
-    return maxabs(q.matrix) <= ZERO_FORM_REL * ref_scale
-
-
-def rotation_values(A, u):
-    """All rotation-form values A(u).R_kl(u) at once, keyed by plane pair."""
-    A = as_square(A)
-    u = as_vector(u)
-    if len(u) != A.shape[0]:
-        raise InputError("dimension mismatch between matrix and vector")
-    w = A @ u
-    M = np.outer(u, w) - np.outer(w, u)
-    return {(k, l): float(M[k - 1, l - 1]) for k, l in plane_pairs(len(u))}
+def is_zero_part(part, A):
+    """Whether a symmetric or skew part of A is zero relative to max|A|."""
+    return maxabs(part) <= ZERO_FORM_REL * maxabs(A)
 
 
 def decompose(A, u, tol=DEFAULT_TOL):
@@ -178,15 +181,9 @@ def decompose(A, u, tol=DEFAULT_TOL):
     if nu == 0.0:
         raise InputError("cannot decompose the zero vector")
     uhat = u / nu
-    w = A @ uhat
-    e = float(uhat @ w)
-    M = np.outer(uhat, w) - np.outer(w, uhat)
-    n = len(u)
-    r = RotationCoeffs(n, {(k, l): float(M[k - 1, l - 1]) for k, l in plane_pairs(n)})
-    rec = e * u.astype(float)
-    for (k, l), c in r.items():
-        rec[l - 1] += c * u[k - 1]
-        rec[k - 1] -= c * u[l - 1]
+    e = float(uhat @ (A @ uhat))
+    r = RotationCoeffs(len(u), rotation_values(A, uhat))
+    rec = reassemble(e, r, u)
     Au = A @ u
     err = float(np.linalg.norm(Au - rec))
     norm_Au = float(np.linalg.norm(Au))
@@ -220,7 +217,7 @@ def rotation_form_change_of_basis(A, P, pq):
     coeffs = rotation_change_of_basis(P, pq)
     M = np.zeros((n, n))
     for pair, c in coeffs.items():
-        M += c * rotation_form(A, pair).matrix
+        M += c * rotation_form_matrix(A, pair)
     return QForm(n, M)
 
 
@@ -236,12 +233,7 @@ def rotation_trace_sum(A, P):
     """
     A = as_square(A)
     P = check_orthogonal(P)
-    B = P.T @ A @ P
-    skew = 0.5 * (B - B.T)
-    total = 0.0
-    for k, l in plane_pairs(B.shape[0]):
-        total += -2.0 * skew[k - 1, l - 1]
-    return float(total)
+    return float(sum(rotation_traces(P.T @ A @ P).values()))
 
 
 def form_family(A, basis=None, tol=DEFAULT_TOL):

@@ -106,11 +106,23 @@ def almost_orthogonal_expand(u, v, unit_tol=1e-10):
     nv = float(np.linalg.norm(v))
     if abs(nv - 1.0) > unit_tol:
         raise InputError(f"expansion axis must be unit length: ||v|| = {nv:.12g}")
-    n = len(u)
-    c0 = float(u @ v)
-    M = np.outer(v, u) - np.outer(u, v)
-    coeffs = {(k, l): float(M[k - 1, l - 1]) for k, l in plane_pairs(n)}
-    return c0, RotationCoeffs(n, coeffs)
+    return float(u @ v), RotationCoeffs(len(u), _wedge_values(v, u))
+
+
+def _wedge_values(u, w):
+    """(u w^T - w u^T)[k, l] for every plane pair: the rotation-form values at
+    u of any matrix that sends u to w."""
+    M = np.outer(u, w) - np.outer(w, u)
+    return {(k, l): float(M[k - 1, l - 1]) for k, l in plane_pairs(len(u))}
+
+
+def rotation_values(A, u):
+    """All rotation-form values A(u).R_kl(u) at once, keyed by plane pair."""
+    A = as_square(A)
+    u = as_vector(u)
+    if len(u) != A.shape[0]:
+        raise InputError("dimension mismatch between matrix and vector")
+    return _wedge_values(u, A @ u)
 
 
 def reassemble(c0, coeffs, v):

@@ -22,11 +22,11 @@ from .linalg import (
     real_spectrum,
     sym_eigen,
 )
-from .canonical import skew_canonical_basis
 from .qforms import (
     ZERO_FORM_REL,
     evaluate,
     expansion_form,
+    is_zero_part,
     rotation_form,
     rotation_values,
 )
@@ -88,16 +88,20 @@ def common_zero_check(A, u, tol=None):
 def bromwich_bounds(A, tol=DEFAULT_TOL):
     """(nu, N, mu, M): eigenvalue real parts lie in [nu, N] (extremes of the
     expansion form), imaginary parts in [mu, M] (extreme rotation rates of the
-    skew part, zero for symmetric input)."""
+    skew part, zero for symmetric input).
+
+    The top rotation rate is |K v| for v the top right singular vector of
+    the skew part K, found as in the first step of skew_canonical_basis.
+    """
     A = as_square(A)
-    Asym = 0.5 * (A + A.T)
-    w, _ = sym_eigen(Asym, tol)
+    w, _ = sym_eigen(0.5 * (A + A.T), tol)
     nu, N = float(w[0]), float(w[-1])
-    Askew = 0.5 * (A - A.T)
-    if maxabs(Askew) <= ZERO_FORM_REL * max(maxabs(A), 1e-300):
+    K = 0.5 * (A - A.T)
+    if is_zero_part(K, A):
         return (nu, N, 0.0, 0.0)
-    block = skew_canonical_basis(A, tol)
-    top = max(block.lambdas)
+    w, V = sym_eigen(K.T @ K, tol)
+    v = V[:, int(np.argmax(np.sqrt(np.clip(w, 0.0, None))))]
+    top = float(np.linalg.norm(K @ v))
     return (nu, N, -top, top)
 
 

@@ -3,12 +3,16 @@
 Everything here deliberately avoids the code paths under test: ranks come
 from hand-rolled row reduction, characteristic polynomials from permutation
 expansion, minor sums from explicit subset enumeration, and eigenvalues from
-numpy where a library oracle is wanted.
+numpy where a library oracle is wanted.  The identity residuals here are
+assembled from the form definitions (one QForm per power and plane), which
+the library's closed forms replace.
 """
 
 from itertools import combinations, permutations
 
 import numpy as np
+
+from rotform import evaluate, expansion_form, plane_pairs, principal_minor_sums, rotation_form
 
 
 def row_reduce_rank(M, tol=1e-9):
@@ -154,3 +158,53 @@ def similarity_with_jordan(rng, blocks):
         if abs(np.linalg.det(S)) > 0.5:
             break
     return S @ J @ np.linalg.inv(S)
+
+
+def _rel(total, terms):
+    denom = max(1.0, max((abs(t) for t in terms), default=0.0))
+    return abs(total) / denom
+
+
+def _powers(A):
+    out = [np.eye(A.shape[0])]
+    for _ in range(A.shape[0]):
+        out.append(out[-1] @ A)
+    return out
+
+
+def ch_form_residuals_by_definition(A, u):
+    """ch_form_residuals with every term the value of a built form at u."""
+    n = A.shape[0]
+    pm = (1.0,) + principal_minor_sums(A)
+    pows = _powers(A)
+    e_terms = [
+        (-1.0) ** k * pm[k] * evaluate(expansion_form(pows[n - k]), u) for k in range(n + 1)
+    ]
+    rotation = {}
+    for pair in plane_pairs(n):
+        r_terms = [
+            (-1.0) ** k * pm[k] * evaluate(rotation_form(pows[n - k], pair), u)
+            for k in range(n)
+        ]
+        rotation[pair] = _rel(sum(r_terms), r_terms)
+    return _rel(sum(e_terms), e_terms), rotation
+
+
+def ch_trace_residuals_by_definition(A):
+    """ch_trace_residuals with every term the trace of a built form."""
+    n = A.shape[0]
+    pm = (1.0,) + principal_minor_sums(A)
+    pows = _powers(A)
+    e_terms = [
+        (-1.0) ** k * pm[k] * float(np.trace(expansion_form(pows[n - k]).matrix))
+        for k in range(n)
+    ]
+    e_terms.append((-1.0) ** n * n * pm[n])
+    rotation = {}
+    for pair in plane_pairs(n):
+        r_terms = [
+            (-1.0) ** k * pm[k] * float(np.trace(rotation_form(pows[n - k], pair).matrix))
+            for k in range(n)
+        ]
+        rotation[pair] = _rel(sum(r_terms), r_terms)
+    return _rel(sum(e_terms), e_terms), rotation

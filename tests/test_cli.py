@@ -144,6 +144,7 @@ class TestCommands:
                      "--output", out]) == 0
         doc = json.loads(open(out).read())
         assert doc["input"]["n"] == 4
+        assert "collings_skipped" not in doc["invariants"]
         residuals = doc["invariants"]["residuals"]
         assert "n4_det" in residuals
         for key, value in residuals.items():
@@ -155,6 +156,14 @@ class TestCommands:
         assert main(["identities", "--seed", "5", "--params", "n=4", "--output", out1]) == 0
         assert main(["identities", "--seed", "5", "--params", "n=4", "--output", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    def test_identities_skips_collings_above_its_limit(self, tmp_path):
+        out = str(tmp_path / "report.json")
+        assert main(["identities", "--params", "n=21", "--output", out]) == 0
+        section = json.loads(open(out).read())["invariants"]
+        assert section["collings_residual"] is None
+        assert "21 > 20" in section["collings_skipped"]
+        assert len(section["principal_minor_sums"]) == 21
 
     def test_frenet_helix(self, tmp_path):
         out = str(tmp_path / "report.json")
@@ -250,3 +259,20 @@ class TestExitCodes:
         spec = {"origin": [-1, -1, -1], "spacing": [1, 1, 1], "values": values.tolist()}
         field_path = write(tmp_path, "field.json", json.dumps(spec))
         assert main(["frenet", "--field", f"file:{field_path}", "--point", "0,0,0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["identities", "--params", "n=nan"],
+        ["identities", "--params", "n=2.5"],
+        ["identities", "--params", "n=inf"],
+        ["frenet", "--field", "helix", "--params", "c=inf", "--point", "1,0,0"],
+        ["frenet", "--field", "circular", "--params", "r=-inf"],
+    ])
+    def test_params_must_be_finite_with_integer_n(self, argv, capsys):
+        assert main(argv) == 2
+        assert "input error: parameter" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        matrix = write(tmp_path, "m.txt", "1 2\n3 4\n")
+        assert main(["identities", "--seed", "-1"]) == 2
+        assert main(["analyze", "--input", matrix, "--seed", "-1"]) == 2
+        assert "--seed must be non-negative" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from rotform import (
 from rotform import rotation_form
 from rotform.frenet import (
     compare_matrix_to_model,
+    frenet_report,
     grid_field,
     model_rotation_forms,
     model_shape_matrix,
@@ -215,6 +216,37 @@ class TestModelCompare:
         cmp = model_compare(circular_field(), np.array([2.0, 0.0, 0.0]))
         assert abs(cmp.sigma) < 1e-8
         assert cmp.kernel_residual < 1e-6
+
+
+class TestFrenetReport:
+    @staticmethod
+    def counted(field):
+        calls = []
+
+        def evaluator(x):
+            calls.append(tuple(x))
+            return field.evaluator(x)
+
+        return FlowField(evaluator, field.jacobian, field.fd_step, field.name), calls
+
+    @pytest.mark.parametrize("analytic, evaluations", [(True, 10), (False, 65)])
+    def test_samples_the_field_once(self, analytic, evaluations):
+        # T and the Jacobian at x, then T and the Jacobian at four stencil points;
+        # a difference Jacobian reads twelve values
+        field, calls = self.counted(helix_field(0.5, analytic=analytic))
+        frenet_report(field, np.array([1.0, 0.2, 0.1]))
+        assert len(calls) == evaluations
+
+    def test_matches_the_separate_analyses(self):
+        field = helix_field(0.7, analytic=False)
+        x = np.array([1.2, -0.3, 0.4])
+        forms, comparison = frenet_report(field, x)
+        alone = frenet_rotation_forms(field, x)
+        assert comparison == model_compare(field, x)
+        assert forms.deltas == alone.deltas
+        assert forms.expansion_norm == alone.expansion_norm
+        np.testing.assert_array_equal(forms.data.shape_matrix, alone.data.shape_matrix)
+        assert frenet_frame(field, x)[3:] == (forms.data.kappa, forms.data.tau)
 
 
 class TestGridField:

@@ -19,9 +19,18 @@ from rotform import (
     principal_minor_sums,
     rotation_form,
 )
-from rotform.invariants import diagonal_rotation_recursion, pm2_sym_skew_residual
+from rotform import evaluate, plane_pairs, qforms
+from rotform.invariants import _pm2, diagonal_rotation_recursion, pm2_sym_skew_residual
+from rotform.qforms import rotation_form_matrix, rotation_traces, rotation_values
 
-from oracles import jordan_shear, random_normal_matrix, rotation_scaling_block
+from oracles import (
+    ch_form_residuals_by_definition,
+    ch_trace_residuals_by_definition,
+    jordan_shear,
+    random_normal_matrix,
+    random_unit,
+    rotation_scaling_block,
+)
 
 
 def block_diag(*blocks):
@@ -384,3 +393,79 @@ class TestInvariantReport:
         rng = np.random.default_rng(25)
         report = invariant_report(rng.uniform(-1, 1, (3, 3)), seed=0)
         assert "n4_det" not in report.residuals
+
+    def test_exact_residual_key_set(self):
+        rng = np.random.default_rng(27)
+        for n in (2, 3, 4, 5):
+            pairs = [f"{k}_{l}" for k, l in plane_pairs(n)]
+            expected = {f"newton_{k}" for k in range(1, n + 1)}
+            expected |= {"ch_vector", "ch_expansion", "tr_ch_expansion", "pm2", "pm2_sym_skew",
+                         "gram_trace"}
+            expected |= {f"ch_rotation_{p}" for p in pairs}
+            expected |= {f"tr_ch_rotation_{p}" for p in pairs}
+            expected |= {f"power_{kind}_{m}" for kind in ("expansion", "rotation")
+                         for m in (1, 2, 3)}
+            if n == 4:
+                expected.add("n4_det")
+            report = invariant_report(rng.uniform(-1, 1, (n, n)), seed=n)
+            assert set(report.residuals) == expected, n
+
+    def test_builds_no_form_objects(self, monkeypatch):
+        built = []
+        original = qforms.QForm.__post_init__
+
+        def counting(form):
+            built.append(form.n)
+            original(form)
+
+        monkeypatch.setattr(qforms.QForm, "__post_init__", counting)
+        A = np.random.default_rng(28).uniform(-1, 1, (12, 12))
+        report = invariant_report(A, seed=1)
+        assert len(report.residuals) > 100
+        assert built == []
+
+
+class TestClosedForms:
+    """The closed forms the identities use against the form definitions."""
+
+    def test_rotation_form_traces_and_values(self):
+        rng = np.random.default_rng(29)
+        for n in (2, 3, 5, 8):
+            M = rng.standard_normal((n, n))
+            u = rng.standard_normal(n)
+            traces = rotation_traces(M)
+            values = rotation_values(M, u)
+            for k, l in plane_pairs(n):
+                form = rotation_form(M, (k, l))
+                assert float(np.trace(form.matrix)) == traces[(k, l)] == M[l - 1, k - 1] - M[k - 1, l - 1]
+                np.testing.assert_array_equal(rotation_form_matrix(M, (k, l)), form.matrix)
+                assert values[(k, l)] == pytest.approx(evaluate(form, u), abs=1e-12)
+
+    def test_expansion_form_trace_and_value(self):
+        rng = np.random.default_rng(30)
+        for n in (1, 2, 4, 7):
+            M = rng.standard_normal((n, n))
+            u = rng.standard_normal(n)
+            form = expansion_form(M)
+            assert float(np.trace(form.matrix)) == float(np.trace(M))
+            assert float(u @ (M @ u)) == pytest.approx(evaluate(form, u), abs=1e-12)
+
+    def test_second_minor_sum_bit_identical(self):
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 6):
+            M = rng.standard_normal((n, n))
+            for part in (0.5 * (M + M.T), 0.5 * (M - M.T), M):
+                assert _pm2(part) == principal_minor_sums(part)[1]
+
+    def test_residuals_match_form_definitions(self):
+        rng = np.random.default_rng(32)
+        for n in (2, 3, 5, 8):
+            A = rng.uniform(-1, 1, (n, n))
+            u = random_unit(rng, n)
+            e_res, r_res = ch_form_residuals(A, u)
+            e_def, r_def = ch_form_residuals_by_definition(A, u)
+            assert e_res == pytest.approx(e_def, abs=1e-12)
+            assert r_res.keys() == r_def.keys()
+            for pair in r_def:
+                assert r_res[pair] == pytest.approx(r_def[pair], abs=1e-12)
+            assert ch_trace_residuals(A) == ch_trace_residuals_by_definition(A)

@@ -14,6 +14,7 @@ from rotform import (
     planar_analyze,
     real_spectrum,
     rotation_form,
+    skew_canonical_basis,
     skew_square_structure,
 )
 
@@ -171,6 +172,15 @@ class TestBromwichBounds:
             for z in np.linalg.eigvals(A):
                 assert nu - 1e-9 <= z.real <= N + 1e-9
                 assert mu - 1e-9 <= z.imag <= M + 1e-9
+
+    def test_top_rate_matches_block_reduction(self):
+        rng = np.random.default_rng(8)
+        for n in range(2, 13):
+            for A in (rng.uniform(-1, 1, (n, n)), rng.standard_normal((n, n)) * 1e3):
+                rates = skew_canonical_basis(A).lambdas
+                _, _, mu, M = bromwich_bounds(A)
+                assert M == -mu
+                assert abs(M - max(rates)) <= 1e-13 * np.max(np.abs(A))
 
 
 class TestPlanarAnalyze:
