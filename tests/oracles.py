@@ -2,17 +2,30 @@
 
 Everything here deliberately avoids the code paths under test: ranks come
 from hand-rolled row reduction, characteristic polynomials from permutation
-expansion, minor sums from explicit subset enumeration, and eigenvalues from
-numpy where a library oracle is wanted.  The identity residuals here are
-assembled from the form definitions (one QForm per power and plane), which
-the library's closed forms replace.
+expansion, minor sums from explicit subset enumeration, symmetric
+eigen-decompositions from cyclic Jacobi rotations (the library's former
+solver), and eigenvalues from numpy where a library oracle is wanted.  The
+identity residuals here are assembled from the form definitions (one QForm
+per power and plane), which the library's closed forms replace.
 """
 
 from itertools import combinations, permutations
 
 import numpy as np
 
-from rotform import evaluate, expansion_form, plane_pairs, principal_minor_sums, rotation_form
+from rotform import (
+    DEFAULT_TOL,
+    InputError,
+    NumericalError,
+    evaluate,
+    expansion_form,
+    plane_pairs,
+    principal_minor_sums,
+    rotation_form,
+)
+from rotform.linalg import as_square, maxabs
+
+_JACOBI_MAX_SWEEPS = 100
 
 
 def row_reduce_rank(M, tol=1e-9):
@@ -208,3 +221,71 @@ def ch_trace_residuals_by_definition(A):
         ]
         rotation[pair] = _rel(sum(r_terms), r_terms)
     return _rel(sum(e_terms), e_terms), rotation
+
+
+def _offdiag_norm(A):
+    off = A - np.diag(np.diag(A))
+    return float(np.linalg.norm(off))
+
+
+def jacobi_sym_eigen(Q, tol=DEFAULT_TOL):
+    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+
+    Returns (eigenvalues ascending, P) with the columns of P the matching
+    orthonormal eigenvectors.  Convergence is declared when the off-diagonal
+    Frobenius norm drops below eig_off_tol * ||Q||_F; more than
+    100 sweeps raises NumericalError.  Unconditionally robust at desk scale
+    (n up to ~64); not meant for large matrices.
+    """
+    A = as_square(Q, "symmetric matrix")
+    n = A.shape[0]
+    gap = maxabs(A - A.T)
+    if gap > tol.residual_tol * max(1.0, maxabs(A)):
+        raise InputError(f"matrix is not symmetric within tolerance: max|Q - Q^T| = {gap:.3e}")
+    A = 0.5 * (A + A.T)
+    P = np.eye(n)
+    if n == 1:
+        return np.diag(A).copy(), P
+    fro = float(np.linalg.norm(A))
+    if fro == 0.0:
+        return np.zeros(n), P
+    target = tol.eig_off_tol * fro
+    skip = 0.01 * target / n
+    off = _offdiag_norm(A)
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        if off <= target:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= skip:
+                    continue
+                theta = 0.5 * (A[q, q] - A[p, p]) / apq
+                t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = A[:, p].copy()
+                col_q = A[:, q].copy()
+                A[:, p] = c * col_p - s * col_q
+                A[:, q] = s * col_p + c * col_q
+                row_p = A[p, :].copy()
+                row_q = A[q, :].copy()
+                A[p, :] = c * row_p - s * row_q
+                A[q, :] = s * row_p + c * row_q
+                A[p, q] = A[q, p] = 0.0
+                bas_p = P[:, p].copy()
+                bas_q = P[:, q].copy()
+                P[:, p] = c * bas_p - s * bas_q
+                P[:, q] = s * bas_p + c * bas_q
+        off = _offdiag_norm(A)
+    if off > target:
+        raise NumericalError(
+            f"Jacobi iteration did not converge in {_JACOBI_MAX_SWEEPS} sweeps: "
+            f"off-diagonal norm {off:.3e}, target {target:.3e}",
+            residual=off,
+        )
+    w = np.diag(A).copy()
+    order = np.argsort(w, kind="stable")
+    return w[order], P[:, order]

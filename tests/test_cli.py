@@ -238,6 +238,14 @@ class TestExitCodes:
         doc = json.loads(open(tmp_path / "r.json").read())
         assert doc["tolerances"]["residual_tol"] == 1e-6
 
+    def test_infinite_tolerance_rejected(self, tmp_path):
+        matrix = write(tmp_path, "m.txt", "2 1 0\n1 3 1\n0 1 4\n")
+        assert main(["analyze", "--input", matrix, "--tol", "residual_tol=inf"]) == 2
+
+    def test_unreachable_eigen_certificate_exits_three(self, tmp_path):
+        matrix = write(tmp_path, "m.txt", "2 1 0\n1 3 1\n0 1 4\n")
+        assert main(["analyze", "--input", matrix, "--tol", "eig_off_tol=1e-300"]) == 3
+
     def test_basis_flag_limited_to_analyze(self, tmp_path):
         matrix = write(tmp_path, "m.txt", "0 -1\n1 0\n")
         assert main(["planar", "--input", matrix, "--basis", "expansion"]) == 2

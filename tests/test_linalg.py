@@ -4,6 +4,7 @@ import pytest
 from rotform import (
     DEFAULT_TOL,
     InputError,
+    NumericalError,
     ToleranceConfig,
     nullspace,
     principal_minor_sums,
@@ -15,6 +16,7 @@ from rotform.linalg import char_poly_coeffs
 
 from oracles import (
     char_poly_by_permutations,
+    jacobi_sym_eigen,
     jordan_shear,
     minor_sum_by_enumeration,
     row_reduce_rank,
@@ -73,8 +75,79 @@ class TestSymEigen:
     def test_zero_and_scalar(self):
         w, P = sym_eigen(np.zeros((3, 3)))
         np.testing.assert_allclose(w, np.zeros(3))
+        np.testing.assert_array_equal(P, np.eye(3))
         w, P = sym_eigen(np.array([[4.0]]))
         np.testing.assert_allclose(w, [4.0])
+
+    @pytest.mark.parametrize("c", [1e-200, 1e-8, 1e8, 1e200])
+    def test_eigenvalues_scale_with_input(self, c):
+        rng = np.random.default_rng(14)
+        for n in range(2, 9):
+            M = rng.standard_normal((n, n))
+            Q = M + M.T
+            w = sym_eigen(Q)[0]
+            # relative to the spectral scale max|w|, which every eigenvalue shares
+            np.testing.assert_allclose(sym_eigen(c * Q)[0] / c, w,
+                                       rtol=0, atol=1e-13 * np.max(np.abs(w)))
+
+    @staticmethod
+    def _cluster_projectors(w, P, gap):
+        """Projectors onto the eigenspaces of runs of w spaced at most gap apart."""
+        groups = [[0]]
+        for i in range(1, len(w)):
+            if w[i] - w[i - 1] <= gap:
+                groups[-1].append(i)
+            else:
+                groups.append([i])
+        return [P[:, g] @ P[:, g].T for g in groups]
+
+    @pytest.mark.parametrize("repeated", [False, True])
+    def test_agrees_with_jacobi_reference(self, repeated):
+        rng = np.random.default_rng(15)
+        for n in range(2, 17):
+            if repeated:
+                values = rng.choice([-2.0, 0.5, 3.0], size=n)
+                R = random_orthogonal(n, seed=n)
+                Q = R.T @ np.diag(values) @ R
+            else:
+                M = rng.standard_normal((n, n))
+                Q = M + M.T
+            scale = np.max(np.abs(Q))
+            w, P = sym_eigen(Q)
+            w_ref, P_ref = jacobi_sym_eigen(Q)
+            np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-12 * scale)
+            gap = 1e-8 * scale
+            mine = self._cluster_projectors(w, P, gap)
+            ref = self._cluster_projectors(w_ref, P_ref, gap)
+            assert len(mine) == len(ref)
+            if repeated:
+                assert len(mine) == len(set(values))
+            for E, E_ref in zip(mine, ref):
+                assert np.max(np.abs(E - E_ref)) <= 1e-10
+
+    def test_certificate_rejects_unreachable_bound(self):
+        rng = np.random.default_rng(16)
+        M = rng.standard_normal((5, 5))
+        with pytest.raises(NumericalError):
+            sym_eigen(M + M.T, ToleranceConfig(eig_off_tol=1e-300))
+
+    def test_default_certificate_passes_large_and_graded(self):
+        rng = np.random.default_rng(17)
+        M = rng.standard_normal((64, 64))
+        Q = M + M.T
+        w, P = sym_eigen(Q)
+        assert np.linalg.norm(P @ np.diag(w) @ P.T - Q) / np.linalg.norm(Q) < 1e-12
+        graded = 10.0 ** np.arange(-8, 9)
+        w, _ = sym_eigen(np.diag(graded))
+        np.testing.assert_allclose(w, graded, rtol=1e-14, atol=0)
+
+    def test_solver_failure_is_numerical_error(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(NumericalError, match="did not converge"):
+            sym_eigen(np.eye(2))
 
 
 class TestRealSpectrum:
@@ -214,6 +287,9 @@ class TestToleranceConfig:
     def test_rejects_nonpositive(self):
         with pytest.raises(InputError):
             ToleranceConfig(eig_off_tol=0.0)
+        for field in ("eig_off_tol", "rank_tol", "residual_tol"):
+            with pytest.raises(InputError):
+                ToleranceConfig(**{field: np.inf})
 
     def test_defaults(self):
         assert DEFAULT_TOL.residual_tol == 1e-9
