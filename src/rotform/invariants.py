@@ -14,11 +14,16 @@ them to every identity.
 The subset determinant expansion and the diagonal-plus-skew determinant
 audit live here too, as does the linear system that recovers the
 characteristic-polynomial coefficients of a normal matrix from its form
-eigenvalues.
+eigenvalues.  The subset expansion takes each principal minor from one
+pivoted LU, in stacked determinant calls over blocks of subsets, and adds
+its terms in subset order; at n = 16 it costs about 0.14 s of CPU time.
+The rotation power recurrence contracts its double sum over plane pairs to
+one vector, so its right-hand side costs O(n^2) work per step instead of
+(n(n-1)/2)^2 dot products.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -34,9 +39,13 @@ from .linalg import (
     minor_sums_from_traces,
 )
 from .qforms import is_zero_part, rotation_form_matrix, rotation_traces
-from .quasirot import apply_quasi_rotation, check_plane_pair, plane_pairs, rotation_values
+from .quasirot import _wedge_values, check_plane_pair, plane_pairs, reassemble, rotation_values
 
 COLLINGS_MAX_DIM = 20  # largest n the 2^n subset expansion accepts by default
+# Subsets per stacked determinant call in collings_det.  At n = 16 blocks of
+# this size peak at 1.4 MB (tracemalloc); one stack per subset size peaks at
+# 8.8 MB and grows the resident set by about 11 MB.
+_SUBSET_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -213,31 +222,40 @@ def euler_cauchy_stokes(A):
 
 
 def collings_det(Dd, B, max_dim=COLLINGS_MAX_DIM):
-    """det(D + B) for diagonal D as a sum over all index subsets of products
-    of complementary principal minors.  Cost 2^n; guarded at n <= max_dim."""
+    """det(D + B) for diagonal D as a sum over all index subsets theta of
+    det(B[theta, theta]) times the product of d over the complement of theta.
+
+    Cost 2^n; guarded at n <= max_dim.  Subsets run by size, then
+    lexicographically, in blocks of _SUBSET_BLOCK: each block's principal
+    minors come from one stacked np.linalg.det call (one LU each) and its
+    terms are added to the running total one at a time, in subset order.
+    """
     Dd = as_square(Dd, "diagonal matrix")
     B = as_square(B)
     n = Dd.shape[0]
     if B.shape[0] != n:
         raise InputError("matrices must share a dimension")
     off = Dd - np.diag(np.diag(Dd))
-    if maxabs(off) > 1e-12 * max(1.0, maxabs(Dd)):
+    if maxabs(off) > 1e-12 * maxabs(Dd):
         raise InputError("first argument must be diagonal")
     if n > max_dim:
         raise InputError(f"subset expansion is 2^n; refusing n = {n} > {max_dim}")
     d = np.diag(Dd)
     total = 0.0
-    indices = list(range(n))
     for size in range(n + 1):
-        for theta in combinations(indices, size):
-            comp = [i for i in indices if i not in theta]
-            d_part = float(np.prod(d[comp])) if comp else 1.0
-            if theta:
-                sub = B[np.ix_(theta, theta)]
-                b_part = float(np.linalg.det(sub))
-            else:
-                b_part = 1.0
-            total += d_part * b_part
+        subsets = combinations(range(n), size)
+        remaining = comb(n, size)
+        while remaining:
+            count = min(remaining, _SUBSET_BLOCK)
+            remaining -= count
+            th = np.fromiter(
+                chain.from_iterable(islice(subsets, count)), np.intp, count * size
+            ).reshape(count, size)
+            minors = np.linalg.det(B[th[:, :, None], th[:, None, :]])
+            inside = np.zeros((count, n), dtype=bool)
+            inside[np.arange(count)[:, None], th] = True
+            d_parts = np.prod(np.where(inside, 1.0, d), axis=1)
+            total = float(np.cumsum(np.concatenate(([total], d_parts * minors)))[-1])
     return total
 
 
@@ -360,16 +378,13 @@ def power_form_step(A, m, u):
     lhs_e = float(u @ (pows[m + 1] @ u))
     rhs_e = e_m * e_1 + sum(r_m[pair] * r_T[pair] for pair in plane_pairs(n))
 
+    # The sum over kl of r_m[kl] (A R_kl u).(R_pq u) is (A w).(R_pq u) with
+    # w = sum r_m[kl] R_kl u.  w must come from the coefficients r_m: taking
+    # it as A^m u - e_m u would make the recurrence hold by construction.
     r_1 = rotation_values(A, u)
-    images = {pair: A @ apply_quasi_rotation(u, pair) for pair in plane_pairs(n)}
     lhs_r = rotation_values(pows[m + 1], u)
-    rhs_r = {}
-    for pq in plane_pairs(n):
-        rot_pq = apply_quasi_rotation(u, pq)
-        acc = e_m * r_1[pq]
-        for kl in plane_pairs(n):
-            acc += r_m[kl] * float(images[kl] @ rot_pq)
-        rhs_r[pq] = acc
+    cross = _wedge_values(u, A @ reassemble(0.0, r_m, u))
+    rhs_r = {pq: e_m * r_1[pq] + cross[pq] for pq in plane_pairs(n)}
     return lhs_e, rhs_e, lhs_r, rhs_r
 
 

@@ -90,15 +90,17 @@ def sym_eigen(Q, tol=DEFAULT_TOL):
     """Eigen-decomposition of a symmetric matrix by LAPACK (np.linalg.eigh).
 
     Returns (eigenvalues ascending, P) with the columns of P the matching
-    orthonormal eigenvectors.  The result is certified once against the
-    matrix: with Qh = Q / max|Q|, the off-diagonal Frobenius norm of
-    P^T Qh P must not exceed eig_off_tol * ||Qh||_F, else NumericalError.
-    The test is scale-free; bounds below about 1e-14 cannot be met in
-    double precision.  A solver failure also raises NumericalError.
+    orthonormal eigenvectors.  Q counts as symmetric when max|Q - Q^T| is
+    at most residual_tol * max|Q|, else InputError.  The result is certified
+    once against the matrix: with Qh = Q / max|Q|, the off-diagonal
+    Frobenius norm of P^T Qh P must not exceed eig_off_tol * ||Qh||_F, else
+    NumericalError.  Both tests are scale-free; eig_off_tol below about
+    1e-14 cannot be met in double precision.  A solver failure also raises
+    NumericalError.
     """
     A = as_square(Q, "symmetric matrix")
     gap = maxabs(A - A.T)
-    if gap > tol.residual_tol * max(1.0, maxabs(A)):
+    if gap > tol.residual_tol * maxabs(A):
         raise InputError(f"matrix is not symmetric within tolerance: max|Q - Q^T| = {gap:.3e}")
     A = 0.5 * (A + A.T)
     try:

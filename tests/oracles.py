@@ -6,7 +6,9 @@ expansion, minor sums from explicit subset enumeration, symmetric
 eigen-decompositions from cyclic Jacobi rotations (the library's former
 solver), and eigenvalues from numpy where a library oracle is wanted.  The
 identity residuals here are assembled from the form definitions (one QForm
-per power and plane), which the library's closed forms replace.
+per power and plane), which the library's closed forms replace.  The subset
+determinant expansion and the power-form recurrence step are kept here as
+the plain loops the library's batched versions replace.
 """
 
 from itertools import combinations, permutations
@@ -17,6 +19,7 @@ from rotform import (
     DEFAULT_TOL,
     InputError,
     NumericalError,
+    apply_quasi_rotation,
     evaluate,
     expansion_form,
     plane_pairs,
@@ -24,6 +27,7 @@ from rotform import (
     rotation_form,
 )
 from rotform.linalg import as_square, maxabs
+from rotform.quasirot import rotation_values
 
 _JACOBI_MAX_SWEEPS = 100
 
@@ -240,7 +244,7 @@ def jacobi_sym_eigen(Q, tol=DEFAULT_TOL):
     A = as_square(Q, "symmetric matrix")
     n = A.shape[0]
     gap = maxabs(A - A.T)
-    if gap > tol.residual_tol * max(1.0, maxabs(A)):
+    if gap > tol.residual_tol * maxabs(A):
         raise InputError(f"matrix is not symmetric within tolerance: max|Q - Q^T| = {gap:.3e}")
     A = 0.5 * (A + A.T)
     P = np.eye(n)
@@ -289,3 +293,55 @@ def jacobi_sym_eigen(Q, tol=DEFAULT_TOL):
     w = np.diag(A).copy()
     order = np.argsort(w, kind="stable")
     return w[order], P[:, order]
+
+
+def collings_det_loop(Dd, B):
+    """det(D + B) by the subset expansion, one Python iteration per subset:
+    by size, then lexicographically, adding d_part * b_part to a running
+    total.  Inputs are assumed valid (square, matching, D diagonal)."""
+    Dd = np.asarray(Dd, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n = Dd.shape[0]
+    d = np.diag(Dd)
+    total = 0.0
+    indices = list(range(n))
+    for size in range(n + 1):
+        for theta in combinations(indices, size):
+            comp = [i for i in indices if i not in theta]
+            d_part = float(np.prod(d[comp])) if comp else 1.0
+            if theta:
+                sub = B[np.ix_(theta, theta)]
+                b_part = float(np.linalg.det(sub))
+            else:
+                b_part = 1.0
+            total += d_part * b_part
+    return total
+
+
+def power_form_step_loop(A, m, u):
+    """power_form_step with the rotation right-hand side summed plane by
+    plane: rhs_r[pq] = e_m r_1[pq] + sum over kl of r_m[kl] (A R_kl u).(R_pq u).
+    u is assumed unit."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    pows = [np.eye(n), A]
+    for _ in range(m):
+        pows.append(pows[-1] @ A)
+    e_m = float(u @ (pows[m] @ u))
+    e_1 = float(u @ (A @ u))
+    r_m = rotation_values(pows[m], u)
+    r_T = rotation_values(A.T, u)
+    lhs_e = float(u @ (pows[m + 1] @ u))
+    rhs_e = e_m * e_1 + sum(r_m[pair] * r_T[pair] for pair in plane_pairs(n))
+
+    r_1 = rotation_values(A, u)
+    images = {pair: A @ apply_quasi_rotation(u, pair) for pair in plane_pairs(n)}
+    lhs_r = rotation_values(pows[m + 1], u)
+    rhs_r = {}
+    for pq in plane_pairs(n):
+        rot_pq = apply_quasi_rotation(u, pq)
+        acc = e_m * r_1[pq]
+        for kl in plane_pairs(n):
+            acc += r_m[kl] * float(images[kl] @ rot_pq)
+        rhs_r[pq] = acc
+    return lhs_e, rhs_e, lhs_r, rhs_r

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,9 @@ from rotform.qforms import rotation_form_matrix, rotation_traces, rotation_value
 from oracles import (
     ch_form_residuals_by_definition,
     ch_trace_residuals_by_definition,
+    collings_det_loop,
     jordan_shear,
+    power_form_step_loop,
     random_normal_matrix,
     random_unit,
     rotation_scaling_block,
@@ -249,6 +253,50 @@ class TestCollingsDet:
             collings_det(np.eye(21), np.eye(21))
 
 
+class TestCollingsBatched:
+    """The batched subset expansion against the one-subset-at-a-time loop:
+    same minors, same term order, same additions, so equal bit for bit."""
+
+    @staticmethod
+    def _split(A):
+        D = np.diag(np.diag(A))
+        return D, A - D
+
+    def test_equals_loop_exactly(self):
+        rng = np.random.default_rng(41)
+        for n in range(1, 13):
+            A = rng.uniform(-1, 1, (n, n))
+            cases = [
+                self._split(A),
+                self._split(rng.integers(-5, 6, (n, n)).astype(float)),
+                self._split(np.triu(A)),
+                (np.diag(rng.uniform(-2, 2, n)), A - np.diag(np.diag(A))),
+                self._split(1e-6 * A),
+                self._split(1e6 * A),
+            ]
+            for D, B in cases:
+                assert collings_det(D, B) == collings_det_loop(D, B), n
+        # several full blocks per subset size
+        D, B = self._split(rng.uniform(-1, 1, (14, 14)))
+        assert collings_det(D, B) == collings_det_loop(D, B)
+
+    def test_working_set_stays_small_at_sixteen(self):
+        # blocks bound the working set; one stack per subset size peaks
+        # near 9 MB at n = 16, which `rotform identities` runs
+        D, B = self._split(np.random.default_rng(43).uniform(-1, 1, (16, 16)))
+        tracemalloc.start()
+        try:
+            collings_det(D, B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_diagonal_check_is_relative(self):
+        with pytest.raises(InputError):
+            collings_det(1e-13 * np.ones((2, 2)), np.zeros((2, 2)))
+
+
 class TestN4DetAudit:
     def test_symmetric_reduces_to_diagonal_determinant(self):
         rng = np.random.default_rng(15)
@@ -366,6 +414,22 @@ class TestPowerFormStep:
     def test_rejects_non_unit(self):
         with pytest.raises(InputError):
             power_form_step(np.eye(2), 1, np.array([2.0, 0.0]))
+
+    def test_matches_plane_by_plane_loop(self):
+        # lhs_e, rhs_e and lhs_r are computed as before; rhs_r sums the
+        # cross terms in another order, so it agrees to rounding
+        rng = np.random.default_rng(44)
+        for n in range(2, 11):
+            A = rng.uniform(-1, 1, (n, n))
+            u = random_unit(rng, n)
+            for m in (1, 2, 3):
+                lhs_e, rhs_e, lhs_r, rhs_r = power_form_step(A, m, u)
+                ref = power_form_step_loop(A, m, u)
+                assert (lhs_e, rhs_e, lhs_r) == ref[:3]
+                assert rhs_r.keys() == ref[3].keys()
+                bound = 1e-13 * max(abs(v) for v in ref[3].values())
+                for pair, value in ref[3].items():
+                    assert abs(rhs_r[pair] - value) <= bound, (n, m, pair)
 
 
 class TestResidualSweepWideDimensions:

@@ -71,6 +71,10 @@ class TestSymEigen:
     def test_rejects_asymmetric(self):
         with pytest.raises(InputError):
             sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # the symmetry test is relative, so scale cannot hide an asymmetry
+        for solver in (sym_eigen, jacobi_sym_eigen):
+            with pytest.raises(InputError):
+                solver(1e-12 * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_zero_and_scalar(self):
         w, P = sym_eigen(np.zeros((3, 3)))
