@@ -301,10 +301,14 @@ def _invariants_section(A, seed):
             f"subset expansion is 2^n; skipped for n = {n} > {invariants.COLLINGS_MAX_DIM}"
         )
     else:
-        diag_part = np.diag(np.diag(A))
+        # Relative to the subset-term mass prod_i (|d_i| + |off-diagonal row i|),
+        # which bounds |det| and every partial sum of the expansion.
+        d = np.diag(A)
+        rest = A - np.diag(d)
         det = float(np.linalg.det(A))
-        collings = invariants.collings_det(diag_part, A - diag_part)
-        section["collings_residual"] = abs(collings - det) / max(1.0, abs(det))
+        collings = invariants.collings_det(np.diag(d), rest)
+        mass = float(np.prod(np.abs(d) + np.linalg.norm(rest, axis=1)))
+        section["collings_residual"] = abs(collings - det) / mass if mass else 0.0
     return section
 
 
@@ -575,9 +579,12 @@ def request_from_args(args):
     )
 
 
+# Built once at import; parse_args keeps no state between calls.
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         request = request_from_args(args)
         return run(request)

@@ -115,7 +115,7 @@ def eigenstructure(A, tol=DEFAULT_TOL):
     A = as_square(A)
     n = A.shape[0]
     spectrum = real_spectrum(A, tol)
-    scale = max(1.0, maxabs(A))
+    scale = maxabs(A)
     cz_tol = tol.residual_tol * scale
     entries = []
     flags = []

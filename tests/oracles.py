@@ -8,7 +8,10 @@ solver), and eigenvalues from numpy where a library oracle is wanted.  The
 identity residuals here are assembled from the form definitions (one QForm
 per power and plane), which the library's closed forms replace.  The subset
 determinant expansion and the power-form recurrence step are kept here as
-the plain loops the library's batched versions replace.
+the plain loops the library's batched versions replace.  The full spectrum
+by Durand-Kerner roots of the trace-recurrence characteristic polynomial,
+with multiplicity-aware Newton polish, is the library's former general
+eigenvalue path, kept unchanged as polynomial_spectrum.
 """
 
 from itertools import combinations, permutations
@@ -26,10 +29,11 @@ from rotform import (
     principal_minor_sums,
     rotation_form,
 )
-from rotform.linalg import as_square, maxabs
+from rotform.linalg import Spectrum, as_square, char_poly_coeffs, maxabs
 from rotform.quasirot import rotation_values
 
 _JACOBI_MAX_SWEEPS = 100
+_ROOT_MAX_ITER = 600
 
 
 def row_reduce_rank(M, tol=1e-9):
@@ -345,3 +349,188 @@ def power_form_step_loop(A, m, u):
             acc += r_m[kl] * float(images[kl] @ rot_pq)
         rhs_r[pq] = acc
     return lhs_e, rhs_e, lhs_r, rhs_r
+
+
+def _poly_roots_simultaneous(coeffs):
+    """All roots of a monic real polynomial by simultaneous (Durand-Kerner) iteration."""
+    c = np.asarray(coeffs, dtype=complex)
+    n = len(c) - 1
+    if n == 1:
+        return np.array([-c[1]])
+    radius = 1.0 + max(abs(x) for x in c[1:])
+    k = np.arange(n)
+    z = radius * np.exp(1j * (2.0 * np.pi * k / n + 0.4))
+    for _ in range(_ROOT_MAX_ITER):
+        p = np.polyval(c, z)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        denom = np.prod(diff, axis=1)
+        step = p / denom
+        z = z - step
+        if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(z))):
+            break
+    return z
+
+
+def _cluster_points(points, tol):
+    """Group complex points whose mutual distance stays within tol (union-find)."""
+    m = len(points)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(points[i] - points[j]) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(points[i])
+    return list(groups.values())
+
+
+def _polish_root(coeffs, z, mult, iters=60):
+    """Refine a root of multiplicity mult.
+
+    A mult-fold root of p is a simple root of the (mult-1)-th derivative, so
+    plain Newton against that derivative stays well conditioned where p itself
+    is flat.  Returns (root, final step size); the step size doubles as a
+    resolution certificate: it stays near machine precision only when the
+    claimed multiplicity matches the actual cluster structure.
+    """
+    poly = np.poly1d(coeffs)
+    for _ in range(mult - 1):
+        poly = poly.deriv()
+    dpoly = poly.deriv()
+    best = z
+    best_val = abs(poly(z))
+    last_step = np.inf
+    for _ in range(iters):
+        val = poly(z)
+        dval = dpoly(z)
+        if dval == 0:
+            break
+        step = val / dval
+        z = z - step
+        last_step = abs(step)
+        cur = abs(poly(z))
+        if cur < best_val:
+            best, best_val = z, cur
+        if last_step <= 1e-16 * (1.0 + abs(z)):
+            break
+    dbest = dpoly(best)
+    final_step = abs(poly(best) / dbest) if dbest != 0 else last_step
+    return best, final_step
+
+
+class _SpectrumRetry(Exception):
+    """Internal: the current clustering radius could not resolve the roots."""
+
+
+def _extract_spectrum(coeffs, raw, cluster_tol, scale, imag_thresh, n):
+    clusters = _cluster_points(list(raw), cluster_tol)
+    refined = []
+    for group in clusters:
+        mult = len(group)
+        center = sum(group) / mult
+        root, step = _polish_root(coeffs, center, mult)
+        refined.append((root, mult, step))
+
+    merged = []
+    for z, mult, step in sorted(refined, key=lambda t: (t[0].real, t[0].imag)):
+        if merged and abs(merged[-1][0] - z) <= 1e-8 * scale:
+            prev, prev_mult, prev_step = merged[-1]
+            total = prev_mult + mult
+            merged[-1] = ((prev * prev_mult + z * mult) / total, total, max(step, prev_step))
+        else:
+            merged.append((z, mult, step))
+
+    coeff_scale = max(1.0, float(np.max(np.abs(coeffs))))
+    for z, mult, step in merged:
+        if step > 1e-9 * scale:
+            raise _SpectrumRetry(
+                f"root near {z:.6g} is unresolved at multiplicity {mult}: "
+                f"final Newton step {step:.3e}"
+            )
+        bound = 1e-10 * coeff_scale * max(1.0, abs(z)) ** n
+        residual = abs(np.polyval(coeffs, z))
+        if residual > bound:
+            raise _SpectrumRetry(
+                f"|p({z:.6g})| = {residual:.3e} exceeds the backward bound {bound:.3e}"
+            )
+
+    reals = []
+    complexes = []
+    for z, mult, _ in merged:
+        if abs(z.imag) <= imag_thresh:
+            reals.append((float(z.real), mult))
+        else:
+            complexes.append((z, mult))
+
+    pairs = []
+    used = [False] * len(complexes)
+    for i, (z, mult) in enumerate(complexes):
+        if used[i] or z.imag < 0:
+            continue
+        match = None
+        for j, (w, wm) in enumerate(complexes):
+            if used[j] or j == i or w.imag > 0:
+                continue
+            if abs(np.conj(w) - z) <= 1e-7 * scale and wm == mult:
+                match = j
+                break
+        if match is None:
+            raise _SpectrumRetry(f"unpaired complex root {z:.6g} (multiplicity {mult})")
+        used[i] = used[match] = True
+        w = complexes[match][0]
+        pairs.append((complex(0.5 * (z.real + w.real), 0.5 * (z.imag - w.imag)), mult))
+    if not all(used):
+        leftovers = [z for i, (z, _) in enumerate(complexes) if not used[i]]
+        raise _SpectrumRetry(f"unpaired complex roots {leftovers}")
+
+    reals.sort(key=lambda t: t[0])
+    pairs.sort(key=lambda t: (t[0].real, t[0].imag))
+    return tuple(reals), tuple(pairs)
+
+
+def polynomial_spectrum(A, tol=DEFAULT_TOL):
+    """Full spectrum of A as roots of its characteristic polynomial.
+
+    Real roots are separated from conjugate pairs by an imaginary-part
+    threshold.  Repeated eigenvalues come back as one entry with the right
+    algebraic multiplicity: root clusters are collapsed and re-polished as
+    simple roots of the matching derivative, escalating the clustering radius
+    when the residual or resolution certificates say the structure was not
+    resolved (a multiplicity-m cluster has radius ~eps^(1/m), so no single
+    radius fits every multiplicity).  Adequate for n up to ~16; the
+    characteristic-polynomial route is not meant for large matrices.
+    """
+    A = as_square(A)
+    n = A.shape[0]
+    coeffs = char_poly_coeffs(A)
+    if n == 1:
+        return Spectrum(1, ((float(A[0, 0]), 1),), ())
+    raw = _poly_roots_simultaneous(coeffs)
+    scale = 1.0 + float(np.max(np.abs(raw)))
+    imag_thresh = max(1e-9 * scale, n * tol.rank_tol * max(1.0, maxabs(A)))
+
+    failure = None
+    for level in (2e-5, 3e-4, 3e-3):
+        try:
+            reals, pairs = _extract_spectrum(coeffs, raw, level * scale, scale, imag_thresh, n)
+        except _SpectrumRetry as exc:
+            failure = exc
+            continue
+        spectrum = Spectrum(n, reals, pairs)
+        if spectrum.total_multiplicity() != n:
+            raise NumericalError(
+                f"spectrum multiplicities sum to {spectrum.total_multiplicity()}, expected {n}"
+            )
+        return spectrum
+    raise NumericalError(f"root iteration did not converge: {failure}")

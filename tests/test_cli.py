@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rotform
+from rotform import invariants
 from rotform.cli import AnalysisRequest, main, parse_matrix_text, render_report, run
 from rotform.errors import InputError
 
@@ -284,3 +289,54 @@ class TestExitCodes:
         assert main(["identities", "--seed", "-1"]) == 2
         assert main(["analyze", "--input", matrix, "--seed", "-1"]) == 2
         assert "--seed must be non-negative" in capsys.readouterr().err
+
+
+def _grid(A):
+    return "".join(" ".join(repr(float(x)) for x in row) + "\n" for row in A)
+
+
+def _fresh_process(argv, tmp_path):
+    """Run the CLI in a new interpreter; returns (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rotform.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys; from rotform.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestProcessLevel:
+    def test_parser_keeps_no_state_between_calls(self, tmp_path):
+        first, second = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
+        assert main(["identities", "--seed", "3", "--params", "n=5",
+                     "--tol", "residual_tol=1e-6", "--output", first]) == 0
+        assert main(["identities", "--seed", "3", "--output", second]) == 0
+        code, out, err = _fresh_process(["identities", "--seed", "3"], tmp_path)
+        assert (code, err) == (0, "")
+        assert open(second).read() == out
+        assert json.loads(out)["input"]["n"] == 4
+        assert json.loads(out)["tolerances"]["residual_tol"] == 1e-9
+
+    def test_analyze_large_random_matrix(self, tmp_path):
+        A = np.random.default_rng(32).standard_normal((32, 32))
+        matrix = write(tmp_path, "m.txt", _grid(A))
+        code, out, err = _fresh_process(["analyze", "--input", matrix], tmp_path)
+        assert (code, err) == (0, "")
+        spectral = json.loads(out)["spectral"]
+        count = sum(e["geometric_multiplicity"] for e in spectral["real_eigenvalues"])
+        count += 2 * sum(p["multiplicity"] for p in spectral["complex_pairs"])
+        assert count == 32
+
+
+class TestCollingsResidual:
+    def test_scale_free_against_a_wrong_expansion(self, tmp_path, monkeypatch):
+        A = np.random.default_rng(6).uniform(-1.0, 1.0, (6, 6))
+        monkeypatch.setattr(invariants, "collings_det", lambda Dd, B: 0.0)
+        residuals = []
+        for c in (1.0, 1e-6):
+            path = write(tmp_path, f"m{c}.txt", _grid(c * A))
+            out = str(tmp_path / f"r{c}.json")
+            assert main(["identities", "--input", path, "--output", out]) == 0
+            residuals.append(json.loads(open(out).read())["invariants"]["collings_residual"])
+        assert residuals[1] == pytest.approx(residuals[0], rel=1e-9)
+        assert residuals[1] > 1e-3

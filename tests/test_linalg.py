@@ -6,6 +6,7 @@ from rotform import (
     InputError,
     NumericalError,
     ToleranceConfig,
+    eigenstructure,
     nullspace,
     principal_minor_sums,
     random_orthogonal,
@@ -19,7 +20,9 @@ from oracles import (
     jacobi_sym_eigen,
     jordan_shear,
     minor_sum_by_enumeration,
+    polynomial_spectrum,
     row_reduce_rank,
+    similarity_with_jordan,
 )
 
 
@@ -200,6 +203,167 @@ class TestRealSpectrum:
             ref = sorted(x.real for x in np.linalg.eigvals(A) if abs(x.imag) < 1e-9)
             assert len(mine) == len(ref)
             np.testing.assert_allclose(mine, ref, atol=1e-8)
+
+
+def _listed(spec):
+    """Every eigenvalue of a Spectrum, repeated by multiplicity, pairs as both conjugates."""
+    out = [complex(v) for v, m in spec.real_eigs for _ in range(m)]
+    for z, m in spec.complex_pairs:
+        out += [z, z.conjugate()] * m
+    return out
+
+
+def _match_distance(got, ref):
+    """Largest distance of a greedy one-to-one nearest matching of got onto ref."""
+    ref = list(ref)
+    assert len(got) == len(ref)
+    worst = 0.0
+    for z in got:
+        j = int(np.argmin([abs(z - r) for r in ref]))
+        worst = max(worst, abs(z - ref.pop(j)))
+    return worst
+
+
+def _skew_with_rates(rates, n, seed):
+    """Q K Q^T for K block-diagonal with the given rotation rates (zeros after)."""
+    K = np.zeros((n, n))
+    for k, rate in enumerate(rates):
+        K[2 * k, 2 * k + 1], K[2 * k + 1, 2 * k] = rate, -rate
+    Q = random_orthogonal(n, seed=seed)
+    A = Q @ K @ Q.T
+    return 0.5 * (A - A.T)
+
+
+class TestSpectrumFromMatrix:
+    """real_spectrum: eigvals of A / max|A|, clustered and certified against the matrix."""
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-6, 1e6, 1e8])
+    def test_scales_with_input(self, c):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = 3 + seed % 6
+            A = rng.standard_normal((n, n))
+            base, scaled = real_spectrum(A), real_spectrum(c * A)
+            assert [m for _, m in scaled.real_eigs] == [m for _, m in base.real_eigs]
+            assert [m for _, m in scaled.complex_pairs] == [m for _, m in base.complex_pairs]
+            got = np.array([v for v, _ in scaled.real_eigs + scaled.complex_pairs])
+            want = c * np.array([v for v, _ in base.real_eigs + base.complex_pairs])
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * c * np.max(np.abs(A))
+            gm = [e.geometric_multiplicity for e in eigenstructure(A).entries]
+            report = eigenstructure(c * A)
+            assert [e.geometric_multiplicity for e in report.entries] == gm
+            assert [m for _, m in report.complex_pairs] == [m for _, m in base.complex_pairs]
+
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    def test_large_random_right_or_refused(self, n):
+        for seed in range(10):
+            A = np.random.default_rng(100 * n + seed).standard_normal((n, n))
+            try:
+                spec = real_spectrum(A)
+            except NumericalError:
+                continue
+            assert spec.total_multiplicity() == n
+            assert _match_distance(_listed(spec), np.linalg.eigvals(A)) <= 1e-10 * np.linalg.norm(A, 2)
+
+    def test_wilkinson_twenty_within_its_condition_numbers(self):
+        # upper bidiagonal, diagonal 20..1, superdiagonal 20: eigenvalues 1..20
+        # with condition numbers up to 5e12
+        W = np.diag(np.arange(20.0, 0.0, -1.0)) + np.diag(np.full(19, 20.0), 1)
+        w, V = np.linalg.eig(W)
+        kappa = (np.linalg.norm(np.linalg.inv(V), axis=1) * np.linalg.norm(V, axis=0))
+        kappa = kappa[np.argsort(w.real)]
+        eps = np.finfo(float).eps
+        spec = real_spectrum(W)
+        assert spec.real_eigs == tuple((float(k), 1) for k in range(1, 21))
+        for seed in range(3):
+            Q = random_orthogonal(20, seed=seed)
+            A = Q @ W @ Q.T
+            try:
+                spec = real_spectrum(A)
+            except NumericalError:
+                continue
+            assert spec.complex_pairs == ()
+            values = np.array([v for v, m in spec.real_eigs for _ in range(m)])
+            bound = 10 * 20 * eps * np.linalg.norm(A, 2) * kappa
+            assert np.all(np.abs(values - np.arange(1.0, 21.0)) <= bound)
+
+    def test_graded_diagonal(self):
+        graded = 10.0 ** np.arange(-8, 9)
+        try:
+            spec = real_spectrum(np.diag(graded))
+        except NumericalError:
+            return
+        assert [m for _, m in spec.real_eigs] == [1] * 17 and spec.complex_pairs == ()
+        np.testing.assert_allclose([v for v, _ in spec.real_eigs], graded, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("gap", [1e-5, 1e-9])
+    def test_close_rotation_rates_stay_two_pairs(self, gap):
+        # 1e-5 apart the cluster is too wide for a double pair; 1e-9 apart its
+        # centroid fails the sigma_min certificate
+        for n in range(4, 11):
+            A = _skew_with_rates([1.0, 1.0 + gap], n, seed=n)
+            spec = real_spectrum(A)
+            assert [m for _, m in spec.complex_pairs] == [1, 1]
+            np.testing.assert_allclose([z.imag for z, _ in spec.complex_pairs],
+                                       [1.0, 1.0 + gap], rtol=0, atol=1e-12)
+            assert spec.real_eigs == (() if n < 5 else ((pytest.approx(0.0, abs=1e-14), n - 4),))
+
+    def test_cluster_centred_on_an_eigenvalue_is_split(self):
+        # the centroid of each triple is itself an eigenvalue, so only the
+        # spread test can split them
+        spec = real_spectrum(np.diag([-1e-3, 0.0, 1e-3, 1.0]))
+        assert spec.real_eigs == ((-1e-3, 1), (0.0, 1), (1e-3, 1), (1.0, 1))
+        spec = real_spectrum(_skew_with_rates([1.0 - 3e-4, 1.0, 1.0 + 3e-4], 6, seed=6))
+        assert [m for _, m in spec.complex_pairs] == [1, 1, 1]
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_jordan_blocks_keep_algebraic_multiplicity(self, size):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            A = similarity_with_jordan(rng, [(1.5, size, True), (-1.0, 1, False), (3.0, 1, False)])
+            spec = real_spectrum(A)
+            assert [m for _, m in spec.real_eigs] == [1, size, 1]
+            assert spec.complex_pairs == ()
+            assert spec.real_eigs[1][0] == pytest.approx(1.5, abs=1e-10)
+
+    def test_zero_matrix(self):
+        spec = real_spectrum(np.zeros((4, 4)))
+        assert spec.real_eigs == ((0.0, 4),) and spec.complex_pairs == ()
+
+    def test_solver_failure_is_numerical_error(self, monkeypatch):
+        def failing_eigvals(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+        with pytest.raises(NumericalError, match="did not converge"):
+            real_spectrum(np.eye(2))
+
+    def test_certificate_rejects_unreachable_rank_tolerance(self):
+        A = np.random.default_rng(3).standard_normal((5, 5))
+        with pytest.raises(NumericalError, match="certificate"):
+            real_spectrum(A, ToleranceConfig(rank_tol=1e-300))
+
+    def test_pairs_ascend_by_rate_in_every_basis(self):
+        for n in range(4, 11):
+            rates = np.random.default_rng(n).uniform(0.5, 2.0, size=n // 2)
+            A = _skew_with_rates(rates, n, seed=n)
+            Q = random_orthogonal(n, seed=100 + n)
+            for B in (A, Q @ A @ Q.T):
+                imag = [z.imag for z, _ in real_spectrum(B).complex_pairs]
+                np.testing.assert_allclose(imag, np.sort(rates), rtol=1e-12)
+
+    def test_agrees_with_polynomial_reference(self):
+        rng = np.random.default_rng(23)
+        cases = [np.diag([1.0, 2.0, 3.0]), jordan_shear(3.0, 1.0),
+                 np.array([[0.0, 0.0, -2.0], [1.0, 0.0, 3.0], [0.0, 1.0, 0.0]])]
+        cases += [rng.uniform(-1.0, 1.0, (n, n)) for n in rng.integers(2, 9, size=150)]
+        for A in cases:
+            mine, ref = real_spectrum(A), polynomial_spectrum(A)
+            assert [m for _, m in mine.real_eigs] == [m for _, m in ref.real_eigs]
+            assert [m for _, m in mine.complex_pairs] == [m for _, m in ref.complex_pairs]
+            for (z, _), (w, _) in zip(mine.real_eigs + mine.complex_pairs,
+                                      ref.real_eigs + ref.complex_pairs):
+                assert abs(z - w) <= 1e-8 * max(1.0, abs(w))
 
 
 class TestNullspace:
