@@ -207,8 +207,12 @@ def _resolve_clusters(Ah, points, ladder, sigma_tol):
     stands for a real eigenvalue; a cluster above the axis stands for a pair
     with its mirror below, which is skipped.  A cluster is accepted when its
     spread from the centroid is within _SPREAD_FACTOR (n eps)^(1/m) and
-    sigma_min(Ah - centroid I) <= sigma_tol; otherwise it is split at the
-    next radius.  A single eigenvalue that fails raises NumericalError.
+    sigma_min(Ah - z I) <= sigma_tol at the centroid and at the midpoint
+    between the centroid and each member: the pseudospectrum of a perturbed
+    m-fold eigenvalue covers those points, while between distinct eigenvalues
+    of a normal matrix sigma_min is about half their gap.  A cluster that
+    fails is split at the next radius; a single eigenvalue that fails raises
+    NumericalError.
     """
     n = Ah.shape[0]
     eps = np.finfo(float).eps
@@ -223,9 +227,14 @@ def _resolve_clusters(Ah, points, ladder, sigma_tol):
         spread = max(abs(z - centre) for z in group)
         if min(imag) <= 0.0:
             centre = centre.real
-        shifted = Ah - centre * np.eye(n)
-        sigma = float(np.linalg.svd(shifted, compute_uv=False)[-1])
-        if spread <= _SPREAD_FACTOR * (n * eps) ** (1.0 / m) and sigma <= sigma_tol:
+        ok = spread <= _SPREAD_FACTOR * (n * eps) ** (1.0 / m)
+        if ok:
+            midpoints = [0.5 * (centre + z) for z in group] if m > 1 else []
+            shifts = np.array([centre] + midpoints)
+            shifted = Ah[None] - shifts[:, None, None] * np.eye(n)
+            sigma = float(np.max(np.linalg.svd(shifted, compute_uv=False)[:, -1]))
+            ok = sigma <= sigma_tol
+        if ok:
             accepted.append((centre, m))
         elif m > 1:
             accepted.extend(_resolve_clusters(Ah, group, ladder[1:], sigma_tol))
@@ -258,9 +267,10 @@ def real_spectrum(A, tol=DEFAULT_TOL):
     (np.linalg.eigvals, Hessenberg QR, backward stable), are grouped on the
     cluster ladder (an m-fold eigenvalue splits into m points about
     (n eps)^(1/m) apart, so no single radius fits every multiplicity), and
-    each cluster's centroid lambda is certified against the normalised
-    matrix by sigma_min(A / s - lambda I) <= n rank_tol (see
-    _resolve_clusters) before rescaling by s.  A zero matrix has the
+    each cluster is certified against the normalised matrix by
+    sigma_min(A / s - z I) <= n rank_tol at its centroid and at the
+    midpoints towards its members (see _resolve_clusters) before the
+    centroid is rescaled by s.  A zero matrix has the
     eigenvalue 0 with multiplicity n.  Measured right on random n up to 64.
     """
     A = as_square(A)

@@ -11,7 +11,8 @@ determinant expansion and the power-form recurrence step are kept here as
 the plain loops the library's batched versions replace.  The full spectrum
 by Durand-Kerner roots of the trace-recurrence characteristic polynomial,
 with multiplicity-aware Newton polish, is the library's former general
-eigenvalue path, kept unchanged as polynomial_spectrum.
+eigenvalue path, kept unchanged as polynomial_spectrum (its union-find
+clustering is the library's _cluster_points).
 """
 
 from itertools import combinations, permutations
@@ -29,7 +30,7 @@ from rotform import (
     principal_minor_sums,
     rotation_form,
 )
-from rotform.linalg import Spectrum, as_square, char_poly_coeffs, maxabs
+from rotform.linalg import Spectrum, _cluster_points, as_square, char_poly_coeffs, maxabs
 from rotform.quasirot import rotation_values
 
 _JACOBI_MAX_SWEEPS = 100
@@ -370,29 +371,6 @@ def _poly_roots_simultaneous(coeffs):
         if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(z))):
             break
     return z
-
-
-def _cluster_points(points, tol):
-    """Group complex points whose mutual distance stays within tol (union-find)."""
-    m = len(points)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(points[i] - points[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(points[i])
-    return list(groups.values())
 
 
 def _polish_root(coeffs, z, mult, iters=60):
