@@ -11,10 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .linalg import DEFAULT_TOL, as_square, matrix_powers, maxabs, sym_eigen
+from .linalg import DEFAULT_TOL, ascending_runs, as_square, matrix_powers, maxabs, sym_eigen
 from .qforms import is_zero_part
-
-_NORMALITY_REL = 1e-9  # commutator threshold, scaled by max|A|^2
 
 
 @dataclass(frozen=True)
@@ -43,19 +41,13 @@ class NormalityReport:
     expansion_eigenvalues: tuple
 
 
-def _sign_fix(P):
-    """Make the first component of significant magnitude in each column positive."""
+def _sign_fix(P, tol):
+    """Make the first component above rank_tol in each unit column positive."""
     Q = P.copy()
-    n = Q.shape[0]
-    for j in range(Q.shape[1]):
-        col = Q[:, j]
-        lead = 0.0
-        for i in range(n):
-            if abs(col[i]) > 1e-12:
-                lead = col[i]
-                break
-        if lead < 0.0:
-            Q[:, j] = -col
+    for col in Q.T:
+        lead = col[np.abs(col) > tol.rank_tol]
+        if lead.size and lead[0] < 0.0:
+            col *= -1.0
     return Q
 
 
@@ -70,10 +62,10 @@ def expansion_eigenbasis(A, tol=DEFAULT_TOL):
     A = as_square(A)
     n = A.shape[0]
     Asym = 0.5 * (A + A.T)
-    if is_zero_part(Asym, A):
+    if is_zero_part(Asym, A, tol):
         raise InputError("expansion form is zero (pure skew matrix); use skew_canonical_basis")
     w, P = sym_eigen(Asym, tol)
-    P = _sign_fix(P)
+    P = _sign_fix(P, tol)
     order = sorted(range(n), key=lambda i: (-w[i], tuple(P[:, i])))
     w = w[order]
     P = P[:, order]
@@ -81,7 +73,7 @@ def expansion_eigenbasis(A, tol=DEFAULT_TOL):
     S = 0.5 * (B - B.T)
     sym_off = B - np.diag(np.diag(B)) - S
     gap = maxabs(sym_off)
-    if gap > tol.residual_tol * max(1.0, maxabs(A)):
+    if gap > tol.residual_tol * maxabs(A):
         raise NumericalError(
             f"eigenbasis failed to diagonalise the symmetric part: residual {gap:.3e}",
             residual=gap,
@@ -99,9 +91,9 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     A = as_square(A)
     n = A.shape[0]
     K = 0.5 * (A - A.T)
-    if is_zero_part(K, A):
+    if is_zero_part(K, A, tol):
         raise InputError("skew part is zero (symmetric matrix); use expansion_eigenbasis")
-    zero_thresh = max(n * tol.rank_tol * maxabs(K), 1e-300)
+    zero_thresh = n * tol.rank_tol * maxabs(K)
 
     C = np.eye(n)
     planes = []
@@ -147,11 +139,11 @@ def normality_report(A, tol=DEFAULT_TOL):
     """
     A = as_square(A)
     scale = maxabs(A)
-    threshold = _NORMALITY_REL * max(scale * scale, 1e-300)
+    threshold = tol.residual_tol * (scale * scale)
     Asym = 0.5 * (A + A.T)
     Askew = 0.5 * (A - A.T)
-    pure_skew = is_zero_part(Asym, A)
-    pure_sym = is_zero_part(Askew, A)
+    pure_skew = is_zero_part(Asym, A, tol)
+    pure_sym = is_zero_part(Askew, A, tol)
     if pure_skew or pure_sym:
         eigs = ()
         if not pure_skew:
@@ -180,27 +172,21 @@ def normality_report(A, tol=DEFAULT_TOL):
     )
 
 
-def _refine_blocks(mats, tol, cluster_rel=1e-8):
+def _refine_blocks(mats, tol):
     """Common orthonormal eigenbasis of a commuting family of symmetric
     matrices, by successive eigenspace refinement."""
-    n = mats[0].shape[0]
-    blocks = [np.eye(n)]
+    blocks = [np.eye(mats[0].shape[0])]
     for M in mats:
-        scale = max(1.0, maxabs(M))
+        thr = 10 * tol.residual_tol * maxabs(M)
         new_blocks = []
         for V in blocks:
             if V.shape[1] == 1:
                 new_blocks.append(V)
                 continue
             w, U = sym_eigen(V.T @ M @ V, tol)
-            thr = cluster_rel * scale
-            start = 0
-            for i in range(1, len(w) + 1):
-                if i == len(w) or w[i] - w[start] > thr:
-                    new_blocks.append(V @ U[:, start:i])
-                    start = i
+            new_blocks.extend(V @ U[:, a:b] for a, b in ascending_runs(w, thr))
         blocks = new_blocks
-    return _sign_fix(np.hstack(blocks))
+    return _sign_fix(np.hstack(blocks), tol)
 
 
 def normal_power_basis(A, tol=DEFAULT_TOL):

@@ -206,14 +206,6 @@ def _matrix_section(A):
     return {"n": int(A.shape[0]), "rows": A.tolist()}
 
 
-def _tolerances_section(tol):
-    return {
-        "eig_off_tol": tol.eig_off_tol,
-        "rank_tol": tol.rank_tol,
-        "residual_tol": tol.residual_tol,
-    }
-
-
 def _spectral_section(report):
     return {
         "real_eigenvalues": [
@@ -335,7 +327,7 @@ def _cmd_analyze(request):
         "command": "analyze",
         "seed": request.seed,
         "basis_mode": request.basis_mode,
-        "tolerances": _tolerances_section(request.tol),
+        "tolerances": dataclasses.asdict(request.tol),
         "input": _matrix_section(A),
     }
     if basis is not None:
@@ -350,7 +342,7 @@ def _cmd_analyze(request):
             residual=spec_report.flags[0],
         )
     probe_residual = doc["forms"]["decomposition_probe"]["residual"]
-    if probe_residual > max(request.tol.residual_tol, 1e-10):
+    if probe_residual > request.tol.residual_tol:
         raise NumericalError(
             f"decomposition residual {probe_residual:.3e} exceeds tolerance",
             residual=probe_residual,
@@ -367,7 +359,7 @@ def _cmd_planar(request):
     return {
         "command": "planar",
         "seed": request.seed,
-        "tolerances": _tolerances_section(request.tol),
+        "tolerances": dataclasses.asdict(request.tol),
         "input": _matrix_section(A),
         "planar": {
             "eigenvalues": [{"re": z.real, "im": z.imag} for z in report.eigs],
@@ -393,7 +385,7 @@ def _cmd_identities(request):
     return {
         "command": "identities",
         "seed": request.seed,
-        "tolerances": _tolerances_section(request.tol),
+        "tolerances": dataclasses.asdict(request.tol),
         "input": _matrix_section(A),
         "invariants": _invariants_section(A, request.seed),
     }

@@ -1,9 +1,10 @@
 """Trace and determinant identities relating a matrix to its expansion and
 rotation forms.
 
-Every *_residual function returns a relative residual that an exact identity
-would make zero; the test suite and the CLI report them.  The identity terms
-come from closed forms of the forms rather than from built form matrices:
+Every *_residual function returns a residual that an exact identity would
+make zero, over max(max|term|, max|A|^d) for an identity of degree d in A;
+the test suite and the CLI report them.  The identity terms come from
+closed forms of the forms rather than from built form matrices:
 the (k, l) rotation form of M has trace M[l,k] - M[k,l] and value
 rotation_values(M, u) at u, the expansion form has trace tr M and value
 u.Mu, and pm^2 of M is (tr(M)^2 - tr(M^2)) / 2.  The test suite checks each
@@ -24,7 +25,7 @@ one vector, so its right-hand side costs O(n^2) work per step instead of
 
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -56,13 +57,14 @@ class InvariantReport:
 
 
 class _Parts:
-    """What the identities of one matrix share, each computed once: the
-    powers I, A, ..., A^top (top >= n), pm^0..pm^n from their traces, and the
-    symmetric and skew parts."""
+    """What the identities of one matrix share, each computed once: max|A|,
+    the powers I, A, ..., A^top (top >= n), pm^0..pm^n from their traces,
+    and the symmetric and skew parts."""
 
     def __init__(self, A, top=0):
         self.A = A = as_square(A)
         self.n = n = A.shape[0]
+        self.scale = maxabs(A)
         self.pows = matrix_powers(A, max(n, top))
         self.traces = [float(np.trace(M)) for M in self.pows[1 : n + 1]]
         self.pm = (1.0,) + minor_sums_from_traces(self.traces)
@@ -75,9 +77,12 @@ def _parts(A, top=0):
     return A if isinstance(A, _Parts) else _Parts(A, top)
 
 
-def _rel(total, terms):
-    denom = max(1.0, max((abs(t) for t in terms), default=0.0))
-    return abs(total) / denom
+def _rel(total, terms, scale, degree):
+    """|total| relative to the largest term, and at least to scale^degree for
+    an identity of that degree in a matrix with max|A| = scale.  The power is
+    a product, so scaling A by a power of two scales it exactly."""
+    denom = max(max((abs(t) for t in terms), default=0.0), prod([scale] * degree))
+    return abs(total) / denom if denom else 0.0
 
 
 def _pm2(M):
@@ -90,7 +95,7 @@ def _pm2(M):
 def _unit(u, name="vector"):
     u = as_vector(u, name)
     nu = float(np.linalg.norm(u))
-    if abs(nu - 1.0) > 1e-10:
+    if abs(nu - 1.0) > DEFAULT_TOL.residual_tol / 10:
         raise InputError(f"{name} must be unit length: norm = {nu:.12g}")
     return u
 
@@ -110,7 +115,7 @@ def newton_residuals(A):
             terms.append((-1.0) ** j * pm[j] * traces[k - j - 1])
         terms.append((-1.0) ** k * pm[k] * n)
         rhs = (n - k) * (-1.0) ** k * pm[k]
-        out.append(_rel(sum(terms) - rhs, terms + [rhs]))
+        out.append(_rel(sum(terms) - rhs, terms + [rhs], s.scale, k))
     return out
 
 
@@ -124,7 +129,7 @@ def cayley_hamilton_residual(A, u, v):
     if len(u) != n or len(v) != n:
         raise InputError("probe vectors must match the matrix dimension")
     terms = [(-1.0) ** k * pm[k] * float((s.pows[n - k] @ u) @ v) for k in range(n + 1)]
-    return _rel(sum(terms), terms)
+    return _rel(sum(terms), terms, s.scale, n)
 
 
 def ch_form_residuals(A, u):
@@ -139,12 +144,12 @@ def ch_form_residuals(A, u):
     if len(u) != n:
         raise InputError("probe vector must match the matrix dimension")
     e_terms = [(-1.0) ** k * pm[k] * float(u @ (s.pows[n - k] @ u)) for k in range(n + 1)]
-    expansion_residual = _rel(sum(e_terms), e_terms)
+    expansion_residual = _rel(sum(e_terms), e_terms, s.scale, n)
     values = [rotation_values(s.pows[n - k], u) for k in range(n)]
     rotation_residuals = {}
     for pair in plane_pairs(n):
         r_terms = [(-1.0) ** k * pm[k] * values[k][pair] for k in range(n)]
-        rotation_residuals[pair] = _rel(sum(r_terms), r_terms)
+        rotation_residuals[pair] = _rel(sum(r_terms), r_terms, s.scale, n)
     return expansion_residual, rotation_residuals
 
 
@@ -155,12 +160,12 @@ def ch_trace_residuals(A):
     n, pm = s.n, s.pm
     e_terms = [(-1.0) ** k * pm[k] * s.traces[n - k - 1] for k in range(n)]
     e_terms.append((-1.0) ** n * n * pm[n])
-    expansion_residual = _rel(sum(e_terms), e_terms)
+    expansion_residual = _rel(sum(e_terms), e_terms, s.scale, n)
     traces = [rotation_traces(s.pows[n - k]) for k in range(n)]
     rotation_residuals = {}
     for pair in plane_pairs(n):
         r_terms = [(-1.0) ** k * pm[k] * traces[k][pair] for k in range(n)]
-        rotation_residuals[pair] = _rel(sum(r_terms), r_terms)
+        rotation_residuals[pair] = _rel(sum(r_terms), r_terms, s.scale, n)
     return expansion_residual, rotation_residuals
 
 
@@ -174,7 +179,7 @@ def pm2_identity_residual(A):
     pm2_sym = _pm2(s.sym)
     trace_sq = sum(t ** 2 for t in rotation_traces(s.A).values())
     rhs = pm2_sym + 0.25 * trace_sq
-    return _rel(pm2 - rhs, [pm2, pm2_sym, 0.25 * trace_sq])
+    return _rel(pm2 - rhs, [pm2, pm2_sym, 0.25 * trace_sq], s.scale, 2)
 
 
 def pm2_sym_skew_residual(A):
@@ -185,7 +190,7 @@ def pm2_sym_skew_residual(A):
     pm2 = s.pm[2]
     pm2_sym = _pm2(s.sym)
     pm2_skew = _pm2(s.skew)
-    return _rel(pm2 - pm2_sym - pm2_skew, [pm2, pm2_sym, pm2_skew])
+    return _rel(pm2 - pm2_sym - pm2_skew, [pm2, pm2_sym, pm2_skew], s.scale, 2)
 
 
 def gram_trace_identity_residual(A):
@@ -202,13 +207,11 @@ def gram_trace_identity_residual(A):
         rot_sq += float(np.trace(M @ M))
         pm2_rot += _pm2(M)
     trace_sq = sum(t ** 2 for t in rotation_traces(A).values())
-    first = _rel(lhs - 2.0 * rot_sq - tr_e**2, [lhs, 2.0 * rot_sq, tr_e**2])
+    first = _rel(lhs - 2.0 * rot_sq - tr_e**2, [lhs, 2.0 * rot_sq, tr_e**2], s.scale, 2)
     if n < 2:
         return first
-    second = _rel(
-        lhs - (-4.0 * pm2_rot + 2.0 * trace_sq + tr_e**2),
-        [lhs, 4.0 * pm2_rot, 2.0 * trace_sq, tr_e**2],
-    )
+    terms = [lhs, 4.0 * pm2_rot, 2.0 * trace_sq, tr_e**2]
+    second = _rel(lhs - (-4.0 * pm2_rot + 2.0 * trace_sq + tr_e**2), terms, s.scale, 2)
     return max(first, second)
 
 
@@ -236,7 +239,7 @@ def collings_det(Dd, B, max_dim=COLLINGS_MAX_DIM):
     if B.shape[0] != n:
         raise InputError("matrices must share a dimension")
     off = Dd - np.diag(np.diag(Dd))
-    if maxabs(off) > 1e-12 * maxabs(Dd):
+    if maxabs(off) > DEFAULT_TOL.rank_tol * maxabs(Dd):
         raise InputError("first argument must be diagonal")
     if n > max_dim:
         raise InputError(f"subset expansion is 2^n; refusing n = {n} > {max_dim}")
@@ -281,7 +284,7 @@ def n4_det_identity_residual(A):
         + float(np.trace(S @ D @ S)) * float(np.trace(D))
         + _pm2(D) * _pm2(S)
     )
-    return abs(det_a - rhs) / max(1.0, abs(det_a))
+    return _rel(det_a - rhs, [det_a], s.scale, 4)
 
 
 def normal_invariant_recover(A, tol=DEFAULT_TOL):
@@ -290,16 +293,20 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
 
     Assembles one equation per basis direction from the diagonalised power
     forms plus one per coupled plane from the skew closed form, solves by
-    least squares, and returns (pm estimates, system rank).  Rank below n
-    raises NumericalError with the assembled system attached.
+    least squares, and returns (pm estimates, system rank).  The system is
+    built for A / max|A|, whose minor sums pm^k are then scaled by max|A|^k:
+    the columns of A's own system scale as max|A|^1..max|A|^n.  Rank below
+    n raises NumericalError with the assembled system attached.
     """
     A = as_square(A)
     n = A.shape[0]
     report = normality_report(A, tol)
     if not report.is_normal:
         raise InputError(f"matrix is not normal: commutator norm {report.commutator_norm:.3e}")
-    if is_zero_part(0.5 * (A - A.T), A):
+    if is_zero_part(0.5 * (A - A.T), A, tol):
         raise InputError("matrix is symmetric; the power system degenerates")
+    scale = maxabs(A)
+    A = A / scale
     P, _checks = normal_power_basis(A, tol)
 
     pows = matrix_powers(A, n)
@@ -319,10 +326,9 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
         rows.append(row)
         rhs.append(-diag_powers[n][i])
 
-    skew_floor = 1e-10 * max(1.0, maxabs(S))
     for k in range(n):
         for l in range(k + 1, n):
-            if abs(S[l, k]) <= skew_floor:
+            if abs(S[l, k]) <= tol.residual_tol / 10:
                 continue
             c = [0.0] * (n + 1)  # c[p] for p = 1..n
             for p in range(1, n + 1):
@@ -354,7 +360,7 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
             system=(M, b),
         )
     solution, *_ = np.linalg.lstsq(M_scaled, b_scaled, rcond=None)
-    return tuple(float(x) for x in solution), rank
+    return tuple(float(x) * scale**k for k, x in enumerate(solution, start=1)), rank
 
 
 def power_form_step(A, m, u):
@@ -445,11 +451,11 @@ def invariant_report(A, seed=0, power_steps=3):
     residuals["gram_trace"] = gram_trace_identity_residual(s)
     for m in range(1, power_steps + 1):
         lhs_e, rhs_e, lhs_r, rhs_r = power_form_step(s, m, u)
-        residuals[f"power_expansion_{m}"] = _rel(lhs_e - rhs_e, [lhs_e, rhs_e])
-        worst = 0.0
-        for pair in lhs_r:
-            worst = max(worst, _rel(lhs_r[pair] - rhs_r[pair], [lhs_r[pair], rhs_r[pair]]))
-        residuals[f"power_rotation_{m}"] = worst
+        residuals[f"power_expansion_{m}"] = _rel(lhs_e - rhs_e, [lhs_e, rhs_e], s.scale, m + 1)
+        residuals[f"power_rotation_{m}"] = max(
+            (_rel(lhs_r[p] - rhs_r[p], [lhs_r[p], rhs_r[p]], s.scale, m + 1) for p in lhs_r),
+            default=0.0,
+        )
     if n == 4:
         residuals["n4_det"] = n4_det_identity_residual(s)
     return InvariantReport(

@@ -17,16 +17,36 @@ from .errors import InputError, NumericalError
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Relative thresholds shared by the numerical kernels.
+    """The one tolerance policy of the matrix analyses (frenet keeps its own).
 
-    rank_tol is scaled by n * max|A| before use as an absolute threshold
-    (nullspace ranks, and the smallest singular value of A - lambda I that
-    certifies each eigenvalue lambda from real_spectrum);
-    eig_off_tol bounds the sym_eigen certificate (off-diagonal norm of the
-    eigenbasis transform, relative to the Frobenius norm of the matrix being
-    diagonalised; values below about 1e-14 cannot be met and end in
-    NumericalError); residual_tol governs identity and residual checks.
-    All three must be finite and strictly positive.
+    Each test of whether a quantity is zero, equal or small compares it with
+    a field below, or a multiple of one listed here, times n where the test
+    uses n, times max|X|^d for X the matrix judged and d the quantity's
+    degree in X.  No threshold has an absolute floor, so every decision on
+    c X is the one on X, c > 0.  Functions without a tol use DEFAULT_TOL.
+
+    eig_off_tol (1e-12): the sym_eigen certificate (see there); values
+    below about 1e-14 cannot be met and end in NumericalError.
+    rank_tol (1e-12), a quantity is zero:
+      - n rank_tol max|X|: nullspace singular values (X = A), the kernel of
+        skew_canonical_basis (X = K), real_spectrum's sigma_min (X = A/s);
+      - rank_tol max|X|^d: a zero symmetric or skew part of A, a zero
+        planar rotation-form eigenvalue (d = 1) and the planar borderline
+        product (d = 2), a QForm's asymmetry, collings_det's off-diagonal D;
+      - rank_tol: the leading component that fixes a unit vector's sign.
+    residual_tol (1e-9), a residual is small:
+      - residual_tol max|X|^d: sym_eigen's asymmetry, rotation-form values
+        at a unit common zero, expansion_eigenbasis's residual,
+        zero_subspace_extend's values over |x||y| (d = 1), the normality
+        commutator (d = 2), the CLI's decomposition probe (d = 0);
+      - 10 residual_tol max|X| (1e-8): nearby eigenvalues counted equal
+        (eigenstructure's nullspace floor, skew_square_structure with
+        X = A^2 by its top |eigenvalue|, normal_power_basis);
+      - residual_tol / 10 max|X|^d (1e-10): a skew input's asymmetry
+        (d = 1), the unit length and orthogonality of given vectors and
+        bases (d = 0), a coupling skew entry in normal_invariant_recover.
+    Here s = max|A|.  Identity residuals divide by max(max|term|, s^d)
+    (invariants._rel).  All three fields must be finite and positive.
     """
 
     eig_off_tol: float = 1e-12
@@ -78,11 +98,11 @@ def maxabs(A):
     return float(np.max(np.abs(A))) if A.size else 0.0
 
 
-def check_orthogonal(P, tol=1e-10, name="basis matrix"):
-    """Require max|P^T P - I| <= tol; returns P as a float array."""
+def check_orthogonal(P, name="basis matrix"):
+    """Require max|P^T P - I| <= residual_tol / 10; returns P as a float array."""
     P = as_square(P, name)
     gap = maxabs(P.T @ P - np.eye(P.shape[0]))
-    if gap > tol:
+    if gap > DEFAULT_TOL.residual_tol / 10:
         raise InputError(f"{name} is not orthogonal: max|P^T P - I| = {gap:.3e}")
     return P
 
@@ -247,16 +267,24 @@ def _resolve_clusters(Ah, points, ladder, sigma_tol):
     return accepted
 
 
+def ascending_runs(values, tol):
+    """(start, stop) index ranges splitting ascending values into runs whose
+    members lie within tol of their run's first value."""
+    runs = []
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[start] > tol:
+            runs.append((start, i))
+            start = i
+    return runs
+
+
 def _sort_pairs(pairs, tie):
     """Pairs by real part, with real parts within tie of a run's first one
     counted equal and that run ordered by imaginary part."""
-    runs = []
-    for z, m in sorted(pairs, key=lambda t: t[0].real):
-        if runs and z.real - runs[-1][0][0].real <= tie:
-            runs[-1].append((z, m))
-        else:
-            runs.append([(z, m)])
-    return tuple(p for run in runs for p in sorted(run, key=lambda t: t[0].imag))
+    pairs = sorted(pairs, key=lambda t: t[0].real)
+    runs = ascending_runs([z.real for z, _ in pairs], tie)
+    return tuple(p for a, b in runs for p in sorted(pairs[a:b], key=lambda t: t[0].imag))
 
 
 def real_spectrum(A, tol=DEFAULT_TOL):

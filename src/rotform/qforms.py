@@ -33,8 +33,6 @@ from .quasirot import (
     rotation_values,
 )
 
-ZERO_FORM_REL = 1e-12  # a form is "zero" when max|M| <= ZERO_FORM_REL * max|A|
-
 
 @dataclass(frozen=True)
 class QForm:
@@ -48,7 +46,7 @@ class QForm:
         if M.shape[0] != self.n:
             raise InputError(f"form matrix shape {M.shape} does not match n = {self.n}")
         gap = maxabs(M - M.T)
-        if gap > 1e-12 * max(maxabs(M), 1e-300):
+        if gap > DEFAULT_TOL.rank_tol * maxabs(M):
             raise InputError(f"form matrix is not symmetric: max|M - M^T| = {gap:.3e}")
         object.__setattr__(self, "matrix", 0.5 * (M + M.T))
 
@@ -128,13 +126,12 @@ def zero_subspace_extend(q, W, w, tol=DEFAULT_TOL):
     vanishes.
     """
     w = as_vector(w, "candidate vector")
-    scale = max(1.0, maxabs(q.matrix))
-    bound = tol.residual_tol * scale
+    bound = tol.residual_tol * maxabs(q.matrix)
 
     def _require_zero(x, label):
         value = evaluate(q, x)
         nx = float(np.linalg.norm(x))
-        if abs(value) > bound * max(nx * nx, 1e-300):
+        if abs(value) > bound * nx * nx:
             raise InputError(f"{label} is not a zero of the form: |Q(v)| = {abs(value):.3e}")
 
     basis = [as_vector(x, f"W[{i}]") for i, x in enumerate(W)]
@@ -145,7 +142,7 @@ def zero_subspace_extend(q, W, w, tol=DEFAULT_TOL):
     nw = float(np.linalg.norm(w))
     for x in basis:
         nx = float(np.linalg.norm(x))
-        if abs(polar(q, w, x)) > bound * max(nw * nx, 1e-300):
+        if abs(polar(q, w, x)) > bound * nw * nx:
             return False
     return True
 
@@ -161,9 +158,9 @@ def form_extremes(q, tol=DEFAULT_TOL):
     return float(w[0]), float(w[-1]), P[:, 0].copy(), P[:, -1].copy()
 
 
-def is_zero_part(part, A):
-    """Whether a symmetric or skew part of A is zero relative to max|A|."""
-    return maxabs(part) <= ZERO_FORM_REL * maxabs(A)
+def is_zero_part(part, A, tol=DEFAULT_TOL):
+    """Whether a symmetric or skew part of A is zero: max|part| <= rank_tol max|A|."""
+    return maxabs(part) <= tol.rank_tol * maxabs(A)
 
 
 def decompose(A, u, tol=DEFAULT_TOL):

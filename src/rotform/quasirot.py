@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_square, as_vector, check_orthogonal, maxabs
+from .linalg import DEFAULT_TOL, as_square, as_vector, check_orthogonal, maxabs
 
 
 def plane_pairs(n):
@@ -91,7 +91,7 @@ def apply_quasi_rotation(u, pair):
     return out
 
 
-def almost_orthogonal_expand(u, v, unit_tol=1e-10):
+def almost_orthogonal_expand(u, v, unit_tol=DEFAULT_TOL.residual_tol / 10):
     """Expand u over the unit vector v and its quasi-rotated images.
 
     Returns (c0, coeffs) with c0 = u.v and coeffs[(k, l)] = u.R_kl(v); the
@@ -135,11 +135,11 @@ def reassemble(c0, coeffs, v):
     return out
 
 
-def skew_rotation_coeffs(S, skew_tol=1e-10):
+def skew_rotation_coeffs(S):
     """Coefficients of a skew matrix over the quasi-rotation basis: c(k,l) = -S[k,l]."""
     S = as_square(S, "skew matrix")
     gap = maxabs(S + S.T)
-    if gap > skew_tol * max(maxabs(S), 1e-300):
+    if gap > DEFAULT_TOL.residual_tol / 10 * maxabs(S):
         raise InputError(f"matrix is not skew-symmetric: max|S + S^T| = {gap:.3e}")
     n = S.shape[0]
     return RotationCoeffs(n, {(k, l): float(-S[k - 1, l - 1]) for k, l in plane_pairs(n)})

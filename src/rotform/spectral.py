@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .linalg import (
     DEFAULT_TOL,
+    ascending_runs,
     as_square,
     as_vector,
     maxabs,
@@ -23,7 +24,6 @@ from .linalg import (
     sym_eigen,
 )
 from .qforms import (
-    ZERO_FORM_REL,
     evaluate,
     expansion_form,
     is_zero_part,
@@ -70,8 +70,9 @@ def common_zero_check(A, u, tol=None):
     """True when every rotation form vanishes on u within tol.
 
     tol is an absolute bound on the form values at the unit direction; by
-    default it is 1e-9 * max(1, max|A|).  Equivalent to A(u-hat) having no
-    component orthogonal to u-hat beyond the same tolerance.
+    default it is residual_tol * max|A| (1e-9 * max|A|), so the answer for
+    c A is the one for A.  Equivalent to A(u-hat) having no component
+    orthogonal to u-hat beyond the same tolerance.
     """
     A = as_square(A)
     u = as_vector(u)
@@ -79,7 +80,7 @@ def common_zero_check(A, u, tol=None):
     if nu == 0.0:
         raise InputError("cannot test the zero vector for common zeros")
     if tol is None:
-        tol = DEFAULT_TOL.residual_tol * max(1.0, maxabs(A))
+        tol = DEFAULT_TOL.residual_tol * maxabs(A)
     uhat = u / nu
     values = rotation_values(A, uhat)
     return max(abs(v) for v in values.values()) <= tol if values else True
@@ -97,7 +98,7 @@ def bromwich_bounds(A, tol=DEFAULT_TOL):
     w, _ = sym_eigen(0.5 * (A + A.T), tol)
     nu, N = float(w[0]), float(w[-1])
     K = 0.5 * (A - A.T)
-    if is_zero_part(K, A):
+    if is_zero_part(K, A, tol):
         return (nu, N, 0.0, 0.0)
     w, V = sym_eigen(K.T @ K, tol)
     v = V[:, int(np.argmax(np.sqrt(np.clip(w, 0.0, None))))]
@@ -121,7 +122,7 @@ def eigenstructure(A, tol=DEFAULT_TOL):
     flags = []
     for lam, _mult in spectrum.real_eigs:
         shifted = A - lam * np.eye(n)
-        threshold = max(n * tol.rank_tol * maxabs(shifted), 1e-8 * scale)
+        threshold = max(n * tol.rank_tol * maxabs(shifted), 10 * tol.residual_tol * scale)
         basis = nullspace(shifted, tol, abs_threshold=threshold)
         if not basis:
             flags.append(
@@ -167,27 +168,23 @@ def planar_analyze(A, u=None, tol=DEFAULT_TOL):
     A = as_square(A)
     if A.shape[0] != 2:
         raise InputError(f"planar analysis needs a 2x2 matrix, got {A.shape[0]}x{A.shape[0]}")
-    scale = max(1.0, maxabs(A))
+    scale = maxabs(A)
     e_form = expansion_form(A)
     r_form = rotation_form(A, (1, 2))
     we, _ = sym_eigen(e_form.matrix, tol)
     wr, _ = sym_eigen(r_form.matrix, tol)
     mean = 0.5 * (we[0] + we[1])
     product = float(wr[0] * wr[1])
-    zero_eig = ZERO_FORM_REL * scale
+    zero_eig = tol.rank_tol * scale
     z1 = abs(wr[0]) <= zero_eig
     z2 = abs(wr[1]) <= zero_eig
-    borderline = (not z1 and not z2) and abs(product) <= 1e-12 * scale * scale
+    borderline = (not z1 and not z2) and abs(product) <= zero_eig * scale
 
     if z1 and z2:
         zero_count = math.inf
         classification = "repeated-gm2"
         eigs = (complex(mean), complex(mean))
-    elif z1 != z2:
-        zero_count = 1.0
-        classification = "repeated-gm1"
-        eigs = (complex(mean), complex(mean))
-    elif borderline:
+    elif z1 != z2 or borderline:
         zero_count = 1.0
         classification = "repeated-gm1"
         eigs = (complex(mean), complex(mean))
@@ -229,28 +226,19 @@ def planar_analyze(A, u=None, tol=DEFAULT_TOL):
     )
 
 
-def skew_square_structure(A, tol=DEFAULT_TOL, skew_tol=1e-10):
+def skew_square_structure(A, tol=DEFAULT_TOL):
     """Eigenspaces of the square of a skew matrix, each invariant under the
     matrix itself; returns (eigenvalue, orthonormal basis, invariance residual)
     triples ordered by ascending eigenvalue."""
     A = as_square(A)
     gap = maxabs(A + A.T)
-    if gap > skew_tol * max(maxabs(A), 1e-300):
+    if gap > tol.residual_tol / 10 * maxabs(A):
         raise InputError(f"matrix is not skew-symmetric: max|A + A^T| = {gap:.3e}")
-    A2 = A @ A
-    w, V = sym_eigen(A2, tol)
-    n = A.shape[0]
-    cluster_tol = 1e-8 * max(1.0, float(np.max(np.abs(w))) if n else 1.0)
+    w, V = sym_eigen(A @ A, tol)
     out = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or w[i] - w[start] > cluster_tol:
-            block = V[:, start:i]
-            proj = block @ block.T
-            residual = 0.0
-            for j in range(block.shape[1]):
-                image = A @ block[:, j]
-                residual = max(residual, float(np.linalg.norm(image - proj @ image)))
-            out.append((float(np.mean(w[start:i])), block, residual))
-            start = i
+    for start, stop in ascending_runs(w, 10 * tol.residual_tol * float(np.max(np.abs(w)))):
+        block = V[:, start:stop]
+        image = A @ block
+        residual = float(np.max(np.linalg.norm(image - block @ (block.T @ image), axis=0)))
+        out.append((float(np.mean(w[start:stop])), block, residual))
     return out

@@ -6,13 +6,15 @@ expansion, minor sums from explicit subset enumeration, symmetric
 eigen-decompositions from cyclic Jacobi rotations (the library's former
 solver), and eigenvalues from numpy where a library oracle is wanted.  The
 identity residuals here are assembled from the form definitions (one QForm
-per power and plane), which the library's closed forms replace.  The subset
-determinant expansion and the power-form recurrence step are kept here as
-the plain loops the library's batched versions replace.  The full spectrum
-by Durand-Kerner roots of the trace-recurrence characteristic polynomial,
-with multiplicity-aware Newton polish, is the library's former general
-eigenvalue path, kept unchanged as polynomial_spectrum (its union-find
-clustering is the library's _cluster_points).
+per power and plane), which the library's closed forms replace, and are
+normalised by the library's own _rel, so both sides share one definition of
+a relative residual.  The subset determinant expansion and the power-form
+recurrence step are kept here as the plain loops the library's batched
+versions replace.  The full spectrum by Durand-Kerner roots of the
+trace-recurrence characteristic polynomial, with multiplicity-aware Newton
+polish, is the library's former general eigenvalue path, kept unchanged as
+polynomial_spectrum (its union-find clustering is the library's
+_cluster_points).
 """
 
 from itertools import combinations, permutations
@@ -30,6 +32,7 @@ from rotform import (
     principal_minor_sums,
     rotation_form,
 )
+from rotform.invariants import _rel
 from rotform.linalg import Spectrum, _cluster_points, as_square, char_poly_coeffs, maxabs
 from rotform.quasirot import rotation_values
 
@@ -182,11 +185,6 @@ def similarity_with_jordan(rng, blocks):
     return S @ J @ np.linalg.inv(S)
 
 
-def _rel(total, terms):
-    denom = max(1.0, max((abs(t) for t in terms), default=0.0))
-    return abs(total) / denom
-
-
 def _powers(A):
     out = [np.eye(A.shape[0])]
     for _ in range(A.shape[0]):
@@ -197,6 +195,7 @@ def _powers(A):
 def ch_form_residuals_by_definition(A, u):
     """ch_form_residuals with every term the value of a built form at u."""
     n = A.shape[0]
+    scale = maxabs(A)
     pm = (1.0,) + principal_minor_sums(A)
     pows = _powers(A)
     e_terms = [
@@ -208,13 +207,14 @@ def ch_form_residuals_by_definition(A, u):
             (-1.0) ** k * pm[k] * evaluate(rotation_form(pows[n - k], pair), u)
             for k in range(n)
         ]
-        rotation[pair] = _rel(sum(r_terms), r_terms)
-    return _rel(sum(e_terms), e_terms), rotation
+        rotation[pair] = _rel(sum(r_terms), r_terms, scale, n)
+    return _rel(sum(e_terms), e_terms, scale, n), rotation
 
 
 def ch_trace_residuals_by_definition(A):
     """ch_trace_residuals with every term the trace of a built form."""
     n = A.shape[0]
+    scale = maxabs(A)
     pm = (1.0,) + principal_minor_sums(A)
     pows = _powers(A)
     e_terms = [
@@ -228,8 +228,8 @@ def ch_trace_residuals_by_definition(A):
             (-1.0) ** k * pm[k] * float(np.trace(rotation_form(pows[n - k], pair).matrix))
             for k in range(n)
         ]
-        rotation[pair] = _rel(sum(r_terms), r_terms)
-    return _rel(sum(e_terms), e_terms), rotation
+        rotation[pair] = _rel(sum(r_terms), r_terms, scale, n)
+    return _rel(sum(e_terms), e_terms, scale, n), rotation
 
 
 def _offdiag_norm(A):
