@@ -3,7 +3,10 @@
 Two bases matter here: the eigenbasis of the symmetric part, in which the
 matrix splits into a diagonal D plus a skew S whose entries are half the
 rotation-form traces, and the block basis of the skew part, in which the skew
-part becomes 2x2 rotation blocks plus a kernel.
+part becomes 2x2 rotation blocks plus a kernel.  Each comes from one LAPACK
+eigen-solve: eigh of the symmetric part, and eigh of the Hermitian matrix
+i K / max|K| for the skew part K, whose eigenvectors' real and imaginary
+parts span the rotation planes.  Neither squares the matrix.
 """
 
 from dataclasses import dataclass
@@ -11,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .linalg import DEFAULT_TOL, ascending_runs, as_square, matrix_powers, maxabs, sym_eigen
+from .linalg import DEFAULT_TOL, ascending_runs, as_square, binary_scale, matrix_powers, maxabs
+from .linalg import nullspace, sym_eigen
 from .qforms import is_zero_part
 
 
@@ -87,48 +91,36 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     Returns blocks ordered by descending rotation rate lambda > 0; in that
     basis the skew part equals -sum lambda_k [R_(k, k+1)] over odd k, and each
     lambda equals minus half the trace of the matching rotation form.
+    The rates above n rank_tol are eigenvalues of the Hermitian i K / max|K|
+    (LAPACK eigh), whose eigenvector z spans the plane sqrt(2) Im z, sqrt(2) Re z;
+    the kernel is the nullspace.  One QR keeps the basis orthogonal where z and
+    its conjugate are nearly degenerate, and the block form is certified once.
     """
     A = as_square(A)
     n = A.shape[0]
     K = 0.5 * (A - A.T)
     if is_zero_part(K, A, tol):
         raise InputError("skew part is zero (symmetric matrix); use expansion_eigenbasis")
-    zero_thresh = n * tol.rank_tol * maxabs(K)
-
-    C = np.eye(n)
-    planes = []
-    lambdas = []
-    kernel = []
-    while C.shape[1] > 0:
-        Ksub = C.T @ K @ C
-        w, V = sym_eigen(Ksub.T @ Ksub, tol)
-        s = np.sqrt(np.clip(w, 0.0, None))
-        i = int(np.argmax(s))
-        if s[i] <= zero_thresh:
-            kernel = [C @ V[:, j] for j in range(V.shape[1])]
-            break
-        v = V[:, i]
-        Kv = Ksub @ v
-        lam = float(np.linalg.norm(Kv))
-        wvec = Kv / lam
-        planes.append((C @ wvec, C @ v))
-        lambdas.append(lam)
-        d = C.shape[1]
-        proj = np.eye(d) - np.outer(v, v) - np.outer(wvec, wvec)
-        U, sv, _ = np.linalg.svd(proj)
-        C = C @ U[:, : d - 2]
-
-    cols = []
-    for x1, x2 in planes:
-        cols.extend([x1, x2])
-    cols.extend(kernel)
-    P = np.column_stack(cols)
-    zero_dim = len(kernel)
-    if 2 * len(planes) + zero_dim != n:
+    s = maxabs(K)
+    X = K / s
+    w, Z = np.linalg.eigh(1j * X)
+    Z = Z[:, w > n * tol.rank_tol][:, ::-1]
+    m = Z.shape[1]
+    kernel = nullspace(X, tol)
+    if 2 * m + len(kernel) != n:
         raise NumericalError(
-            f"block reduction accounted for {2 * len(planes) + zero_dim} of {n} dimensions"
+            f"block reduction accounted for {2 * m + len(kernel)} of {n} dimensions"
         )
-    return SkewBlockForm(basis=P, lambdas=tuple(lambdas), zero_dim=zero_dim)
+    planes = np.sqrt(2.0) * np.stack([Z.imag, Z.real], axis=2).reshape(n, 2 * m)
+    P, R = np.linalg.qr(np.column_stack([planes, *kernel]))
+    P = P * np.where(np.diag(R) < 0.0, -1.0, 1.0)
+    C = P.T @ X @ P
+    lambdas = np.diag(C, 1)[: 2 * m : 2]
+    blocks = np.kron(np.diag(lambdas), [[0.0, 1.0], [-1.0, 0.0]])
+    off = float(np.linalg.norm(C - np.pad(blocks, (0, len(kernel)))))
+    if off > tol.eig_off_tol * float(np.linalg.norm(X)):
+        raise NumericalError(f"skew block certificate failed: residual {off:.3e}", residual=off)
+    return SkewBlockForm(basis=P, lambdas=tuple(map(float, s * lambdas)), zero_dim=len(kernel))
 
 
 def normality_report(A, tol=DEFAULT_TOL):
@@ -138,7 +130,8 @@ def normality_report(A, tol=DEFAULT_TOL):
     Purely symmetric or purely skew matrices short-circuit to normal.
     """
     A = as_square(A)
-    scale = maxabs(A)
+    p = binary_scale(A)  # the degree-2 commutator is judged on A / p
+    scale = maxabs(A) / p
     threshold = tol.residual_tol * (scale * scale)
     Asym = 0.5 * (A + A.T)
     Askew = 0.5 * (A - A.T)
@@ -153,21 +146,20 @@ def normality_report(A, tol=DEFAULT_TOL):
             expansion_eigenvalues=eigs,
         )
     split = expansion_eigenbasis(A, tol)
-    D = np.diag(split.D)
-    S = split.S
-    comm = D @ S - S @ D
+    D, S = split.D / p, split.S / p
+    comm = D[:, None] * S - S * D[None, :]
     comm_norm = maxabs(comm)
     violations = []
     n = A.shape[0]
     for i in range(n):
         for j in range(i + 1, n):
             if abs(comm[i, j]) > threshold:
-                rot_trace = 2.0 * S[j, i]
+                rot_trace = 2.0 * split.S[j, i]
                 violations.append((i + 1, j + 1, float(rot_trace), float(split.D[i] - split.D[j])))
     return NormalityReport(
         is_normal=comm_norm <= threshold,
         violating_pairs=tuple(violations),
-        commutator_norm=float(comm_norm),
+        commutator_norm=comm_norm * p * p,
         expansion_eigenvalues=tuple(float(x) for x in split.D),
     )
 

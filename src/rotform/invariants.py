@@ -30,7 +30,7 @@ from math import comb, prod
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .canonical import expansion_eigenbasis, normal_power_basis, normality_report
+from .canonical import expansion_eigenbasis, normal_power_basis
 from .linalg import (
     DEFAULT_TOL,
     as_square,
@@ -300,9 +300,6 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
     """
     A = as_square(A)
     n = A.shape[0]
-    report = normality_report(A, tol)
-    if not report.is_normal:
-        raise InputError(f"matrix is not normal: commutator norm {report.commutator_norm:.3e}")
     if is_zero_part(0.5 * (A - A.T), A, tol):
         raise InputError("matrix is symmetric; the power system degenerates")
     scale = maxabs(A)

@@ -23,13 +23,15 @@ class ToleranceConfig:
     a field below, or a multiple of one listed here, times n where the test
     uses n, times max|X|^d for X the matrix judged and d the quantity's
     degree in X.  No threshold has an absolute floor, so every decision on
-    c X is the one on X, c > 0.  Functions without a tol use DEFAULT_TOL.
+    c X is the one on X, c > 0; a degree-2 quantity is formed on
+    X = A / binary_scale(A), where it cannot under- or overflow.  Functions
+    without a tol use DEFAULT_TOL.
 
-    eig_off_tol (1e-12): the sym_eigen certificate (see there); values
-    below about 1e-14 cannot be met and end in NumericalError.
+    eig_off_tol (1e-12): the certificates of sym_eigen (see there) and
+    skew_canonical_basis; below about 1e-14 they end in NumericalError.
     rank_tol (1e-12), a quantity is zero:
-      - n rank_tol max|X|: nullspace singular values (X = A), the kernel of
-        skew_canonical_basis (X = K), real_spectrum's sigma_min (X = A/s);
+      - n rank_tol max|X|: nullspace singular values (X = A), the rates and
+        kernel of skew_canonical_basis (X = K / max|K|), real_spectrum's sigma_min (X = A/s);
       - rank_tol max|X|^d: a zero symmetric or skew part of A, a zero
         planar rotation-form eigenvalue (d = 1) and the planar borderline
         product (d = 2), a QForm's asymmetry, collings_det's off-diagonal D;
@@ -41,7 +43,7 @@ class ToleranceConfig:
         commutator (d = 2), the CLI's decomposition probe (d = 0);
       - 10 residual_tol max|X| (1e-8): nearby eigenvalues counted equal
         (eigenstructure's nullspace floor, skew_square_structure with
-        X = A^2 by its top |eigenvalue|, normal_power_basis);
+        X = (A/p)^2 by its top |eigenvalue|, normal_power_basis);
       - residual_tol / 10 max|X|^d (1e-10): a skew input's asymmetry
         (d = 1), the unit length and orthogonality of given vectors and
         bases (d = 0), a coupling skew entry in normal_invariant_recover.
@@ -96,6 +98,12 @@ def as_vector(u, name="vector"):
 def maxabs(A):
     A = np.asarray(A)
     return float(np.max(np.abs(A))) if A.size else 0.0
+
+
+def binary_scale(A):
+    """The power of two p with p <= max|A| < 2 p (1/2 for a zero A): A / p is
+    exact, so a degree-d value formed on A / p, times p^d, keeps every bit."""
+    return float(np.ldexp(1.0, np.frexp(maxabs(A))[1] - 1))
 
 
 def check_orthogonal(P, name="basis matrix"):

@@ -18,6 +18,7 @@ from .linalg import (
     ascending_runs,
     as_square,
     as_vector,
+    binary_scale,
     maxabs,
     nullspace,
     real_spectrum,
@@ -91,8 +92,8 @@ def bromwich_bounds(A, tol=DEFAULT_TOL):
     expansion form), imaginary parts in [mu, M] (extreme rotation rates of the
     skew part, zero for symmetric input).
 
-    The top rotation rate is |K v| for v the top right singular vector of
-    the skew part K, found as in the first step of skew_canonical_basis.
+    The top rotation rate of the skew part K is its spectral norm ||K||_2
+    (LAPACK SVD, which rescales internally, so any scale is safe).
     """
     A = as_square(A)
     w, _ = sym_eigen(0.5 * (A + A.T), tol)
@@ -100,9 +101,7 @@ def bromwich_bounds(A, tol=DEFAULT_TOL):
     K = 0.5 * (A - A.T)
     if is_zero_part(K, A, tol):
         return (nu, N, 0.0, 0.0)
-    w, V = sym_eigen(K.T @ K, tol)
-    v = V[:, int(np.argmax(np.sqrt(np.clip(w, 0.0, None))))]
-    top = float(np.linalg.norm(K @ v))
+    top = float(np.linalg.norm(K, 2))
     return (nu, N, -top, top)
 
 
@@ -168,17 +167,17 @@ def planar_analyze(A, u=None, tol=DEFAULT_TOL):
     A = as_square(A)
     if A.shape[0] != 2:
         raise InputError(f"planar analysis needs a 2x2 matrix, got {A.shape[0]}x{A.shape[0]}")
-    scale = maxabs(A)
     e_form = expansion_form(A)
     r_form = rotation_form(A, (1, 2))
     we, _ = sym_eigen(e_form.matrix, tol)
     wr, _ = sym_eigen(r_form.matrix, tol)
     mean = 0.5 * (we[0] + we[1])
-    product = float(wr[0] * wr[1])
-    zero_eig = tol.rank_tol * scale
-    z1 = abs(wr[0]) <= zero_eig
-    z2 = abs(wr[1]) <= zero_eig
-    borderline = (not z1 and not z2) and abs(product) <= zero_eig * scale
+    p = binary_scale(A)  # the degree-2 product is formed on A / p
+    product = float((wr[0] / p) * (wr[1] / p))
+    zero_eig = tol.rank_tol * maxabs(A) / p
+    z1 = abs(wr[0] / p) <= zero_eig
+    z2 = abs(wr[1] / p) <= zero_eig
+    borderline = (not z1 and not z2) and abs(product) <= zero_eig * maxabs(A) / p
 
     if z1 and z2:
         zero_count = math.inf
@@ -191,12 +190,12 @@ def planar_analyze(A, u=None, tol=DEFAULT_TOL):
     elif product < 0.0:
         zero_count = 2.0
         classification = "real-distinct"
-        root = math.sqrt(-product)
+        root = math.sqrt(-product) * p
         eigs = (complex(mean - root), complex(mean + root))
     else:
         zero_count = 0.0
         classification = "complex"
-        root = math.sqrt(product)
+        root = math.sqrt(product) * p
         eigs = (complex(mean, -root), complex(mean, root))
 
     rep = None
@@ -229,16 +228,19 @@ def planar_analyze(A, u=None, tol=DEFAULT_TOL):
 def skew_square_structure(A, tol=DEFAULT_TOL):
     """Eigenspaces of the square of a skew matrix, each invariant under the
     matrix itself; returns (eigenvalue, orthonormal basis, invariance residual)
-    triples ordered by ascending eigenvalue."""
+    triples ordered by ascending eigenvalue, all formed on A / binary_scale(A)
+    and rescaled, so none under- or overflows unless its own value does."""
     A = as_square(A)
     gap = maxabs(A + A.T)
     if gap > tol.residual_tol / 10 * maxabs(A):
         raise InputError(f"matrix is not skew-symmetric: max|A + A^T| = {gap:.3e}")
-    w, V = sym_eigen(A @ A, tol)
+    p = binary_scale(A)
+    X = A / p
+    w, V = sym_eigen(X @ X, tol)
     out = []
     for start, stop in ascending_runs(w, 10 * tol.residual_tol * float(np.max(np.abs(w)))):
         block = V[:, start:stop]
-        image = A @ block
+        image = X @ block
         residual = float(np.max(np.linalg.norm(image - block @ (block.T @ image), axis=0)))
-        out.append((float(np.mean(w[start:stop])), block, residual))
+        out.append((float(np.mean(w[start:stop])) * p * p, block, residual * p))
     return out

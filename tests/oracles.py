@@ -14,7 +14,10 @@ versions replace.  The full spectrum by Durand-Kerner roots of the
 trace-recurrence characteristic polynomial, with multiplicity-aware Newton
 polish, is the library's former general eigenvalue path, kept unchanged as
 polynomial_spectrum (its union-find clustering is the library's
-_cluster_points).
+_cluster_points).  The skew block reduction by deflation, one certified
+eigen-solve of Ksub^T Ksub and one projector SVD per rotation plane, is the
+library's former skew_canonical_basis, kept as
+skew_canonical_basis_deflation.
 """
 
 from itertools import combinations, permutations
@@ -25,14 +28,17 @@ from rotform import (
     DEFAULT_TOL,
     InputError,
     NumericalError,
+    SkewBlockForm,
     apply_quasi_rotation,
     evaluate,
     expansion_form,
     plane_pairs,
     principal_minor_sums,
     rotation_form,
+    sym_eigen,
 )
 from rotform.invariants import _rel
+from rotform.qforms import is_zero_part
 from rotform.linalg import Spectrum, _cluster_points, as_square, char_poly_coeffs, maxabs
 from rotform.quasirot import rotation_values
 
@@ -512,3 +518,54 @@ def polynomial_spectrum(A, tol=DEFAULT_TOL):
             )
         return spectrum
     raise NumericalError(f"root iteration did not converge: {failure}")
+
+
+def skew_canonical_basis_deflation(A, tol=DEFAULT_TOL):
+    """Orthonormal basis reducing the skew part to rotation blocks, one plane
+    at a time: the library's former skew_canonical_basis.
+
+    Returns blocks ordered by descending rotation rate lambda > 0; in that
+    basis the skew part equals -sum lambda_k [R_(k, k+1)] over odd k, and each
+    lambda equals minus half the trace of the matching rotation form.
+    """
+    A = as_square(A)
+    n = A.shape[0]
+    K = 0.5 * (A - A.T)
+    if is_zero_part(K, A, tol):
+        raise InputError("skew part is zero (symmetric matrix); use expansion_eigenbasis")
+    zero_thresh = n * tol.rank_tol * maxabs(K)
+
+    C = np.eye(n)
+    planes = []
+    lambdas = []
+    kernel = []
+    while C.shape[1] > 0:
+        Ksub = C.T @ K @ C
+        w, V = sym_eigen(Ksub.T @ Ksub, tol)
+        s = np.sqrt(np.clip(w, 0.0, None))
+        i = int(np.argmax(s))
+        if s[i] <= zero_thresh:
+            kernel = [C @ V[:, j] for j in range(V.shape[1])]
+            break
+        v = V[:, i]
+        Kv = Ksub @ v
+        lam = float(np.linalg.norm(Kv))
+        wvec = Kv / lam
+        planes.append((C @ wvec, C @ v))
+        lambdas.append(lam)
+        d = C.shape[1]
+        proj = np.eye(d) - np.outer(v, v) - np.outer(wvec, wvec)
+        U, sv, _ = np.linalg.svd(proj)
+        C = C @ U[:, : d - 2]
+
+    cols = []
+    for x1, x2 in planes:
+        cols.extend([x1, x2])
+    cols.extend(kernel)
+    P = np.column_stack(cols)
+    zero_dim = len(kernel)
+    if 2 * len(planes) + zero_dim != n:
+        raise NumericalError(
+            f"block reduction accounted for {2 * len(planes) + zero_dim} of {n} dimensions"
+        )
+    return SkewBlockForm(basis=P, lambdas=tuple(lambdas), zero_dim=zero_dim)

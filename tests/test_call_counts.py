@@ -1,0 +1,49 @@
+"""How often an analysis runs the analyses and kernels below it, counted
+with wrappers: each quantity is computed once per matrix."""
+
+import numpy as np
+import pytest
+
+import rotform.canonical
+import rotform.invariants
+import rotform.spectral
+from rotform import bromwich_bounds, normal_invariant_recover, skew_canonical_basis
+
+from oracles import random_normal_matrix
+
+
+def _count(monkeypatch, modules, name):
+    calls = []
+    for module in modules:
+        original = getattr(module, name, None)
+        if original is None:
+            continue
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_skew_canonical_basis_runs_no_sym_eigen(monkeypatch, n):
+    calls = _count(monkeypatch, [rotform.canonical], "sym_eigen")
+    M = np.random.default_rng(n).standard_normal((n, n))
+    block = skew_canonical_basis(M)
+    assert len(block.lambdas) == n // 2
+    assert calls == []
+
+
+def test_bromwich_bounds_runs_one_sym_eigen(monkeypatch):
+    calls = _count(monkeypatch, [rotform.spectral], "sym_eigen")
+    bromwich_bounds(np.random.default_rng(1).standard_normal((6, 6)))
+    assert len(calls) == 1
+
+
+def test_normal_invariant_recover_runs_one_normality_report(monkeypatch):
+    calls = _count(monkeypatch, [rotform.canonical, rotform.invariants], "normality_report")
+    A = random_normal_matrix(np.random.default_rng(2), 4)
+    normal_invariant_recover(A)
+    assert len(calls) == 1

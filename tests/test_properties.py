@@ -13,18 +13,28 @@ from hypothesis import strategies as st
 
 from rotform import (
     QForm,
+    bromwich_bounds,
     common_zero_check,
+    eigenstructure,
     invariant_report,
     normal_invariant_recover,
+    normality_report,
     planar_analyze,
     principal_minor_sums,
     random_orthogonal,
+    skew_canonical_basis,
     skew_square_structure,
     sym_eigen,
     zero_subspace_extend,
 )
 
-from oracles import jordan_shear, random_normal_matrix, random_unit, rotation_scaling_block
+from oracles import (
+    jordan_shear,
+    random_normal_matrix,
+    random_unit,
+    rotation_scaling_block,
+    skew_canonical_basis_deflation,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -133,3 +143,163 @@ def test_identity_residuals_are_scale_free(seed, n):
                 assert max(value, scaled[key]) <= 1e-13
             else:
                 assert scaled[key] == value, key
+
+
+# At 1e+-160 and 1e+-200 a degree-2 quantity of A (K^T K, A A, a product of
+# two form eigenvalues) under- or overflows; 1e+-8 are ordinary scales.
+EXTREME_SCALES = [1e-200, 1e-160, 1e-8, 1e8, 1e160, 1e200]
+
+
+def _spectral_family(seed):
+    """A random matrix, a random skew matrix (a kernel for odd n), or a
+    symmetric matrix with a repeated eigenvalue, plus a skew part for odd
+    seeds."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    kind = seed % 3
+    if kind == 0:
+        return rng.standard_normal((n, n))
+    M = rng.standard_normal((n, n))
+    if kind == 1:
+        return M - M.T
+    Q = random_orthogonal(n, seed)
+    d = rng.uniform(-2, 2, n)
+    d[1] = d[0]
+    S = Q @ np.diag(d) @ Q.T
+    return 0.5 * (S + S.T) + 0.5 * (M - M.T) * (seed % 2)
+
+
+def _skew_from_rates(rates, zero_dim, seed):
+    """Q . blockdiag(rate_k [[0, 1], [-1, 0]], 0_(zero_dim)) . Q^T."""
+    n = 2 * len(rates) + zero_dim
+    core = np.zeros((n, n))
+    for k, rate in enumerate(rates):
+        core[2 * k, 2 * k + 1] = rate
+        core[2 * k + 1, 2 * k] = -rate
+    Q = random_orthogonal(n, seed)
+    return Q @ core @ Q.T
+
+
+def _skew_family(seed, n):
+    """Random, repeated-rate, close-rate and small-rate-beside-kernel skew
+    matrices of dimension n."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 4
+    if kind == 0:
+        M = rng.standard_normal((n, n))
+        return M - M.T
+    pairs = n // 2
+    if kind == 1:
+        rates = [rng.uniform(0.5, 2.0)] * pairs
+        if pairs > 2:
+            rates[-1] = rng.uniform(0.5, 2.0)
+        return _skew_from_rates(rates, n % 2, seed)
+    if kind == 2:
+        rates = [1.0, 1.0 + 1e-9][:pairs] + list(rng.uniform(0.1, 3.0, max(pairs - 2, 0)))
+        return _skew_from_rates(rates, n % 2, seed)
+    small = [1.0, 5e-5, 1e-9, 1e-10]
+    rates = small[: max(1, min(len(small), pairs - 1))]
+    return _skew_from_rates(rates, n - 2 * len(rates), seed)
+
+
+def _block_form(lambdas, n):
+    target = np.zeros((n, n))
+    for k, lam in enumerate(lambdas):
+        target[2 * k, 2 * k + 1] = lam
+        target[2 * k + 1, 2 * k] = -lam
+    return target
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=SEEDS, c=st.sampled_from(EXTREME_SCALES))
+def test_skew_rates_and_bromwich_box_scale(seed, c):
+    A = _spectral_family(seed)
+    K = 0.5 * (A - A.T)
+    if np.any(K != 0.0):
+        base = skew_canonical_basis(A)
+        scaled = skew_canonical_basis(c * A)
+        assert scaled.zero_dim == base.zero_dim
+        assert len(scaled.lambdas) == len(base.lambdas)
+        for x, y in zip(scaled.lambdas, base.lambdas):
+            assert abs(x / c - y) <= 1e-12 * np.max(np.abs(K))
+    for x, y in zip(bromwich_bounds(c * A), bromwich_bounds(A)):
+        assert abs(x / c - y) <= 1e-12 * np.max(np.abs(A))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=SEEDS, c=st.sampled_from(EXTREME_SCALES))
+def test_eigenstructure_multiplicities_are_scale_free(seed, c):
+    A = _spectral_family(seed)
+    base = eigenstructure(A)
+    scaled = eigenstructure(c * A)
+    assert scaled.flags == ()
+    assert [e.geometric_multiplicity for e in scaled.entries] == [
+        e.geometric_multiplicity for e in base.entries
+    ]
+    assert [m for _, m in scaled.complex_pairs] == [m for _, m in base.complex_pairs]
+    for x, y in zip(scaled.bromwich, base.bromwich):
+        assert abs(x / c - y) <= 1e-12 * np.max(np.abs(A))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=SEEDS)
+def test_skew_rates_and_bromwich_real_bounds_are_orthogonally_invariant(seed):
+    A = _spectral_family(seed)
+    Q = random_orthogonal(A.shape[0], seed + 1)
+    B = Q @ A @ Q.T
+    scale = np.max(np.abs(A))
+    if np.any(A != A.T):
+        base = skew_canonical_basis(A)
+        moved = skew_canonical_basis(B)
+        assert moved.zero_dim == base.zero_dim
+        assert len(moved.lambdas) == len(base.lambdas)
+        for x, y in zip(moved.lambdas, base.lambdas):
+            assert abs(x - y) <= 1e-12 * scale
+    for x, y in zip(bromwich_bounds(B)[:2], bromwich_bounds(A)[:2]):
+        assert abs(x - y) <= 1e-12 * scale
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(seed=SEEDS, n=st.integers(2, 16))
+def test_skew_canonical_basis_matches_deflation_oracle(seed, n):
+    A = _skew_family(seed, n)
+    scale = np.max(np.abs(A))
+    new = skew_canonical_basis(A)
+    old = skew_canonical_basis_deflation(A)
+    assert new.zero_dim == old.zero_dim
+    assert len(new.lambdas) == len(old.lambdas)
+    assert np.max(np.abs(np.subtract(new.lambdas, old.lambdas))) <= 1e-13 * scale
+    P = new.basis
+    assert np.max(np.abs(P.T @ P - np.eye(n))) <= 1e-12
+    reduced = P.T @ A @ P
+    assert np.max(np.abs(reduced - _block_form(new.lambdas, n))) <= 1e-12 * scale
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(seed=SEEDS, c=st.sampled_from([1e-170, 1e170]))
+def test_degree_two_decisions_are_scale_free(seed, c):
+    A = _planar_family(seed)
+    base = planar_analyze(A)
+    scaled = planar_analyze(c * A)
+    assert (scaled.classification, scaled.zero_count, scaled.borderline) == (
+        base.classification, base.zero_count, base.borderline
+    )
+    for z, w in zip(scaled.eigs, base.eigs):
+        assert abs(z / c - w) <= 1e-12 * np.max(np.abs(A))
+
+    rng = np.random.default_rng(seed)
+    B = random_normal_matrix(rng, 4) if seed % 2 else rng.standard_normal((4, 4))
+    base = normality_report(B)
+    scaled = normality_report(c * B)
+    assert scaled.is_normal == base.is_normal == bool(seed % 2)
+    assert [v[:2] for v in scaled.violating_pairs] == [v[:2] for v in base.violating_pairs]
+    for x, y in zip(scaled.expansion_eigenvalues, base.expansion_eigenvalues):
+        assert abs(x / c - y) <= 1e-12 * np.max(np.abs(B))
+
+    M = rng.standard_normal((6, 6))
+    S = M - M.T
+    base = skew_square_structure(S)
+    scaled = skew_square_structure(c * S)
+    assert [b.shape[1] for _, b, _ in scaled] == [b.shape[1] for _, b, _ in base] == [2, 2, 2]
+    for _, _, r in scaled:
+        assert r / c <= 1e-12 * np.max(np.abs(S))
