@@ -4,13 +4,19 @@ rotation forms.
 Every *_residual function returns a residual that an exact identity would
 make zero, over max(max|term|, max|A|^d) for an identity of degree d in A;
 the test suite and the CLI report them.  The identity terms come from
-closed forms of the forms rather than from built form matrices:
+closed forms, which the test suite checks against the form definitions:
 the (k, l) rotation form of M has trace M[l,k] - M[k,l] and value
-rotation_values(M, u) at u, the expansion form has trace tr M and value
-u.Mu, and pm^2 of M is (tr(M)^2 - tr(M^2)) / 2.  The test suite checks each
-closed form against the form definitions.  invariant_report computes the
-powers, minor sums and symmetric/skew parts of its matrix once and hands
-them to every identity.
+(u (Mu)^T - (Mu) u^T)[k,l] at u, the expansion form has trace tr M and
+value u.Mu, pm^2 of M is (tr(M)^2 - tr(M^2)) / 2, and the (k, l) rotation
+form M_kl of A has tr(M_kl^2) = (|A_k|^2 + |A_l|^2 + A[l,k]^2 + A[k,l]^2 -
+2 A[k,k] A[l,l]) / 2, with A_k the k-th row of A.
+
+invariant_report computes the powers, minor sums and symmetric/skew parts
+of its matrix once, with the per-pair quantities as arrays over the plane
+pairs K, L = triu_indices(n, 1) (the order of plane_pairs): the rotation
+traces of every power once per matrix, its rotation values once per probe
+vector.  Per-pair terms are summed along the power axis in the order of the
+scalar identities; the public functions return dicts keyed by plane pair.
 
 The subset determinant expansion and the diagonal-plus-skew determinant
 audit live here too, as does the linear system that recovers the
@@ -19,8 +25,7 @@ eigenvalues.  The subset expansion takes each principal minor from one
 pivoted LU, in stacked determinant calls over blocks of subsets, and adds
 its terms in subset order; at n = 16 it costs about 0.14 s of CPU time.
 The rotation power recurrence contracts its double sum over plane pairs to
-one vector, so its right-hand side costs O(n^2) work per step instead of
-(n(n-1)/2)^2 dot products.
+one vector, so its right-hand side costs O(n^2) work per step.
 """
 
 from dataclasses import dataclass
@@ -39,8 +44,8 @@ from .linalg import (
     maxabs,
     minor_sums_from_traces,
 )
-from .qforms import is_zero_part, rotation_form_matrix, rotation_traces
-from .quasirot import _wedge_values, check_plane_pair, plane_pairs, reassemble, rotation_values
+from .qforms import is_zero_part
+from .quasirot import check_plane_pair, rotation_values
 
 COLLINGS_MAX_DIM = 20  # largest n the 2^n subset expansion accepts by default
 # Subsets per stacked determinant call in collings_det.  At n = 16 blocks of
@@ -58,18 +63,43 @@ class InvariantReport:
 
 class _Parts:
     """What the identities of one matrix share, each computed once: max|A|,
-    the powers I, A, ..., A^top (top >= n), pm^0..pm^n from their traces,
-    and the symmetric and skew parts."""
+    the powers I, A, ..., A^top (top >= n), pm^0..pm^n and (-1)^k pm^k, the
+    symmetric and skew parts, the rotation traces T[p] of every power, and
+    tr(M_kl^2) of every rotation form M_kl of A."""
 
     def __init__(self, A, top=0):
         self.A = A = as_square(A)
         self.n = n = A.shape[0]
         self.scale = maxabs(A)
-        self.pows = matrix_powers(A, max(n, top))
+        self.pows = np.array(matrix_powers(A, max(n, top)))
         self.traces = [float(np.trace(M)) for M in self.pows[1 : n + 1]]
         self.pm = (1.0,) + minor_sums_from_traces(self.traces)
+        self.signed = [(-1.0) ** k * self.pm[k] for k in range(n + 1)]
         self.sym = 0.5 * (A + A.T)
         self.skew = 0.5 * (A - A.T)
+        self.K, self.L = K, L = np.triu_indices(n, 1)
+        self.pairs = list(zip((K + 1).tolist(), (L + 1).tolist()))
+        self.T = self.pows[:, L, K] - self.pows[:, K, L]
+        self.trace_sq = sum(t ** 2 for t in self.T[1].tolist())  # of A, in pair order
+        rows = np.sum(A * A, axis=1)
+        self.form_sq = 0.5 * (rows[K] + rows[L] + A[L, K] ** 2 + A[K, L] ** 2
+                              - 2.0 * A[K, K] * A[L, L])
+        self._probe = None
+
+    def wedge(self, u, W):
+        """(u w^T - w u^T)[k, l] over the plane pairs, for each row w of W:
+        the rotation values at u of a matrix that sends u to w."""
+        return u[self.K] * W[..., self.L] - W[..., self.K] * u[self.L]
+
+    def probe(self, u):
+        """(u, W, e, V, VT) at unit u: W[p] = A^p u, e[p] = u.A^p u (by vecdot,
+        which rounds like u @ w; W @ u does not), V[p] the rotation values of
+        A^p and VT those of A^T."""
+        if self._probe is None or not np.array_equal(self._probe[0], u):
+            W = self.pows @ u
+            VT = self.wedge(u, self.A.T @ u)
+            self._probe = (u.copy(), W, np.vecdot(W, u), self.wedge(u, W), VT)
+        return self._probe
 
 
 def _parts(A, top=0):
@@ -78,11 +108,13 @@ def _parts(A, top=0):
 
 
 def _rel(total, terms, scale, degree):
-    """|total| relative to the largest term, and at least to scale^degree for
-    an identity of that degree in a matrix with max|A| = scale.  The power is
-    a product, so scaling A by a power of two scales it exactly."""
-    denom = max(max((abs(t) for t in terms), default=0.0), prod([scale] * degree))
-    return abs(total) / denom if denom else 0.0
+    """|total| relative to the largest term along axis 0, and at least to
+    scale^degree for an identity of that degree in a matrix with max|A| =
+    scale: a float for one identity, a list for an array of them.  The power
+    is a product, so scaling A by a power of two scales it exactly."""
+    denom = np.maximum(np.abs(terms).max(axis=0, initial=0.0), prod([scale] * degree))
+    out = np.zeros(np.shape(denom))
+    return np.divide(np.abs(total), denom, out=out, where=denom != 0).tolist()
 
 
 def _pm2(M):
@@ -100,6 +132,15 @@ def _unit(u, name="vector"):
     return u
 
 
+def _probed(A, u, top=0):
+    """The shared parts of A and their probe at u, a unit n-vector."""
+    s = _parts(A, top)
+    u = _unit(u, "u")
+    if len(u) != s.n:
+        raise InputError("probe vector must match the matrix dimension")
+    return s, s.probe(u)
+
+
 def newton_residuals(A):
     """Relative residual of the k-th trace identity, k = 1..n.
 
@@ -110,10 +151,8 @@ def newton_residuals(A):
     n, pm, traces = s.n, s.pm, s.traces
     out = []
     for k in range(1, n + 1):
-        terms = [traces[k - 1]]
-        for j in range(1, k):
-            terms.append((-1.0) ** j * pm[j] * traces[k - j - 1])
-        terms.append((-1.0) ** k * pm[k] * n)
+        terms = [traces[k - 1]] + [s.signed[j] * traces[k - j - 1] for j in range(1, k)]
+        terms.append(s.signed[k] * n)
         rhs = (n - k) * (-1.0) ** k * pm[k]
         out.append(_rel(sum(terms) - rhs, terms + [rhs], s.scale, k))
     return out
@@ -122,14 +161,22 @@ def newton_residuals(A):
 def cayley_hamilton_residual(A, u, v):
     """The characteristic polynomial annihilates A, probed against unit u, v:
     sum over k of (-1)^k pm^k (A^(n-k) u).v, relative to the term sizes."""
-    s = _parts(A)
-    n, pm = s.n, s.pm
-    u = _unit(u, "u")
+    s, (_, W, *_) = _probed(A, u)
+    n = s.n
     v = _unit(v, "v")
-    if len(u) != n or len(v) != n:
+    if len(v) != n:
         raise InputError("probe vectors must match the matrix dimension")
-    terms = [(-1.0) ** k * pm[k] * float((s.pows[n - k] @ u) @ v) for k in range(n + 1)]
+    terms = [s.signed[k] * float(W[n - k] @ v) for k in range(n + 1)]
     return _rel(sum(terms), terms, s.scale, n)
+
+
+def _ch_lines(s, e_terms, rot):
+    """The residual of e_terms and, per pair, that of the terms
+    (-1)^k pm^k rot[n - k], k < n, added in k order."""
+    n = s.n
+    r_terms = np.array(s.signed[:n])[:, None] * rot[n:0:-1]
+    return (_rel(sum(e_terms), e_terms, s.scale, n),
+            _rel(np.cumsum(r_terms, axis=0)[-1], r_terms, s.scale, n))
 
 
 def ch_form_residuals(A, u):
@@ -138,35 +185,20 @@ def ch_form_residuals(A, u):
 
     Returns (expansion residual, {pair: rotation residual}).
     """
-    s = _parts(A)
-    n, pm = s.n, s.pm
-    u = _unit(u, "u")
-    if len(u) != n:
-        raise InputError("probe vector must match the matrix dimension")
-    e_terms = [(-1.0) ** k * pm[k] * float(u @ (s.pows[n - k] @ u)) for k in range(n + 1)]
-    expansion_residual = _rel(sum(e_terms), e_terms, s.scale, n)
-    values = [rotation_values(s.pows[n - k], u) for k in range(n)]
-    rotation_residuals = {}
-    for pair in plane_pairs(n):
-        r_terms = [(-1.0) ** k * pm[k] * values[k][pair] for k in range(n)]
-        rotation_residuals[pair] = _rel(sum(r_terms), r_terms, s.scale, n)
-    return expansion_residual, rotation_residuals
+    s, (_, _, e, V, _) = _probed(A, u)
+    e_res, r_res = _ch_lines(s, [s.signed[k] * float(e[s.n - k]) for k in range(s.n + 1)], V)
+    return e_res, dict(zip(s.pairs, r_res))
 
 
 def ch_trace_residuals(A):
     """Trace versions of the form identities: the expansion line gains an
     n * det term, the rotation lines close without one."""
     s = _parts(A)
-    n, pm = s.n, s.pm
-    e_terms = [(-1.0) ** k * pm[k] * s.traces[n - k - 1] for k in range(n)]
-    e_terms.append((-1.0) ** n * n * pm[n])
-    expansion_residual = _rel(sum(e_terms), e_terms, s.scale, n)
-    traces = [rotation_traces(s.pows[n - k]) for k in range(n)]
-    rotation_residuals = {}
-    for pair in plane_pairs(n):
-        r_terms = [(-1.0) ** k * pm[k] * traces[k][pair] for k in range(n)]
-        rotation_residuals[pair] = _rel(sum(r_terms), r_terms, s.scale, n)
-    return expansion_residual, rotation_residuals
+    n = s.n
+    e_terms = [s.signed[k] * s.traces[n - k - 1] for k in range(n)]
+    e_terms.append((-1.0) ** n * n * s.pm[n])
+    e_res, r_res = _ch_lines(s, e_terms, s.T)
+    return e_res, dict(zip(s.pairs, r_res))
 
 
 def pm2_identity_residual(A):
@@ -177,9 +209,8 @@ def pm2_identity_residual(A):
         raise InputError("the second minor sum needs n >= 2")
     pm2 = s.pm[2]
     pm2_sym = _pm2(s.sym)
-    trace_sq = sum(t ** 2 for t in rotation_traces(s.A).values())
-    rhs = pm2_sym + 0.25 * trace_sq
-    return _rel(pm2 - rhs, [pm2, pm2_sym, 0.25 * trace_sq], s.scale, 2)
+    rhs = pm2_sym + 0.25 * s.trace_sq
+    return _rel(pm2 - rhs, [pm2, pm2_sym, 0.25 * s.trace_sq], s.scale, 2)
 
 
 def pm2_sym_skew_residual(A):
@@ -195,23 +226,19 @@ def pm2_sym_skew_residual(A):
 
 def gram_trace_identity_residual(A):
     """n tr(A A^T) against the rotation/expansion invariants, both printed
-    forms; returns the larger of the two relative residuals."""
+    forms; returns the larger of the two relative residuals.  tr M_kl and
+    tr M_kl^2 of each rotation form come from their closed forms."""
     s = _parts(A)
     A, n = s.A, s.n
     lhs = n * float(np.sum(A * A))
     tr_e = float(np.trace(A))  # equals tr of the expansion form exactly
-    rot_sq = 0.0
-    pm2_rot = 0.0
-    for pair in plane_pairs(n):
-        M = rotation_form_matrix(A, pair)
-        rot_sq += float(np.trace(M @ M))
-        pm2_rot += _pm2(M)
-    trace_sq = sum(t ** 2 for t in rotation_traces(A).values())
+    rot_sq = float(np.sum(s.form_sq))
+    pm2_rot = float(np.sum(0.5 * (s.T[1] ** 2 - s.form_sq)))
     first = _rel(lhs - 2.0 * rot_sq - tr_e**2, [lhs, 2.0 * rot_sq, tr_e**2], s.scale, 2)
     if n < 2:
         return first
-    terms = [lhs, 4.0 * pm2_rot, 2.0 * trace_sq, tr_e**2]
-    second = _rel(lhs - (-4.0 * pm2_rot + 2.0 * trace_sq + tr_e**2), terms, s.scale, 2)
+    terms = [lhs, 4.0 * pm2_rot, 2.0 * s.trace_sq, tr_e**2]
+    second = _rel(lhs - (-4.0 * pm2_rot + 2.0 * s.trace_sq + tr_e**2), terms, s.scale, 2)
     return max(first, second)
 
 
@@ -307,41 +334,29 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
     P, _checks = normal_power_basis(A, tol)
 
     pows = matrix_powers(A, n)
-    diag_powers = []  # diag_powers[p][i] = eigenvalue of the p-th power form
-    for p in range(n + 1):
-        M = P.T @ (0.5 * (pows[p] + pows[p].T)) @ P
-        diag_powers.append(np.diag(M).copy())
+    # diag_powers[p][i] = eigenvalue of the p-th power form
+    diag_powers = [np.diag(P.T @ (0.5 * (M + M.T)) @ P) for M in pows]
     B = P.T @ A @ P
     S = 0.5 * (B - B.T)
     S2 = S @ S
     lam_e = diag_powers[1]
 
-    rows = []
-    rhs = []
-    for i in range(n):
-        row = [(-1.0) ** k * diag_powers[n - k][i] for k in range(1, n + 1)]
-        rows.append(row)
-        rhs.append(-diag_powers[n][i])
+    rows = [[(-1.0) ** k * diag_powers[n - k][i] for k in range(1, n + 1)] for i in range(n)]
+    rhs = [-diag_powers[n][i] for i in range(n)]
 
     for k in range(n):
         for l in range(k + 1, n):
             if abs(S[l, k]) <= tol.residual_tol / 10:
                 continue
-            c = [0.0] * (n + 1)  # c[p] for p = 1..n
-            for p in range(1, n + 1):
-                acc = 0.0
-                for m in range(p):
-                    if (p - m) % 2 == 1:
-                        acc += (
-                            comb(p, p - m)
-                            * lam_e[l] ** m
-                            * S2[l, l] ** ((p - m - 1) // 2)
-                        )
-                c[p] = acc
-            row = [0.0] * n
-            for j in range(1, n):
-                row[j - 1] = (-1.0) ** j * c[n - j]
-            rows.append(row)
+            c = [0.0] + [  # c[p] for p = 1..n
+                sum(
+                    comb(p, p - m) * lam_e[l] ** m * S2[l, l] ** ((p - m - 1) // 2)
+                    for m in range(p)
+                    if (p - m) % 2 == 1
+                )
+                for p in range(1, n + 1)
+            ]
+            rows.append([(-1.0) ** j * c[n - j] for j in range(1, n)] + [0.0])
             rhs.append(-c[n])
 
     M = np.array(rows)
@@ -352,12 +367,22 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
     b_scaled = b / norms
     rank = int(np.linalg.matrix_rank(M_scaled))
     if rank < n:
-        raise NumericalError(
-            f"power system is rank deficient: rank {rank} < {n}",
-            system=(M, b),
-        )
+        raise NumericalError(f"power system is rank deficient: rank {rank} < {n}", system=(M, b))
     solution, *_ = np.linalg.lstsq(M_scaled, b_scaled, rcond=None)
     return tuple(float(x) * scale**k for k, x in enumerate(solution, start=1)), rank
+
+
+def _power_step(s, m, probe):
+    """power_form_step on the shared parts, with per-pair arrays."""
+    u, _, e, V, VT = probe
+    e_m = float(e[m])
+    rhs_e = e_m * float(e[1]) + sum((V[m] * VT).tolist())
+    # The sum over kl of r_m[kl] (A R_kl u).(R_pq u) is (A w).(R_pq u) with
+    # w = sum r_m[kl] R_kl u.  w must come from the coefficients r_m: taking
+    # it as A^m u - e_m u would make the recurrence hold by construction.
+    w = np.bincount(s.L, V[m] * u[s.K], s.n) - np.bincount(s.K, V[m] * u[s.L], s.n)
+    rhs_r = e_m * V[1] + s.wedge(u, s.A @ w)
+    return float(e[m + 1]), rhs_e, V[m + 1], rhs_r
 
 
 def power_form_step(A, m, u):
@@ -367,28 +392,11 @@ def power_form_step(A, m, u):
     unit u against its recurrence value, and per-pair rotation forms of
     A^(m+1) against theirs.
     """
-    s = _parts(A, m + 1)
-    A, n, pows = s.A, s.n, s.pows
     if m < 1:
         raise InputError("power step needs m >= 1")
-    u = _unit(u, "u")
-    if len(u) != n:
-        raise InputError("probe vector must match the matrix dimension")
-    e_m = float(u @ (pows[m] @ u))
-    e_1 = float(u @ (A @ u))
-    r_m = rotation_values(pows[m], u)
-    r_T = rotation_values(A.T, u)
-    lhs_e = float(u @ (pows[m + 1] @ u))
-    rhs_e = e_m * e_1 + sum(r_m[pair] * r_T[pair] for pair in plane_pairs(n))
-
-    # The sum over kl of r_m[kl] (A R_kl u).(R_pq u) is (A w).(R_pq u) with
-    # w = sum r_m[kl] R_kl u.  w must come from the coefficients r_m: taking
-    # it as A^m u - e_m u would make the recurrence hold by construction.
-    r_1 = rotation_values(A, u)
-    lhs_r = rotation_values(pows[m + 1], u)
-    cross = _wedge_values(u, A @ reassemble(0.0, r_m, u))
-    rhs_r = {pq: e_m * r_1[pq] + cross[pq] for pq in plane_pairs(n)}
-    return lhs_e, rhs_e, lhs_r, rhs_r
+    s, probe = _probed(A, u, m + 1)
+    lhs_e, rhs_e, lhs_r, rhs_r = _power_step(s, m, probe)
+    return lhs_e, rhs_e, dict(zip(s.pairs, lhs_r.tolist())), dict(zip(s.pairs, rhs_r.tolist()))
 
 
 def diagonal_rotation_recursion(A, m, pq):
@@ -430,33 +438,24 @@ def invariant_report(A, seed=0, power_steps=3):
 
     u = unit_sample()
     v = unit_sample()
-    residuals = {}
-    for k, value in enumerate(newton_residuals(s), start=1):
-        residuals[f"newton_{k}"] = value
+    residuals = {f"newton_{k}": r for k, r in enumerate(newton_residuals(s), start=1)}
     residuals["ch_vector"] = cayley_hamilton_residual(s, u, v)
     e_res, r_res = ch_form_residuals(s, u)
     residuals["ch_expansion"] = e_res
-    for (k, l), value in r_res.items():
-        residuals[f"ch_rotation_{k}_{l}"] = value
+    residuals.update((f"ch_rotation_{k}_{l}", r) for (k, l), r in r_res.items())
     e_res, r_res = ch_trace_residuals(s)
     residuals["tr_ch_expansion"] = e_res
-    for (k, l), value in r_res.items():
-        residuals[f"tr_ch_rotation_{k}_{l}"] = value
+    residuals.update((f"tr_ch_rotation_{k}_{l}", r) for (k, l), r in r_res.items())
     if n >= 2:
         residuals["pm2"] = pm2_identity_residual(s)
         residuals["pm2_sym_skew"] = pm2_sym_skew_residual(s)
     residuals["gram_trace"] = gram_trace_identity_residual(s)
+    probe = s.probe(u)
     for m in range(1, power_steps + 1):
-        lhs_e, rhs_e, lhs_r, rhs_r = power_form_step(s, m, u)
+        lhs_e, rhs_e, lhs_r, rhs_r = _power_step(s, m, probe)
         residuals[f"power_expansion_{m}"] = _rel(lhs_e - rhs_e, [lhs_e, rhs_e], s.scale, m + 1)
-        residuals[f"power_rotation_{m}"] = max(
-            (_rel(lhs_r[p] - rhs_r[p], [lhs_r[p], rhs_r[p]], s.scale, m + 1) for p in lhs_r),
-            default=0.0,
-        )
+        r_res = _rel(lhs_r - rhs_r, [lhs_r, rhs_r], s.scale, m + 1)
+        residuals[f"power_rotation_{m}"] = max(r_res, default=0.0)
     if n == 4:
         residuals["n4_det"] = n4_det_identity_residual(s)
-    return InvariantReport(
-        pms=s.pm[1:],
-        residuals=residuals,
-        ecs=euler_cauchy_stokes(s),
-    )
+    return InvariantReport(pms=s.pm[1:], residuals=residuals, ecs=euler_cauchy_stokes(s))

@@ -17,7 +17,12 @@ polynomial_spectrum (its union-find clustering is the library's
 _cluster_points).  The skew block reduction by deflation, one certified
 eigen-solve of Ksub^T Ksub and one projector SVD per rotation plane, is the
 library's former skew_canonical_basis, kept as
-skew_canonical_basis_deflation.
+skew_canonical_basis_deflation.  The identity residuals with one Python
+iteration and one _rel call per plane pair, and one rotation_form_matrix
+per pair in the Gram trace identity, are the library's former
+ch_form_residuals, ch_trace_residuals, pm2_identity_residual,
+gram_trace_identity_residual, power_form_step and invariant_report, kept
+unchanged with the suffix _per_pair; they share the library's _Parts.
 """
 
 from itertools import combinations, permutations
@@ -37,10 +42,22 @@ from rotform import (
     rotation_form,
     sym_eigen,
 )
-from rotform.invariants import _rel
-from rotform.qforms import is_zero_part
+from rotform.invariants import (
+    InvariantReport,
+    _Parts,
+    _parts,
+    _pm2,
+    _rel,
+    _unit,
+    cayley_hamilton_residual,
+    euler_cauchy_stokes,
+    n4_det_identity_residual,
+    newton_residuals,
+    pm2_sym_skew_residual,
+)
+from rotform.qforms import is_zero_part, rotation_form_matrix, rotation_traces
 from rotform.linalg import Spectrum, _cluster_points, as_square, char_poly_coeffs, maxabs
-from rotform.quasirot import rotation_values
+from rotform.quasirot import _wedge_values, reassemble, rotation_values
 
 _JACOBI_MAX_SWEEPS = 100
 _ROOT_MAX_ITER = 600
@@ -569,3 +586,142 @@ def skew_canonical_basis_deflation(A, tol=DEFAULT_TOL):
             f"block reduction accounted for {2 * len(planes) + zero_dim} of {n} dimensions"
         )
     return SkewBlockForm(basis=P, lambdas=tuple(lambdas), zero_dim=zero_dim)
+
+
+def ch_form_residuals_per_pair(A, u):
+    """ch_form_residuals with one _rel call per plane pair."""
+    s = _parts(A)
+    n, pm = s.n, s.pm
+    u = _unit(u, "u")
+    if len(u) != n:
+        raise InputError("probe vector must match the matrix dimension")
+    e_terms = [(-1.0) ** k * pm[k] * float(u @ (s.pows[n - k] @ u)) for k in range(n + 1)]
+    expansion_residual = _rel(sum(e_terms), e_terms, s.scale, n)
+    values = [rotation_values(s.pows[n - k], u) for k in range(n)]
+    rotation_residuals = {}
+    for pair in plane_pairs(n):
+        r_terms = [(-1.0) ** k * pm[k] * values[k][pair] for k in range(n)]
+        rotation_residuals[pair] = _rel(sum(r_terms), r_terms, s.scale, n)
+    return expansion_residual, rotation_residuals
+
+
+def ch_trace_residuals_per_pair(A):
+    """ch_trace_residuals with one _rel call per plane pair."""
+    s = _parts(A)
+    n, pm = s.n, s.pm
+    e_terms = [(-1.0) ** k * pm[k] * s.traces[n - k - 1] for k in range(n)]
+    e_terms.append((-1.0) ** n * n * pm[n])
+    expansion_residual = _rel(sum(e_terms), e_terms, s.scale, n)
+    traces = [rotation_traces(s.pows[n - k]) for k in range(n)]
+    rotation_residuals = {}
+    for pair in plane_pairs(n):
+        r_terms = [(-1.0) ** k * pm[k] * traces[k][pair] for k in range(n)]
+        rotation_residuals[pair] = _rel(sum(r_terms), r_terms, s.scale, n)
+    return expansion_residual, rotation_residuals
+
+
+def pm2_identity_residual_per_pair(A):
+    """pm2_identity_residual with the traces from rotation_traces."""
+    s = _parts(A)
+    if s.n < 2:
+        raise InputError("the second minor sum needs n >= 2")
+    pm2 = s.pm[2]
+    pm2_sym = _pm2(s.sym)
+    trace_sq = sum(t ** 2 for t in rotation_traces(s.A).values())
+    rhs = pm2_sym + 0.25 * trace_sq
+    return _rel(pm2 - rhs, [pm2, pm2_sym, 0.25 * trace_sq], s.scale, 2)
+
+
+def gram_trace_identity_residual_per_pair(A):
+    """gram_trace_identity_residual with one rotation_form_matrix per pair."""
+    s = _parts(A)
+    A, n = s.A, s.n
+    lhs = n * float(np.sum(A * A))
+    tr_e = float(np.trace(A))  # equals tr of the expansion form exactly
+    rot_sq = 0.0
+    pm2_rot = 0.0
+    for pair in plane_pairs(n):
+        M = rotation_form_matrix(A, pair)
+        rot_sq += float(np.trace(M @ M))
+        pm2_rot += _pm2(M)
+    trace_sq = sum(t ** 2 for t in rotation_traces(A).values())
+    first = _rel(lhs - 2.0 * rot_sq - tr_e**2, [lhs, 2.0 * rot_sq, tr_e**2], s.scale, 2)
+    if n < 2:
+        return first
+    terms = [lhs, 4.0 * pm2_rot, 2.0 * trace_sq, tr_e**2]
+    second = _rel(lhs - (-4.0 * pm2_rot + 2.0 * trace_sq + tr_e**2), terms, s.scale, 2)
+    return max(first, second)
+
+
+def power_form_step_per_pair(A, m, u):
+    """power_form_step with dicts of rotation values and the contraction
+    vector from reassemble."""
+    s = _parts(A, m + 1)
+    A, n, pows = s.A, s.n, s.pows
+    if m < 1:
+        raise InputError("power step needs m >= 1")
+    u = _unit(u, "u")
+    if len(u) != n:
+        raise InputError("probe vector must match the matrix dimension")
+    e_m = float(u @ (pows[m] @ u))
+    e_1 = float(u @ (A @ u))
+    r_m = rotation_values(pows[m], u)
+    r_T = rotation_values(A.T, u)
+    lhs_e = float(u @ (pows[m + 1] @ u))
+    rhs_e = e_m * e_1 + sum(r_m[pair] * r_T[pair] for pair in plane_pairs(n))
+
+    # The sum over kl of r_m[kl] (A R_kl u).(R_pq u) is (A w).(R_pq u) with
+    # w = sum r_m[kl] R_kl u.  w must come from the coefficients r_m: taking
+    # it as A^m u - e_m u would make the recurrence hold by construction.
+    r_1 = rotation_values(A, u)
+    lhs_r = rotation_values(pows[m + 1], u)
+    cross = _wedge_values(u, A @ reassemble(0.0, r_m, u))
+    rhs_r = {pq: e_m * r_1[pq] + cross[pq] for pq in plane_pairs(n)}
+    return lhs_e, rhs_e, lhs_r, rhs_r
+
+
+def invariant_report_per_pair(A, seed=0, power_steps=3):
+    """invariant_report from the per-pair identities above."""
+    s = _Parts(A, power_steps + 1)
+    n = s.n
+    rng = np.random.default_rng(seed)
+
+    def unit_sample():
+        while True:
+            v = rng.standard_normal(n)
+            norm = float(np.linalg.norm(v))
+            if norm > 1e-6:
+                return v / norm
+
+    u = unit_sample()
+    v = unit_sample()
+    residuals = {}
+    for k, value in enumerate(newton_residuals(s), start=1):
+        residuals[f"newton_{k}"] = value
+    residuals["ch_vector"] = cayley_hamilton_residual(s, u, v)
+    e_res, r_res = ch_form_residuals_per_pair(s, u)
+    residuals["ch_expansion"] = e_res
+    for (k, l), value in r_res.items():
+        residuals[f"ch_rotation_{k}_{l}"] = value
+    e_res, r_res = ch_trace_residuals_per_pair(s)
+    residuals["tr_ch_expansion"] = e_res
+    for (k, l), value in r_res.items():
+        residuals[f"tr_ch_rotation_{k}_{l}"] = value
+    if n >= 2:
+        residuals["pm2"] = pm2_identity_residual_per_pair(s)
+        residuals["pm2_sym_skew"] = pm2_sym_skew_residual(s)
+    residuals["gram_trace"] = gram_trace_identity_residual_per_pair(s)
+    for m in range(1, power_steps + 1):
+        lhs_e, rhs_e, lhs_r, rhs_r = power_form_step_per_pair(s, m, u)
+        residuals[f"power_expansion_{m}"] = _rel(lhs_e - rhs_e, [lhs_e, rhs_e], s.scale, m + 1)
+        residuals[f"power_rotation_{m}"] = max(
+            (_rel(lhs_r[p] - rhs_r[p], [lhs_r[p], rhs_r[p]], s.scale, m + 1) for p in lhs_r),
+            default=0.0,
+        )
+    if n == 4:
+        residuals["n4_det"] = n4_det_identity_residual(s)
+    return InvariantReport(
+        pms=s.pm[1:],
+        residuals=residuals,
+        ecs=euler_cauchy_stokes(s),
+    )

@@ -6,8 +6,15 @@ import pytest
 
 import rotform.canonical
 import rotform.invariants
+import rotform.qforms
+import rotform.quasirot
 import rotform.spectral
-from rotform import bromwich_bounds, normal_invariant_recover, skew_canonical_basis
+from rotform import (
+    bromwich_bounds,
+    invariant_report,
+    normal_invariant_recover,
+    skew_canonical_basis,
+)
 
 from oracles import random_normal_matrix
 
@@ -47,3 +54,15 @@ def test_normal_invariant_recover_runs_one_normality_report(monkeypatch):
     A = random_normal_matrix(np.random.default_rng(2), 4)
     normal_invariant_recover(A)
     assert len(calls) == 1
+
+
+def test_invariant_report_runs_one_matrix_powers_and_no_per_pair_forms(monkeypatch):
+    powers = _count(monkeypatch, [rotform.invariants], "matrix_powers")
+    modules = [rotform.invariants, rotform.qforms, rotform.quasirot]
+    per_pair = {
+        name: _count(monkeypatch, modules, name)
+        for name in ("rotation_values", "rotation_traces", "rotation_form_matrix")
+    }
+    invariant_report(np.random.default_rng(3).uniform(-1, 1, (9, 9)), seed=1)
+    assert len(powers) == 1
+    assert per_pair == {name: [] for name in per_pair}

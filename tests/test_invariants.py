@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,15 +23,20 @@ from rotform import (
     rotation_form,
 )
 from rotform import evaluate, plane_pairs, qforms
-from rotform.invariants import _pm2, diagonal_rotation_recursion, pm2_sym_skew_residual
+from rotform.invariants import _Parts, _pm2, diagonal_rotation_recursion, pm2_sym_skew_residual
 from rotform.qforms import rotation_form_matrix, rotation_traces, rotation_values
 
 from oracles import (
     ch_form_residuals_by_definition,
+    ch_form_residuals_per_pair,
     ch_trace_residuals_by_definition,
+    ch_trace_residuals_per_pair,
     collings_det_loop,
+    gram_trace_identity_residual_per_pair,
+    invariant_report_per_pair,
     jordan_shear,
     power_form_step_loop,
+    power_form_step_per_pair,
     random_normal_matrix,
     random_unit,
     rotation_scaling_block,
@@ -514,6 +520,19 @@ class TestClosedForms:
             assert float(np.trace(form.matrix)) == float(np.trace(M))
             assert float(u @ (M @ u)) == pytest.approx(evaluate(form, u), abs=1e-12)
 
+    def test_rotation_form_trace_and_square_trace(self):
+        # tr M_kl = A[l,k] - A[k,l] and tr M_kl^2 = (|A_k|^2 + |A_l|^2 +
+        # A[l,k]^2 + A[k,l]^2 - 2 A[k,k] A[l,l]) / 2 per plane pair
+        rng = np.random.default_rng(33)
+        for n in (2, 3, 6, 9):
+            A = rng.standard_normal((n, n))
+            s = _Parts(A)
+            bound = 1e-14 * n * np.max(np.abs(A)) ** 2
+            for j, pair in enumerate(plane_pairs(n)):
+                M = rotation_form_matrix(A, pair)
+                assert s.T[1][j] == float(np.trace(M))
+                assert abs(s.form_sq[j] - float(np.trace(M @ M))) <= bound, (n, pair)
+
     def test_second_minor_sum_bit_identical(self):
         rng = np.random.default_rng(31)
         for n in (2, 3, 6):
@@ -533,3 +552,54 @@ class TestClosedForms:
             for pair in r_def:
                 assert r_res[pair] == pytest.approx(r_def[pair], abs=1e-12)
             assert ch_trace_residuals(A) == ch_trace_residuals_by_definition(A)
+
+
+# Residuals the pair arrays give bit for bit; the others agree to 5e-14.
+_BIT_IDENTICAL = re.compile(
+    r"newton_\d+|ch_vector|ch_expansion|ch_rotation_\d+_\d+|tr_ch_rotation_\d+_\d+"
+    r"|pm2_sym_skew|n4_det"
+)
+_PARITY_DIMS = list(range(1, 17)) + [24, 32]
+
+
+class TestPerPairParity:
+    """The identities over pair arrays against the per-pair loops they replace."""
+
+    @pytest.mark.parametrize("n", _PARITY_DIMS)
+    def test_report_matches_per_pair_report(self, n):
+        rng = np.random.default_rng(300 + n)
+        for seed in range(2):
+            A = rng.uniform(-1, 1, (n, n))
+            report = invariant_report(A, seed=seed)
+            ref = invariant_report_per_pair(A, seed=seed)
+            assert report.pms == ref.pms
+            assert list(report.residuals) == list(ref.residuals)
+            for key, value in ref.residuals.items():
+                if _BIT_IDENTICAL.fullmatch(key):
+                    assert report.residuals[key] == value, (n, key)
+                else:
+                    assert abs(report.residuals[key] - value) <= 5e-14, (n, key)
+
+    @pytest.mark.parametrize("n", _PARITY_DIMS)
+    def test_public_functions_match_per_pair_loops(self, n):
+        rng = np.random.default_rng(400 + n)
+        A = rng.uniform(-1, 1, (n, n))
+        u = random_unit(rng, n)
+        assert ch_form_residuals(A, u) == ch_form_residuals_per_pair(A, u)
+        assert ch_trace_residuals(A) == ch_trace_residuals_per_pair(A)
+        gram = gram_trace_identity_residual(A)
+        assert abs(gram - gram_trace_identity_residual_per_pair(A)) <= 5e-14
+        for m in (1, 2, 3):
+            lhs_e, rhs_e, lhs_r, rhs_r = power_form_step(A, m, u)
+            ref = power_form_step_per_pair(A, m, u)
+            assert (lhs_e, rhs_e, lhs_r) == ref[:3]
+            assert list(rhs_r) == list(ref[3])
+            bound = 1e-13 * max(map(abs, ref[3].values()), default=0.0)
+            for pair, value in ref[3].items():
+                assert abs(rhs_r[pair] - value) <= bound, (n, m, pair)
+
+    def test_one_dimension_has_no_pairs(self):
+        report = invariant_report(np.array([[0.7]]), seed=0)
+        assert not [key for key in report.residuals if "ch_rotation" in key]
+        for m in (1, 2, 3):
+            assert report.residuals[f"power_rotation_{m}"] == 0.0

@@ -2,7 +2,8 @@
 
 The paper's spectrum, forms, Bromwich box and trace/determinant identities
 are homogeneous in A, so scaling A by c > 0 must leave every classification,
-every multiplicity and every relative residual as it was.  Each relation is
+every multiplicity and every relative residual as it was; A and its
+transpose share their spectrum and Bromwich box.  Each relation is
 checked on seeded random matrices, with hypothesis choosing seeds and scales
 deterministically.
 """
@@ -143,6 +144,20 @@ def test_identity_residuals_are_scale_free(seed, n):
                 assert max(value, scaled[key]) <= 1e-13
             else:
                 assert scaled[key] == value, key
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(seed=SEEDS, n=st.sampled_from([12, 16, 24]))
+def test_identity_residuals_are_scale_free_at_larger_n(seed, n):
+    # The per-pair residuals are summed over pair arrays; power-of-two
+    # scaling must still give every residual back bit for bit.
+    A = np.random.default_rng(seed).uniform(-1, 1, (n, n))
+    base = invariant_report(A, seed=seed).residuals
+    for c in (2.0**20, 2.0**-20):
+        scaled = invariant_report(c * A, seed=seed).residuals
+        assert scaled.keys() == base.keys()
+        for key, value in base.items():
+            assert scaled[key] == value, key
 
 
 # At 1e+-160 and 1e+-200 a degree-2 quantity of A (K^T K, A A, a product of
@@ -303,3 +318,22 @@ def test_degree_two_decisions_are_scale_free(seed, c):
     assert [b.shape[1] for _, b, _ in scaled] == [b.shape[1] for _, b, _ in base] == [2, 2, 2]
     for _, _, r in scaled:
         assert r / c <= 1e-12 * np.max(np.abs(S))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=SEEDS)
+def test_eigenstructure_of_transpose_has_the_same_spectrum_and_box(seed):
+    A = _spectral_family(seed)
+    base = eigenstructure(A)
+    moved = eigenstructure(A.T)
+    scale = np.max(np.abs(A))
+    assert moved.flags == ()
+    assert len(moved.entries) == len(base.entries)
+    for x, y in zip(moved.entries, base.entries):
+        assert abs(x.value - y.value) <= 1e-10 * scale
+        assert x.geometric_multiplicity == y.geometric_multiplicity
+    assert [m for _, m in moved.complex_pairs] == [m for _, m in base.complex_pairs]
+    for (z, _), (w, _) in zip(moved.complex_pairs, base.complex_pairs):
+        assert abs(z - w) <= 1e-10 * scale
+    for x, y in zip(moved.bromwich, base.bromwich):
+        assert abs(x - y) <= 1e-12 * scale
