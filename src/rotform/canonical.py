@@ -17,6 +17,7 @@ from .errors import InputError, NumericalError
 from .linalg import DEFAULT_TOL, ascending_runs, as_square, binary_scale, matrix_powers, maxabs
 from .linalg import nullspace, sym_eigen
 from .qforms import is_zero_part
+from .quasirot import _pair_entries, _pair_index
 
 
 @dataclass(frozen=True)
@@ -149,13 +150,10 @@ def normality_report(A, tol=DEFAULT_TOL):
     D, S = split.D / p, split.S / p
     comm = D[:, None] * S - S * D[None, :]
     comm_norm = maxabs(comm)
-    violations = []
-    n = A.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(comm[i, j]) > threshold:
-                rot_trace = 2.0 * split.S[j, i]
-                violations.append((i + 1, j + 1, float(rot_trace), float(split.D[i] - split.D[j])))
+    K, L = _pair_index(A.shape[0])
+    hit = np.abs(comm[K, L]) > threshold
+    violations = zip((K[hit] + 1).tolist(), (L[hit] + 1).tolist(),
+                     _pair_entries(split.S)[hit].tolist(), (split.D[K] - split.D[L])[hit].tolist())
     return NormalityReport(
         is_normal=comm_norm <= threshold,
         violating_pairs=tuple(violations),

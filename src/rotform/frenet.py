@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, InputError
-from .qforms import expansion_form, rotation_form
+from .qforms import expansion_form, rotation_form, rotation_form_matrix
 from .quasirot import plane_pairs
 
 _UNIT_TOL = 1e-8
@@ -173,14 +173,9 @@ def shape_map_frenet(field, x, kappa_tol=1e-8):
 def model_rotation_forms(kappa, tau, sigma):
     """Rotation forms of the idealised shape matrix in the Frenet frame,
     keyed by the (T,N) = (1,2), (T,B) = (1,3) and (N,B) = (2,3) planes."""
-    half = 0.5 * (sigma - tau)
-    return {
-        (1, 2): np.array([[kappa, 0.0, half], [0.0, kappa, 0.0], [half, 0.0, 0.0]]),
-        (1, 3): np.array([[0.0, -half, 0.0], [-half, 0.0, 0.5 * kappa], [0.0, 0.5 * kappa, 0.0]]),
-        (2, 3): np.array(
-            [[0.0, 0.0, -0.5 * kappa], [0.0, tau - sigma, 0.0], [-0.5 * kappa, 0.0, tau - sigma]]
-        ),
-    }
+    A = model_shape_matrix(kappa, tau, sigma)
+    # Adding 0.0 turns the -0.0 that negating a zero entry leaves into 0.0.
+    return {pair: rotation_form_matrix(A, pair) + 0.0 for pair in plane_pairs(3)}
 
 
 @dataclass(frozen=True)

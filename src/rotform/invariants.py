@@ -13,10 +13,9 @@ form M_kl of A has tr(M_kl^2) = (|A_k|^2 + |A_l|^2 + A[l,k]^2 + A[k,l]^2 -
 
 invariant_report computes the powers, minor sums and symmetric/skew parts
 of its matrix once, with the per-pair quantities as arrays over the plane
-pairs K, L = triu_indices(n, 1) (the order of plane_pairs): the rotation
-traces of every power once per matrix, its rotation values once per probe
-vector.  Per-pair terms are summed along the power axis in the order of the
-scalar identities; the public functions return dicts keyed by plane pair.
+pairs (see quasirot): the rotation traces of every power once per matrix,
+its rotation values once per probe vector.  Per-pair terms are summed along
+the power axis in the order of the scalar identities.
 
 The subset determinant expansion and the diagonal-plus-skew determinant
 audit live here too, as does the linear system that recovers the
@@ -45,7 +44,8 @@ from .linalg import (
     minor_sums_from_traces,
 )
 from .qforms import is_zero_part
-from .quasirot import check_plane_pair, rotation_values
+from .quasirot import _pair_entries, _pair_index, _rotation_sum, _wedge
+from .quasirot import check_plane_pair, plane_pairs, rotation_values
 
 COLLINGS_MAX_DIM = 20  # largest n the 2^n subset expansion accepts by default
 # Subsets per stacked determinant call in collings_det.  At n = 16 blocks of
@@ -77,19 +77,13 @@ class _Parts:
         self.signed = [(-1.0) ** k * self.pm[k] for k in range(n + 1)]
         self.sym = 0.5 * (A + A.T)
         self.skew = 0.5 * (A - A.T)
-        self.K, self.L = K, L = np.triu_indices(n, 1)
-        self.pairs = list(zip((K + 1).tolist(), (L + 1).tolist()))
-        self.T = self.pows[:, L, K] - self.pows[:, K, L]
+        self.T = _pair_entries(self.pows)
         self.trace_sq = sum(t ** 2 for t in self.T[1].tolist())  # of A, in pair order
+        K, L = _pair_index(n)
         rows = np.sum(A * A, axis=1)
         self.form_sq = 0.5 * (rows[K] + rows[L] + A[L, K] ** 2 + A[K, L] ** 2
                               - 2.0 * A[K, K] * A[L, L])
         self._probe = None
-
-    def wedge(self, u, W):
-        """(u w^T - w u^T)[k, l] over the plane pairs, for each row w of W:
-        the rotation values at u of a matrix that sends u to w."""
-        return u[self.K] * W[..., self.L] - W[..., self.K] * u[self.L]
 
     def probe(self, u):
         """(u, W, e, V, VT) at unit u: W[p] = A^p u, e[p] = u.A^p u (by vecdot,
@@ -97,8 +91,8 @@ class _Parts:
         A^p and VT those of A^T."""
         if self._probe is None or not np.array_equal(self._probe[0], u):
             W = self.pows @ u
-            VT = self.wedge(u, self.A.T @ u)
-            self._probe = (u.copy(), W, np.vecdot(W, u), self.wedge(u, W), VT)
+            VT = _wedge(u, self.A.T @ u)
+            self._probe = (u.copy(), W, np.vecdot(W, u), _wedge(u, W), VT)
         return self._probe
 
 
@@ -187,7 +181,7 @@ def ch_form_residuals(A, u):
     """
     s, (_, _, e, V, _) = _probed(A, u)
     e_res, r_res = _ch_lines(s, [s.signed[k] * float(e[s.n - k]) for k in range(s.n + 1)], V)
-    return e_res, dict(zip(s.pairs, r_res))
+    return e_res, dict(zip(plane_pairs(s.n), r_res))
 
 
 def ch_trace_residuals(A):
@@ -198,7 +192,7 @@ def ch_trace_residuals(A):
     e_terms = [s.signed[k] * s.traces[n - k - 1] for k in range(n)]
     e_terms.append((-1.0) ** n * n * s.pm[n])
     e_res, r_res = _ch_lines(s, e_terms, s.T)
-    return e_res, dict(zip(s.pairs, r_res))
+    return e_res, dict(zip(plane_pairs(s.n), r_res))
 
 
 def pm2_identity_residual(A):
@@ -380,8 +374,8 @@ def _power_step(s, m, probe):
     # The sum over kl of r_m[kl] (A R_kl u).(R_pq u) is (A w).(R_pq u) with
     # w = sum r_m[kl] R_kl u.  w must come from the coefficients r_m: taking
     # it as A^m u - e_m u would make the recurrence hold by construction.
-    w = np.bincount(s.L, V[m] * u[s.K], s.n) - np.bincount(s.K, V[m] * u[s.L], s.n)
-    rhs_r = e_m * V[1] + s.wedge(u, s.A @ w)
+    w = _rotation_sum(V[m], s.n) @ u
+    rhs_r = e_m * V[1] + _wedge(u, s.A @ w)
     return float(e[m + 1]), rhs_e, V[m + 1], rhs_r
 
 
@@ -396,7 +390,8 @@ def power_form_step(A, m, u):
         raise InputError("power step needs m >= 1")
     s, probe = _probed(A, u, m + 1)
     lhs_e, rhs_e, lhs_r, rhs_r = _power_step(s, m, probe)
-    return lhs_e, rhs_e, dict(zip(s.pairs, lhs_r.tolist())), dict(zip(s.pairs, rhs_r.tolist()))
+    pairs = list(plane_pairs(s.n))
+    return lhs_e, rhs_e, dict(zip(pairs, lhs_r.tolist())), dict(zip(pairs, rhs_r.tolist()))
 
 
 def diagonal_rotation_recursion(A, m, pq):

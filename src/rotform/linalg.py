@@ -62,6 +62,7 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+_MAX_ENTRY = np.finfo(float).max / 4
 
 
 @dataclass(frozen=True)
@@ -77,12 +78,13 @@ class Spectrum:
 
 
 def as_square(A, name="matrix"):
-    """Coerce to a finite square float array, raising InputError otherwise."""
+    """Coerce to a square float array with finite entries of size at most max
+    float / 4, where sums of two entries stay finite; raise InputError otherwise."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise InputError(f"{name} must be square n x n with n >= 1, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InputError(f"{name} has non-finite entries")
+    if not maxabs(A) <= _MAX_ENTRY:
+        raise InputError(f"{name} needs finite entries of size <= max float / 4 = {_MAX_ENTRY:.3g}")
     return A
 
 

@@ -25,7 +25,9 @@ from .linalg import (
 )
 from .quasirot import (
     RotationCoeffs,
+    _pair_entries,
     check_plane_pair,
+    coeffs_to_matrix,
     plane_pairs,
     quasi_rotation,
     reassemble,
@@ -99,7 +101,7 @@ def rotation_form_matrix(A, pair):
 def rotation_traces(A):
     """Trace of every rotation form of A, keyed by plane pair: A[l,k] - A[k,l]."""
     A = as_square(A)
-    return {(k, l): float(A[l - 1, k - 1] - A[k - 1, l - 1]) for k, l in plane_pairs(A.shape[0])}
+    return dict(zip(plane_pairs(A.shape[0]), _pair_entries(A).tolist()))
 
 
 def evaluate(q, u):
@@ -194,8 +196,7 @@ def commutator_forms(A, pair):
     commutator piece is traceless."""
     A = as_square(A)
     n = A.shape[0]
-    k, l = check_plane_pair(n, pair)
-    R = quasi_rotation(n, (k, l))
+    R = quasi_rotation(n, pair)
     Asym = 0.5 * (A + A.T)
     Askew = 0.5 * (A - A.T)
     sym_part = 0.5 * (Asym @ R - R @ Asym)
@@ -207,15 +208,12 @@ def rotation_form_change_of_basis(A, P, pq):
     """Rotation form for the (p, q) plane of the P-basis, expressed on the
     original coordinates as a combination of the original rotation forms."""
     A = as_square(A)
-    P = check_orthogonal(P)
-    n = A.shape[0]
-    if P.shape[0] != n:
+    C = coeffs_to_matrix(rotation_change_of_basis(P, pq))  # P is checked there
+    if C.shape[0] != A.shape[0]:
         raise InputError("basis dimension does not match the matrix")
-    coeffs = rotation_change_of_basis(P, pq)
-    M = np.zeros((n, n))
-    for pair, c in coeffs.items():
-        M += c * rotation_form_matrix(A, pair)
-    return QForm(n, M)
+    # The (k, l) form is sym([R_kl]^T A), so the combination is sym(C^T A).
+    X = C.T @ A
+    return QForm(A.shape[0], 0.5 * (X + X.T))
 
 
 def rotation_trace_sum(A, P):

@@ -2,10 +2,13 @@
 
 A quasi-rotation of the (k, l) basis plane sends b_k -> b_l, b_l -> -b_k and
 annihilates every other basis vector; it is skew and rank 2.  Plane pairs are
-1-based with k < l throughout, iterated in lexicographic order.
+1-based (k, l), k < l, in lexicographic order at the public boundary; inside
+the package, per-pair arrays run in that order over K, L = triu_indices(n, 1),
+the 0-based pair index that only this module builds.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +21,34 @@ def plane_pairs(n):
     for k in range(1, n):
         for l in range(k + 1, n + 1):
             yield (k, l)
+
+
+@lru_cache(maxsize=64)
+def _pair_index(n):
+    """(K, L) = triu_indices(n, 1), the plane_pairs order 0-based; read-only, as shared."""
+    K, L = np.triu_indices(n, 1)
+    K.flags.writeable = L.flags.writeable = False
+    return K, L
+
+
+def _wedge(u, W):
+    """(u w^T - w u^T)[K, L] for each row w of W: the rotation values at u of a map u -> w."""
+    K, L = _pair_index(len(u))
+    return u[K] * W[..., L] - W[..., K] * u[L]
+
+
+def _rotation_sum(c, n):
+    """The skew n x n matrix sum over the plane pairs of c[kl] [R_kl]."""
+    K, L = _pair_index(n)
+    M = np.zeros((n, n))
+    M[L, K] = c
+    return M - M.T
+
+
+def _pair_entries(X):
+    """X[..., L, K] - X[..., K, L]: the traces of the rotation forms of X."""
+    K, L = _pair_index(X.shape[-1])
+    return X[..., L, K] - X[..., K, L]
 
 
 def check_plane_pair(n, pair):
@@ -110,10 +141,8 @@ def almost_orthogonal_expand(u, v, unit_tol=DEFAULT_TOL.residual_tol / 10):
 
 
 def _wedge_values(u, w):
-    """(u w^T - w u^T)[k, l] for every plane pair: the rotation-form values at
-    u of any matrix that sends u to w."""
-    M = np.outer(u, w) - np.outer(w, u)
-    return {(k, l): float(M[k - 1, l - 1]) for k, l in plane_pairs(len(u))}
+    """The wedge of u and w keyed by plane pair."""
+    return dict(zip(plane_pairs(len(u)), _wedge(u, w).tolist()))
 
 
 def rotation_values(A, u):
@@ -126,13 +155,14 @@ def rotation_values(A, u):
 
 
 def reassemble(c0, coeffs, v):
-    """c0*v + sum over pairs coeffs[(k,l)] * R_kl(v)."""
+    """c0*v + sum over pairs coeffs[(k,l)] * R_kl(v), for any mapping coeffs:
+    a plane pair it lacks counts as 0, a key that is no plane pair is refused."""
     v = as_vector(v)
-    out = c0 * v.copy()
-    for (k, l), c in coeffs.items():
-        out[l - 1] += c * v[k - 1]
-        out[k - 1] -= c * v[l - 1]
-    return out
+    values = dict(coeffs.items())
+    c = np.array([values.pop(pair, 0.0) for pair in plane_pairs(len(v))])
+    if values:
+        raise InputError(f"not plane pairs of dimension {len(v)}: {list(values)}")
+    return c0 * v + _rotation_sum(c, len(v)) @ v
 
 
 def skew_rotation_coeffs(S):
@@ -142,32 +172,23 @@ def skew_rotation_coeffs(S):
     if gap > DEFAULT_TOL.residual_tol / 10 * maxabs(S):
         raise InputError(f"matrix is not skew-symmetric: max|S + S^T| = {gap:.3e}")
     n = S.shape[0]
-    return RotationCoeffs(n, {(k, l): float(-S[k - 1, l - 1]) for k, l in plane_pairs(n)})
+    K, L = _pair_index(n)
+    return RotationCoeffs(n, dict(zip(plane_pairs(n), (-S[K, L]).tolist())))
 
 
 def coeffs_to_matrix(coeffs):
     """Sum of coeffs[(k,l)] * [R_kl]; always skew."""
-    n = coeffs.n
-    M = np.zeros((n, n))
-    for (k, l), c in coeffs.items():
-        M[l - 1, k - 1] += c
-        M[k - 1, l - 1] -= c
-    return M
+    return _rotation_sum(coeffs.vector(), coeffs.n)
 
 
 def rotation_change_of_basis(P, pq):
     """Express the quasi-rotation of the (p, q) plane of the basis given by the
     columns of P as a combination of the plane rotations of the original basis.
 
-    c(k, l) = -(P^l_p P^k_q - P^l_q P^k_p), so that sum c(k,l) [R_kl] equals
-    P [R_pq] P^T.
+    c(k, l) = P^k_p P^l_q - P^k_q P^l_p, the wedge of columns p and q of P, so
+    that sum c(k,l) [R_kl] equals P [R_pq] P^T.
     """
     P = check_orthogonal(P)
     n = P.shape[0]
     p, q = check_plane_pair(n, pq)
-    coeffs = {}
-    for k, l in plane_pairs(n):
-        coeffs[(k, l)] = float(
-            -(P[l - 1, p - 1] * P[k - 1, q - 1] - P[l - 1, q - 1] * P[k - 1, p - 1])
-        )
-    return RotationCoeffs(n, coeffs)
+    return RotationCoeffs(n, _wedge_values(P[:, p - 1], P[:, q - 1]))

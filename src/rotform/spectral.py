@@ -24,13 +24,8 @@ from .linalg import (
     real_spectrum,
     sym_eigen,
 )
-from .qforms import (
-    evaluate,
-    expansion_form,
-    is_zero_part,
-    rotation_form,
-    rotation_values,
-)
+from .qforms import evaluate, expansion_form, is_zero_part, rotation_form
+from .quasirot import _wedge
 
 
 @dataclass(frozen=True)
@@ -83,8 +78,7 @@ def common_zero_check(A, u, tol=None):
     if tol is None:
         tol = DEFAULT_TOL.residual_tol * maxabs(A)
     uhat = u / nu
-    values = rotation_values(A, uhat)
-    return max(abs(v) for v in values.values()) <= tol if values else True
+    return maxabs(_wedge(uhat, A @ uhat)) <= tol
 
 
 def bromwich_bounds(A, tol=DEFAULT_TOL):
@@ -128,22 +122,18 @@ def eigenstructure(A, tol=DEFAULT_TOL):
                 f"no eigenvector found at reported eigenvalue {lam:.12g} "
                 f"(rank threshold {threshold:.3e})"
             )
-        residual = 0.0
-        for vec in basis:
-            values = rotation_values(A, vec)
-            vec_res = max(abs(v) for v in values.values()) if values else 0.0
-            residual = max(residual, vec_res)
-            if vec_res > cz_tol:
-                flags.append(
-                    f"eigenvector of {lam:.12g} fails the common-zero check: "
-                    f"rotation residual {vec_res:.3e} exceeds {cz_tol:.3e}"
-                )
+        residuals = [maxabs(_wedge(vec, A @ vec)) for vec in basis]
+        flags.extend(
+            f"eigenvector of {lam:.12g} fails the common-zero check: "
+            f"rotation residual {r:.3e} exceeds {cz_tol:.3e}"
+            for r in residuals if r > cz_tol
+        )
         entries.append(
             SpectralEntry(
                 value=float(lam),
                 geometric_multiplicity=len(basis),
                 eigenspace=tuple(basis),
-                rotation_residual=float(residual),
+                rotation_residual=max(residuals, default=0.0),
             )
         )
     if n % 2 == 1 and not entries:

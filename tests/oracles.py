@@ -23,6 +23,13 @@ per pair in the Gram trace identity, are the library's former
 ch_form_residuals, ch_trace_residuals, pm2_identity_residual,
 gram_trace_identity_residual, power_form_step and invariant_report, kept
 unchanged with the suffix _per_pair; they share the library's _Parts.
+The per-pair loops of quasirot and qforms (the wedge of two vectors, the
+reassembly, the skew coefficients and their matrix, the change of basis of
+a rotation plane, the rotation traces and the rotation form in a new basis)
+are the library's former code, kept unchanged with the suffix _loop, and
+model_rotation_forms_by_hand is the former frenet.model_rotation_forms.
+Every oracle here takes its rotation values and traces from these loops,
+so none shares the library's pair index.
 """
 
 from itertools import combinations, permutations
@@ -55,9 +62,9 @@ from rotform.invariants import (
     newton_residuals,
     pm2_sym_skew_residual,
 )
-from rotform.qforms import is_zero_part, rotation_form_matrix, rotation_traces
+from rotform.qforms import QForm, is_zero_part, rotation_form_matrix
 from rotform.linalg import Spectrum, _cluster_points, as_square, char_poly_coeffs, maxabs
-from rotform.quasirot import _wedge_values, reassemble, rotation_values
+from rotform.quasirot import RotationCoeffs, check_plane_pair
 
 _JACOBI_MAX_SWEEPS = 100
 _ROOT_MAX_ITER = 600
@@ -357,14 +364,14 @@ def power_form_step_loop(A, m, u):
         pows.append(pows[-1] @ A)
     e_m = float(u @ (pows[m] @ u))
     e_1 = float(u @ (A @ u))
-    r_m = rotation_values(pows[m], u)
-    r_T = rotation_values(A.T, u)
+    r_m = rotation_values_loop(pows[m], u)
+    r_T = rotation_values_loop(A.T, u)
     lhs_e = float(u @ (pows[m + 1] @ u))
     rhs_e = e_m * e_1 + sum(r_m[pair] * r_T[pair] for pair in plane_pairs(n))
 
-    r_1 = rotation_values(A, u)
+    r_1 = rotation_values_loop(A, u)
     images = {pair: A @ apply_quasi_rotation(u, pair) for pair in plane_pairs(n)}
-    lhs_r = rotation_values(pows[m + 1], u)
+    lhs_r = rotation_values_loop(pows[m + 1], u)
     rhs_r = {}
     for pq in plane_pairs(n):
         rot_pq = apply_quasi_rotation(u, pq)
@@ -597,7 +604,7 @@ def ch_form_residuals_per_pair(A, u):
         raise InputError("probe vector must match the matrix dimension")
     e_terms = [(-1.0) ** k * pm[k] * float(u @ (s.pows[n - k] @ u)) for k in range(n + 1)]
     expansion_residual = _rel(sum(e_terms), e_terms, s.scale, n)
-    values = [rotation_values(s.pows[n - k], u) for k in range(n)]
+    values = [rotation_values_loop(s.pows[n - k], u) for k in range(n)]
     rotation_residuals = {}
     for pair in plane_pairs(n):
         r_terms = [(-1.0) ** k * pm[k] * values[k][pair] for k in range(n)]
@@ -612,7 +619,7 @@ def ch_trace_residuals_per_pair(A):
     e_terms = [(-1.0) ** k * pm[k] * s.traces[n - k - 1] for k in range(n)]
     e_terms.append((-1.0) ** n * n * pm[n])
     expansion_residual = _rel(sum(e_terms), e_terms, s.scale, n)
-    traces = [rotation_traces(s.pows[n - k]) for k in range(n)]
+    traces = [rotation_traces_loop(s.pows[n - k]) for k in range(n)]
     rotation_residuals = {}
     for pair in plane_pairs(n):
         r_terms = [(-1.0) ** k * pm[k] * traces[k][pair] for k in range(n)]
@@ -621,13 +628,13 @@ def ch_trace_residuals_per_pair(A):
 
 
 def pm2_identity_residual_per_pair(A):
-    """pm2_identity_residual with the traces from rotation_traces."""
+    """pm2_identity_residual with the traces from rotation_traces_loop."""
     s = _parts(A)
     if s.n < 2:
         raise InputError("the second minor sum needs n >= 2")
     pm2 = s.pm[2]
     pm2_sym = _pm2(s.sym)
-    trace_sq = sum(t ** 2 for t in rotation_traces(s.A).values())
+    trace_sq = sum(t ** 2 for t in rotation_traces_loop(s.A).values())
     rhs = pm2_sym + 0.25 * trace_sq
     return _rel(pm2 - rhs, [pm2, pm2_sym, 0.25 * trace_sq], s.scale, 2)
 
@@ -644,7 +651,7 @@ def gram_trace_identity_residual_per_pair(A):
         M = rotation_form_matrix(A, pair)
         rot_sq += float(np.trace(M @ M))
         pm2_rot += _pm2(M)
-    trace_sq = sum(t ** 2 for t in rotation_traces(A).values())
+    trace_sq = sum(t ** 2 for t in rotation_traces_loop(A).values())
     first = _rel(lhs - 2.0 * rot_sq - tr_e**2, [lhs, 2.0 * rot_sq, tr_e**2], s.scale, 2)
     if n < 2:
         return first
@@ -655,7 +662,7 @@ def gram_trace_identity_residual_per_pair(A):
 
 def power_form_step_per_pair(A, m, u):
     """power_form_step with dicts of rotation values and the contraction
-    vector from reassemble."""
+    vector from reassemble_loop."""
     s = _parts(A, m + 1)
     A, n, pows = s.A, s.n, s.pows
     if m < 1:
@@ -665,17 +672,17 @@ def power_form_step_per_pair(A, m, u):
         raise InputError("probe vector must match the matrix dimension")
     e_m = float(u @ (pows[m] @ u))
     e_1 = float(u @ (A @ u))
-    r_m = rotation_values(pows[m], u)
-    r_T = rotation_values(A.T, u)
+    r_m = rotation_values_loop(pows[m], u)
+    r_T = rotation_values_loop(A.T, u)
     lhs_e = float(u @ (pows[m + 1] @ u))
     rhs_e = e_m * e_1 + sum(r_m[pair] * r_T[pair] for pair in plane_pairs(n))
 
     # The sum over kl of r_m[kl] (A R_kl u).(R_pq u) is (A w).(R_pq u) with
     # w = sum r_m[kl] R_kl u.  w must come from the coefficients r_m: taking
     # it as A^m u - e_m u would make the recurrence hold by construction.
-    r_1 = rotation_values(A, u)
-    lhs_r = rotation_values(pows[m + 1], u)
-    cross = _wedge_values(u, A @ reassemble(0.0, r_m, u))
+    r_1 = rotation_values_loop(A, u)
+    lhs_r = rotation_values_loop(pows[m + 1], u)
+    cross = _wedge_values_loop(u, A @ reassemble_loop(0.0, r_m, u))
     rhs_r = {pq: e_m * r_1[pq] + cross[pq] for pq in plane_pairs(n)}
     return lhs_e, rhs_e, lhs_r, rhs_r
 
@@ -725,3 +732,81 @@ def invariant_report_per_pair(A, seed=0, power_steps=3):
         residuals=residuals,
         ecs=euler_cauchy_stokes(s),
     )
+
+
+def _wedge_values_loop(u, w):
+    """(u w^T - w u^T)[k, l] for every plane pair: the rotation-form values at
+    u of any matrix that sends u to w."""
+    M = np.outer(u, w) - np.outer(w, u)
+    return {(k, l): float(M[k - 1, l - 1]) for k, l in plane_pairs(len(u))}
+
+
+def rotation_values_loop(A, u):
+    """All rotation-form values A(u).R_kl(u) at once, keyed by plane pair."""
+    return _wedge_values_loop(u, A @ u)
+
+
+def reassemble_loop(c0, coeffs, v):
+    """c0*v + sum over pairs coeffs[(k,l)] * R_kl(v)."""
+    out = c0 * v.copy()
+    for (k, l), c in coeffs.items():
+        out[l - 1] += c * v[k - 1]
+        out[k - 1] -= c * v[l - 1]
+    return out
+
+
+def skew_rotation_coeffs_loop(S):
+    """Coefficients of a skew matrix over the quasi-rotation basis: c(k,l) = -S[k,l]."""
+    n = S.shape[0]
+    return RotationCoeffs(n, {(k, l): float(-S[k - 1, l - 1]) for k, l in plane_pairs(n)})
+
+
+def coeffs_to_matrix_loop(coeffs):
+    """Sum of coeffs[(k,l)] * [R_kl]; always skew."""
+    n = coeffs.n
+    M = np.zeros((n, n))
+    for (k, l), c in coeffs.items():
+        M[l - 1, k - 1] += c
+        M[k - 1, l - 1] -= c
+    return M
+
+
+def rotation_change_of_basis_loop(P, pq):
+    """c(k, l) = -(P^l_p P^k_q - P^l_q P^k_p), so that sum c(k,l) [R_kl]
+    equals P [R_pq] P^T."""
+    n = P.shape[0]
+    p, q = check_plane_pair(n, pq)
+    coeffs = {}
+    for k, l in plane_pairs(n):
+        coeffs[(k, l)] = float(
+            -(P[l - 1, p - 1] * P[k - 1, q - 1] - P[l - 1, q - 1] * P[k - 1, p - 1])
+        )
+    return RotationCoeffs(n, coeffs)
+
+
+def rotation_traces_loop(A):
+    """Trace of every rotation form of A, keyed by plane pair: A[l,k] - A[k,l]."""
+    return {(k, l): float(A[l - 1, k - 1] - A[k - 1, l - 1]) for k, l in plane_pairs(A.shape[0])}
+
+
+def rotation_form_change_of_basis_loop(A, P, pq):
+    """The (p, q) rotation form of the P-basis as the sum of the original
+    rotation forms, one rotation_form_matrix per plane pair."""
+    n = A.shape[0]
+    coeffs = rotation_change_of_basis_loop(P, pq)
+    M = np.zeros((n, n))
+    for pair, c in coeffs.items():
+        M += c * rotation_form_matrix(A, pair)
+    return QForm(n, M)
+
+
+def model_rotation_forms_by_hand(kappa, tau, sigma):
+    """The rotation forms of frenet.model_shape_matrix, written out."""
+    half = 0.5 * (sigma - tau)
+    return {
+        (1, 2): np.array([[kappa, 0.0, half], [0.0, kappa, 0.0], [half, 0.0, 0.0]]),
+        (1, 3): np.array([[0.0, -half, 0.0], [-half, 0.0, 0.5 * kappa], [0.0, 0.5 * kappa, 0.0]]),
+        (2, 3): np.array(
+            [[0.0, 0.0, -0.5 * kappa], [0.0, tau - sigma, 0.0], [-0.5 * kappa, 0.0, tau - sigma]]
+        ),
+    }

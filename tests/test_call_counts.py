@@ -11,9 +11,12 @@ import rotform.quasirot
 import rotform.spectral
 from rotform import (
     bromwich_bounds,
+    common_zero_check,
+    eigenstructure,
     invariant_report,
     normal_invariant_recover,
     skew_canonical_basis,
+    sym_eigen,
 )
 
 from oracles import random_normal_matrix
@@ -66,3 +69,15 @@ def test_invariant_report_runs_one_matrix_powers_and_no_per_pair_forms(monkeypat
     invariant_report(np.random.default_rng(3).uniform(-1, 1, (9, 9)), seed=1)
     assert len(powers) == 1
     assert per_pair == {name: [] for name in per_pair}
+
+
+def test_spectral_and_identity_analyses_build_no_rotation_value_dicts(monkeypatch):
+    modules = [rotform.spectral, rotform.invariants, rotform.qforms, rotform.quasirot]
+    calls = _count(monkeypatch, modules, "rotation_values")
+    A = np.random.default_rng(5).uniform(-1, 1, (7, 7))
+    S = A + A.T
+    eigenstructure(S)
+    common_zero_check(S, sym_eigen(S)[1][:, 0])
+    common_zero_check(A, np.ones(7))
+    invariant_report(A, seed=2)
+    assert calls == []

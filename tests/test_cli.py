@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,16 @@ class TestExitCodes:
         assert main(["analyze", "--input", matrix]) == 2
         err = capsys.readouterr().err
         assert ":2:3:" in err
+
+    @pytest.mark.parametrize("command", ["planar", "analyze"])
+    def test_entries_above_the_limit_exit_two_without_warning(self, tmp_path, capsys, command):
+        matrix = write(tmp_path, "m.txt", "1e308 -1e308\n1e308 1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--input", matrix]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max float / 4" in captured.err
 
     def test_unknown_tolerance_rejected(self, tmp_path, capsys):
         matrix = write(tmp_path, "m.txt", "1 0\n0 1\n")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from rotform import (
     ToleranceConfig,
     eigenstructure,
     nullspace,
+    planar_analyze,
     principal_minor_sums,
     random_orthogonal,
     real_spectrum,
@@ -466,3 +469,28 @@ class TestToleranceConfig:
 
     def test_defaults(self):
         assert DEFAULT_TOL.residual_tol == 1e-9
+
+
+class TestEntryLimit:
+    """Entries above max float / 4 are refused where a matrix enters; the
+    symmetric and skew parts of an accepted matrix stay finite."""
+
+    TOP = [[1e308, -1e308], [1e308, 1e308]]
+
+    def test_top_of_the_double_range_is_input_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="max float / 4"):
+                planar_analyze(self.TOP)
+            with pytest.raises(InputError, match="max float / 4"):
+                eigenstructure(self.TOP)
+
+    def test_non_finite_entries_are_input_error(self):
+        with pytest.raises(InputError, match="finite entries"):
+            eigenstructure([[np.inf, 0.0], [0.0, np.nan]])
+
+    def test_largest_eigenvalue_below_the_limit_is_still_reported(self):
+        report = eigenstructure(1e306 * np.ones((32, 32)))
+        assert report.flags == ()
+        top = max(entry.value for entry in report.entries)
+        assert abs(top - 3.2e307) <= 1e-12 * 3.2e307

@@ -3,7 +3,9 @@
 The paper's spectrum, forms, Bromwich box and trace/determinant identities
 are homogeneous in A, so scaling A by c > 0 must leave every classification,
 every multiplicity and every relative residual as it was; A and its
-transpose share their spectrum and Bromwich box.  Each relation is
+transpose share their spectrum and Bromwich box; under an orthogonal
+change of basis the rotation forms move as rotation_form_change_of_basis
+says and normality is kept.  Each relation is
 checked on seeded random matrices, with hypothesis choosing seeds and scales
 deterministically.
 """
@@ -17,12 +19,15 @@ from rotform import (
     bromwich_bounds,
     common_zero_check,
     eigenstructure,
+    form_family,
     invariant_report,
     normal_invariant_recover,
     normality_report,
     planar_analyze,
+    plane_pairs,
     principal_minor_sums,
     random_orthogonal,
+    rotation_form_change_of_basis,
     skew_canonical_basis,
     skew_square_structure,
     sym_eigen,
@@ -337,3 +342,27 @@ def test_eigenstructure_of_transpose_has_the_same_spectrum_and_box(seed):
         assert abs(z - w) <= 1e-10 * scale
     for x, y in zip(moved.bromwich, base.bromwich):
         assert abs(x - y) <= 1e-12 * scale
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(seed=SEEDS, n=st.integers(2, 8), c=st.sampled_from([1e-8, 1.0, 1e8]))
+def test_rotation_forms_follow_an_orthogonal_change_of_basis(seed, n, c):
+    rng = np.random.default_rng(seed)
+    A = c * rng.uniform(-1, 1, (n, n))
+    Q = random_orthogonal(n, seed + 1)
+    family = form_family(A, Q)
+    pairs = list(plane_pairs(n))
+    for pq in (pairs[0], pairs[-1], pairs[int(rng.integers(len(pairs)))]):
+        moved = Q.T @ rotation_form_change_of_basis(A, Q, pq).matrix @ Q
+        assert np.max(np.abs(moved - family.rotations[pq].matrix)) <= 1e-12 * np.max(np.abs(A))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(seed=SEEDS, n=st.integers(2, 8))
+def test_normality_is_orthogonally_invariant(seed, n):
+    rng = np.random.default_rng(seed)
+    A = random_normal_matrix(rng, n) if seed % 2 else rng.standard_normal((n, n))
+    Q = random_orthogonal(n, seed + 1)
+    expected = normality_report(A).is_normal
+    assert expected == bool(seed % 2)
+    assert normality_report(Q @ A @ Q.T).is_normal == expected
