@@ -10,11 +10,13 @@ per power and plane), which the library's closed forms replace, and are
 normalised by the library's own _rel, so both sides share one definition of
 a relative residual.  The subset determinant expansion and the power-form
 recurrence step are kept here as the plain loops the library's batched
-versions replace.  The full spectrum by Durand-Kerner roots of the
-trace-recurrence characteristic polynomial, with multiplicity-aware Newton
-polish, is the library's former general eigenvalue path, kept unchanged as
-polynomial_spectrum (its union-find clustering is the library's
-_cluster_points).  The skew block reduction by deflation, one certified
+versions replace; det_exact, mpmath's determinant at 60 digits, is the
+exact reference for the subset expansion, whose Schur-complement recursion
+rounds unlike a per-subset LU.  The full spectrum by Durand-Kerner roots of
+the trace-recurrence characteristic polynomial, with multiplicity-aware
+Newton polish, is the library's former general eigenvalue path, kept
+unchanged as polynomial_spectrum (its union-find clustering is the
+library's _cluster_points).  The skew block reduction by deflation, one certified
 eigen-solve of Ksub^T Ksub and one projector SVD per rotation plane, is the
 library's former skew_canonical_basis, kept as
 skew_canonical_basis_deflation.  The identity residuals with one Python
@@ -27,13 +29,17 @@ The per-pair loops of quasirot and qforms (the wedge of two vectors, the
 reassembly, the skew coefficients and their matrix, the change of basis of
 a rotation plane, the rotation traces and the rotation form in a new basis)
 are the library's former code, kept unchanged with the suffix _loop, and
-model_rotation_forms_by_hand is the former frenet.model_rotation_forms.
+model_rotation_forms_by_hand is the former frenet.model_rotation_forms,
+and diagonal_rotation_recursion_by_dicts the former
+diagonal_rotation_recursion, which read each rotation value from a dict
+over all plane pairs.
 Every oracle here takes its rotation values and traces from these loops,
 so none shares the library's pair index.
 """
 
 from itertools import combinations, permutations
 
+import mpmath
 import numpy as np
 
 from rotform import (
@@ -63,7 +69,14 @@ from rotform.invariants import (
     pm2_sym_skew_residual,
 )
 from rotform.qforms import QForm, is_zero_part, rotation_form_matrix
-from rotform.linalg import Spectrum, _cluster_points, as_square, char_poly_coeffs, maxabs
+from rotform.linalg import (
+    Spectrum,
+    _cluster_points,
+    as_square,
+    char_poly_coeffs,
+    matrix_powers,
+    maxabs,
+)
 from rotform.quasirot import RotationCoeffs, check_plane_pair
 
 _JACOBI_MAX_SWEEPS = 100
@@ -351,6 +364,17 @@ def collings_det_loop(Dd, B):
                 b_part = 1.0
             total += d_part * b_part
     return total
+
+
+def det_exact(M, digits=60):
+    """det M by mpmath's LU at `digits` significant digits, as an mpf."""
+    with mpmath.workdps(digits):
+        try:
+            return +mpmath.det(mpmath.matrix(np.asarray(M, dtype=float).tolist()))
+        except TypeError:
+            # mpmath's LU finds no pivot when a column of the reduced matrix
+            # is exactly zero (it indexes with None); the determinant is 0.
+            return mpmath.mpf(0)
 
 
 def power_form_step_loop(A, m, u):
@@ -744,6 +768,27 @@ def _wedge_values_loop(u, w):
 def rotation_values_loop(A, u):
     """All rotation-form values A(u).R_kl(u) at once, keyed by plane pair."""
     return _wedge_values_loop(u, A @ u)
+
+
+def diagonal_rotation_recursion_by_dicts(A, m, pq):
+    """diagonal_rotation_recursion with every rotation value read from a
+    rotation_values_loop dict over all plane pairs, up to n + 2 of them."""
+    A = as_square(A)
+    n = A.shape[0]
+    p, q = check_plane_pair(n, pq)
+    pows = matrix_powers(A, m + 1)
+    b = np.eye(n)  # b[i - 1] is the basis vector b_i
+    r_m = rotation_values_loop(pows[m], b[p - 1])
+    lhs = rotation_values_loop(pows[m + 1], b[p - 1])[(p, q)]
+    rhs = pows[m][p - 1, p - 1] * rotation_values_loop(A, b[p - 1])[(p, q)]
+    rhs += r_m[(p, q)] * A[q - 1, q - 1]
+    for l in range(p + 1, q):
+        rhs += r_m[(p, l)] * rotation_values_loop(A, b[l - 1])[(l, q)]
+    for l in range(q + 1, n + 1):
+        rhs -= r_m[(p, l)] * rotation_values_loop(A, b[l - 1])[(q, l)]
+    for k in range(1, p):
+        rhs -= r_m[(k, p)] * rotation_values_loop(A, b[k - 1])[(k, q)]
+    return lhs, rhs
 
 
 def reassemble_loop(c0, coeffs, v):

@@ -15,9 +15,11 @@ from rotform import (
     eigenstructure,
     invariant_report,
     normal_invariant_recover,
+    plane_pairs,
     skew_canonical_basis,
     sym_eigen,
 )
+from rotform.invariants import diagonal_rotation_recursion
 
 from oracles import random_normal_matrix
 
@@ -80,4 +82,13 @@ def test_spectral_and_identity_analyses_build_no_rotation_value_dicts(monkeypatc
     common_zero_check(S, sym_eigen(S)[1][:, 0])
     common_zero_check(A, np.ones(7))
     invariant_report(A, seed=2)
+    assert calls == []
+
+
+def test_diagonal_rotation_recursion_builds_no_rotation_value_dicts(monkeypatch):
+    modules = [rotform.invariants, rotform.qforms, rotform.quasirot]
+    calls = _count(monkeypatch, modules, "rotation_values")
+    A = np.random.default_rng(6).uniform(-1, 1, (6, 6))
+    for pair in plane_pairs(6):
+        diagonal_rotation_recursion(A, 2, pair)
     assert calls == []

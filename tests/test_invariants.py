@@ -1,6 +1,8 @@
 import re
 import tracemalloc
+from math import prod
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,6 +34,8 @@ from oracles import (
     ch_trace_residuals_by_definition,
     ch_trace_residuals_per_pair,
     collings_det_loop,
+    det_exact,
+    diagonal_rotation_recursion_by_dicts,
     gram_trace_identity_residual_per_pair,
     invariant_report_per_pair,
     jordan_shear,
@@ -259,32 +263,57 @@ class TestCollingsDet:
             collings_det(np.eye(21), np.eye(21))
 
 
+EPS = np.finfo(float).eps
+
+
+def _term_mass(D, B):
+    """prod_i (|d_i| + |row i of B|_2): it bounds every term of the subset
+    expansion, and so |det(D + B)|."""
+    return float(np.prod(np.abs(np.diag(D)) + np.linalg.norm(B, axis=1)))
+
+
+def _assert_near_exact(D, B):
+    """collings_det is within n eps times the term mass of the exact
+    determinant, here mpmath's at 60 digits."""
+    bound = len(D) * EPS * _term_mass(D, B)
+    gap = float(abs(mpmath.mpf(collings_det(D, B)) - det_exact(D + B)))
+    assert gap <= bound, (len(D), gap / bound if bound else gap)
+
+
 class TestCollingsBatched:
-    """The batched subset expansion against the one-subset-at-a-time loop:
-    same minors, same term order, same additions, so equal bit for bit."""
+    """The Schur-complement recursion against the exact determinant and the
+    one-subset-at-a-time loop.  The recursion rounds differently from a
+    pivoted LU per subset, so both comparisons are bounds in units of
+    n eps times the term mass, not bit equality."""
 
     @staticmethod
     def _split(A):
         D = np.diag(np.diag(A))
         return D, A - D
 
-    def test_equals_loop_exactly(self):
+    def _cases(self, rng, n):
+        A = rng.uniform(-1, 1, (n, n))
+        graded = 2.0 ** rng.uniform(-30, 30, n)
+        return [
+            self._split(A),
+            self._split(rng.integers(-5, 6, (n, n)).astype(float)),
+            self._split(np.triu(A)),
+            (np.diag(rng.uniform(-2, 2, n)), A - np.diag(np.diag(A))),
+            self._split(1e-6 * A),
+            self._split(1e6 * A),
+            self._split(graded[:, None] * A),
+            self._split(A * graded[None, :]),
+        ]
+
+    def test_within_bound_of_exact_and_loop(self):
         rng = np.random.default_rng(41)
-        for n in range(1, 13):
-            A = rng.uniform(-1, 1, (n, n))
-            cases = [
-                self._split(A),
-                self._split(rng.integers(-5, 6, (n, n)).astype(float)),
-                self._split(np.triu(A)),
-                (np.diag(rng.uniform(-2, 2, n)), A - np.diag(np.diag(A))),
-                self._split(1e-6 * A),
-                self._split(1e6 * A),
-            ]
-            for D, B in cases:
-                assert collings_det(D, B) == collings_det_loop(D, B), n
-        # several full blocks per subset size
-        D, B = self._split(rng.uniform(-1, 1, (14, 14)))
-        assert collings_det(D, B) == collings_det_loop(D, B)
+        cases = [case for n in range(1, 13) for case in self._cases(rng, n)]
+        cases.append(self._split(rng.uniform(-1, 1, (14, 14))))
+        for D, B in cases:
+            _assert_near_exact(D, B)
+            n = len(D)
+            gap = abs(collings_det(D, B) - collings_det_loop(D, B))
+            assert gap <= 4 * n * EPS * _term_mass(D, B), n
 
     def test_working_set_stays_small_at_sixteen(self):
         # blocks bound the working set; one stack per subset size peaks
@@ -301,6 +330,77 @@ class TestCollingsBatched:
     def test_diagonal_check_is_relative(self):
         with pytest.raises(InputError):
             collings_det(1e-13 * np.ones((2, 2)), np.zeros((2, 2)))
+
+    def test_working_set_at_twenty(self):
+        # the largest n the expansion accepts; the per-subset LUs peaked
+        # at 2.7 MB here
+        D, B = self._split(np.random.default_rng(44).uniform(-1, 1, (20, 20)))
+        tracemalloc.start()
+        try:
+            collings_det(D, B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_700_000
+
+    # Structured B on which a pivot is zero, a row or column vanishes, or
+    # the determinant cancels: the shift and its removal must stay exact
+    # where the expansion is, and within the bound elsewhere.
+
+    def test_zero_diagonal(self):
+        rng = np.random.default_rng(45)
+        for n in range(2, 11):
+            B = rng.uniform(-1, 1, (n, n))
+            np.fill_diagonal(B, 0.0)
+            _assert_near_exact(np.diag(rng.uniform(-2, 2, n)), B)
+            _assert_near_exact(np.zeros((n, n)), B)
+
+    def test_zero_b_gives_the_diagonal_product(self):
+        rng = np.random.default_rng(46)
+        for n in range(1, 11):
+            d = rng.uniform(-2, 2, n)
+            assert collings_det(np.diag(d), np.zeros((n, n))) == prod(d.tolist())
+
+    def test_strictly_triangular_b_gives_the_diagonal_product(self):
+        rng = np.random.default_rng(47)
+        for n in range(1, 11):
+            d = rng.uniform(-2, 2, n)
+            A = rng.uniform(-1, 1, (n, n))
+            for B in (np.triu(A, 1), np.tril(A, -1)):
+                assert collings_det(np.diag(d), B) == prod(d.tolist())
+
+    def test_low_rank(self):
+        rng = np.random.default_rng(48)
+        for n in range(2, 11):
+            X, Y = rng.uniform(-1, 1, (2, n, 2))
+            for rank in (1, 2):
+                B = X[:, :rank] @ Y[:, :rank].T
+                _assert_near_exact(np.diag(rng.uniform(-1, 1, n)), B)
+                _assert_near_exact(*self._split(B))
+
+    def test_skew_b_with_zero_diagonal_matrix(self):
+        rng = np.random.default_rng(49)
+        for n in range(1, 11):
+            A = rng.uniform(-1, 1, (n, n))
+            _assert_near_exact(np.zeros((n, n)), A - A.T)
+
+    def test_similarity_graded(self):
+        # this draw holds a 10 x 10 case that misses the bound by 1.5 times
+        # when only the rows, not the columns, are scaled
+        rng = np.random.default_rng(67)
+        for n in range(2, 11):
+            g = 2.0 ** rng.uniform(-30, 30, n)
+            _assert_near_exact(*self._split(g[:, None] * rng.uniform(-1, 1, (n, n)) / g[None, :]))
+
+    def test_zero_row(self):
+        rng = np.random.default_rng(51)
+        for n in range(2, 11):
+            D, B = self._split(rng.uniform(-1, 1, (n, n)))
+            i = int(rng.integers(n))
+            B[i] = 0.0
+            _assert_near_exact(D, B)
+            D[i, i] = 0.0
+            assert collings_det(D, B) == 0.0
 
 
 class TestN4DetAudit:
@@ -416,6 +516,16 @@ class TestPowerFormStep:
                 for q in range(p + 1, 5):
                     lhs, rhs = diagonal_rotation_recursion(A, m, (p, q))
                     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+
+    def test_diagonal_recursion_equals_dict_version_exactly(self):
+        rng = np.random.default_rng(24)
+        for n in range(2, 9):
+            A = rng.uniform(-1, 1, (n, n))
+            for m in (1, 2, 3):
+                for pair in plane_pairs(n):
+                    assert diagonal_rotation_recursion(A, m, pair) == (
+                        diagonal_rotation_recursion_by_dicts(A, m, pair)
+                    ), (n, m, pair)
 
     def test_rejects_non_unit(self):
         with pytest.raises(InputError):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from rotform import (
     QForm,
     bromwich_bounds,
+    collings_det,
     common_zero_check,
     eigenstructure,
     form_family,
@@ -149,6 +150,19 @@ def test_identity_residuals_are_scale_free(seed, n):
                 assert max(value, scaled[key]) <= 1e-13
             else:
                 assert scaled[key] == value, key
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 12), j=st.sampled_from([-20, -3, 5, 30]))
+def test_collings_det_scales_exactly_by_powers_of_two(seed, n, j):
+    # Row and column scales, pivots, shifts and weights all scale by 2^j
+    # without rounding, so det(2^j (D + B)) comes back as 2^(jn) det exactly.
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1, 1, (n, n)) * 2.0 ** rng.uniform(-30, 30, n)[:, None]
+    D = np.diag(np.diag(A)) * (seed % 2)  # half the cases pivot on a zero diagonal
+    B = A - np.diag(np.diag(A))
+    scaled = collings_det(np.ldexp(D, j), np.ldexp(B, j))
+    assert scaled == np.ldexp(collings_det(D, B), j * n)
 
 
 @settings(derandomize=True, max_examples=6, deadline=None)
