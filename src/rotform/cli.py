@@ -20,7 +20,7 @@ import numpy as np
 
 from . import canonical, frenet, invariants, qforms, spectral
 from .errors import InputError, NumericalError
-from .linalg import DEFAULT_TOL, ToleranceConfig, maxabs
+from .linalg import DEFAULT_TOL, ToleranceConfig, maxabs, random_unit
 
 
 @dataclasses.dataclass
@@ -40,7 +40,7 @@ class AnalysisRequest:
 
 def _format_float(x):
     if x != x:
-        raise InputError("cannot serialise NaN")
+        raise NumericalError("a report value is NaN")
     s = format(float(x), ".17g")
     if "inf" in s:
         return '"inf"' if x > 0 else '"-inf"'
@@ -49,53 +49,33 @@ def _format_float(x):
     return s
 
 
-def _emit(obj, out, indent):
-    pad = "  " * indent
+def _render(obj, pad=""):
+    """JSON text of obj; the entries of a dict or list go on their own lines,
+    indented two spaces past pad.  Floats, most of every report, are tested first."""
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(obj)
+    if isinstance(obj, np.ndarray):
+        return _render(obj.tolist(), pad)
+    if isinstance(obj, complex):
+        return _render({"re": obj.real, "im": obj.imag}, pad)
+    if isinstance(obj, (bool, str)) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    inner = pad + "  "
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (key, value) in enumerate(items):
-            out.append(pad + "  " + json.dumps(str(key)) + ": ")
-            _emit(value, out, indent + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
+        items, ends = [f"{json.dumps(str(k))}: {_render(v, inner)}" for k, v in obj.items()], "{}"
     elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(seq):
-            out.append(pad + "  ")
-            _emit(value, out, indent + 1)
-            out.append(",\n" if i + 1 < len(seq) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(obj))
-    elif isinstance(obj, complex):
-        _emit({"re": obj.real, "im": obj.imag}, out, indent)
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out, indent)
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        items, ends = [_render(v, inner) for v in obj], "[]"
     else:
         raise InputError(f"cannot serialise object of type {type(obj)!r}")
+    if not items:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
 
 
 def render_report(document):
-    out = []
-    _emit(document, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return _render(document) + "\n"
 
 
 def _write_report(text, output_path):
@@ -246,13 +226,10 @@ def _normality_section(report):
 def _forms_section(A, tol, seed, bromwich):
     """Form report for A; bromwich is A's Bromwich box, whose real bounds are
     the expansion-form extremes."""
-    n = A.shape[0]
     e_form = qforms.expansion_form(A)
     lo, hi = bromwich[:2]
     rotation_traces = {_pair_key(pair): t for pair, t in qforms.rotation_traces(A).items()}
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(n)
-    u = u / np.linalg.norm(u)
+    u = random_unit(np.random.default_rng(seed), A.shape[0])
     dec = qforms.decompose(A, u, tol)
     w = A @ u
     norm_gap = abs(float(w @ w) - dec.e**2 - dec.r.norm_sq())
@@ -475,7 +452,7 @@ def _parse_tol(pairs):
             raise InputError(f"tolerance override must look like name=value, got {item!r}")
         name, _, raw = item.partition("=")
         name = name.strip()
-        if name not in ("eig_off_tol", "rank_tol", "residual_tol"):
+        if name not in {field.name for field in dataclasses.fields(ToleranceConfig)}:
             raise InputError(f"unknown tolerance {name!r}")
         try:
             values[name] = float(raw)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, InputError
-from .qforms import expansion_form, rotation_form, rotation_form_matrix
+from .linalg import as_direction
+from .qforms import rotation_form, rotation_form_matrix
 from .quasirot import plane_pairs
 
 _UNIT_TOL = 1e-8
@@ -127,9 +128,10 @@ def model_shape_matrix(kappa, tau, sigma):
 
 
 def _shape_map(field, x, kappa_tol):
-    """FrenetData at x, plus the Jacobian there and the differences dN, dB
-    of the normal and binormal fields along T.  The field and its Jacobian
-    are sampled once each at x and at the four stencil points along T."""
+    """FrenetData at x, its compare_matrix_to_model findings, the Jacobian
+    there and the differences dN, dB of the normal and binormal fields along
+    T.  The field and its Jacobian are sampled once each at x and at the
+    four stencil points along T."""
     x = _point(x)
     T, N, J, kappa = _frame_at(field, x, kappa_tol)
     B = np.cross(T, N)
@@ -141,12 +143,13 @@ def _shape_map(field, x, kappa_tol):
     F = np.column_stack([T, N, B])
     A_F = F.T @ J @ F
     sigma = tau - float(A_F[2, 1])
+    base = compare_matrix_to_model(A_F, kappa, tau, sigma)
     data = FrenetData(
         T=T, N=N, B=B, kappa=kappa, tau=tau, sigma=sigma,
         shape_matrix=A_F, model_matrix=model_shape_matrix(kappa, tau, sigma),
-        skew_residual=float(np.max(np.abs(A_F + A_F.T))),
+        skew_residual=base["skew_residual"],
     )
-    return data, J, dN, dB
+    return data, base, J, dN, dB
 
 
 def frenet_frame(field, x, kappa_tol=1e-8):
@@ -187,28 +190,6 @@ class FrenetForms:
     expansion_norm: float
 
 
-def frenet_rotation_forms(field, x, kappa_tol=1e-8):
-    """Rotation forms of the numerical shape map next to the model forms.
-
-    The model predicts a zero expansion form; its actual norm is reported.
-    """
-    return _rotation_forms(shape_map_frenet(field, x, kappa_tol))
-
-
-def _rotation_forms(data):
-    computed = {pair: rotation_form(data.shape_matrix, pair) for pair in plane_pairs(3)}
-    model = model_rotation_forms(data.kappa, data.tau, data.sigma)
-    deltas = {
-        pair: float(np.max(np.abs(computed[pair].matrix - model[pair])))
-        for pair in plane_pairs(3)
-    }
-    expansion_norm = float(np.max(np.abs(expansion_form(data.shape_matrix).matrix)))
-    return FrenetForms(
-        data=data, computed=computed, model=model, deltas=deltas,
-        expansion_norm=expansion_norm,
-    )
-
-
 @dataclass(frozen=True)
 class ModelComparison:
     """Findings, not assertions: where the numerical shape matrix differs
@@ -246,30 +227,35 @@ def compare_matrix_to_model(A_F, kappa, tau, sigma):
     }
 
 
-def model_compare(field, x, kappa_tol=1e-8):
-    """Structured discrepancy report for the shape matrix at x."""
-    return _comparison(*_shape_map(field, x, kappa_tol))
-
-
-def _comparison(data, J, dN, dB):
-    base = compare_matrix_to_model(data.shape_matrix, data.kappa, data.tau, data.sigma)
-    sigma_commutator = float((dN - J @ data.N) @ data.B)
-    sigma_alt = float(-((dB - J @ data.B) @ data.N))
-    sigmas = (data.sigma, sigma_commutator, sigma_alt)
-    spread = max(abs(a - b) for a in sigmas for b in sigmas)
-    return ModelComparison(
-        **base,
-        sigma=data.sigma,
-        sigma_commutator=sigma_commutator,
-        sigma_alt=sigma_alt,
-        sigma_spread=spread,
-    )
-
-
 def frenet_report(field, x, kappa_tol=1e-8):
     """(frenet_rotation_forms, model_compare) at x from one sampling of the field."""
-    data, J, dN, dB = _shape_map(field, x, kappa_tol)
-    return _rotation_forms(data), _comparison(data, J, dN, dB)
+    data, base, J, dN, dB = _shape_map(field, x, kappa_tol)
+    computed = {pair: rotation_form(data.shape_matrix, pair) for pair in plane_pairs(3)}
+    model = model_rotation_forms(data.kappa, data.tau, data.sigma)
+    deltas = {pair: float(np.max(np.abs(computed[pair].matrix - model[pair])))
+              for pair in computed}
+    forms = FrenetForms(data=data, computed=computed, model=model, deltas=deltas,
+                        expansion_norm=base["expansion_norm"])
+    sigmas = (data.sigma, float((dN - J @ data.N) @ data.B),
+              float(-((dB - J @ data.B) @ data.N)))
+    comparison = ModelComparison(
+        **base, sigma=sigmas[0], sigma_commutator=sigmas[1], sigma_alt=sigmas[2],
+        sigma_spread=max(sigmas) - min(sigmas),
+    )
+    return forms, comparison
+
+
+def frenet_rotation_forms(field, x, kappa_tol=1e-8):
+    """Rotation forms of the numerical shape map next to the model forms.
+
+    The model predicts a zero expansion form; its actual norm is reported.
+    """
+    return frenet_report(field, x, kappa_tol)[0]
+
+
+def model_compare(field, x, kappa_tol=1e-8):
+    """Structured discrepancy report for the shape matrix at x."""
+    return frenet_report(field, x, kappa_tol)[1]
 
 
 def helix_field(c, analytic=True):
@@ -312,11 +298,7 @@ def circular_field(analytic=True):
 
 def constant_field(direction):
     """Constant unit field; zero curvature everywhere."""
-    d = np.asarray(direction, dtype=float)
-    norm = float(np.linalg.norm(d))
-    if norm == 0.0:
-        raise InputError("constant field needs a non-zero direction")
-    d = d / norm
+    d = as_direction(direction, 3, "constant field direction")
     return FlowField(evaluator=lambda x: d.copy(), jacobian=lambda x: np.zeros((3, 3)),
                      name="constant")
 

@@ -37,10 +37,11 @@ from .canonical import expansion_eigenbasis, normal_power_basis
 from .linalg import (
     DEFAULT_TOL,
     as_square,
-    as_vector,
+    as_unit,
     matrix_powers,
     maxabs,
     minor_sums_from_traces,
+    random_unit,
 )
 from .qforms import is_zero_part
 from .quasirot import _pair_entries, _pair_index, _rotation_sum, _wedge
@@ -115,18 +116,10 @@ def _pm2(M):
     return (t * t - float(np.trace(M @ M))) / 2
 
 
-def _unit(u, name="vector"):
-    u = as_vector(u, name)
-    nu = float(np.linalg.norm(u))
-    if abs(nu - 1.0) > DEFAULT_TOL.residual_tol / 10:
-        raise InputError(f"{name} must be unit length: norm = {nu:.12g}")
-    return u
-
-
 def _probed(A, u, top=0):
     """The shared parts of A and their probe at u, a unit n-vector."""
     s = _parts(A, top)
-    u = _unit(u, "u")
+    u = as_unit(u, "u")
     if len(u) != s.n:
         raise InputError("probe vector must match the matrix dimension")
     return s, s.probe(u)
@@ -154,7 +147,7 @@ def cayley_hamilton_residual(A, u, v):
     sum over k of (-1)^k pm^k (A^(n-k) u).v, relative to the term sizes."""
     s, (_, W, *_) = _probed(A, u)
     n = s.n
-    v = _unit(v, "v")
+    v = as_unit(v, "v")
     if len(v) != n:
         raise InputError("probe vectors must match the matrix dimension")
     terms = [s.signed[k] * float(W[n - k] @ v) for k in range(n + 1)]
@@ -422,16 +415,8 @@ def invariant_report(A, seed=0, power_steps=3):
     s = _Parts(A, power_steps + 1)
     n = s.n
     rng = np.random.default_rng(seed)
-
-    def unit_sample():
-        while True:
-            v = rng.standard_normal(n)
-            norm = float(np.linalg.norm(v))
-            if norm > 1e-6:
-                return v / norm
-
-    u = unit_sample()
-    v = unit_sample()
+    u = random_unit(rng, n)
+    v = random_unit(rng, n)
     residuals = {f"newton_{k}": r for k, r in enumerate(newton_residuals(s), start=1)}
     residuals["ch_vector"] = cayley_hamilton_residual(s, u, v)
     e_res, r_res = ch_form_residuals(s, u)

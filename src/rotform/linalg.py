@@ -4,8 +4,8 @@ Certified symmetric eigensolver (LAPACK eigh plus a one-shot residual
 check), characteristic polynomial coefficients via trace recurrences, full
 (possibly complex) spectra from LAPACK eigvals of the normalised matrix with
 each eigenvalue cluster certified against that matrix, SVD nullspaces, and
-seeded orthogonal sampling.  Everything targets desk scale (n up to a few
-dozen) and favours robustness and reproducibility over asymptotics.
+seeded unit and orthogonal sampling.  Everything targets desk scale (n up
+to a few dozen) and favours robustness and reproducibility over asymptotics.
 """
 
 from dataclasses import dataclass
@@ -45,8 +45,8 @@ class ToleranceConfig:
         (eigenstructure's nullspace floor, skew_square_structure with
         X = (A/p)^2 by its top |eigenvalue|, normal_power_basis);
       - residual_tol / 10 max|X|^d (1e-10): a skew input's asymmetry
-        (d = 1), the unit length and orthogonality of given vectors and
-        bases (d = 0), a coupling skew entry in normal_invariant_recover.
+        (d = 1), a given vector's unit length (as_unit) and a given basis's
+        orthogonality (d = 0), a coupling skew entry in normal_invariant_recover.
     Here s = max|A|.  Identity residuals divide by max(max|term|, s^d)
     (invariants._rel).  All three fields must be finite and positive.
     """
@@ -95,6 +95,26 @@ def as_vector(u, name="vector"):
     if not np.all(np.isfinite(u)):
         raise InputError(f"{name} has non-finite components")
     return u
+
+
+def as_unit(u, name="vector", tol=DEFAULT_TOL.residual_tol / 10):
+    """u as a vector whose length is 1 within tol; nothing is normalised."""
+    u = as_vector(u, name)
+    norm = float(np.linalg.norm(u))
+    if abs(norm - 1.0) > tol:
+        raise InputError(f"{name} must be unit length: norm = {norm:.12g}")
+    return u
+
+
+def as_direction(u, n, name="direction"):
+    """The unit vector along u, a non-zero n-vector."""
+    u = as_vector(u, name)
+    if len(u) != n:
+        raise InputError(f"{name} must have {n} components, got {len(u)}")
+    norm = float(np.linalg.norm(u))
+    if norm == 0.0:
+        raise InputError(f"{name} must be non-zero")
+    return u / norm
 
 
 def maxabs(A):
@@ -346,6 +366,16 @@ def nullspace(A, tol=DEFAULT_TOL, abs_threshold=None):
     _, s, vh = np.linalg.svd(A)
     vecs = [vh[i].copy() for i in range(n) if s[i] <= threshold]
     return vecs
+
+
+def random_unit(rng, n):
+    """A seeded unit n-vector: a standard-normal draw over its norm, drawn
+    again while the norm is at most 1e-6."""
+    while True:
+        v = rng.standard_normal(n)
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-6:
+            return v / norm
 
 
 def random_orthogonal(n, seed):

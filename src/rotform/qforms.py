@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InputError
 from .linalg import (
     DEFAULT_TOL,
+    as_direction,
     as_square,
     as_vector,
     check_orthogonal,
@@ -173,13 +174,8 @@ def decompose(A, u, tol=DEFAULT_TOL):
     reconstruction error (absolute when A(u) = 0).
     """
     A = as_square(A)
+    uhat = as_direction(u, A.shape[0], "u")
     u = as_vector(u)
-    if len(u) != A.shape[0]:
-        raise InputError("dimension mismatch between matrix and vector")
-    nu = float(np.linalg.norm(u))
-    if nu == 0.0:
-        raise InputError("cannot decompose the zero vector")
-    uhat = u / nu
     e = float(uhat @ (A @ uhat))
     r = RotationCoeffs(len(u), rotation_values(A, uhat))
     rec = reassemble(e, r, u)
@@ -187,7 +183,7 @@ def decompose(A, u, tol=DEFAULT_TOL):
     err = float(np.linalg.norm(Au - rec))
     norm_Au = float(np.linalg.norm(Au))
     residual = err / norm_Au if norm_Au > 0.0 else err
-    return Decomposition(u=np.asarray(u, float).copy(), e=e, r=r, residual=residual)
+    return Decomposition(u=u.copy(), e=e, r=r, residual=residual)
 
 
 def commutator_forms(A, pair):

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_TOL, as_square, as_vector, check_orthogonal, maxabs
+from .linalg import DEFAULT_TOL, as_square, as_unit, as_vector, check_orthogonal, maxabs
 
 
 def plane_pairs(n):
@@ -131,12 +131,9 @@ def almost_orthogonal_expand(u, v, unit_tol=DEFAULT_TOL.residual_tol / 10):
     silently.
     """
     u = as_vector(u)
-    v = as_vector(v)
+    v = as_unit(v, "expansion axis", unit_tol)
     if len(u) != len(v):
         raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    nv = float(np.linalg.norm(v))
-    if abs(nv - 1.0) > unit_tol:
-        raise InputError(f"expansion axis must be unit length: ||v|| = {nv:.12g}")
     return float(u @ v), RotationCoeffs(len(u), _wedge_values(v, u))
 
 

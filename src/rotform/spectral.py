@@ -16,8 +16,8 @@ from .errors import InputError, NumericalError
 from .linalg import (
     DEFAULT_TOL,
     ascending_runs,
+    as_direction,
     as_square,
-    as_vector,
     binary_scale,
     maxabs,
     nullspace,
@@ -71,13 +71,9 @@ def common_zero_check(A, u, tol=None):
     orthogonal to u-hat beyond the same tolerance.
     """
     A = as_square(A)
-    u = as_vector(u)
-    nu = float(np.linalg.norm(u))
-    if nu == 0.0:
-        raise InputError("cannot test the zero vector for common zeros")
+    uhat = as_direction(u, A.shape[0], "u")
     if tol is None:
         tol = DEFAULT_TOL.residual_tol * maxabs(A)
-    uhat = u / nu
     return maxabs(_wedge(uhat, A @ uhat)) <= tol
 
 
@@ -190,13 +186,7 @@ def planar_analyze(A, u=None, tol=DEFAULT_TOL):
 
     rep = None
     if u is not None:
-        u = as_vector(u)
-        if len(u) != 2:
-            raise InputError("direction for the planar frame must be two-dimensional")
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            raise InputError("direction for the planar frame must be non-zero")
-        uhat = u / nu
+        uhat = as_direction(u, 2, "direction for the planar frame")
         uperp = np.array([-uhat[1], uhat[0]])
         rep = np.array(
             [

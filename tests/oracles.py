@@ -61,7 +61,6 @@ from rotform.invariants import (
     _parts,
     _pm2,
     _rel,
-    _unit,
     cayley_hamilton_residual,
     euler_cauchy_stokes,
     n4_det_identity_residual,
@@ -73,6 +72,7 @@ from rotform.linalg import (
     Spectrum,
     _cluster_points,
     as_square,
+    as_unit as _unit,
     char_poly_coeffs,
     matrix_powers,
     maxabs,

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ import rotform
 from rotform import invariants
 from rotform.cli import AnalysisRequest, main, parse_matrix_text, render_report, run
 from rotform.errors import InputError
+from rotform.linalg import DEFAULT_TOL, ToleranceConfig
 
 
 def write(tmp_path, name, text):
@@ -71,6 +74,72 @@ class TestRenderReport:
         parsed = json.loads(render_report(doc))
         assert parsed["a"] == [1.5, -0.0, 2.0]
         assert parsed["b"] == {"c": True, "d": None, "e": "s"}
+
+    def test_every_accepted_type_renders_to_fixed_text(self):
+        doc = {
+            "nested": {"inner": {"k": 1}},
+            "empty_dict": {},
+            "empty_list": [],
+            "tuple": (1, 2.5),
+            "atoms": [True, None, "Grüße, ∑ ω"],
+            "ints": [7, np.int64(-3)],
+            "floats": [1 / 3, -0.0, 1e-300, 1e300, float("inf"), float("-inf"),
+                       np.float64(0.1)],
+            "complex": complex(1.5, -2.0),
+            "array": np.array([[1.0, 2.0], [3.0, 4.5]]),
+        }
+        expected = textwrap.dedent("""\
+            {
+              "nested": {
+                "inner": {
+                  "k": 1
+                }
+              },
+              "empty_dict": {},
+              "empty_list": [],
+              "tuple": [
+                1,
+                2.5
+              ],
+              "atoms": [
+                true,
+                null,
+                "Gr\\u00fc\\u00dfe, \\u2211 \\u03c9"
+              ],
+              "ints": [
+                7,
+                -3
+              ],
+              "floats": [
+                0.33333333333333331,
+                -0.0,
+                1e-300,
+                1.0000000000000001e+300,
+                "inf",
+                "-inf",
+                0.10000000000000001
+              ],
+              "complex": {
+                "re": 1.5,
+                "im": -2.0
+              },
+              "array": [
+                [
+                  1.0,
+                  2.0
+                ],
+                [
+                  3.0,
+                  4.5
+                ]
+              ]
+            }
+            """)
+        assert render_report(doc) == expected
+
+    def test_unsupported_type_is_input_error(self):
+        with pytest.raises(InputError, match="cannot serialise"):
+            render_report({"x": {1, 2}})
 
 
 class TestCommands:
@@ -247,6 +316,15 @@ class TestExitCodes:
         matrix = write(tmp_path, "m.txt", "1 0\n0 1\n")
         assert main(["analyze", "--input", matrix, "--tol", "bogus=1"]) == 2
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ToleranceConfig)])
+    def test_every_tolerance_field_can_be_set(self, tmp_path, name):
+        matrix = write(tmp_path, "m.txt", "2 1 0\n1 3 1\n0 1 4\n")
+        value = 10 * getattr(DEFAULT_TOL, name)
+        assert main(["analyze", "--input", matrix, "--tol", f"{name}={value!r}",
+                     "--output", str(tmp_path / "r.json")]) == 0
+        doc = json.loads(open(tmp_path / "r.json").read())
+        assert doc["tolerances"] == {**dataclasses.asdict(DEFAULT_TOL), name: value}
+
     def test_tolerance_override_applies(self, tmp_path):
         matrix = write(tmp_path, "m.txt", "1 0\n0 1\n")
         assert main(["analyze", "--input", matrix, "--tol", "residual_tol=1e-6",
@@ -337,6 +415,15 @@ class TestProcessLevel:
         count = sum(e["geometric_multiplicity"] for e in spectral["real_eigenvalues"])
         count += 2 * sum(p["multiplicity"] for p in spectral["complex_pairs"])
         assert count == 32
+
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_overflow_to_nan_is_numerical_error(self, tmp_path, n):
+        A = 1e150 * np.random.default_rng(0).uniform(-1.0, 1.0, (n, n))
+        matrix = write(tmp_path, "m.txt", _grid(A))
+        code, out, err = _fresh_process(["identities", "--input", matrix], tmp_path)
+        assert (code, out) == (3, "")
+        assert "numerical error" in err and "input error" not in err
 
 
 class TestCollingsResidual:

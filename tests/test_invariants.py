@@ -316,8 +316,8 @@ class TestCollingsBatched:
             assert gap <= 4 * n * EPS * _term_mass(D, B), n
 
     def test_working_set_stays_small_at_sixteen(self):
-        # blocks bound the working set; one stack per subset size peaks
-        # near 9 MB at n = 16, which `rotform identities` runs
+        # stacks of at most _SUBSET_LEAF terms bound the working set; one stack
+        # per subset size would peak near 9 MB at n = 16, which `rotform identities` runs
         D, B = self._split(np.random.default_rng(43).uniform(-1, 1, (16, 16)))
         tracemalloc.start()
         try:

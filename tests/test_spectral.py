@@ -71,6 +71,10 @@ class TestCommonZeroCheck:
         with pytest.raises(InputError):
             common_zero_check(np.eye(2), np.zeros(2))
 
+    def test_rejects_wrong_length_vector(self):
+        with pytest.raises(InputError, match="3 components"):
+            common_zero_check(np.eye(3), np.ones(2))
+
 
 class TestEigenstructure:
     def test_identity_full_multiplicity(self):
