@@ -2,10 +2,10 @@
 
 Certified symmetric eigensolver (LAPACK eigh plus a one-shot residual
 check), characteristic polynomial coefficients via trace recurrences, full
-(possibly complex) spectra from LAPACK eigvals of the normalised matrix with
-each eigenvalue cluster certified against that matrix, SVD nullspaces, and
-seeded unit and orthogonal sampling.  Everything targets desk scale (n up
-to a few dozen) and favours robustness and reproducibility over asymptotics.
+spectra from LAPACK eigvals of A / max|A|, each single-linkage eigenvalue
+cluster certified against that matrix or cut at its longest link, SVD
+nullspaces, and seeded unit and orthogonal sampling.  At desk scale (n up to
+a few dozen), robustness and reproducibility come before asymptotics.
 """
 
 from dataclasses import dataclass
@@ -30,8 +30,9 @@ class ToleranceConfig:
     eig_off_tol (1e-12): the certificates of sym_eigen (see there) and
     skew_canonical_basis; below about 1e-14 they end in NumericalError.
     rank_tol (1e-12), a quantity is zero:
-      - n rank_tol max|X|: nullspace singular values (X = A), the rates and
-        kernel of skew_canonical_basis (X = K / max|K|), real_spectrum's sigma_min (X = A/s);
+      - n rank_tol max|X|: nullspace singular values and eigenstructure's
+        eigenspaces (X = A), skew_canonical_basis's rates and kernel (X = K / max|K|),
+        real_spectrum's sigma_min (X = A/s) and tie between real parts of pairs (X = A);
       - rank_tol max|X|^d: a zero symmetric or skew part of A, a zero
         planar rotation-form eigenvalue (d = 1) and the planar borderline
         product (d = 2), a QForm's asymmetry, collings_det's off-diagonal D;
@@ -41,9 +42,8 @@ class ToleranceConfig:
         at a unit common zero, expansion_eigenbasis's residual,
         zero_subspace_extend's values over |x||y| (d = 1), the normality
         commutator (d = 2), the CLI's decomposition probe (d = 0);
-      - 10 residual_tol max|X| (1e-8): nearby eigenvalues counted equal
-        (eigenstructure's nullspace floor, skew_square_structure with
-        X = (A/p)^2 by its top |eigenvalue|, normal_power_basis);
+      - 10 residual_tol max|X| (1e-8): nearby eigenvalues counted equal by
+        skew_square_structure (X = (A/p)^2, top |eigenvalue|), normal_power_basis;
       - residual_tol / 10 max|X|^d (1e-10): a skew input's asymmetry
         (d = 1), a given vector's unit length (as_unit) and a given basis's
         orthogonality (d = 0), a coupling skew entry in normal_invariant_recover.
@@ -217,57 +217,49 @@ def char_poly_coeffs(A):
     return np.array(coeffs)
 
 
-# Clustering radii in units of A / max|A|, widest first.  A cluster that
-# fails its certificates is split at the next radius, and below the last
-# one into single eigenvalues; no radius is ever widened.
-_CLUSTER_LADDER = (3e-3, 3e-4, 2e-5)
 # An m-fold eigenvalue moves by about (n eps)^(1/m) under rounding, so an
 # m-cluster may spread that far, times _SPREAD_FACTOR.
 _SPREAD_FACTOR = 10.0
 
 
-def _cluster_points(points, tol):
-    """Group complex points whose mutual distance stays within tol (union-find)."""
-    m = len(points)
-    parent = list(range(m))
+def _cluster_points(points, tol=None):
+    """Single-linkage groups of complex points, in order of first member.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    After the loop M[i, j] is the longest step on the best chain from point i
+    to point j.  Points share a group when it is at most tol; without tol,
+    when it is below the longest of all, which cuts each longest link
+    together with its conjugate mirror.
+    """
     z = np.asarray(points)
-    for i, j in zip(*np.nonzero(np.triu(np.abs(z[:, None] - z[None, :]) <= tol, 1))):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(points[i])
-    return list(groups.values())
+    M = np.abs(z[:, None] - z[None, :])
+    for k in range(len(z)):
+        M = np.minimum(M, np.maximum.outer(M[:, k], M[k]))
+    labels = (M <= tol if tol is not None else M < M.max()).argmax(axis=1)
+    return [[p for p, own in zip(points, labels) if own == label]
+            for label in dict.fromkeys(labels)]
 
 
-def _resolve_clusters(Ah, points, ladder, sigma_tol):
-    """(centroid, multiplicity) of each certified cluster of the eigenvalues
-    points of Ah, one entry per real eigenvalue and per conjugate pair.
+def _resolve_clusters(Ah, points, groups, sigma_tol):
+    """(centroid, multiplicity) of each certified cluster that the groups of
+    the eigenvalues points of Ah split into, one entry per real eigenvalue
+    and per conjugate pair; the multiplicities add up to len(points).
 
-    Clustering is symmetric under conjugation, so a cluster with points on
-    both sides of the real axis (or on it) is its own mirror image and
-    stands for a real eigenvalue; a cluster above the axis stands for a pair
-    with its mirror below, which is skipped.  A cluster is accepted when its
-    spread from the centroid is within _SPREAD_FACTOR (n eps)^(1/m) and
-    sigma_min(Ah - z I) <= sigma_tol at the centroid and at the midpoint
-    between the centroid and each member: the pseudospectrum of a perturbed
-    m-fold eigenvalue covers those points, while between distinct eigenvalues
-    of a normal matrix sigma_min is about half their gap.  A cluster that
-    fails is split at the next radius; a single eigenvalue that fails raises
-    NumericalError.
+    Grouping is symmetric under conjugation, so a cluster with points on
+    both sides of the real axis (or on it) stands for a real eigenvalue and
+    one above the axis for a pair whose mirror below is skipped.  A cluster
+    of m is accepted when its spread from the centroid is within
+    _SPREAD_FACTOR (n eps)^(1/m); when, for 1 < m < n, the (m+1)-th nearest
+    point is at least 2000 spreads away (a relative gap, Dhillon & Parlett,
+    LAA 387, 2004); and when sigma_min(Ah - z I) <= sigma_tol at the
+    centroid and at the midpoints towards its members, which the
+    pseudospectrum of a perturbed m-fold eigenvalue covers (Rump, LAA 324,
+    2001; Trefethen & Embree, 2005).  A cluster that fails is cut at its
+    longest single-linkage step; one that cannot be cut (a single point, or
+    equal points) raises NumericalError.
     """
     n = Ah.shape[0]
     eps = np.finfo(float).eps
     accepted = []
-    groups = _cluster_points(points, ladder[0]) if ladder else [[z] for z in points]
     for group in groups:
         imag = [z.imag for z in group]
         if max(imag) < 0.0:
@@ -278,6 +270,8 @@ def _resolve_clusters(Ah, points, ladder, sigma_tol):
         if min(imag) <= 0.0:
             centre = centre.real
         ok = spread <= _SPREAD_FACTOR * (n * eps) ** (1.0 / m)
+        if ok and 1 < m < n:
+            ok = np.partition(np.abs(points - centre), m)[m] >= 2000.0 * spread
         if ok:
             midpoints = [0.5 * (centre + z) for z in group] if m > 1 else []
             shifts = np.array([centre] + midpoints)
@@ -286,14 +280,15 @@ def _resolve_clusters(Ah, points, ladder, sigma_tol):
             ok = sigma <= sigma_tol
         if ok:
             accepted.append((centre, m))
-        elif m > 1:
-            accepted.extend(_resolve_clusters(Ah, group, ladder[1:], sigma_tol))
-        else:
+            continue
+        parts = _cluster_points(group)
+        if len(parts) == 1:
             raise NumericalError(
-                f"eigenvalue {centre:.6g} of A / max|A| fails its certificate: "
-                f"sigma_min = {sigma:.3e} exceeds {sigma_tol:.3e}",
+                f"eigenvalue {centre:.6g} of A / max|A| (multiplicity {m}) fails its "
+                f"certificate: sigma_min = {sigma:.3e} exceeds {sigma_tol:.3e}",
                 residual=sigma,
             )
+        accepted.extend(_resolve_clusters(Ah, points, parts, sigma_tol))
     return accepted
 
 
@@ -322,13 +317,12 @@ def real_spectrum(A, tol=DEFAULT_TOL):
     its algebraic multiplicity.
 
     With s = max|A|, the eigenvalues of A / s come from LAPACK
-    (np.linalg.eigvals, Hessenberg QR, backward stable), are grouped on the
-    cluster ladder (an m-fold eigenvalue splits into m points about
-    (n eps)^(1/m) apart, so no single radius fits every multiplicity), and
-    each cluster is certified against the normalised matrix by
-    sigma_min(A / s - z I) <= n rank_tol at its centroid and at the
-    midpoints towards its members (see _resolve_clusters) before the
-    centroid is rescaled by s.  A zero matrix has the
+    (np.linalg.eigvals, Hessenberg QR, backward stable), are grouped by
+    single linkage at 3e-3, and each group is certified against A / s, by
+    sigma_min(A / s - z I) <= n rank_tol among other tests, or cut at its
+    longest link until its parts pass (see _resolve_clusters).  Centroids
+    are rescaled by s; multiplicities add up to n; pairs with real parts
+    within n rank_tol s go by imaginary part.  A zero matrix has the
     eigenvalue 0 with multiplicity n.  Measured right on random n up to 64.
     """
     A = as_square(A)
@@ -342,13 +336,14 @@ def real_spectrum(A, tol=DEFAULT_TOL):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
     reals, pairs = [], []
-    for centre, m in _resolve_clusters(Ah, raw, _CLUSTER_LADDER, n * tol.rank_tol):
+    groups = _cluster_points(raw, 3e-3)
+    for centre, m in _resolve_clusters(Ah, np.array(raw), groups, n * tol.rank_tol):
         if isinstance(centre, complex):
             pairs.append((centre * s, m))
         else:
             reals.append((centre * s, m))
     reals.sort(key=lambda t: t[0])
-    return Spectrum(n, tuple(reals), _sort_pairs(pairs, _CLUSTER_LADDER[-1] * s))
+    return Spectrum(n, tuple(reals), _sort_pairs(pairs, n * tol.rank_tol * s))
 
 
 def nullspace(A, tol=DEFAULT_TOL, abs_threshold=None):

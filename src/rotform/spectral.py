@@ -98,21 +98,25 @@ def bromwich_bounds(A, tol=DEFAULT_TOL):
 def eigenstructure(A, tol=DEFAULT_TOL):
     """Real eigenvalues with geometric multiplicities from common zeros.
 
-    Each eigenspace comes from the nullspace of A - lambda I and every basis
-    vector is re-checked against the rotation forms; failures are reported in
-    flags.  Complex pairs and the containment bounds ride along.
+    Each eigenspace is the nullspace of A - lambda I at n rank_tol max|A|,
+    the bound real_spectrum certified lambda at, and every basis vector is
+    re-checked against the rotation forms; failures are reported in flags.
+    A geometric multiplicity above the algebraic one raises NumericalError.
+    Complex pairs and the containment bounds ride along.
     """
     A = as_square(A)
     n = A.shape[0]
     spectrum = real_spectrum(A, tol)
     scale = maxabs(A)
     cz_tol = tol.residual_tol * scale
+    threshold = n * tol.rank_tol * scale
     entries = []
     flags = []
-    for lam, _mult in spectrum.real_eigs:
-        shifted = A - lam * np.eye(n)
-        threshold = max(n * tol.rank_tol * maxabs(shifted), 10 * tol.residual_tol * scale)
-        basis = nullspace(shifted, tol, abs_threshold=threshold)
+    for lam, mult in spectrum.real_eigs:
+        basis = nullspace(A - lam * np.eye(n), tol, abs_threshold=threshold)
+        if len(basis) > mult:
+            raise NumericalError(f"eigenvalue {lam:.12g} has {len(basis)} kernel directions "
+                                 f"at {threshold:.3e}, more than its multiplicity {mult}")
         if not basis:
             flags.append(
                 f"no eigenvector found at reported eigenvalue {lam:.12g} "

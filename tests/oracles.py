@@ -15,8 +15,8 @@ exact reference for the subset expansion, whose Schur-complement recursion
 rounds unlike a per-subset LU.  The full spectrum by Durand-Kerner roots of
 the trace-recurrence characteristic polynomial, with multiplicity-aware
 Newton polish, is the library's former general eigenvalue path, kept
-unchanged as polynomial_spectrum (its union-find clustering is the
-library's _cluster_points).  The skew block reduction by deflation, one certified
+unchanged as polynomial_spectrum (its single-linkage clustering at a given
+radius is the library's _cluster_points).  The skew block reduction by deflation, one certified
 eigen-solve of Ksub^T Ksub and one projector SVD per rotation plane, is the
 library's former skew_canonical_basis, kept as
 skew_canonical_basis_deflation.  The identity residuals with one Python

@@ -28,12 +28,14 @@ from rotform import (
     plane_pairs,
     principal_minor_sums,
     random_orthogonal,
+    real_spectrum,
     rotation_form_change_of_basis,
     skew_canonical_basis,
     skew_square_structure,
     sym_eigen,
     zero_subspace_extend,
 )
+from rotform.linalg import _cluster_points
 
 from oracles import (
     jordan_shear,
@@ -380,3 +382,93 @@ def test_normality_is_orthogonally_invariant(seed, n):
     expected = normality_report(A).is_normal
     assert expected == bool(seed % 2)
     assert normality_report(Q @ A @ Q.T).is_normal == expected
+
+
+def _near_multiple_family(seed):
+    """n = 3..11 with 2 to 6 distinct eigenvalues spaced U(0.5, 2), repeated,
+    one gap set to 10^U(-10, -2): Q D Q^T for even seeds, S D S^-1 with
+    cond(S) <= 10 for odd ones.  Returns (A, values, multiplicities, gap)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 12))
+    k = int(rng.integers(2, min(6, n) + 1))
+    gaps = rng.uniform(0.5, 2.0, k - 1)
+    gap = gaps[rng.integers(k - 1)] = 10.0 ** rng.uniform(-10, -2)
+    values = rng.uniform(-2, 2) + np.concatenate([[0.0], np.cumsum(gaps)])
+    mult = 1 + rng.multinomial(n - k, np.ones(k) / k)
+    D = np.diag(np.repeat(values, mult))
+    Q = random_orthogonal(n, seed)
+    if seed % 2 == 0:
+        return Q @ D @ Q.T, values, list(mult), gap
+    S = Q @ np.diag(rng.uniform(1, 10, n)) @ random_orthogonal(n, seed + 1)
+    return S @ D @ np.linalg.inv(S), values, list(mult), gap
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=SEEDS)
+def test_near_multiple_eigenvalues_have_multiplicities_that_add_up(seed):
+    A, values, mult, gap = _near_multiple_family(seed)
+    spectrum = real_spectrum(A)
+    entries = eigenstructure(A).entries
+    reported = [e.value for e in entries]
+    gms = [e.geometric_multiplicity for e in entries]
+    assert reported == [v for v, _ in spectrum.real_eigs]
+    assert all(x < y for x, y in zip(reported, reported[1:]))
+    assert sum(gms) <= len(A)
+    assert all(g <= m for g, (_, m) in zip(gms, spectrum.real_eigs))
+    scale = np.max(np.abs(A))
+    if gap >= 1e-8 * scale:
+        assert gms == mult
+        assert np.max(np.abs(np.array(reported) - values)) <= 1e-10 * scale
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=SEEDS, c=st.sampled_from([1e-8, 3.7, 1e8]))
+def test_spectrum_values_follow_scaling_and_orthogonal_similarity(seed, c):
+    A = _spectral_family(seed)
+    Q = random_orthogonal(len(A), seed + 1)
+    base = real_spectrum(A)
+    scale = np.max(np.abs(A))
+    for moved, factor in ((real_spectrum(c * A), c), (real_spectrum(Q @ A @ Q.T), 1.0)):
+        assert [m for _, m in moved.real_eigs] == [m for _, m in base.real_eigs]
+        assert [m for _, m in moved.complex_pairs] == [m for _, m in base.complex_pairs]
+        for (x, _), (y, _) in zip(moved.real_eigs + moved.complex_pairs,
+                                  base.real_eigs + base.complex_pairs):
+            assert abs(x / factor - y) <= 1e-10 * scale
+
+
+def _close_pair_components(points, tol):
+    """Groups of points joined by chains of steps at most tol, by search."""
+    groups, seen = [], set()
+    for start in range(len(points)):
+        if start in seen:
+            continue
+        members, frontier = {start}, [start]
+        while frontier:
+            i = frontier.pop()
+            near = {j for j in range(len(points)) if abs(points[i] - points[j]) <= tol}
+            frontier += sorted(near - members)
+            members |= near
+        seen |= members
+        groups.append([points[i] for i in sorted(members)])
+    return groups
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 12))
+def test_single_linkage_groups_and_cuts_keep_conjugate_mirrors(seed, n):
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(0, 4, (n, 2)) * rng.choice([1e-9, 1e-4, 0.3])
+    points = [complex(x) for x, _ in grid[: n - n // 3]]
+    for x, y in grid[n - n // 3:]:
+        points += [complex(x, y + 1.0), complex(x, -y - 1.0)]
+    steps = sorted({abs(a - b) for a in points for b in points})
+    for tol in (1e-9, 1e-4, 0.3, 1.0):
+        assert _cluster_points(points, tol) == _close_pair_components(points, tol)
+    # the cut keeps every step shorter than the longest single-linkage step
+    longest = next(t for t in steps if len(_close_pair_components(points, t)) == 1)
+    parts = _cluster_points(points)
+    assert parts == _close_pair_components(points, max(t for t in steps if t < longest or t == 0))
+    assert len(parts) > 1 or longest == 0
+    canon = {tuple(sorted(part, key=lambda z: (z.real, z.imag))) for part in parts}
+    assert canon == {tuple(sorted((z.conjugate() for z in part), key=lambda z: (z.real, z.imag)))
+                     for part in parts}

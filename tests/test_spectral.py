@@ -1,10 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import rotform.spectral
+from rotform.cli import main
 from rotform import (
     InputError,
+    NumericalError,
     bromwich_bounds,
     common_zero_check,
     eigenstructure,
@@ -139,6 +143,90 @@ class TestEigenstructure:
                 n = A.shape[0]
                 oracle = n - row_reduce_rank(A - entry.value * np.eye(n), tol=1e-7)
                 assert entry.geometric_multiplicity == oracle
+
+
+def _integer_similar(rng, J):
+    """S J S^-1 for S = L U with L, U unit triangular and entries in {-1, 0, 1}:
+    an integer matrix with the Jordan form J, exact in floating point."""
+    n = len(J)
+    L = np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    U = np.triu(rng.integers(-1, 2, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    S = L @ U
+    S_inv = np.rint(np.linalg.inv(U)).astype(np.int64) @ np.rint(np.linalg.inv(L)).astype(np.int64)
+    assert np.array_equal(S @ S_inv, np.eye(n, dtype=np.int64))
+    return (S @ np.asarray(J, dtype=np.int64) @ S_inv).astype(float)
+
+
+def _jordan(*blocks):
+    """Block diagonal of Jordan blocks (value, size)."""
+    n = sum(size for _, size in blocks)
+    J = np.zeros((n, n), dtype=np.int64)
+    start = 0
+    for value, size in blocks:
+        for i in range(start, start + size):
+            J[i, i] = value
+            if i + 1 < start + size:
+                J[i, i + 1] = 1
+        start += size
+    return J
+
+
+class TestMultiplicitiesAddUp:
+    """Geometric multiplicities of distinct eigenvalues add up to at most n
+    and none exceeds its algebraic multiplicity."""
+
+    @staticmethod
+    def _pairs(A):
+        return [(e.value, e.geometric_multiplicity) for e in eigenstructure(A).entries]
+
+    def test_gap_below_the_old_floor_gives_two_simple_eigenvalues(self):
+        pairs = self._pairs(np.diag([1.0, 1.0 + 1e-8, 3.0]))
+        assert [g for _, g in pairs] == [1, 1, 1]
+        assert [v for v, _ in pairs] == pytest.approx([1.0, 1.0 + 1e-8, 3.0], abs=1e-13)
+
+    def test_triple_beside_a_close_neighbour_is_listed_once(self):
+        pairs = self._pairs(np.diag([1.0, 1.0, 1.0, 1.000012, 5.0]))
+        assert [g for _, g in pairs] == [3, 1, 1]
+        assert [v for v, _ in pairs] == pytest.approx([1.0, 1.000012, 5.0], abs=1e-13)
+
+    @pytest.mark.parametrize("diagonal, expected", [
+        ("1 0 0\n0 1.00000001 0\n0 0 3\n", [(1.0, 1), (1.00000001, 1), (3.0, 1)]),
+        ("1 0 0 0 0\n0 1 0 0 0\n0 0 1 0 0\n0 0 0 1.000012 0\n0 0 0 0 5\n",
+         [(1.0, 3), (1.000012, 1), (5.0, 1)]),
+    ], ids=["gap-1e-8", "triple-beside-1.2e-5"])
+    def test_cli_analyze_reports_each_eigenvalue_once(self, tmp_path, diagonal, expected):
+        (tmp_path / "m.txt").write_text(diagonal)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", str(tmp_path / "m.txt"), "--output", str(out)]) == 0
+        entries = json.loads(out.read_text())["spectral"]["real_eigenvalues"]
+        assert [e["geometric_multiplicity"] for e in entries] == [g for _, g in expected]
+        assert [e["value"] for e in entries] == pytest.approx([v for v, _ in expected], abs=1e-13)
+
+    @pytest.mark.parametrize("J, expected", [
+        (_jordan((1, 2), (1, 1), (3, 1), (-2, 1)), [(-2.0, 1), (1.0, 2), (3.0, 1)]),
+        (_jordan((2, 3), (2, 1), (5, 1)), [(2.0, 2), (5.0, 1)]),
+        (np.diag([1, 1, 1, 2, 2, 2]), [(1.0, 3), (2.0, 3)]),
+        (np.diag([1, 2, 3, 4, 5, 6]), [(float(k), 1) for k in range(1, 7)]),
+    ], ids=["J2(1)+1+3-2", "J3(2)+2+5", "diag(1,1,1,2,2,2)", "diag(1..6)"])
+    def test_integer_jordan_oracle(self, J, expected):
+        rng = np.random.default_rng(len(J) + int(np.trace(J)))
+        for _ in range(30):
+            A = _integer_similar(rng, J)
+            pairs = self._pairs(A)
+            assert [g for _, g in pairs] == [g for _, g in expected]
+            assert [v for v, _ in pairs] == pytest.approx(
+                [v for v, _ in expected], abs=1e-6 * np.max(np.abs(A)))
+
+    def test_more_kernel_directions_than_the_multiplicity_is_refused(self, monkeypatch):
+        nullspace = rotform.spectral.nullspace
+
+        def one_too_many(A, tol, abs_threshold=None):
+            basis = nullspace(A, tol, abs_threshold=abs_threshold)
+            return basis + [np.ones(len(A)) / np.sqrt(len(A))]
+
+        monkeypatch.setattr(rotform.spectral, "nullspace", one_too_many)
+        with pytest.raises(NumericalError, match="multiplicity"):
+            eigenstructure(np.diag([1.0, 2.0, 3.0]))
 
 
 class TestBromwichBounds:

@@ -9,7 +9,7 @@ from pathlib import Path
 import rotform
 
 FORBIDDEN = re.compile(
-    r"max\(1\.0,|1e-300|ZERO_FORM_REL|_NORMALITY_REL|skew_tol|cluster_rel|K\.T @ K|Ksub"
+    r"max\(1\.0,|1e-300|ZERO_FORM_REL|_NORMALITY_REL|skew_tol|cluster_rel|_CLUSTER_LADDER|K\.T @ K|Ksub"
 )
 
 

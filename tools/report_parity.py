@@ -13,11 +13,16 @@ them.  The corpus:
 - planar on five 2x2 matrices at scales 1e-5, 1 and 1e5;
 - identities for n = 1..16 (seeded) and on uniform(-1, 1) * 1e150 at n = 3, 6;
 - frenet on the helix, the circular field and a grid field;
-- malformed requests.
+- malformed requests;
+- analyze on near-multiple eigenvalues, where cluster decisions show:
+  diag(1, 1 + 1e-8, 3), diag(1, 1, 1, 1.000012, 5), and Q D Q^T with
+  D = diag(1, 1, 1 + g, 2.5, 4) for g = 1e-6 and 1e-9.
 
 The matrices are drawn from fixed numpy seeds and written once to a
 temporary directory that every run shares.  A request counts as identical
-when exit code, stdout and stderr agree byte for byte with the first label.
+when exit code, stdout and stderr agree byte for byte with the first label,
+after each checkout's PATH in stderr is replaced by `<src>` (numpy's
+warnings name the file they come from).
 For a request that differs the tool prints the exit codes, the last stderr
 lines when they differ, and the largest absolute difference per report key
 (list indices folded to []), or `differs` for a key whose non-numeric value
@@ -115,6 +120,14 @@ def corpus(workdir):
         ("frenet singular", ["frenet", "--field", "circular", "--point", "0,0,0"]),
         ("frenet outside grid", ["frenet", "--field", "file:grid.json", "--point", "5,0,0"]),
     ]
+    near = {"diag gap 1e-8": np.diag([1.0, 1.0 + 1e-8, 3.0]),
+            "diag triple gap 1.2e-5": np.diag([1.0, 1.0, 1.0, 1.000012, 5.0])}
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))
+    for gap in (1e-6, 1e-9):
+        near[f"QDQ^T gap {gap:g}"] = Q @ np.diag([1.0, 1.0, 1.0 + gap, 2.5, 4.0]) @ Q.T
+    for kind, A in near.items():
+        path = matrix(f"near {kind}.txt".replace(" ", "-"), A)
+        requests.append((f"analyze near-multiple {kind}", ["analyze", "--input", path]))
     return requests
 
 
@@ -122,7 +135,7 @@ def run_one(src, argv, workdir):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-c", _RUN, *argv], cwd=workdir, env=env,
                           capture_output=True, text=True, timeout=300)
-    return proc.returncode, proc.stdout, proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr.replace(os.path.abspath(src), "<src>")
 
 
 def key_differences(a, b, key="", out=None):
