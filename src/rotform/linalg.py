@@ -249,13 +249,13 @@ def _resolve_clusters(Ah, points, groups, sigma_tol):
     one above the axis for a pair whose mirror below is skipped.  A cluster
     of m is accepted when its spread from the centroid is within
     _SPREAD_FACTOR (n eps)^(1/m); when, for 1 < m < n, the (m+1)-th nearest
-    point is at least 2000 spreads away (a relative gap, Dhillon & Parlett,
-    LAA 387, 2004); and when sigma_min(Ah - z I) <= sigma_tol at the
+    point is at least eps^(-1/(2m)) spreads away (a relative gap after Dhillon
+    & Parlett, LAA 387, 2004: a rounded m-fold eigenvalue keeps eps^(-1/m), a
+    decade-graded run 10); and when sigma_min(Ah - z I) <= sigma_tol at the
     centroid and at the midpoints towards its members, which the
     pseudospectrum of a perturbed m-fold eigenvalue covers (Rump, LAA 324,
-    2001; Trefethen & Embree, 2005).  A cluster that fails is cut at its
-    longest single-linkage step; one that cannot be cut (a single point, or
-    equal points) raises NumericalError.
+    2001; Trefethen & Embree, 2005).  A failing cluster is cut at its longest
+    single-linkage step, or raises NumericalError if it is one or equal points.
     """
     n = Ah.shape[0]
     eps = np.finfo(float).eps
@@ -271,7 +271,7 @@ def _resolve_clusters(Ah, points, groups, sigma_tol):
             centre = centre.real
         ok = spread <= _SPREAD_FACTOR * (n * eps) ** (1.0 / m)
         if ok and 1 < m < n:
-            ok = np.partition(np.abs(points - centre), m)[m] >= 2000.0 * spread
+            ok = spread <= eps ** (0.5 / m) * np.partition(np.abs(points - centre), m)[m]
         if ok:
             midpoints = [0.5 * (centre + z) for z in group] if m > 1 else []
             shifts = np.array([centre] + midpoints)

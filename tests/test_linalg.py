@@ -324,7 +324,7 @@ class TestSpectrumFromMatrix:
         np.testing.assert_allclose([z.imag for z, _ in spec.complex_pairs], [5e-5, 1.0],
                                    rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("size", [2, 3, 4])
+    @pytest.mark.parametrize("size", [2, 3, 4, 5])
     def test_jordan_blocks_keep_algebraic_multiplicity(self, size):
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -333,6 +333,17 @@ class TestSpectrumFromMatrix:
             assert [m for _, m in spec.real_eigs] == [1, size, 1]
             assert spec.complex_pairs == ()
             assert spec.real_eigs[1][0] == pytest.approx(1.5, abs=1e-10)
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_jordan_block_beside_a_close_eigenvalue_stays_whole(self, size):
+        # rounding spreads the block over about (eps kappa)^(1/size) max|A|,
+        # so the eigenvalue 0.5 away is the nearest the separation test meets
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            A = similarity_with_jordan(rng, [(1.5, size, True), (1.0, 1, False), (3.0, 1, False)])
+            spec = real_spectrum(A)
+            assert [m for _, m in spec.real_eigs] == [1, size, 1]
+            assert spec.complex_pairs == ()
 
     def test_zero_matrix(self):
         spec = real_spectrum(np.zeros((4, 4)))
