@@ -7,10 +7,12 @@ the test suite and the CLI report them.  The identity terms come from
 closed forms, which the test suite checks against the form definitions:
 the (k, l) rotation form of M has trace M[l,k] - M[k,l] and value
 (u (Mu)^T - (Mu) u^T)[k,l] at u, the expansion form has trace tr M and
-value u.Mu, pm^2 of M is (tr(M)^2 - tr(M^2)) / 2, and the (k, l) rotation
-form M_kl of A has tr(M_kl^2) = (|A_k|^2 + |A_l|^2 + A[l,k]^2 + A[k,l]^2 -
-2 A[k,k] A[l,l]) / 2, with A_k the k-th row of A.
+value u.Mu, pm^2 of M is the sum of its 2 x 2 principal minors (_pm2),
+and the (k, l) rotation form M_kl of A has tr(M_kl^2) = (|A_k|^2 + |A_l|^2
++ A[l,k]^2 + A[k,l]^2 - 2 A[k,k] A[l,l]) / 2, with A_k the k-th row of A.
 
+The minor sums come from the spectrum (linalg.principal_minor_sums), not
+the power traces, so the Newton residuals compare two independent routes.
 invariant_report computes the powers, minor sums and symmetric/skew parts
 of its matrix once, with the per-pair quantities as arrays over the plane
 pairs (see quasirot): the rotation traces of every power once per matrix,
@@ -36,11 +38,12 @@ from .errors import InputError, NumericalError
 from .canonical import expansion_eigenbasis, normal_power_basis
 from .linalg import (
     DEFAULT_TOL,
+    _pm2,
     as_square,
     as_unit,
     matrix_powers,
     maxabs,
-    minor_sums_from_traces,
+    principal_minor_sums,
     random_unit,
 )
 from .qforms import is_zero_part
@@ -71,7 +74,7 @@ class _Parts:
         self.scale = maxabs(A)
         self.pows = np.array(matrix_powers(A, max(n, top)))
         self.traces = [float(np.trace(M)) for M in self.pows[1 : n + 1]]
-        self.pm = (1.0,) + minor_sums_from_traces(self.traces)
+        self.pm = (1.0,) + principal_minor_sums(A)
         self.signed = [(-1.0) ** k * self.pm[k] for k in range(n + 1)]
         self.sym = 0.5 * (A + A.T)
         self.skew = 0.5 * (A - A.T)
@@ -107,13 +110,6 @@ def _rel(total, terms, scale, degree):
     denom = np.maximum(np.abs(terms).max(axis=0, initial=0.0), prod([scale] * degree))
     out = np.zeros(np.shape(denom))
     return np.divide(np.abs(total), denom, out=out, where=denom != 0).tolist()
-
-
-def _pm2(M):
-    """Second minor sum (tr(M)^2 - tr(M^2)) / 2; bit-identical to
-    principal_minor_sums(M)[1]."""
-    t = float(np.trace(M))
-    return (t * t - float(np.trace(M @ M))) / 2
 
 
 def _probed(A, u, top=0):
@@ -191,10 +187,8 @@ def pm2_identity_residual(A):
     s = _parts(A)
     if s.n < 2:
         raise InputError("the second minor sum needs n >= 2")
-    pm2 = s.pm[2]
-    pm2_sym = _pm2(s.sym)
-    rhs = pm2_sym + 0.25 * s.trace_sq
-    return _rel(pm2 - rhs, [pm2, pm2_sym, 0.25 * s.trace_sq], s.scale, 2)
+    pm2, pm2_sym, quarter = s.pm[2], _pm2(s.sym), 0.25 * s.trace_sq
+    return _rel(pm2 - (pm2_sym + quarter), [pm2, pm2_sym, quarter], s.scale, 2)
 
 
 def pm2_sym_skew_residual(A):
@@ -202,9 +196,7 @@ def pm2_sym_skew_residual(A):
     s = _parts(A)
     if s.n < 2:
         raise InputError("the second minor sum needs n >= 2")
-    pm2 = s.pm[2]
-    pm2_sym = _pm2(s.sym)
-    pm2_skew = _pm2(s.skew)
+    pm2, pm2_sym, pm2_skew = s.pm[2], _pm2(s.sym), _pm2(s.skew)
     return _rel(pm2 - pm2_sym - pm2_skew, [pm2, pm2_sym, pm2_skew], s.scale, 2)
 
 
@@ -288,12 +280,10 @@ def n4_det_identity_residual(A):
     if s.n != 4:
         raise InputError("this determinant audit is specific to 4x4 matrices")
     if is_zero_part(s.sym, s.A):
-        D = np.zeros((4, 4))
-        S = s.skew
+        D, S = np.zeros((4, 4)), s.skew
     else:
         split = expansion_eigenbasis(s.A)
-        D = np.diag(split.D)
-        S = split.S
+        D, S = np.diag(split.D), split.S
     det_a = s.pm[4]
     rhs = (
         float(np.prod(np.diag(D)))
@@ -351,8 +341,7 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
             rows.append([(-1.0) ** j * c[n - j] for j in range(1, n)] + [0.0])
             rhs.append(-c[n])
 
-    M = np.array(rows)
-    b = np.array(rhs)
+    M, b = np.array(rows), np.array(rhs)
     norms = np.linalg.norm(np.column_stack([M, b]), axis=1)
     norms[norms == 0.0] = 1.0
     M_scaled = M / norms[:, None]

@@ -1,14 +1,15 @@
 """Dense real matrix kernel.
 
 Certified symmetric eigensolver (LAPACK eigh plus a one-shot residual
-check), characteristic polynomial coefficients via trace recurrences, full
-spectra from LAPACK eigvals of A / max|A|, each single-linkage eigenvalue
-cluster certified against that matrix or cut at its longest link, SVD
-nullspaces, and seeded unit and orthogonal sampling.  At desk scale (n up to
-a few dozen), robustness and reproducibility come before asymptotics.
+check), principal-minor sums from the spectrum checked against pm^2 and det,
+full spectra from LAPACK eigvals of A / max|A|, each single-linkage
+eigenvalue cluster certified against that matrix or cut at its longest link,
+SVD nullspaces, and seeded unit and orthogonal sampling.  At desk scale (n up
+to a few dozen), robustness and reproducibility come before asymptotics.
 """
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -47,6 +48,8 @@ class ToleranceConfig:
       - residual_tol / 10 max|X|^d (1e-10): a skew input's asymmetry
         (d = 1), a given vector's unit length (as_unit) and a given basis's
         orthogonality (d = 0), a coupling skew entry in normal_invariant_recover.
+      - residual_tol e_k(r), r the row norms of A / binary_scale(A): the anchors
+        of principal_minor_sums, pm^2 (k = 2) and pm^n (k = n).
     Here s = max|A|.  Identity residuals divide by max(max|term|, s^d)
     (invariants._rel).  All three fields must be finite and positive.
     """
@@ -184,37 +187,47 @@ def power_traces(A, kmax):
     return [float(np.trace(M)) for M in matrix_powers(as_square(A), kmax)[1:]]
 
 
+def _pm2(M):
+    """Second minor sum, over i < j of the 2 x 2 minors M[i,i] M[j,j] - M[i,j] M[j,i],
+    each formed on its own: rounding stays within n^2 eps e_2 of M's row norms."""
+    d = np.diag(M)
+    return float(d[1:] @ np.cumsum(d)[:-1]) - float(np.sum(np.triu(M * M.T, 1)))
+
+
 def principal_minor_sums(A):
-    """Sums of k x k principal minors, k = 1..n, via the trace recurrence."""
-    A = as_square(A)
-    return minor_sums_from_traces(power_traces(A, A.shape[0]))
+    """Sums pm^1..pm^n of the k x k principal minors of A.
 
-
-def minor_sums_from_traces(p):
-    """pm^1..pm^n from p = (tr A, ..., tr A^n).
-
-    pm^1 = tr(A), pm^n = det(A); the sequence follows
-    k * pm^k = sum_{i=1..k} (-1)^(i-1) pm^(k-i) tr(A^i).
+    pm^1 = tr A; pm^k, k >= 2, is e_k of the eigenvalues of the exact X = A / p,
+    p = binary_scale(A), by np.poly's product recurrence (Rehman & Ipsen,
+    SIMAX 32, 2011), real part, times p^k as a float product, so pm^k(2^j A)
+    = 2^(jk) pm^k(A) bit for bit.  Anchors computed another way certify it:
+    pm^2 against _pm2(X) and pm^n against det(X) by LU, each within
+    residual_tol e_k(r), r the row norms of X, the Hadamard mass that bounds
+    every k-subset minor; else NumericalError.
     """
-    pm = [1.0]
-    for k in range(1, len(p) + 1):
-        acc = 0.0
-        for i in range(1, k + 1):
-            acc += (-1.0) ** (i - 1) * pm[k - i] * p[i - 1]
-        pm.append(acc / k)
-    return tuple(pm[1:])
+    A = as_square(A)
+    n = A.shape[0]
+    if n == 1:
+        return (float(A[0, 0]),)
+    p = binary_scale(A)
+    X = A / p
+    try:
+        e = [(-1.0) ** k * c for k, c in enumerate(np.poly(X).real.tolist())]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
+    r = np.hypot.reduce(X, axis=1)  # np.linalg.norm squares a row of 1e-200 to 0
+    for k, value, mass in ((2, _pm2(X), float(r[1:] @ np.cumsum(r)[:-1])),
+                           (n, float(np.linalg.det(X)), float(np.prod(r)))):
+        if not abs(e[k] - value) <= DEFAULT_TOL.residual_tol * mass:
+            raise NumericalError(f"minor sum pm^{k} of A / {p:g} is {e[k]:.6e} from the spectrum "
+                                 f"but {value:.6e} by another route (row-norm mass {mass:.3e})",
+                                 residual=abs(e[k] - value))
+    return (float(np.trace(A)),) + tuple(prod([p] * k, start=e[k]) for k in range(2, n + 1))
 
 
 def char_poly_coeffs(A):
-    """Monic characteristic polynomial coefficients, highest degree first.
-
-    p(x) = x^n - pm^1 x^(n-1) + pm^2 x^(n-2) - ... + (-1)^n pm^n.
-    """
-    pm = principal_minor_sums(A)
-    coeffs = [1.0]
-    for k, value in enumerate(pm, start=1):
-        coeffs.append((-1.0) ** k * value)
-    return np.array(coeffs)
+    """Coefficients of x^n - pm^1 x^(n-1) + ... + (-1)^n pm^n, highest degree first."""
+    return np.array([(-1.0) ** k * v for k, v in enumerate((1.0,) + principal_minor_sums(A))])
 
 
 # An m-fold eigenvalue moves by about (n eps)^(1/m) under rounding, so an
@@ -338,10 +351,7 @@ def real_spectrum(A, tol=DEFAULT_TOL):
     reals, pairs = [], []
     groups = _cluster_points(raw, 3e-3)
     for centre, m in _resolve_clusters(Ah, np.array(raw), groups, n * tol.rank_tol):
-        if isinstance(centre, complex):
-            pairs.append((centre * s, m))
-        else:
-            reals.append((centre * s, m))
+        (pairs if isinstance(centre, complex) else reals).append((centre * s, m))
     reals.sort(key=lambda t: t[0])
     return Spectrum(n, tuple(reals), _sort_pairs(pairs, n * tol.rank_tol * s))
 
@@ -355,12 +365,10 @@ def nullspace(A, tol=DEFAULT_TOL, abs_threshold=None):
     """
     A = as_square(A)
     n = A.shape[0]
-    threshold = abs_threshold
-    if threshold is None:
-        threshold = n * tol.rank_tol * maxabs(A)
+    if abs_threshold is None:
+        abs_threshold = n * tol.rank_tol * maxabs(A)
     _, s, vh = np.linalg.svd(A)
-    vecs = [vh[i].copy() for i in range(n) if s[i] <= threshold]
-    return vecs
+    return [vh[i].copy() for i in range(n) if s[i] <= abs_threshold]
 
 
 def random_unit(rng, n):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from rotform import invariants
 from rotform.cli import AnalysisRequest, main, parse_matrix_text, render_report, run
 from rotform.errors import InputError
 from rotform.linalg import DEFAULT_TOL, ToleranceConfig
+
+from oracles import minor_sums_exact
 
 
 def write(tmp_path, name, text):
@@ -239,6 +242,33 @@ class TestCommands:
         assert section["collings_residual"] is None
         assert "21 > 20" in section["collings_skipped"]
         assert len(section["principal_minor_sums"]) == 21
+
+    def test_identities_n32_minor_sums_match_exact(self, tmp_path):
+        # The former trace recurrence was off by 4.2e-7 relative in pm^32 here.
+        out = str(tmp_path / "report.json")
+        assert main(["identities", "--params", "n=32", "--seed", "0", "--output", out]) == 0
+        pm = json.loads(open(out).read())["invariants"]["principal_minor_sums"]
+        A = np.random.default_rng(0).uniform(-1.0, 1.0, (32, 32))
+        mass = np.poly(-np.abs(np.linalg.eigvals(A)))[1:]
+        for k, exact in enumerate(minor_sums_exact(A), start=1):
+            assert abs(Fraction(pm[k - 1]) - exact) <= 1e-12 * mass[k - 1], k
+        assert pm[-1] == pytest.approx(np.linalg.det(A), rel=1e-13)
+
+    def test_identities_hilbert8_determinant(self, tmp_path):
+        # det H_8 = 2.74e-33; the former trace recurrence reported pm^8 = 1.8e-15.
+        H = 1.0 / (np.arange(8)[:, None] + np.arange(8)[None, :] + 1.0)
+        matrix = write(tmp_path, "hilbert8.txt",
+                       "".join(" ".join(repr(x) for x in row) + "\n" for row in H.tolist()))
+        out = str(tmp_path / "report.json")
+        assert main(["identities", "--input", matrix, "--output", out]) == 0
+        pm = json.loads(open(out).read())["invariants"]["principal_minor_sums"]
+        for k, exact in enumerate(minor_sums_exact(H), start=1):
+            assert abs(Fraction(pm[k - 1]) - exact) <= 1e-8 * exact, k
+
+    def test_identities_minor_sum_anchor_failure_exits_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(rotform.linalg, "_pm2", lambda M: 1e3)
+        assert main(["identities", "--params", "n=5"]) == 3
+        assert "pm^2" in capsys.readouterr().err
 
     def test_frenet_helix(self, tmp_path):
         out = str(tmp_path / "report.json")

@@ -1,7 +1,10 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotform import (
     DEFAULT_TOL,
@@ -16,13 +19,16 @@ from rotform import (
     real_spectrum,
     sym_eigen,
 )
+from rotform import linalg
 from rotform.linalg import char_poly_coeffs
 
 from oracles import (
     char_poly_by_permutations,
+    char_poly_by_traces,
     jacobi_sym_eigen,
     jordan_shear,
     minor_sum_by_enumeration,
+    minor_sums_exact,
     polynomial_spectrum,
     row_reduce_rank,
     similarity_with_jordan,
@@ -191,7 +197,7 @@ class TestRealSpectrum:
             A = rng.uniform(-1.0, 1.0, (n, n))
             spec = real_spectrum(A)
             assert spec.total_multiplicity() == n
-            coeffs = char_poly_coeffs(A)
+            coeffs = char_poly_by_traces(A)
             bound = 1e-8 * np.max(np.abs(coeffs))
             for lam, _ in spec.real_eigs:
                 assert abs(np.polyval(coeffs, lam)) < bound
@@ -450,6 +456,97 @@ class TestPrincipalMinorSums:
         pm = principal_minor_sums(A)
         assert pm[0] == pytest.approx(np.trace(A), abs=1e-13)
         assert pm[-1] == pytest.approx(np.linalg.det(A), rel=1e-10, abs=1e-12)
+
+
+def _uniform_or_symmetric(n, seed, symmetric):
+    A = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+    return A + A.T if symmetric else A
+
+
+def _eigen_mass(A):
+    """e_1..e_n of the eigenvalue moduli of A, the scale of each minor sum's error."""
+    return np.poly(-np.abs(np.linalg.eigvals(A)))[1:]
+
+
+class TestMinorSumsFromSpectrum:
+    # The former trace recurrence reached 3.3e-6 e_k(|lambda|) on uniform and 9.8 on
+    # symmetric matrices at n = 32; the spectrum route stays near 2.4e-13.
+    @pytest.mark.parametrize("n", [8, 16, 24, 32])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @settings(derandomize=True, max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_exact_minor_sums(self, n, symmetric, seed):
+        A = _uniform_or_symmetric(n, seed, symmetric)
+        pm = principal_minor_sums(A)
+        mass = _eigen_mass(A)
+        for k, exact in enumerate(minor_sums_exact(A), start=1):
+            assert abs(Fraction(pm[k - 1]) - exact) <= 1e-12 * mass[k - 1], k
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), j=st.integers(-30, 30))
+    def test_power_of_two_scaling_is_exact(self, seed, n, j):
+        A = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+        pm = principal_minor_sums(A)
+        scaled = principal_minor_sums(np.ldexp(A, j))
+        assert scaled == tuple(float(np.ldexp(v, j * k)) for k, v in enumerate(pm, start=1))
+
+    @pytest.mark.parametrize("n", [24, 32])
+    @settings(derandomize=True, max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), symmetric=st.booleans())
+    def test_scaling_and_change_of_basis(self, n, seed, symmetric):
+        A = _uniform_or_symmetric(n, seed, symmetric)
+        pm = np.array(principal_minor_sums(A))
+        mass = _eigen_mass(A)
+        powers = np.arange(1, n + 1)
+        for c in (1e-8, 3.7, 1e8):
+            gap = np.abs(np.array(principal_minor_sums(c * A)) / c**powers - pm)
+            assert np.all(gap <= 1e-11 * mass), c
+        Q = random_orthogonal(n, seed % 1000)
+        gap = np.abs(np.array(principal_minor_sums(Q @ A @ Q.T)) - pm)
+        assert np.all(gap <= 1e-11 * mass)
+
+    @pytest.mark.parametrize("A", [
+        np.diag([1.0, 1e-8]),
+        np.diag(10.0 ** -np.arange(17)),
+        np.array([[1.0, 1.0], [1e-8, 1e-8]]),
+        np.diag([1.0] * 5 + [1e-8]) @ np.random.default_rng(1).uniform(-1, 1, (6, 6)),
+        np.diag([1.0] * 5 + [1e-200]) @ np.random.default_rng(1).uniform(-1, 1, (6, 6)),
+        np.diag(10.0 ** -np.arange(8)) @ np.random.default_rng(2).uniform(-1, 1, (8, 8)),
+        np.random.default_rng(3).standard_normal((9, 2))
+        @ np.random.default_rng(4).standard_normal((2, 9)),
+        np.diag(np.ones(6), 1),
+        np.triu(-np.cos(1.2) * np.ones((10, 10)), 1) + np.eye(10),
+        np.random.default_rng(5).integers(-3, 4, (7, 7)).astype(float),
+        np.zeros((4, 4)),
+    ], ids=["diag-1e-8", "diag-graded", "small-row-2x2", "small-row", "tiny-row", "row-graded",
+            "rank-2", "nilpotent", "kahan", "integer", "zero"])
+    def test_hard_inputs_pass_the_anchors_and_match_exact(self, A):
+        # Within 1e-12 of e_k of the row norms, the mass the anchors use; the
+        # trace form of pm^2 and a squared row norm of 1e-200 refused some.
+        mass = np.poly(-np.hypot.reduce(A, axis=1))[1:]
+        for k, (got, exact) in enumerate(zip(principal_minor_sums(A), minor_sums_exact(A))):
+            assert abs(Fraction(got) - exact) <= 1e-12 * mass[k], k + 1
+
+    @pytest.mark.parametrize("c", [1e150, 1e-150])
+    def test_extreme_scales_pass_without_warnings(self, c):
+        # A RuntimeWarning fails the test (pyproject filterwarnings); pm^k
+        # beyond the double range comes back as inf or 0.
+        B = np.random.default_rng(6).uniform(-1, 1, (6, 6))
+        base, mass = principal_minor_sums(B), np.poly(-np.hypot.reduce(B, axis=1))[1:]
+        for k, (got, want) in enumerate(zip(principal_minor_sums(c * B), base), start=1):
+            if np.isfinite(got) and np.isfinite(c**k):
+                assert abs(got - c**k * want) <= 1e-12 * c**k * mass[k - 1], k
+
+    def test_pm2_anchor_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_pm2", lambda M: 1.0)
+        with pytest.raises(NumericalError, match=r"pm\^2"):
+            principal_minor_sums(np.random.default_rng(8).uniform(-1, 1, (5, 5)))
+
+    def test_determinant_anchor_disagreement_raises(self, monkeypatch):
+        poly = np.poly
+        monkeypatch.setattr(np, "poly", lambda X: poly(X) + 1e-6 * np.eye(6)[5])
+        with pytest.raises(NumericalError, match=r"pm\^5"):
+            principal_minor_sums(np.random.default_rng(9).uniform(-1, 1, (5, 5)))
 
 
 class TestRandomOrthogonal:

@@ -11,7 +11,9 @@ them.  The corpus:
 - analyze for n = 2..8 on random, symmetric, skew and integer matrices, in
   the given, expansion and skew-canonical bases;
 - planar on five 2x2 matrices at scales 1e-5, 1 and 1e5;
-- identities for n = 1..16 (seeded) and on uniform(-1, 1) * 1e150 at n = 3, 6;
+- identities for n = 1..16, 24 and 32 (seeded), on uniform(-1, 1) * 1e150 at
+  n = 3, 6, on the 8 x 8 Hilbert matrix and on diag(10^-k), k = 0..16, where
+  the minor sums and the identity residuals that use them show;
 - frenet on the helix, the circular field and a grid field;
 - malformed requests;
 - analyze on near-multiple eigenvalues, where cluster decisions show:
@@ -22,7 +24,9 @@ The matrices are drawn from fixed numpy seeds and written once to a
 temporary directory that every run shares.  A request counts as identical
 when exit code, stdout and stderr agree byte for byte with the first label,
 after each checkout's PATH in stderr is replaced by `<src>` (numpy's
-warnings name the file they come from).
+warnings name the file they come from).  Such a stderr that differs only in
+the line numbers after `<src>` still counts as different, but is marked, since
+moving code shifts them.
 For a request that differs the tool prints the exit codes, the last stderr
 lines when they differ, and the largest absolute difference per report key
 (list indices folded to []), or `differs` for a key whose non-numeric value
@@ -33,6 +37,7 @@ import argparse
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -77,8 +82,13 @@ def corpus(workdir):
         for scale in (1e-5, 1.0, 1e5):
             path = matrix(f"planar-{kind}-{scale:g}.txt", scale * np.asarray(A, float))
             requests.append((f"planar {kind} x{scale:g}", ["planar", "--input", path]))
-    for n in range(1, 17):
+    for n in (*range(1, 17), 24, 32):
         requests.append((f"identities n={n}", ["identities", "--params", f"n={n}", "--seed", "1"]))
+    hilbert = 1.0 / (np.arange(8)[:, None] + np.arange(8)[None, :] + 1.0)
+    graded = np.diag(10.0 ** -np.arange(17))
+    for kind, A in (("hilbert n=8", hilbert), ("diag 10^-k k=0..16", graded)):
+        path = matrix(f"{kind.split()[0]}.txt", A)
+        requests.append((f"identities {kind}", ["identities", "--input", path]))
     for n in (3, 6):
         path = matrix(f"big{n}.txt", 1e150 * np.random.default_rng(0).uniform(-1, 1, (n, n)))
         requests.append((f"identities 1e150 n={n}", ["identities", "--input", path]))
@@ -157,6 +167,11 @@ def key_differences(a, b, key="", out=None):
     return out
 
 
+def _unnumbered(text):
+    """text with the line numbers after <src> file names dropped."""
+    return re.sub(r"(<src>[^:\s]*\.py):\d+:", r"\1:", text)
+
+
 def _last_line(text):
     lines = text.strip().splitlines()
     return lines[-1] if lines else ""
@@ -188,6 +203,9 @@ def main(argv=None):
         print(f"DIFFERS {name}")
         for label, (code, out, err) in outcomes:
             print(f"  {label}: exit {code}, stderr: {_last_line(err)!r}")
+        for label, (_, _, err) in rest:
+            if err != base[2] and _unnumbered(err) == _unnumbered(base[2]):
+                print(f"  {label} vs {first}: stderr differs only in <src> line numbers")
         for label, (_, out, _) in rest:
             try:
                 diffs = key_differences(json.loads(base[1]), json.loads(out))
