@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -39,19 +40,23 @@ class AnalysisRequest:
 # --- deterministic JSON emission -------------------------------------------
 
 def _format_float(x):
+    """x to 17 significant digits, with ".0" on an integral value; the
+    infinities become the strings "inf" and "-inf", and NaN raises."""
+    s = "%.17g" % x
+    if "." in s or "e" in s:
+        return s
     if x != x:
         raise NumericalError("a report value is NaN")
-    s = format(float(x), ".17g")
-    if "inf" in s:
-        return '"inf"' if x > 0 else '"-inf"'
-    if not any(ch in s for ch in ".eE"):
-        s += ".0"
-    return s
+    if s[-1] == "f":
+        return f'"{s}"'
+    return s + ".0"
 
 
 def _render(obj, pad=""):
     """JSON text of obj; the entries of a dict or list go on their own lines,
-    indented two spaces past pad.  Floats, most of every report, are tested first."""
+    indented two spaces past pad.  Floats, most of every report, are tested
+    first, and a Python float entry of a dict or list is formatted in place
+    rather than by a call to _render."""
     if isinstance(obj, (float, np.floating)):
         return _format_float(obj)
     if isinstance(obj, np.ndarray):
@@ -64,9 +69,12 @@ def _render(obj, pad=""):
         return str(int(obj))
     inner = pad + "  "
     if isinstance(obj, dict):
-        items, ends = [f"{json.dumps(str(k))}: {_render(v, inner)}" for k, v in obj.items()], "{}"
+        items = [encode_basestring_ascii(str(k)) + ": "
+                 + (_format_float(v) if type(v) is float else _render(v, inner))
+                 for k, v in obj.items()]
+        ends = "{}"
     elif isinstance(obj, (list, tuple)):
-        items, ends = [_render(v, inner) for v in obj], "[]"
+        items, ends = [_format_float(v) if type(v) is float else _render(v, inner) for v in obj], "[]"
     else:
         raise InputError(f"cannot serialise object of type {type(obj)!r}")
     if not items:

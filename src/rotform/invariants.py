@@ -24,9 +24,9 @@ audit live here too, as does the linear system that recovers the
 characteristic-polynomial coefficients of a normal matrix from its form
 eigenvalues.  The subset expansion takes all principal minors from one
 shared Schur-complement recursion, vectorised over the prefixes of each
-length; at n = 16 it costs about 7 ms of CPU time, at n = 20 about 0.12 s.
-The rotation power recurrence contracts its double sum over plane pairs to
-one vector, so its right-hand side costs O(n^2) work per step.
+length: about 4 ms of CPU time at n = 16, 40 to 70 ms at n = 20.  The rotation
+power recurrence contracts its double sum over plane pairs to one vector,
+so its right-hand side costs O(n^2) work per step.
 """
 
 from dataclasses import dataclass
@@ -51,7 +51,7 @@ from .quasirot import _pair_entries, _pair_index, _rotation_sum, _wedge
 from .quasirot import check_plane_pair, plane_pairs
 
 COLLINGS_MAX_DIM = 20  # largest n the 2^n subset expansion accepts by default
-# Terms per stack in collings_det: 0.6 MB peak; 2^12 runs 1.8x slower, 2^16 peaks at 2.1 MB.
+# Terms per stack in collings_det: 0.6 MB peak; 2^12 is 2x slower, 2^16 10-30% faster at 2.4 MB.
 _SUBSET_LEAF = 2**14
 
 
@@ -65,8 +65,8 @@ class InvariantReport:
 class _Parts:
     """What the identities of one matrix share, each computed once: max|A|,
     the powers I, A, ..., A^top (top >= n), pm^0..pm^n and (-1)^k pm^k, the
-    symmetric and skew parts, the rotation traces T[p] of every power, and
-    tr(M_kl^2) of every rotation form M_kl of A."""
+    symmetric and skew parts and their pm^2, the rotation traces T[p] of
+    every power, and tr(M_kl^2) of every rotation form M_kl of A."""
 
     def __init__(self, A, top=0):
         self.A = A = as_square(A)
@@ -84,12 +84,12 @@ class _Parts:
         rows = np.sum(A * A, axis=1)
         self.form_sq = 0.5 * (rows[K] + rows[L] + A[L, K] ** 2 + A[K, L] ** 2
                               - 2.0 * A[K, K] * A[L, L])
+        self.pm2_sym, self.pm2_skew = _pm2(self.sym), _pm2(self.skew)
         self._probe = None
 
     def probe(self, u):
-        """(u, W, e, V, VT) at unit u: W[p] = A^p u, e[p] = u.A^p u (by vecdot,
-        which rounds like u @ w; W @ u does not), V[p] the rotation values of
-        A^p and VT those of A^T."""
+        """(u, W, e, V, VT) at unit u: W[p] = A^p u, e[p] = u.A^p u by vecdot (it
+        rounds like u @ w, W @ u does not), V[p] and VT the rotation values of A^p, A^T."""
         if self._probe is None or not np.array_equal(self._probe[0], u):
             W = self.pows @ u
             VT = _wedge(u, self.A.T @ u)
@@ -187,7 +187,7 @@ def pm2_identity_residual(A):
     s = _parts(A)
     if s.n < 2:
         raise InputError("the second minor sum needs n >= 2")
-    pm2, pm2_sym, quarter = s.pm[2], _pm2(s.sym), 0.25 * s.trace_sq
+    pm2, pm2_sym, quarter = s.pm[2], s.pm2_sym, 0.25 * s.trace_sq
     return _rel(pm2 - (pm2_sym + quarter), [pm2, pm2_sym, quarter], s.scale, 2)
 
 
@@ -196,7 +196,7 @@ def pm2_sym_skew_residual(A):
     s = _parts(A)
     if s.n < 2:
         raise InputError("the second minor sum needs n >= 2")
-    pm2, pm2_sym, pm2_skew = s.pm[2], _pm2(s.sym), _pm2(s.skew)
+    pm2, pm2_sym, pm2_skew = s.pm[2], s.pm2_sym, s.pm2_skew
     return _rel(pm2 - pm2_sym - pm2_skew, [pm2, pm2_sym, pm2_skew], s.scale, 2)
 
 
@@ -253,21 +253,21 @@ def collings_det(Dd, B, max_dim=COLLINGS_MAX_DIM):
     B = np.ldexp(B, -e[:, None])
     _, f = np.frexp(np.abs(B).max(axis=0, initial=0.0))
     s = e + f
-    total, todo = 0.0, [(np.ldexp(B, -f)[None], np.ones(1))]  # stacked complements, weights
+    total, todo = 0.0, [(np.ldexp(B, -f)[..., None], np.ones(1))]  # (m, m, L) stacks, weights
     while todo:  # depth first, in stacks of at most _SUBSET_LEAF terms
         M, w = todo.pop()
-        while M.shape[1] and (len(M) == 1 or len(M) << M.shape[1] <= _SUBSET_LEAF):
-            k = n - M.shape[1]
-            p, row, col, rest = M[:, 0, 0], M[:, 0, 1:], M[:, 1:, 0], M[:, 1:, 1:]
-            shift = np.maximum(np.abs(row).max(axis=1, initial=0.0) - np.abs(p), 0.0)
-            delta = np.copysign(np.where(col.any(axis=1), shift, 0.0), p)
+        while len(M) and (len(w) == 1 or len(w) << len(M) <= _SUBSET_LEAF):
+            k = n - len(M)
+            p, row, col, rest = M[0, 0], M[0, 1:], M[1:, 0], M[1:, 1:]
+            shift = np.maximum(np.abs(row).max(axis=0, initial=0.0) - np.abs(p), 0.0)
+            delta = np.copysign(np.where(col.any(axis=0), shift, 0.0), p)
             piv = p + delta
-            mult = np.divide(row, piv[:, None], out=np.zeros_like(row), where=piv[:, None] != 0)
-            M = np.concatenate([rest, rest - col[:, :, None] * mult[:, None, :]])
+            mult = np.divide(row, piv, out=np.zeros_like(row), where=piv != 0)
+            M = np.concatenate([rest, rest - col[:, None] * mult], axis=2)
             w = np.concatenate([w * (d[k] - np.ldexp(delta, s[k])), w * np.ldexp(piv, s[k])])
-        if M.shape[1]:
-            h = len(M) // 2
-            todo += [(M[h:], w[h:]), (M[:h], w[:h])]
+        if len(M):
+            h = len(w) // 2
+            todo += [(M[..., h:], w[h:]), (M[..., :h], w[:h])]
         else:
             total += float(np.sum(w))
     return total

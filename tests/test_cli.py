@@ -13,7 +13,7 @@ import pytest
 import rotform
 from rotform import invariants
 from rotform.cli import AnalysisRequest, main, parse_matrix_text, render_report, run
-from rotform.errors import InputError
+from rotform.errors import InputError, NumericalError
 from rotform.linalg import DEFAULT_TOL, ToleranceConfig
 
 from oracles import minor_sums_exact
@@ -143,6 +143,35 @@ class TestRenderReport:
     def test_unsupported_type_is_input_error(self):
         with pytest.raises(InputError, match="cannot serialise"):
             render_report({"x": {1, 2}})
+
+    @pytest.mark.parametrize("value, text", [
+        (1e16, "10000000000000000.0"),
+        (1e17, "1e+17"),
+        (-0.0, "-0.0"),
+        (5e-324, "4.9406564584124654e-324"),
+        (123456789012345678.0, "1.2345678901234568e+17"),
+        (np.float64(2.0), "2.0"),
+        (float("inf"), '"inf"'),
+        (float("-inf"), '"-inf"'),
+    ])
+    def test_float_text_in_a_list_and_as_a_dict_value(self, value, text):
+        assert render_report([1.5, value, 0.25]) == f"[\n  1.5,\n  {text},\n  0.25\n]\n"
+        assert render_report({"a": 1.5, "v": value}) == f'{{\n  "a": 1.5,\n  "v": {text}\n}}\n'
+
+    @pytest.mark.parametrize("doc", [[1.0, float("nan")], {"a": 1.0, "v": float("nan")}])
+    def test_nan_entry_is_numerical_error_and_exits_three(self, doc, monkeypatch, capsys):
+        with pytest.raises(NumericalError, match="NaN"):
+            render_report(doc)
+        monkeypatch.setitem(rotform.cli._COMMANDS, "identities", lambda request: doc)
+        assert main(["identities"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NaN" in captured.err
+
+    def test_keys_render_as_json_strings(self):
+        keys = ["plain_key 1,2", 'quote"d', "back\\slash", "tab\t", "del\x7f", "Grüße", "ω"]
+        expected = "{\n" + ",\n".join(f"  {json.dumps(k)}: 1" for k in keys) + "\n}\n"
+        assert render_report({k: 1 for k in keys}) == expected
 
 
 class TestCommands:

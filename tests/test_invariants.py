@@ -403,6 +403,115 @@ class TestCollingsBatched:
             D[i, i] = 0.0
             assert collings_det(D, B) == 0.0
 
+    def test_within_bound_of_exact_where_stacks_split(self):
+        # n = 15 and 16 are the first sizes whose stacks outgrow _SUBSET_LEAF
+        # and are split for the depth-first walk
+        rng = np.random.default_rng(61)
+        for n in (15, 16):
+            for D, B in self._cases(rng, n):
+                _assert_near_exact(D, B)
+
+
+def _pinned_cases(n):
+    """(D, B) on which collings_det is pinned bit for bit, in the order of
+    _PINNED_BITS[n]: random, integer, triangular, a zero row in B, a zero
+    diagonal in B, D = 0, graded rows and columns, and 1e-6- and 1e6-scaled."""
+    rng = np.random.default_rng(900 + n)
+    A = rng.uniform(-1, 1, (n, n))
+    off = A - np.diag(np.diag(A))
+    graded = 2.0 ** rng.uniform(-30, 30, n)
+    d = rng.uniform(-2, 2, n)
+    zero_row = off.copy()
+    zero_row[n // 2] = 0.0
+
+    def split(M):
+        return np.diag(np.diag(M)), M - np.diag(np.diag(M))
+
+    return [
+        split(A),
+        split(rng.integers(-5, 6, (n, n)).astype(float)),
+        split(np.triu(A)),
+        (np.diag(np.diag(A)), zero_row),
+        (np.diag(d), off),
+        (np.zeros((n, n)), A),
+        split(graded[:, None] * A * graded[None, ::-1]),
+        split(1e-6 * A),
+        split(1e6 * A),
+    ]
+
+
+# float.hex(collings_det(D, B)) on _pinned_cases(n), n = 1..20: a change to
+# how the Schur-complement stacks are laid out or split must not move a bit.
+_PINNED_BITS = {
+    1: ("0x1.c95473f529110p-2", "-0x1.0000000000000p+0", "0x1.c95473f529110p-2",
+         "0x1.c95473f529110p-2", "-0x1.2f4650f72dba4p-1", "0x1.c95473f529110p-2",
+         "0x1.2cebcb0c66b06p+51", "0x1.df8b8f097d9ecp-22", "0x1.b424ce65f99e0p+18"),
+    2: ("-0x1.30b249b9b825bp-1", "-0x1.4000000000000p+3", "-0x1.c05b5cb1f7728p-4",
+         "-0x1.c05b5cb1f7728p-4", "0x1.52b9ac43c7622p-2", "-0x1.30b249b9b825bp-1",
+         "-0x1.8595cc1d8df46p-32", "-0x1.4f046c3205332p-41", "-0x1.151eaaeb5157fp+39"),
+    3: ("0x1.dc77b13da589cp-3", "-0x1.4000000000000p+4", "0x1.6a4b014c960bcp-5",
+         "0x1.7e217123d2fc3p-3", "0x1.e1224802f46c3p-1", "0x1.dc77b13da589bp-3",
+         "0x1.5bc701f4c3bf0p-81", "0x1.12aa330a1c54dp-62", "0x1.9d450c6ae97cdp+57"),
+    4: ("-0x1.f5dd1aadc51a8p-2", "0x1.6800000000000p+6", "0x1.00389d1456a5cp-5",
+         "-0x1.4c95c2f8bfa2bp-5", "-0x1.56041d135c478p-4", "-0x1.f5dd1aadc51a9p-2",
+         "-0x1.293e36d7e96c6p+21", "-0x1.2f5ba4ee03e2bp-81", "-0x1.9f21c50f2c9e0p+78"),
+    5: ("0x1.3c4a7f642a6e0p-2", "0x1.aa40000000000p+11", "0x1.6539f67f03d0fp-3",
+         "0x1.392a7c959946cp-1", "-0x1.d8a47c471ea56p+0", "0x1.3c4a7f642a6dfp-2",
+         "0x1.942cd3521a2c0p+5", "0x1.90f24cc70021bp-102", "0x1.f304eb8bba3e0p+97"),
+    6: ("0x1.c45616e0f6d7bp-2", "-0x1.2e3fffffffff0p+13", "-0x1.481d3d897b41cp-10",
+         "0x1.c2513fede6ae4p-4", "-0x1.6550b8cb425c9p-1", "0x1.c45616e0f6d7cp-2",
+         "0x1.534d28e8bb2c8p+128", "0x1.2ca107f7c88cbp-121", "0x1.544cccc836cd5p+118"),
+    7: ("-0x1.024142f7543dcp+0", "0x1.a0a0000000060p+12", "0x1.900ac958f9cecp-14",
+         "-0x1.91462503a5166p-2", "0x1.b9a14c36a26f0p-2", "-0x1.024142f7543dap+0",
+         "-0x1.f05493509aba0p+159", "-0x1.67f470039df0cp-140", "-0x1.7293e0b8be704p+139"),
+    8: ("-0x1.9344a740b5b1ap-1", "0x1.4638000000001p+16", "0x1.668601aab4358p-16",
+         "-0x1.2af5001f33a20p-5", "-0x1.910f94f630bf0p-4", "-0x1.9344a740b5b22p-1",
+         "-0x1.31b1a13a66190p-18", "-0x1.26b044d91f278p-160", "-0x1.13ed6278cc7dbp+159"),
+    9: ("0x1.e8dfa870f3c24p+2", "0x1.2f36cfffffff0p+21", "0x1.2b1937c4d8811p-16",
+         "0x1.2ce0ed0a9860cp+1", "-0x1.d9dc95bff902ap+1", "0x1.e8dfa870f3c1ep+2",
+         "0x1.7e200495a8524p-18", "0x1.76992dcb9dd26p-177", "0x1.3f01446d754a9p+182"),
+    10: ("0x1.067e128c637d8p+0", "0x1.d190cc800000ap+26", "-0x1.5cbe8d7a3b8a0p-15",
+          "0x1.63401f83852cbp+1", "-0x1.b623ad0b96280p-6", "0x1.067e128c637e2p+0",
+          "0x1.c2f9295500000p-32", "0x1.a5cf239de8f60p-200", "0x1.46b2ed225db58p+199"),
+    11: ("-0x1.3db08ddc93f5cp+2", "-0x1.b7bcaae00003cp+28", "0x1.ace4764dcfcb1p-13",
+          "-0x1.cb12dc22c5a1ep-2", "-0x1.563dfd8bd264cp+5", "-0x1.3db08ddc93f70p+2",
+          "0x1.5300000000000p+14", "-0x1.0ba72bdbca690p-217", "-0x1.791499754a19ep+221"),
+    12: ("-0x1.285ff0b1d3190p-4", "0x1.2f5637480001cp+30", "-0x1.34f35b32e62f1p-14",
+          "-0x1.81026cba7ee20p-1", "0x1.32df908f01173p+7", "-0x1.285ff0b1d3140p-4",
+          "-0x1.2b4a008000000p+113", "-0x1.05d30eb3e5e20p-243", "-0x1.4f7bfe2214f90p+235"),
+    13: ("0x1.4ad921181111dp+3", "0x1.ef84b05c27fd4p+37", "-0x1.4a95ea5657f43p-26",
+          "-0x1.0466bd30c5b20p-4", "-0x1.1a4aa6c005e82p+8", "0x1.4ad9211811142p+3",
+          "0x1.d83bbde7fba00p-27", "0x1.327a0f76e3421p-256", "0x1.652855e7bd0c7p+262"),
+    14: ("-0x1.95c53f967f3aep+7", "-0x1.e7ab4a2fd0020p+38", "-0x1.9d843176e8d34p-21",
+          "-0x1.99dcb77e0b000p-2", "-0x1.0385efc219240p+7", "-0x1.95c53f967f3e8p+7",
+          "-0x1.4ad14fd3fdeb0p-31", "-0x1.8a238cadeaf67p-272", "-0x1.a1bed2dbb1851p+286"),
+    15: ("-0x1.7591874014cc4p+8", "-0x1.dc3c82e126a54p+44", "0x1.4f130f89e9555p-21",
+          "0x1.f6b8a349cfcdcp+2", "-0x1.1db422b59eb6dp+10", "-0x1.7591874014ccbp+8",
+          "-0x1.7d1ce754e76d6p-129", "-0x1.7c7c7807b1adbp-291", "-0x1.6ec6c9297d784p+307"),
+    16: ("0x1.535527c679f14p+9", "-0x1.dfd9cd96e6c3ap+48", "-0x1.761bf858554f4p-22",
+          "0x1.1ac5b2c30645cp+6", "0x1.515dfc07c7098p+10", "0x1.535527c679ee5p+9",
+          "0x1.e80ad85554800p+159", "0x1.6a67b1e193893p-310", "0x1.3dbaa7752c6e0p+328"),
+    17: ("0x1.5bfb0ffe84fbcp+5", "-0x1.0371c8c7fbdb2p+49", "-0x1.749f5d00392acp-21",
+          "0x1.89a4341cd535cp+2", "-0x1.f1e698fb311f4p+9", "0x1.5bfb0ffe8cee6p+5",
+          "0x1.07e9bbfd11990p+224", "0x1.85b1a9100051cp-334", "0x1.36bb83700c878p+344"),
+    18: ("0x1.dfca66cdcd51ap+9", "-0x1.8a6fb5e8359bcp+56", "-0x1.597b07fe3394bp-25",
+          "0x1.41b199556a19fp+9", "0x1.958a6ff65bf0bp+13", "0x1.dfca66cdcd300p+9",
+          "0x1.1068000000000p+92", "0x1.19b3c233842dcp-349", "0x1.9895fa1f6fc6ap+368"),
+    19: ("0x1.47b61d00e5d26p+10", "-0x1.01333b0ba884ep+59", "-0x1.e4ece57de09d2p-20",
+          "0x1.8ad0d007d98e2p+10", "0x1.3f2bb985e6a30p+12", "0x1.47b61d00e6350p+10",
+          "0x1.ff80000000000p+17", "0x1.9383e2f9a124cp-369", "0x1.0a25e1b149cc0p+389"),
+    20: ("0x1.ce5a712e22e20p+9", "-0x1.1c1667ac820b4p+60", "0x1.df92e3bfb7e55p-33",
+          "0x1.6df6d06f139c0p+8", "0x1.27e3335faaa8ap+13", "0x1.ce5a712e22a20p+9",
+          "0x1.19eb400000000p-182", "0x1.2a7a59b59a380p-389", "0x1.6619e323f7c18p+408"),
+}
+
+
+class TestCollingsPinned:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_bits(self, n):
+        got = tuple(float.hex(collings_det(D, B)) for D, B in _pinned_cases(n))
+        assert got == _PINNED_BITS[n]
+
 
 class TestN4DetAudit:
     def test_symmetric_reduces_to_diagonal_determinant(self):

@@ -26,7 +26,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 
-SIZES = (4, 8, 12, 16, 20)
+SIZES = (4, 8, 12, 15, 16, 20)
 RUNS = 5
 _ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
