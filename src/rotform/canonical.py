@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .linalg import DEFAULT_TOL, ascending_runs, as_square, binary_scale, matrix_powers, maxabs
-from .linalg import nullspace, sym_eigen
+from .linalg import _sign_fix, nullspace, sym_eigen
 from .qforms import is_zero_part
 from .quasirot import _pair_entries, _pair_index
 
@@ -44,16 +44,6 @@ class NormalityReport:
     violating_pairs: tuple  # (i, j, rotation trace, expansion eigenvalue gap)
     commutator_norm: float
     expansion_eigenvalues: tuple
-
-
-def _sign_fix(P, tol):
-    """Make the first component above rank_tol in each unit column positive."""
-    Q = P.copy()
-    for col in Q.T:
-        lead = col[np.abs(col) > tol.rank_tol]
-        if lead.size and lead[0] < 0.0:
-            col *= -1.0
-    return Q
 
 
 def expansion_eigenbasis(A, tol=DEFAULT_TOL):

@@ -209,12 +209,7 @@ def _spectral_section(report):
             {"re": z.real, "im": z.imag, "multiplicity": mult}
             for z, mult in report.complex_pairs
         ],
-        "bromwich": {
-            "real_min": report.bromwich[0],
-            "real_max": report.bromwich[1],
-            "imag_min": report.bromwich[2],
-            "imag_max": report.bromwich[3],
-        },
+        "bromwich": dict(zip(("real_min", "real_max", "imag_min", "imag_max"), report.bromwich)),
         "flags": list(report.flags),
     }
 

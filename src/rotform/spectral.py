@@ -2,9 +2,10 @@
 
 A direction is an eigenvector exactly when every rotation form vanishes on
 it, and the dimension of a maximal common-zero subspace is the geometric
-multiplicity of the matching eigenvalue.  Eigenspaces are constructed from
-nullspaces and then verified against that common-zero criterion; any
-disagreement is flagged rather than silently accepted.
+multiplicity of the matching eigenvalue.  A simple eigenvalue's eigenspace
+is its certified eigenvector, a repeated one's a nullspace; each is verified
+against that common-zero criterion, and any disagreement is flagged rather
+than silently accepted.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .linalg import (
     DEFAULT_TOL,
+    _sign_fix,
     ascending_runs,
     as_direction,
     as_square,
@@ -98,11 +100,13 @@ def bromwich_bounds(A, tol=DEFAULT_TOL):
 def eigenstructure(A, tol=DEFAULT_TOL):
     """Real eigenvalues with geometric multiplicities from common zeros.
 
-    Each eigenspace is the nullspace of A - lambda I at n rank_tol max|A|,
-    the bound real_spectrum certified lambda at, and every basis vector is
-    re-checked against the rotation forms; failures are reported in flags.
-    A geometric multiplicity above the algebraic one raises NumericalError.
-    Complex pairs and the containment bounds ride along.
+    A simple eigenvalue that real_spectrum certified by its residual has
+    its unit eigenvector as eigenspace; any other the nullspace of A -
+    lambda I at n rank_tol max|A|, the bound real_spectrum certified lambda
+    at.  Every basis vector, signed by _sign_fix, is re-checked against the
+    rotation forms; failures are reported in flags.  A geometric
+    multiplicity above the algebraic one raises NumericalError.  Complex
+    pairs and the containment bounds ride along.
     """
     A = as_square(A)
     n = A.shape[0]
@@ -110,34 +114,23 @@ def eigenstructure(A, tol=DEFAULT_TOL):
     scale = maxabs(A)
     cz_tol = tol.residual_tol * scale
     threshold = n * tol.rank_tol * scale
-    entries = []
-    flags = []
-    for lam, mult in spectrum.real_eigs:
-        basis = nullspace(A - lam * np.eye(n), tol, abs_threshold=threshold)
+    entries, flags = [], []
+    for (lam, mult), x in zip(spectrum.real_eigs, spectrum.real_vectors):
+        basis = [x] if x is not None else nullspace(A - lam * np.eye(n), tol, threshold)
         if len(basis) > mult:
             raise NumericalError(f"eigenvalue {lam:.12g} has {len(basis)} kernel directions "
                                  f"at {threshold:.3e}, more than its multiplicity {mult}")
+        basis = tuple(_sign_fix(np.reshape(basis, (-1, n)).T, tol).T)
         if not basis:
-            flags.append(
-                f"no eigenvector found at reported eigenvalue {lam:.12g} "
-                f"(rank threshold {threshold:.3e})"
-            )
+            flags.append(f"no eigenvector found at reported eigenvalue {lam:.12g} "
+                         f"(rank threshold {threshold:.3e})")
         residuals = [maxabs(_wedge(vec, A @ vec)) for vec in basis]
         flags.extend(
             f"eigenvector of {lam:.12g} fails the common-zero check: "
             f"rotation residual {r:.3e} exceeds {cz_tol:.3e}"
             for r in residuals if r > cz_tol
         )
-        entries.append(
-            SpectralEntry(
-                value=float(lam),
-                geometric_multiplicity=len(basis),
-                eigenspace=tuple(basis),
-                rotation_residual=max(residuals, default=0.0),
-            )
-        )
-    if n % 2 == 1 and not entries:
-        raise NumericalError("odd dimension must produce at least one real eigenvalue")
+        entries.append(SpectralEntry(float(lam), len(basis), basis, max(residuals, default=0.0)))
     return SpectralReport(
         entries=tuple(entries),
         complex_pairs=spectrum.complex_pairs,
@@ -192,12 +185,8 @@ def planar_analyze(A, u=None, tol=DEFAULT_TOL):
     if u is not None:
         uhat = as_direction(u, 2, "direction for the planar frame")
         uperp = np.array([-uhat[1], uhat[0]])
-        rep = np.array(
-            [
-                [evaluate(e_form, uhat), -evaluate(r_form, uperp)],
-                [evaluate(r_form, uhat), evaluate(e_form, uperp)],
-            ]
-        )
+        rep = np.array([[evaluate(e_form, uhat), -evaluate(r_form, uperp)],
+                        [evaluate(r_form, uhat), evaluate(e_form, uperp)]])
     return PlanarReport(
         eigs=eigs,
         classification=classification,

@@ -16,6 +16,8 @@ from rotform import (
     invariant_report,
     normal_invariant_recover,
     plane_pairs,
+    random_orthogonal,
+    real_spectrum,
     skew_canonical_basis,
     sym_eigen,
 )
@@ -92,3 +94,21 @@ def test_diagonal_rotation_recursion_builds_no_rotation_value_dicts(monkeypatch)
     for pair in plane_pairs(6):
         diagonal_rotation_recursion(A, 2, pair)
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_real_spectrum_of_distinct_eigenvalues_runs_no_svd(monkeypatch, n):
+    calls = _count(monkeypatch, [np.linalg], "svd")
+    spectrum = real_spectrum(np.random.default_rng(n).uniform(-1, 1, (n, n)))
+    assert spectrum.total_multiplicity() == n
+    assert calls == []
+
+
+def test_eigenstructure_runs_nullspace_only_for_the_cluster(monkeypatch):
+    calls = _count(monkeypatch, [rotform.spectral], "nullspace")
+    Q = random_orthogonal(3, seed=8)
+    for A in (np.diag([1.0, 1.0, 3.0]), Q @ np.diag([1.0, 1.0, 3.0]) @ Q.T):
+        del calls[:]
+        report = eigenstructure(A)
+        assert [e.geometric_multiplicity for e in report.entries] == [2, 1]
+        assert len(calls) == 1

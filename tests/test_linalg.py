@@ -356,12 +356,59 @@ class TestSpectrumFromMatrix:
         assert spec.real_eigs == ((0.0, 4),) and spec.complex_pairs == ()
 
     def test_solver_failure_is_numerical_error(self, monkeypatch):
-        def failing_eigvals(a):
+        def failing_eig(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+        monkeypatch.setattr(np.linalg, "eig", failing_eig)
         with pytest.raises(NumericalError, match="did not converge"):
             real_spectrum(np.eye(2))
+
+    def test_failing_residuals_fall_back_to_the_svd(self, monkeypatch):
+        # eigenvectors moved by 1e-6 fail every residual certificate, so each
+        # eigenvalue is judged by sigma_min from an SVD, with the same outcome
+        rng = np.random.default_rng(4)
+        cases = [rng.uniform(-1.0, 1.0, (n, n)) for n in (2, 5, 9, 16)]
+        cases.append(similarity_with_jordan(rng, [(1.5, 2, True), (-1.0, 1, False), (3.0, 1, False)]))
+        expected = [real_spectrum(A) for A in cases]
+        eig, svd = np.linalg.eig, np.linalg.svd
+        svd_calls = []
+
+        def perturbed_eig(a):
+            w, X = eig(a)
+            return w, X + 1e-6 * rng.standard_normal(X.shape)
+
+        def counted_svd(*args, **kwargs):
+            svd_calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed_eig)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        for A, spec in zip(cases, expected):
+            del svd_calls[:]
+            fallback = real_spectrum(A)
+            assert fallback == spec
+            assert [x is None for x in fallback.real_vectors] == [True] * len(spec.real_eigs)
+            assert len(svd_calls) >= len(spec.real_eigs) + len(spec.complex_pairs)
+
+    @pytest.mark.parametrize("j", [-600, -1, 1, 600])
+    def test_power_of_two_scaling_is_exact(self, j):
+        # A / max|A| is the same matrix for every 2^j A, so values, vectors
+        # and residuals scale bit for bit
+        rng = np.random.default_rng(7)
+        Q = random_orthogonal(5, seed=7)
+        cases = [rng.uniform(-1.0, 1.0, (n, n)) for n in (1, 3, 8, 17)]
+        cases += [np.diag([1.0, 1.0, 3.0]), Q @ np.diag([1.0, 1.0, 1.0, 3.0, -2.0]) @ Q.T]
+        for A in cases:
+            base, scaled = real_spectrum(A), real_spectrum(np.ldexp(A, j))
+            assert scaled.real_eigs == tuple((np.ldexp(v, j), m) for v, m in base.real_eigs)
+            assert scaled.complex_pairs == tuple(
+                (complex(np.ldexp(z.real, j), np.ldexp(z.imag, j)), m) for z, m in base.complex_pairs)
+            for e, f in zip(eigenstructure(A).entries, eigenstructure(np.ldexp(A, j)).entries,
+                            strict=True):
+                assert f.value == np.ldexp(e.value, j)
+                assert f.geometric_multiplicity == e.geometric_multiplicity
+                assert np.array_equal(f.eigenspace, e.eigenspace)
+                assert f.rotation_residual == np.ldexp(e.rotation_residual, j)
 
     def test_certificate_rejects_unreachable_rank_tolerance(self):
         A = np.random.default_rng(3).standard_normal((5, 5))

@@ -10,11 +10,14 @@ checked on seeded random matrices, with hypothesis choosing seeds and scales
 deterministically.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotform import (
+    DEFAULT_TOL,
     QForm,
     bromwich_bounds,
     collings_det,
@@ -35,6 +38,7 @@ from rotform import (
     sym_eigen,
     zero_subspace_extend,
 )
+from rotform import linalg
 from rotform.linalg import _cluster_points
 
 from oracles import (
@@ -419,6 +423,31 @@ def test_near_multiple_eigenvalues_have_multiplicities_that_add_up(seed):
     if gap >= 1e-8 * scale:
         assert gms == mult
         assert np.max(np.abs(np.array(reported) - values)) <= 1e-10 * scale
+
+
+def _assert_residual_certificates_are_sound(A):
+    """Every eigenvalue z of A / max|A| that real_spectrum certified by its
+    eigenvector's residual has sigma_min(A / max|A| - z I) <= n rank_tol by SVD."""
+    with mock.patch.object(linalg, "_resolve_clusters", wraps=linalg._resolve_clusters) as spy:
+        real_spectrum(A)
+    Ah, _, _, sigma_tol, certified = spy.call_args_list[0].args
+    assert sigma_tol == len(A) * DEFAULT_TOL.rank_tol
+    for z in certified:
+        assert np.linalg.svd(Ah - z * np.eye(len(A)), compute_uv=False)[-1] <= sigma_tol
+    return certified
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 32))
+def test_residual_certificates_are_sound_on_uniform_matrices(seed, n):
+    A = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+    assert len(_assert_residual_certificates_are_sound(A)) == n
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=SEEDS)
+def test_residual_certificates_are_sound_near_multiple_eigenvalues(seed):
+    _assert_residual_certificates_are_sound(_near_multiple_family(seed)[0])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
