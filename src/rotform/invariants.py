@@ -65,21 +65,21 @@ class InvariantReport:
 class _Parts:
     """What the identities of one matrix share, each computed once: max|A|,
     the powers I, A, ..., A^top (top >= n), pm^0..pm^n and (-1)^k pm^k, the
-    symmetric and skew parts and their pm^2, the rotation traces T[p] of
-    every power, and tr(M_kl^2) of every rotation form M_kl of A."""
+    symmetric and skew parts and their pm^2, (tr A)^2, the rotation traces T[p]
+    of every power, sum T[1]^2, and tr(M_kl^2) of every rotation form M_kl of A."""
 
     def __init__(self, A, top=0):
         self.A = A = as_square(A)
         self.n = n = A.shape[0]
         self.scale = maxabs(A)
+        (self.tr_sq,) = _squares([float(np.trace(A))], "tr A")
+        self.trace_sq = sum(_squares(_pair_entries(A).tolist(), "a rotation trace of A"))
         self.pows = np.array(matrix_powers(A, max(n, top)))
         self.traces = [float(np.trace(M)) for M in self.pows[1 : n + 1]]
         self.pm = (1.0,) + principal_minor_sums(A)
         self.signed = [(-1.0) ** k * self.pm[k] for k in range(n + 1)]
-        self.sym = 0.5 * (A + A.T)
-        self.skew = 0.5 * (A - A.T)
+        self.sym, self.skew = 0.5 * (A + A.T), 0.5 * (A - A.T)
         self.T = _pair_entries(self.pows)
-        self.trace_sq = sum(t ** 2 for t in self.T[1].tolist())  # of A, in pair order
         K, L = _pair_index(n)
         rows = np.sum(A * A, axis=1)
         self.form_sq = 0.5 * (rows[K] + rows[L] + A[L, K] ** 2 + A[K, L] ** 2
@@ -207,14 +207,14 @@ def gram_trace_identity_residual(A):
     s = _parts(A)
     A, n = s.A, s.n
     lhs = n * float(np.sum(A * A))
-    tr_e = float(np.trace(A))  # equals tr of the expansion form exactly
+    tr_sq = s.tr_sq  # tr A equals tr of the expansion form exactly
     rot_sq = float(np.sum(s.form_sq))
     pm2_rot = float(np.sum(0.5 * (s.T[1] ** 2 - s.form_sq)))
-    first = _rel(lhs - 2.0 * rot_sq - tr_e**2, [lhs, 2.0 * rot_sq, tr_e**2], s.scale, 2)
+    first = _rel(lhs - 2.0 * rot_sq - tr_sq, [lhs, 2.0 * rot_sq, tr_sq], s.scale, 2)
     if n < 2:
         return first
-    terms = [lhs, 4.0 * pm2_rot, 2.0 * s.trace_sq, tr_e**2]
-    second = _rel(lhs - (-4.0 * pm2_rot + 2.0 * s.trace_sq + tr_e**2), terms, s.scale, 2)
+    terms = [lhs, 4.0 * pm2_rot, 2.0 * s.trace_sq, tr_sq]
+    second = _rel(lhs - (-4.0 * pm2_rot + 2.0 * s.trace_sq + tr_sq), terms, s.scale, 2)
     return max(first, second)
 
 
@@ -364,6 +364,17 @@ def _power_step(s, m, probe):
     w = _rotation_sum(V[m], s.n) @ u
     rhs_r = e_m * V[1] + _wedge(u, s.A @ w)
     return float(e[m + 1]), rhs_e, V[m + 1], rhs_r
+
+
+def _squares(values, name):
+    """[t ** 2 for t in values] (t * t rounds otherwise on some floats), or
+    NumericalError naming the largest |t| when a square leaves the double
+    range.  _Parts squares first, so a refusal comes before any numpy overflow."""
+    try:
+        return [t ** 2 for t in values]
+    except OverflowError:
+        t = max(values, key=abs)
+        raise NumericalError(f"{name} = {t:.6g} squared leaves the double range") from None
 
 
 def power_form_step(A, m, u):

@@ -245,6 +245,8 @@ def _cluster_points(points, tol=None):
     """
     z = np.asarray(points)
     M = np.abs(z[:, None] - z[None, :])
+    if tol is not None and np.count_nonzero(M <= tol) == len(z):
+        return [[p] for p in points]  # only the diagonal: no chain joins two points
     for k in range(len(z)):
         np.minimum(M, np.maximum.outer(M[:, k], M[k]), out=M)
     labels = (M <= tol if tol is not None else M < M.max()).argmax(axis=1)

@@ -35,7 +35,10 @@ are the library's former code, kept unchanged with the suffix _loop, and
 model_rotation_forms_by_hand is the former frenet.model_rotation_forms,
 and diagonal_rotation_recursion_by_dicts the former
 diagonal_rotation_recursion, which read each rotation value from a dict
-over all plane pairs.
+over all plane pairs.  trilinear_reference is the former 8-corner loop of
+frenet.GridField, whose gather must round the same, and cluster_points_loop
+is _cluster_points at a given radius by its minimax loop alone, without
+the shortcut for points of which no two are within the radius.
 Every oracle here takes its rotation values and traces from these loops,
 so none shares the library's pair index.
 """
@@ -48,6 +51,7 @@ import numpy as np
 
 from rotform import (
     DEFAULT_TOL,
+    FieldError,
     InputError,
     NumericalError,
     SkewBlockForm,
@@ -895,3 +899,38 @@ def model_rotation_forms_by_hand(kappa, tau, sigma):
             [[0.0, 0.0, -0.5 * kappa], [0.0, tau - sigma, 0.0], [-0.5 * kappa, 0.0, tau - sigma]]
         ),
     }
+
+
+def trilinear_reference(grid, x):
+    """The value of the frenet.GridField grid at x, by a loop over the 8
+    corners: weights (wx * wy) * wz, added to a zero vector in (dx, dy, dz)
+    order, and the sum divided by its np.linalg.norm."""
+    rel = (np.asarray(x, dtype=float) - grid.origin) / grid.spacing
+    dims = grid.values.shape[:3]
+    if np.any(rel < 0.0) or any(rel[i] > dims[i] - 1 for i in range(3)):
+        raise FieldError(f"point {tuple(float(v) for v in x)} lies outside the sampled grid")
+    i0 = np.minimum(rel.astype(int), np.array(dims) - 2)
+    f = rel - i0
+    out = np.zeros(3)
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                weight = (
+                    (f[0] if dx else 1.0 - f[0])
+                    * (f[1] if dy else 1.0 - f[1])
+                    * (f[2] if dz else 1.0 - f[2])
+                )
+                out += weight * grid.values[i0[0] + dx, i0[1] + dy, i0[2] + dz]
+    return out / float(np.linalg.norm(out))
+
+
+def cluster_points_loop(points, tol):
+    """Single-linkage groups at radius tol by the n-step minimax loop."""
+    z = np.asarray(points)
+    M = np.abs(z[:, None] - z[None, :])
+    for k in range(len(z)):
+        np.minimum(M, np.maximum.outer(M[:, k], M[k]), out=M)
+    groups = {}
+    for p, label in zip(points, (M <= tol).argmax(axis=1).tolist()):
+        groups.setdefault(label, []).append(p)
+    return list(groups.values())

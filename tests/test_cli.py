@@ -484,6 +484,20 @@ class TestProcessLevel:
         assert (code, out) == (3, "")
         assert "numerical error" in err and "input error" not in err
 
+    @pytest.mark.parametrize("kind, A, quantity", [
+        ("1x1", [[1e200]], "tr A"),
+        ("3x3", 1e155 * np.random.default_rng(0).uniform(-1.0, 1.0, (3, 3)), "tr A"),
+        ("3x3 traceless", [[0.0, 1e155, 0.0], [-1e155, 0.0, 0.0], [0.0, 0.0, 0.0]],
+         "a rotation trace of A"),
+    ])
+    def test_squares_beyond_the_double_range_are_numerical_errors(self, tmp_path, kind, A, quantity):
+        A = np.asarray(A)
+        matrix = write(tmp_path, "m.json", json.dumps({"n": len(A), "rows": A.tolist()}))
+        code, out, err = _fresh_process(["identities", "--input", matrix], tmp_path)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"numerical error: {quantity} = ") and err.count("\n") == 1
+        assert err.endswith("squared leaves the double range\n")
+
 
 class TestCollingsResidual:
     def test_scale_free_against_a_wrong_expansion(self, tmp_path, monkeypatch):

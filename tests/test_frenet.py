@@ -19,12 +19,15 @@ from rotform import (
 )
 from rotform import rotation_form
 from rotform.frenet import (
+    GridField,
     compare_matrix_to_model,
     frenet_report,
     grid_field,
     model_rotation_forms,
     model_shape_matrix,
 )
+
+from oracles import trilinear_reference
 
 
 def helix_reference(r, c):
@@ -68,6 +71,20 @@ class TestFieldJacobian:
         bad = FlowField(evaluator=lambda x: np.array([1.0, 1.0, 0.0]))
         with pytest.raises(FieldError):
             field_jacobian(bad, np.zeros(3))
+
+    @pytest.mark.parametrize("value, message", [
+        ([1.0, 0.0], r"returned shape \(2,\), expected a 3-vector"),
+        ([1.0, 1.0, 0.0], r"is not unit at \(0.5, 0.0, 0.0\): \|v\| = 1.41421356237"),
+        ([np.nan, 0.0, 0.0], r"is not unit at \(0.5, 0.0, 0.0\): \|v\| = nan"),
+        ([np.inf, 0.0, 0.0], r"is not unit at \(0.5, 0.0, 0.0\): \|v\| = inf"),
+        ([1.0 + 2e-8, 0.0, 0.0], r"\|v\| = 1.00000002"),
+    ])
+    def test_each_query_checks_shape_and_unit_length(self, value, message):
+        seen = []
+        field = FlowField(evaluator=lambda x: seen.append(x) or value, name="probe")
+        with pytest.raises(FieldError, match=message):
+            field.at([0.5, 0.0, 0.0])
+        assert len(seen) == 1 and seen[0].dtype == np.float64 and seen[0].shape == (3,)
 
 
 class TestFrenetFrame:
@@ -297,3 +314,48 @@ class TestGridField:
         obj = json.loads(path.read_text())
         field = grid_field(obj["origin"], obj["spacing"], obj["values"])
         np.testing.assert_allclose(field.at(np.array([0.5, 0.5, 0.5])), [1.0, 0.0, 0.0])
+
+    # dyadic origin and spacing, so that nodes, faces and edges are hit exactly
+    ORIGIN, SPACING, DIMS = np.array([-1.0, 0.5, 2.0]), np.array([0.25, 0.5, 0.125]), (4, 5, 6)
+
+    def random_grid(self, planar):
+        """Unit samples on DIMS; planar ones have -0.0 as third component."""
+        values = np.random.default_rng(11).standard_normal((*self.DIMS, 3))
+        if planar:
+            values[..., 2] = -0.0
+        return GridField(self.ORIGIN, self.SPACING,
+                         values / np.linalg.norm(values, axis=3, keepdims=True))
+
+    @pytest.mark.parametrize("planar", [False, True], ids=["general", "planar"])
+    def test_interpolant_matches_the_corner_loop_bit_for_bit(self, planar):
+        grid = self.random_grid(planar)
+        rng = np.random.default_rng(12)
+        top = np.array(self.DIMS) - 1.0
+        rels = list(rng.uniform(0.0, top, (300, 3)))                     # cell interiors
+        rels += list(rng.integers(0, self.DIMS, (50, 3)).astype(float))   # nodes
+        for axes in ([0], [1], [2], [0, 1], [1, 2], [0, 2]):            # faces, edges
+            for rel in rng.uniform(0.0, top, (20, 3)):
+                rel[axes] = rng.integers(0, np.array(self.DIMS)[axes])
+                rels.append(rel)
+        for axis in range(3):                                            # upper faces
+            for rel in rng.uniform(0.0, top, (10, 3)):
+                rel[axis] = top[axis]
+                rels.append(rel)
+        rels.append(top)
+        assert len(rels) >= 500
+        for rel in rels:
+            x = self.ORIGIN + rel * self.SPACING
+            assert grid(x).tobytes() == trilinear_reference(grid, x).tobytes(), rel
+
+    def test_each_face_is_inside_and_a_point_past_it_outside(self):
+        grid = self.random_grid(False)
+        top = self.ORIGIN + (np.array(self.DIMS) - 1) * self.SPACING
+        centre = 0.5 * (self.ORIGIN + top)
+        for axis in range(3):
+            for face, outward in ((self.ORIGIN[axis], -1.0), (top[axis], 1.0)):
+                x = centre.copy()
+                x[axis] = face
+                assert grid(x).tobytes() == trilinear_reference(grid, x).tobytes()
+                x[axis] = face + outward * 1e-9 * self.SPACING[axis]
+                with pytest.raises(FieldError, match="outside"):
+                    grid(x)

@@ -25,6 +25,7 @@ from rotform.linalg import char_poly_coeffs
 from oracles import (
     char_poly_by_permutations,
     char_poly_by_traces,
+    cluster_points_loop,
     jacobi_sym_eigen,
     jordan_shear,
     minor_sum_by_enumeration,
@@ -649,3 +650,30 @@ class TestEntryLimit:
         assert report.flags == ()
         top = max(entry.value for entry in report.entries)
         assert abs(top - 3.2e307) <= 1e-12 * 3.2e307
+
+
+class TestClusterPoints:
+    @staticmethod
+    def spectrum(seed):
+        """Eigenvalues of A / max|A|, as real_spectrum groups them: a
+        uniform(-1, 1) matrix for even seeds; for odd seeds an orthogonal
+        similarity of a diagonal with repeated entries, whose copies land
+        within rounding of each other."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 49))
+        if seed % 2:
+            Q = random_orthogonal(n, seed)
+            A = Q @ np.diag(rng.integers(-3, 4, n).astype(float)) @ Q.T
+        else:
+            A = rng.uniform(-1.0, 1.0, (n, n))
+        return list(np.linalg.eigvals(A / np.max(np.abs(A))))
+
+    def test_groups_equal_the_minimax_loop_on_seeded_spectra(self):
+        close = []
+        for seed in range(80):
+            points = self.spectrum(seed)
+            for tol in (3e-3, 1e-9):
+                groups = linalg._cluster_points(points, tol)
+                assert groups == cluster_points_loop(points, tol)
+                close.append(len(groups) < len(points))
+        assert any(close) and not all(close)  # both with and without close pairs

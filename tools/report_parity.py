@@ -14,7 +14,9 @@ them.  The corpus:
 - identities for n = 1..16, 24 and 32 (seeded), on uniform(-1, 1) * 1e150 at
   n = 3, 6, on the 8 x 8 Hilbert matrix and on diag(10^-k), k = 0..16, where
   the minor sums and the identity residuals that use them show;
-- frenet on the helix, the circular field and a grid field;
+- frenet on the helix, the circular field and a grid field, on the grid at
+  a node, where the stencil along T crosses a cell face, near the upper
+  corner and where the stencil leaves the grid;
 - malformed requests;
 - analyze on near-multiple eigenvalues, where cluster decisions show:
   diag(1, 1 + 1e-8, 3), diag(1, 1, 1, 1.000012, 5), and Q D Q^T with
@@ -103,6 +105,13 @@ def corpus(workdir):
         ("frenet helix r", ["frenet", "--field", "helix", "--params", "c=0.3,r=2"]),
         ("frenet circular", ["frenet", "--field", "circular", "--params", "r=1.5"]),
         ("frenet grid", ["frenet", "--field", "file:grid.json", "--point", "1,0,0"]),
+        # the stencil along T (+-4e-4 T) crosses the cell face y = 0.02
+        ("frenet grid stencil across a face",
+         ["frenet", "--field", "file:grid.json", "--point", "1.013,0.0199,0.011"]),
+        ("frenet grid near the upper corner",
+         ["frenet", "--field", "file:grid.json", "--point", "1.0395,0.0395,0.0395"]),
+        ("frenet grid stencil past the upper corner",
+         ["frenet", "--field", "file:grid.json", "--point", "1.0399,0.0399,0.0399"]),
     ]
     with open(os.path.join(workdir, "bad.txt"), "w") as fh:
         fh.write("1 2\n3 x\n")
