@@ -23,6 +23,8 @@ from . import canonical, frenet, invariants, qforms, spectral
 from .errors import InputError, NumericalError
 from .linalg import DEFAULT_TOL, ToleranceConfig, maxabs, random_unit
 
+IDENTITIES_MAX_DIM = 128  # `identities` keeps all n + 1 powers of A: about 2 (n + 1) n^2 doubles
+
 
 @dataclasses.dataclass
 class AnalysisRequest:
@@ -354,14 +356,14 @@ def _cmd_planar(request):
 
 
 def _cmd_identities(request):
-    if request.input_path is not None:
-        A = load_matrix(request.input_path)
-    else:
-        n = request.params.get("n", 4)
-        if n < 1:
-            raise InputError(f"dimension must be >= 1, got {n}")
-        rng = np.random.default_rng(request.seed)
-        A = rng.uniform(-1.0, 1.0, size=(n, n))
+    A = None if request.input_path is None else load_matrix(request.input_path)
+    n = request.params.get("n", 4) if A is None else len(A)
+    if n < 1:
+        raise InputError(f"dimension must be >= 1, got {n}")
+    if n > IDENTITIES_MAX_DIM:
+        raise InputError(f"dimension must be <= IDENTITIES_MAX_DIM = {IDENTITIES_MAX_DIM}, got {n}")
+    if A is None:
+        A = np.random.default_rng(request.seed).uniform(-1.0, 1.0, size=(n, n))
     return {
         "command": "identities",
         "seed": request.seed,

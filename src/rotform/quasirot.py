@@ -95,14 +95,6 @@ class RotationCoeffs:
         return float(sum(v * v for _, v in self.items()))
 
 
-def rotation_coeffs_from_vector(n, vec):
-    vec = as_vector(vec, "coefficient vector")
-    pairs = list(plane_pairs(n))
-    if len(vec) != len(pairs):
-        raise InputError(f"expected {len(pairs)} coefficients for dimension {n}, got {len(vec)}")
-    return RotationCoeffs(n, {pair: float(v) for pair, v in zip(pairs, vec)})
-
-
 def quasi_rotation(n, pair):
     """Matrix of the quasi-rotation of the (k, l) plane: entry (l, k) = 1, (k, l) = -1."""
     k, l = check_plane_pair(n, pair)

@@ -12,7 +12,9 @@ import pytest
 
 import rotform
 from rotform import invariants
-from rotform.cli import AnalysisRequest, main, parse_matrix_text, render_report, run
+from rotform.cli import (
+    IDENTITIES_MAX_DIM, AnalysisRequest, main, parse_matrix_text, render_report, run,
+)
 from rotform.errors import InputError, NumericalError
 from rotform.linalg import DEFAULT_TOL, ToleranceConfig
 
@@ -370,6 +372,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "max float / 4" in captured.err
+
+    @pytest.mark.parametrize("source", ["params", "input"])
+    def test_identities_past_the_dimension_limit_exit_two(self, tmp_path, capsys, source):
+        if source == "params":
+            argv = ["identities", "--params", "n=100000000"]
+        else:
+            n = IDENTITIES_MAX_DIM + 1
+            argv = ["identities", "--input", write(tmp_path, "m.txt", _grid(np.eye(n)))]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("input error: dimension must be <= IDENTITIES_MAX_DIM")
+
+    def test_identities_at_the_dimension_limit_exits_zero(self, tmp_path):
+        argv = ["identities", "--params", f"n={IDENTITIES_MAX_DIM}", "--output", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        assert json.loads(open(tmp_path / "r.json").read())["input"]["n"] == IDENTITIES_MAX_DIM
 
     def test_unknown_tolerance_rejected(self, tmp_path, capsys):
         matrix = write(tmp_path, "m.txt", "1 0\n0 1\n")

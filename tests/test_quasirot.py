@@ -19,7 +19,6 @@ from rotform.quasirot import (
     check_plane_pair,
     coeffs_to_matrix,
     reassemble,
-    rotation_coeffs_from_vector,
 )
 
 
@@ -198,6 +197,6 @@ class TestRotationCoeffsType:
             RotationCoeffs(3, {(1, 2): 1.0})
 
     def test_vector_roundtrip(self):
-        coeffs = rotation_coeffs_from_vector(3, [1.0, 2.0, 3.0])
+        coeffs = RotationCoeffs(3, {(2, 3): 3.0, (1, 2): 1.0, (1, 3): 2.0})
         np.testing.assert_array_equal(coeffs.vector(), [1.0, 2.0, 3.0])
         assert coeffs[(1, 3)] == 2.0

@@ -17,7 +17,8 @@ them.  The corpus:
 - frenet on the helix, the circular field and a grid field, on the grid at
   a node, where the stencil along T crosses a cell face, near the upper
   corner and where the stencil leaves the grid;
-- malformed requests;
+- malformed requests, among them identities on n = 100000000 and on a
+  129 x 129 file, past the CLI's dimension limit;
 - analyze on near-multiple eigenvalues, where cluster decisions show:
   diag(1, 1 + 1e-8, 3), diag(1, 1, 1, 1.000012, 5), and Q D Q^T with
   D = diag(1, 1, 1 + g, 2.5, 4) for g = 1e-6 and 1e-9.
@@ -118,6 +119,7 @@ def corpus(workdir):
     with open(os.path.join(workdir, "rect.txt"), "w") as fh:
         fh.write("1 2\n3 4\n5 6\n")
     three = matrix("three.txt", np.arange(9.0).reshape(3, 3))
+    wide = matrix("wide.txt", np.random.default_rng(129).uniform(-1, 1, (129, 129)))
     requests += [
         ("malformed no input", ["analyze"]),
         ("malformed token", ["analyze", "--input", "bad.txt"]),
@@ -132,6 +134,8 @@ def corpus(workdir):
         ("malformed seed", ["identities", "--seed", "-1"]),
         ("malformed params", ["identities", "--params", "n=2.5"]),
         ("malformed dimension", ["identities", "--params", "n=0"]),
+        ("malformed dimension n=100000000", ["identities", "--params", "n=100000000"]),
+        ("malformed dimension 129 x 129", ["identities", "--input", wide]),
         ("malformed field", ["frenet", "--field", "vortex", "--point", "1,0,0"]),
         ("malformed point", ["frenet", "--field", "helix", "--point", "1,0"]),
         ("frenet straight flow", ["frenet", "--field", "helix", "--params", "c=1e9",
