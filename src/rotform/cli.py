@@ -21,7 +21,7 @@ import numpy as np
 
 from . import canonical, frenet, invariants, qforms, spectral
 from .errors import InputError, NumericalError
-from .linalg import DEFAULT_TOL, ToleranceConfig, maxabs, random_unit
+from .linalg import DEFAULT_TOL, ToleranceConfig, binary_scale, maxabs, random_unit
 
 IDENTITIES_MAX_DIM = 128  # `identities` keeps all n + 1 powers of A: about 2 (n + 1) n^2 doubles
 
@@ -236,8 +236,9 @@ def _forms_section(A, tol, seed, bromwich):
     rotation_traces = {_pair_key(pair): t for pair, t in qforms.rotation_traces(A).items()}
     u = random_unit(np.random.default_rng(seed), A.shape[0])
     dec = qforms.decompose(A, u, tol)
-    w = A @ u
-    norm_gap = abs(float(w @ w) - dec.e**2 - dec.r.norm_sq())
+    p = binary_scale(A)  # the degree-2 gap is formed on A / p
+    w, e, r = (A / p) @ u, dec.e / p, dec.r.vector() / p
+    norm_gap = math.prod([p, p], start=abs(float(w @ w) - e**2 - sum((r * r).tolist())))
     return {
         "expansion_matrix": e_form.matrix.tolist(),
         "expansion_average": qforms.form_average(e_form),
@@ -276,10 +277,11 @@ def _invariants_section(A, seed):
         )
     else:
         # Relative to the subset-term mass prod_i (|d_i| + |off-diagonal row i|),
-        # which bounds |det| and every partial sum of the expansion.
-        d = np.diag(A)
-        rest = A - np.diag(d)
-        det = float(np.linalg.det(A))
+        # which bounds |det| and every partial sum; all formed on A / binary_scale(A).
+        X = A / binary_scale(A)
+        d = np.diag(X)
+        rest = X - np.diag(d)
+        det = float(np.linalg.det(X))
         collings = invariants.collings_det(np.diag(d), rest)
         mass = float(np.prod(np.abs(d) + np.linalg.norm(rest, axis=1)))
         section["collings_residual"] = abs(collings - det) / mass if mass else 0.0

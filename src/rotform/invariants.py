@@ -2,13 +2,14 @@
 rotation forms.
 
 Every *_residual function returns a residual that an exact identity would
-make zero, over max(max|term|, max|A|^d) for an identity of degree d in A;
-the test suite and the CLI report them.  The identity terms come from
-closed forms, which the test suite checks against the form definitions:
-the (k, l) rotation form of M has trace M[l,k] - M[k,l] and value
-(u (Mu)^T - (Mu) u^T)[k,l] at u, the expansion form has trace tr M and
-value u.Mu, pm^2 of M is the sum of its 2 x 2 principal minors (_pm2),
-and the (k, l) rotation form M_kl of A has tr(M_kl^2) = (|A_k|^2 + |A_l|^2
+make zero, over max(max|term|, max|X|^d) for an identity of degree d, all
+formed on X = A / binary_scale(A): no term under- or overflows, and every
+2^j A has the same X.  The test suite and the CLI report them.  The terms
+come from closed forms, which the test suite checks against the form
+definitions: the (k, l) rotation form of M has trace M[l,k] - M[k,l] and
+value (u (Mu)^T - (Mu) u^T)[k,l] at u, the expansion form has trace tr M and
+value u.Mu, pm^2 of M is the sum of its 2 x 2 principal minors (_pm2), and
+the (k, l) rotation form M_kl of A has tr(M_kl^2) = (|A_k|^2 + |A_l|^2
 + A[l,k]^2 + A[k,l]^2 - 2 A[k,k] A[l,l]) / 2, with A_k the k-th row of A.
 
 The minor sums come from the spectrum (linalg.principal_minor_sums), not
@@ -30,7 +31,7 @@ so its right-hand side costs O(n^2) work per step.
 """
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb, isfinite, prod
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .linalg import (
     _pm2,
     as_square,
     as_unit,
+    binary_scale,
     matrix_powers,
     maxabs,
     principal_minor_sums,
@@ -63,17 +65,20 @@ class InvariantReport:
 
 
 class _Parts:
-    """What the identities of one matrix share, each computed once: max|A|,
-    the powers I, A, ..., A^top (top >= n), pm^0..pm^n and (-1)^k pm^k, the
-    symmetric and skew parts and their pm^2, (tr A)^2, the rotation traces T[p]
-    of every power, sum T[1]^2, and tr(M_kl^2) of every rotation form M_kl of A."""
+    """What the identities of one matrix share, each computed once on X = A / p,
+    p = binary_scale(A), kept as self.A (a degree-d value of A is p^d times X's):
+    max|X|, the powers I, X, ..., X^top (top >= n), pm^0..pm^n and (-1)^k pm^k,
+    the symmetric and skew parts and their pm^2, (tr X)^2, the rotation traces
+    T[q] of every power, sum T[1]^2, and tr(M_kl^2) of every rotation form of X."""
 
     def __init__(self, A, top=0):
-        self.A = A = as_square(A)
+        A = as_square(A)
+        self.p = binary_scale(A)
+        self.A = A = A / self.p
         self.n = n = A.shape[0]
         self.scale = maxabs(A)
-        (self.tr_sq,) = _squares([float(np.trace(A))], "tr A")
-        self.trace_sq = sum(_squares(_pair_entries(A).tolist(), "a rotation trace of A"))
+        self.tr_sq = float(np.trace(A)) ** 2
+        self.trace_sq = sum(t ** 2 for t in _pair_entries(A).tolist())
         self.pows = np.array(matrix_powers(A, max(n, top)))
         self.traces = [float(np.trace(M)) for M in self.pows[1 : n + 1]]
         self.pm = (1.0,) + principal_minor_sums(A)
@@ -104,9 +109,8 @@ def _parts(A, top=0):
 
 def _rel(total, terms, scale, degree):
     """|total| relative to the largest term along axis 0, and at least to
-    scale^degree for an identity of that degree in a matrix with max|A| =
-    scale: a float for one identity, a list for an array of them.  The power
-    is a product, so scaling A by a power of two scales it exactly."""
+    scale^degree for an identity of that degree in X with max|X| = scale:
+    a float for one identity, a list for an array of them."""
     denom = np.maximum(np.abs(terms).max(axis=0, initial=0.0), prod([scale] * degree))
     out = np.zeros(np.shape(denom))
     return np.divide(np.abs(total), denom, out=out, where=denom != 0).tolist()
@@ -224,7 +228,7 @@ def euler_cauchy_stokes(A):
     s = _parts(A)
     theta = float(np.trace(s.A))
     sigma = s.sym - (theta / s.n) * np.eye(s.n)
-    return theta, sigma, s.skew
+    return theta * s.p, sigma * s.p, s.skew * s.p
 
 
 def collings_det(Dd, B, max_dim=COLLINGS_MAX_DIM):
@@ -303,16 +307,17 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
     Assembles one equation per basis direction from the diagonalised power
     forms plus one per coupled plane from the skew closed form, solves by
     least squares, and returns (pm estimates, system rank).  The system is
-    built for A / max|A|, whose minor sums pm^k are then scaled by max|A|^k:
-    the columns of A's own system scale as max|A|^1..max|A|^n.  Rank below
-    n raises NumericalError with the assembled system attached.
+    built for X = A / p, p = binary_scale(A), whose pm^k come back times p^k
+    as float products: the columns of A's own system scale as p^1..p^n.
+    Rank below n raises NumericalError with the assembled system attached.
     """
     A = as_square(A)
     n = A.shape[0]
     if is_zero_part(0.5 * (A - A.T), A, tol):
         raise InputError("matrix is symmetric; the power system degenerates")
-    scale = maxabs(A)
-    A = A / scale
+    p = binary_scale(A)
+    A = A / p
+    coupled = tol.residual_tol / 10 * maxabs(A)
     P, _checks = normal_power_basis(A, tol)
 
     pows = matrix_powers(A, n)
@@ -328,7 +333,7 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
 
     for k in range(n):
         for l in range(k + 1, n):
-            if abs(S[l, k]) <= tol.residual_tol / 10:
+            if abs(S[l, k]) <= coupled:
                 continue
             c = [0.0] + [  # c[p] for p = 1..n
                 sum(
@@ -350,7 +355,7 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
     if rank < n:
         raise NumericalError(f"power system is rank deficient: rank {rank} < {n}", system=(M, b))
     solution, *_ = np.linalg.lstsq(M_scaled, b_scaled, rcond=None)
-    return tuple(float(x) * scale**k for k, x in enumerate(solution, start=1)), rank
+    return tuple(prod([p] * k, start=float(x)) for k, x in enumerate(solution, start=1)), rank
 
 
 def _power_step(s, m, probe):
@@ -366,17 +371,6 @@ def _power_step(s, m, probe):
     return float(e[m + 1]), rhs_e, V[m + 1], rhs_r
 
 
-def _squares(values, name):
-    """[t ** 2 for t in values] (t * t rounds otherwise on some floats), or
-    NumericalError naming the largest |t| when a square leaves the double
-    range.  _Parts squares first, so a refusal comes before any numpy overflow."""
-    try:
-        return [t ** 2 for t in values]
-    except OverflowError:
-        t = max(values, key=abs)
-        raise NumericalError(f"{name} = {t:.6g} squared leaves the double range") from None
-
-
 def power_form_step(A, m, u):
     """One step of the power recurrences for the expansion and rotation forms.
 
@@ -387,9 +381,10 @@ def power_form_step(A, m, u):
     if m < 1:
         raise InputError("power step needs m >= 1")
     s, probe = _probed(A, u, m + 1)
-    lhs_e, rhs_e, lhs_r, rhs_r = _power_step(s, m, probe)
-    pairs = list(plane_pairs(s.n))
-    return lhs_e, rhs_e, dict(zip(pairs, lhs_r.tolist())), dict(zip(pairs, rhs_r.tolist()))
+    lhs_e, rhs_e, *per_pair = _power_step(s, m, probe)
+    pairs, back = list(plane_pairs(s.n)), [s.p] * (m + 1)  # A's units, as float products
+    lhs_r, rhs_r = ({pq: prod(back, start=x) for pq, x in zip(pairs, r.tolist())} for r in per_pair)
+    return prod(back, start=lhs_e), prod(back, start=rhs_e), lhs_r, rhs_r
 
 
 def diagonal_rotation_recursion(A, m, pq):
@@ -414,6 +409,11 @@ def invariant_report(A, seed=0, power_steps=3):
     """All identity residuals for one matrix, with seeded probe vectors."""
     s = _Parts(A, power_steps + 1)
     n = s.n
+    pms = tuple(prod([s.p] * k, start=s.pm[k]) for k in range(1, n + 1))
+    for k, value in enumerate(pms, start=1):
+        if not isfinite(value):
+            raise NumericalError(f"minor sum pm^{k} = {s.pm[k]:.6g} * {s.p:.6g}^{k} "
+                                 "leaves the double range")
     rng = np.random.default_rng(seed)
     u = random_unit(rng, n)
     v = random_unit(rng, n)
@@ -437,4 +437,4 @@ def invariant_report(A, seed=0, power_steps=3):
         residuals[f"power_rotation_{m}"] = max(r_res, default=0.0)
     if n == 4:
         residuals["n4_det"] = n4_det_identity_residual(s)
-    return InvariantReport(pms=s.pm[1:], residuals=residuals, ecs=euler_cauchy_stokes(s))
+    return InvariantReport(pms=pms, residuals=residuals, ecs=euler_cauchy_stokes(s))

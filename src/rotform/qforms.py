@@ -20,6 +20,7 @@ from .linalg import (
     as_direction,
     as_square,
     as_vector,
+    binary_scale,
     check_orthogonal,
     maxabs,
     sym_eigen,
@@ -171,19 +172,22 @@ def decompose(A, u, tol=DEFAULT_TOL):
 
     A(u) = e*u + sum r(k,l) R_kl(u) with e the expansion of the unit direction
     and r the rotation-form values there; the stored residual is the relative
-    reconstruction error (absolute when A(u) = 0).
+    reconstruction error (absolute when A(u) = 0), all formed on A / p and
+    scaled back by p = binary_scale(A), so no norm under- or overflows.
     """
     A = as_square(A)
     uhat = as_direction(u, A.shape[0], "u")
     u = as_vector(u)
-    e = float(uhat @ (A @ uhat))
-    r = RotationCoeffs(len(u), rotation_values(A, uhat))
-    rec = reassemble(e, r, u)
-    Au = A @ u
-    err = float(np.linalg.norm(Au - rec))
-    norm_Au = float(np.linalg.norm(Au))
-    residual = err / norm_Au if norm_Au > 0.0 else err
-    return Decomposition(u=u.copy(), e=e, r=r, residual=residual)
+    p = binary_scale(A)
+    X = A / p
+    e = float(uhat @ (X @ uhat))
+    r = rotation_values(X, uhat)
+    Xu = X @ u
+    err = float(np.linalg.norm(Xu - reassemble(e, r, u)))
+    norm_Xu = float(np.linalg.norm(Xu))
+    residual = err / norm_Xu if norm_Xu > 0.0 else err * p
+    r = RotationCoeffs(len(u), {pair: value * p for pair, value in r.items()})
+    return Decomposition(u=u.copy(), e=e * p, r=r, residual=residual)
 
 
 def commutator_forms(A, pair):

@@ -45,6 +45,7 @@ so none shares the library's pair index.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import prod
 
 import mpmath
 import numpy as np
@@ -796,7 +797,7 @@ def invariant_report_per_pair(A, seed=0, power_steps=3):
     if n == 4:
         residuals["n4_det"] = n4_det_identity_residual(s)
     return InvariantReport(
-        pms=s.pm[1:],
+        pms=tuple(prod([s.p] * k, start=s.pm[k]) for k in range(1, n + 1)),
         residuals=residuals,
         ecs=euler_cauchy_stokes(s),
     )

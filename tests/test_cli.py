@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -504,19 +505,43 @@ class TestProcessLevel:
         assert (code, out) == (3, "")
         assert "numerical error" in err and "input error" not in err
 
-    @pytest.mark.parametrize("kind, A, quantity", [
-        ("1x1", [[1e200]], "tr A"),
-        ("3x3", 1e155 * np.random.default_rng(0).uniform(-1.0, 1.0, (3, 3)), "tr A"),
-        ("3x3 traceless", [[0.0, 1e155, 0.0], [-1e155, 0.0, 0.0], [0.0, 0.0, 0.0]],
-         "a rotation trace of A"),
+    @pytest.mark.parametrize("A, code", [
+        pytest.param([[1e200]], 0, id="1x1"),
+        pytest.param(1e155 * np.random.default_rng(0).uniform(-1.0, 1.0, (3, 3)), 3, id="3x3"),
+        pytest.param([[0.0, 1e155, 0.0], [-1e155, 0.0, 0.0], [0.0, 0.0, 0.0]], 3,
+                     id="3x3-traceless"),
     ])
-    def test_squares_beyond_the_double_range_are_numerical_errors(self, tmp_path, kind, A, quantity):
+    def test_only_a_minor_sum_past_the_double_range_refuses(self, tmp_path, A, code):
+        # Every identity is formed on A / binary_scale(A); what can leave the
+        # double range is a reported value, here pm^2 of about 1e310.
         A = np.asarray(A)
         matrix = write(tmp_path, "m.json", json.dumps({"n": len(A), "rows": A.tolist()}))
-        code, out, err = _fresh_process(["identities", "--input", matrix], tmp_path)
-        assert (code, out) == (3, "")
-        assert err.startswith(f"numerical error: {quantity} = ") and err.count("\n") == 1
-        assert err.endswith("squared leaves the double range\n")
+        got, out, err = _fresh_process(["identities", "--input", matrix], tmp_path)
+        assert got == code
+        if code == 0:
+            assert err == ""
+            assert json.loads(out)["invariants"]["principal_minor_sums"] == [1e200]
+        else:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("numerical error: minor sum pm^2 = ")
+            assert err.endswith("leaves the double range\n")
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-60, 1e100, 1e155, 1e300])
+    def test_extreme_scales_end_in_a_report_or_one_error_line(self, tmp_path, scale):
+        # No traceback and no numpy warning at any scale: each request exits
+        # 0, 2 or 3 with nothing on stderr but its error line.  The requests
+        # of one scale run side by side, each in its own interpreter.
+        rng = np.random.default_rng(17)
+        square = write(tmp_path, "m3.txt", _grid(scale * rng.uniform(-1.0, 1.0, (3, 3))))
+        planar = write(tmp_path, "m2.txt", _grid(scale * rng.uniform(-1.0, 1.0, (2, 2))))
+        requests = [["identities", "--input", square], ["planar", "--input", planar]]
+        requests += [["analyze", "--input", square, "--basis", basis]
+                     for basis in ("given", "expansion", "skew-canonical")]
+        with ThreadPoolExecutor(len(requests)) as pool:
+            results = pool.map(lambda argv: _fresh_process(argv, tmp_path), requests)
+            for argv, (code, _, err) in zip(requests, results):
+                assert code in (0, 2, 3), (argv, err)
+                assert err.count("\n") == (code != 0), (argv, err)
 
 
 class TestCollingsResidual:

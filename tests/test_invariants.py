@@ -27,6 +27,7 @@ from rotform import (
 )
 from rotform import evaluate, plane_pairs, qforms
 from rotform.invariants import _Parts, _pm2, diagonal_rotation_recursion, pm2_sym_skew_residual
+from rotform.linalg import binary_scale
 from rotform.qforms import rotation_form_matrix, rotation_traces, rotation_values
 
 from oracles import (
@@ -575,6 +576,15 @@ class TestNormalInvariantRecover:
                 assert rank == n
                 np.testing.assert_allclose(pm, principal_minor_sums(A), atol=1e-7)
 
+    def test_a_minor_sum_past_the_double_range_comes_back_infinite(self):
+        # The system is built on A / binary_scale(A) and pm^k comes back as a
+        # float product, so pm^8 of about 1e320 is inf, as in principal_minor_sums.
+        A = 1e40 * random_normal_matrix(np.random.default_rng(0), 8)
+        pm, rank = normal_invariant_recover(A)
+        direct = principal_minor_sums(A)
+        assert rank == 8 and pm[-1] == direct[-1] == np.inf
+        np.testing.assert_allclose(pm[:-1], direct[:-1], rtol=1e-10)
+
     def test_rejects_symmetric(self):
         rng = np.random.default_rng(20)
         M = rng.standard_normal((3, 3))
@@ -747,9 +757,9 @@ class TestClosedForms:
         for n in (2, 3, 6, 9):
             A = rng.standard_normal((n, n))
             s = _Parts(A)
-            bound = 1e-14 * n * np.max(np.abs(A)) ** 2
+            bound = 1e-14 * n * np.max(np.abs(s.A)) ** 2
             for j, pair in enumerate(plane_pairs(n)):
-                M = rotation_form_matrix(A, pair)
+                M = rotation_form_matrix(s.A, pair)
                 assert s.T[1][j] == float(np.trace(M))
                 assert abs(s.form_sq[j] - float(np.trace(M @ M))) <= bound, (n, pair)
 
@@ -814,10 +824,13 @@ class TestPerPairParity:
         assert ch_trace_residuals(A) == ch_trace_residuals_per_pair(A)
         gram = gram_trace_identity_residual(A)
         assert abs(gram - gram_trace_identity_residual_per_pair(A)) <= 5e-14
+        p = binary_scale(A)  # the per-pair step shares _Parts, in the units of A / p
         for m in (1, 2, 3):
             lhs_e, rhs_e, lhs_r, rhs_r = power_form_step(A, m, u)
-            ref = power_form_step_per_pair(A, m, u)
-            assert (lhs_e, rhs_e, lhs_r) == ref[:3]
+            lhs, rhs, *per_pair = power_form_step_per_pair(A, m, u)
+            ref = [prod([p] * (m + 1), start=x) for x in (lhs, rhs)]
+            ref += [{pair: prod([p] * (m + 1), start=x) for pair, x in r.items()} for r in per_pair]
+            assert (lhs_e, rhs_e, lhs_r) == tuple(ref[:3])
             assert list(rhs_r) == list(ref[3])
             bound = 1e-13 * max(map(abs, ref[3].values()), default=0.0)
             for pair, value in ref[3].items():

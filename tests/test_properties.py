@@ -10,14 +10,19 @@ checked on seeded random matrices, with hypothesis choosing seeds and scales
 deterministically.
 """
 
+import math
+import sys
+import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotform import (
     DEFAULT_TOL,
+    NumericalError,
     QForm,
     bromwich_bounds,
     collings_det,
@@ -183,6 +188,33 @@ def test_identity_residuals_are_scale_free_at_larger_n(seed, n):
         assert scaled.keys() == base.keys()
         for key, value in base.items():
             assert scaled[key] == value, key
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 8))
+def test_identity_residuals_are_bit_identical_across_the_double_range(seed, n):
+    # invariant_report forms everything on A / binary_scale(A), the same
+    # bits for every 2^j A, so no residual moves, n4_det included; a minor
+    # sum comes back as 2^(jk) pm^k, or NumericalError when that overflows.
+    A = np.random.default_rng(seed).uniform(-1, 1, (n, n))
+    base = invariant_report(A, seed=seed)
+    for j in (-1000, -300, -60, 60, 300, 900):
+        overflow = [k for k, pm in enumerate(base.pms, start=1)
+                    if pm and math.frexp(pm)[1] + j * k > 1024]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if overflow:
+                with pytest.raises(NumericalError, match=rf"minor sum pm\^{overflow[0]} "):
+                    invariant_report(np.ldexp(A, j), seed=seed)
+                continue
+            scaled = invariant_report(np.ldexp(A, j), seed=seed)
+        assert scaled.residuals == base.residuals, j
+        for k, (got, pm) in enumerate(zip(scaled.pms, base.pms), start=1):
+            want = math.ldexp(pm, j * k)
+            if abs(want) >= sys.float_info.min or want == 0.0:
+                assert got == want, (j, k)
+            else:  # below the normal range each product rounds on its own
+                assert abs(got) <= sys.float_info.min, (j, k)
 
 
 # At 1e+-160 and 1e+-200 a degree-2 quantity of A (K^T K, A A, a product of

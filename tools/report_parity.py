@@ -13,7 +13,11 @@ them.  The corpus:
 - planar on five 2x2 matrices at scales 1e-5, 1 and 1e5;
 - identities for n = 1..16, 24 and 32 (seeded), on uniform(-1, 1) * 1e150 at
   n = 3, 6, on the 8 x 8 Hilbert matrix and on diag(10^-k), k = 0..16, where
-  the minor sums and the identity residuals that use them show;
+  the minor sums and the identity residuals that use them show, and on
+  uniform(-1, 1) * 2^-300 (6 x 6) and * 1e100 (3 x 3), where a power or
+  square of A leaves the double range;
+- analyze in the three bases on uniform(-1, 1) * 1e160 and on a 1e160 skew
+  matrix (3 x 3), whose degree-2 report values pass the double range;
 - frenet on the helix, the circular field and a grid field, on the grid at
   a node, where the stencil along T crosses a cell face, near the upper
   corner and where the stencil leaves the grid;
@@ -95,6 +99,15 @@ def corpus(workdir):
     for n in (3, 6):
         path = matrix(f"big{n}.txt", 1e150 * np.random.default_rng(0).uniform(-1, 1, (n, n)))
         requests.append((f"identities 1e150 n={n}", ["identities", "--input", path]))
+    for kind, n, scale in (("2^-300", 6, 2.0**-300), ("1e100", 3, 1e100)):
+        path = matrix(f"scaled{n}.txt", scale * np.random.default_rng(n).uniform(-1, 1, (n, n)))
+        requests.append((f"identities {kind} n={n}", ["identities", "--input", path]))
+    G = 1e160 * np.random.default_rng(3).uniform(-1, 1, (3, 3))
+    for kind, A in (("random", G), ("skew", G - G.T)):
+        path = matrix(f"huge-{kind}3.txt", A)
+        for basis in _BASES:
+            requests.append((f"analyze 1e160 {kind} n=3 {basis}",
+                             ["analyze", "--input", path, "--basis", basis]))
     h, m = 0.02, 5
     origin = np.array([1.0, 0.0, 0.0]) - h * (m // 2)
     values = [[[_helix(origin + h * np.array([i, j, k])).tolist() for k in range(m)]
