@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .linalg import DEFAULT_TOL, ascending_runs, as_square, binary_scale, matrix_powers, maxabs
-from .linalg import _sign_fix, nullspace, sym_eigen
-from .qforms import is_zero_part
+from .linalg import DEFAULT_TOL, ascending_runs, matrix_powers, maxabs
+from .linalg import _matrix, _sign_fix, nullspace, sym_eigen
 from .quasirot import _pair_entries, _pair_index
 
 
@@ -54,12 +53,11 @@ def expansion_eigenbasis(A, tol=DEFAULT_TOL):
     In the returned basis S[q, p] equals half the trace of the (p, q) rotation
     form for p < q.
     """
-    A = as_square(A)
-    n = A.shape[0]
-    Asym = 0.5 * (A + A.T)
-    if is_zero_part(Asym, A, tol):
+    M = _matrix(A)
+    A, n = M.A, M.n
+    if M.is_zero("sym", tol):
         raise InputError("expansion form is zero (pure skew matrix); use skew_canonical_basis")
-    w, P = sym_eigen(Asym, tol)
+    w, P = M.sym_eigen(tol)
     P = _sign_fix(P, tol)
     order = sorted(range(n), key=lambda i: (-w[i], tuple(P[:, i])))
     w = w[order]
@@ -68,7 +66,7 @@ def expansion_eigenbasis(A, tol=DEFAULT_TOL):
     S = 0.5 * (B - B.T)
     sym_off = B - np.diag(np.diag(B)) - S
     gap = maxabs(sym_off)
-    if gap > tol.residual_tol * maxabs(A):
+    if gap > tol.residual_tol * M.scale:
         raise NumericalError(
             f"eigenbasis failed to diagonalise the symmetric part: residual {gap:.3e}",
             residual=gap,
@@ -87,10 +85,9 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     the kernel is the nullspace.  One QR keeps the basis orthogonal where z and
     its conjugate are nearly degenerate, and the block form is certified once.
     """
-    A = as_square(A)
-    n = A.shape[0]
-    K = 0.5 * (A - A.T)
-    if is_zero_part(K, A, tol):
+    M = _matrix(A)
+    n, K = M.n, M.skew
+    if M.is_zero("skew", tol):
         raise InputError("skew part is zero (symmetric matrix); use expansion_eigenbasis")
     s = maxabs(K)
     X = K / s
@@ -120,27 +117,21 @@ def normality_report(A, tol=DEFAULT_TOL):
 
     Purely symmetric or purely skew matrices short-circuit to normal.
     """
-    A = as_square(A)
-    p = binary_scale(A)  # the degree-2 commutator is judged on A / p
-    scale = maxabs(A) / p
+    M = _matrix(A)
+    p = M.p  # the degree-2 commutator is judged on A / p
+    scale = M.scale / p
     threshold = tol.residual_tol * (scale * scale)
-    Asym = 0.5 * (A + A.T)
-    Askew = 0.5 * (A - A.T)
-    pure_skew = is_zero_part(Asym, A, tol)
-    pure_sym = is_zero_part(Askew, A, tol)
-    if pure_skew or pure_sym:
-        eigs = ()
-        if not pure_skew:
-            eigs = tuple(float(x) for x in sym_eigen(Asym, tol)[0][::-1])
+    if M.is_zero("sym", tol) or M.is_zero("skew", tol):
+        eigs = () if M.is_zero("sym", tol) else tuple(float(x) for x in M.sym_eigen(tol)[0][::-1])
         return NormalityReport(
             is_normal=True, violating_pairs=(), commutator_norm=0.0,
             expansion_eigenvalues=eigs,
         )
-    split = expansion_eigenbasis(A, tol)
+    split = expansion_eigenbasis(M, tol)
     D, S = split.D / p, split.S / p
     comm = D[:, None] * S - S * D[None, :]
     comm_norm = maxabs(comm)
-    K, L = _pair_index(A.shape[0])
+    K, L = _pair_index(M.n)
     hit = np.abs(comm[K, L]) > threshold
     violations = zip((K[hit] + 1).tolist(), (L[hit] + 1).tolist(),
                      _pair_entries(split.S)[hit].tolist(), (split.D[K] - split.D[L])[hit].tolist())
@@ -178,15 +169,14 @@ def normal_power_basis(A, tol=DEFAULT_TOL):
     power, the off-diagonal residual of S^2, and the largest commutator norm
     among the symmetric power parts.
     """
-    A = as_square(A)
-    n = A.shape[0]
-    report = normality_report(A, tol)
+    M = _matrix(A)
+    n, Askew = M.n, M.skew
+    report = normality_report(M, tol)
     if not report.is_normal:
         raise InputError(
             f"matrix is not normal: commutator norm {report.commutator_norm:.3e}"
         )
-    Askew = 0.5 * (A - A.T)
-    sym_powers = [0.5 * (M + M.T) for M in matrix_powers(A, n)[1:]]
+    sym_powers = [0.5 * (X + X.T) for X in matrix_powers(M.A, n)[1:]]
     family = sym_powers + [Askew @ Askew]
     P = _refine_blocks(family, tol)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import canonical, frenet, invariants, qforms, spectral
 from .errors import InputError, NumericalError
-from .linalg import DEFAULT_TOL, ToleranceConfig, binary_scale, maxabs, random_unit
+from .linalg import DEFAULT_TOL, ToleranceConfig, _matrix, binary_scale, maxabs, random_unit
 
 IDENTITIES_MAX_DIM = 128  # `identities` keeps all n + 1 powers of A: about 2 (n + 1) n^2 doubles
 
@@ -228,20 +228,19 @@ def _normality_section(report):
     }
 
 
-def _forms_section(A, tol, seed, bromwich):
-    """Form report for A; bromwich is A's Bromwich box, whose real bounds are
-    the expansion-form extremes."""
-    e_form = qforms.expansion_form(A)
+def _forms_section(M, tol, seed, bromwich):
+    """Form report for the matrix record M; bromwich is its Bromwich box, whose
+    real bounds are the expansion-form extremes."""
+    A, p = M.A, M.p  # the degree-2 gap is formed on A / p
     lo, hi = bromwich[:2]
     rotation_traces = {_pair_key(pair): t for pair, t in qforms.rotation_traces(A).items()}
-    u = random_unit(np.random.default_rng(seed), A.shape[0])
-    dec = qforms.decompose(A, u, tol)
-    p = binary_scale(A)  # the degree-2 gap is formed on A / p
+    u = random_unit(np.random.default_rng(seed), M.n)
+    dec = qforms.decompose(M, u, tol)
     w, e, r = (A / p) @ u, dec.e / p, dec.r.vector() / p
     norm_gap = math.prod([p, p], start=abs(float(w @ w) - e**2 - sum((r * r).tolist())))
     return {
-        "expansion_matrix": e_form.matrix.tolist(),
-        "expansion_average": qforms.form_average(e_form),
+        "expansion_matrix": M.sym.tolist(),
+        "expansion_average": float(np.trace(M.sym)) / M.n,
         "expansion_extremes": {"min": lo, "max": hi},
         "rotation_traces": rotation_traces,
         "decomposition_probe": {
@@ -305,8 +304,9 @@ def _apply_basis(A, mode, tol):
 def _cmd_analyze(request):
     A = load_matrix(request.input_path)
     B, basis = _apply_basis(A, request.basis_mode, request.tol)
-    spec_report = spectral.eigenstructure(B, request.tol)
-    norm_report = canonical.normality_report(B, request.tol)
+    M = _matrix(B)  # one record for the three sections
+    spec_report = spectral.eigenstructure(M, request.tol)
+    norm_report = canonical.normality_report(M, request.tol)
     doc = {
         "command": "analyze",
         "seed": request.seed,
@@ -319,7 +319,7 @@ def _cmd_analyze(request):
         doc["matrix_in_basis"] = B.tolist()
     doc["spectral"] = _spectral_section(spec_report)
     doc["normality"] = _normality_section(norm_report)
-    doc["forms"] = _forms_section(B, request.tol, request.seed, spec_report.bromwich)
+    doc["forms"] = _forms_section(M, request.tol, request.seed, spec_report.bromwich)
     if spec_report.flags:
         raise NumericalError(
             "tolerance failure: " + "; ".join(spec_report.flags),

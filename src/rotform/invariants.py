@@ -39,6 +39,7 @@ from .errors import InputError, NumericalError
 from .canonical import expansion_eigenbasis, normal_power_basis
 from .linalg import (
     DEFAULT_TOL,
+    _matrix,
     _pm2,
     as_square,
     as_unit,
@@ -48,7 +49,6 @@ from .linalg import (
     principal_minor_sums,
     random_unit,
 )
-from .qforms import is_zero_part
 from .quasirot import _pair_entries, _pair_index, _rotation_sum, _wedge
 from .quasirot import check_plane_pair, plane_pairs
 
@@ -283,10 +283,11 @@ def n4_det_identity_residual(A):
     s = _parts(A)
     if s.n != 4:
         raise InputError("this determinant audit is specific to 4x4 matrices")
-    if is_zero_part(s.sym, s.A):
+    M = _matrix(s.A)
+    if M.is_zero("sym", DEFAULT_TOL):
         D, S = np.zeros((4, 4)), s.skew
     else:
-        split = expansion_eigenbasis(s.A)
+        split = expansion_eigenbasis(M)
         D, S = np.diag(split.D), split.S
     det_a = s.pm[4]
     rhs = (
@@ -311,12 +312,12 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
     as float products: the columns of A's own system scale as p^1..p^n.
     Rank below n raises NumericalError with the assembled system attached.
     """
-    A = as_square(A)
-    n = A.shape[0]
-    if is_zero_part(0.5 * (A - A.T), A, tol):
+    M = _matrix(A)
+    n = M.n
+    if M.is_zero("skew", tol):
         raise InputError("matrix is symmetric; the power system degenerates")
-    p = binary_scale(A)
-    A = A / p
+    p = M.p
+    A = M.A / p
     coupled = tol.residual_tol / 10 * maxabs(A)
     P, _checks = normal_power_basis(A, tol)
 
@@ -393,16 +394,19 @@ def diagonal_rotation_recursion(A, m, pq):
     For u = b_p the cross terms collapse onto four sums over single planes;
     returns (lhs, rhs) for the (p, q) rotation form of A^(m+1) at b_p.  The
     (k, l) rotation value of M at b_p is M[l, p] if k = p, -M[k, p] if l = p, else 0.
+    Formed on X = A / binary_scale(A), scaled back as in power_form_step.
     """
     A = as_square(A)
     n = A.shape[0]
     p, q = check_plane_pair(n, pq)
-    pows = matrix_powers(A, m + 1)
+    back = [binary_scale(A)] * (m + 1)  # degree m + 1
+    X = A / back[0]
+    pows = matrix_powers(X, m + 1)
     i, j = p - 1, q - 1
     rhs = 0.0  # the (p, q) terms, then l in (p, q), (q, n], [1, p) as the recurrence adds them
     for l in (i, j, *range(i + 1, j), *range(j + 1, n), *range(i)):
-        rhs += float(pows[m][l, i] * A[j, l])
-    return float(pows[m + 1][j, i]), rhs
+        rhs += float(pows[m][l, i] * X[j, l])
+    return prod(back, start=float(pows[m + 1][j, i])), prod(back, start=rhs)
 
 
 def invariant_report(A, seed=0, power_steps=3):

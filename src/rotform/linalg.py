@@ -9,6 +9,7 @@ to a few dozen), robustness and reproducibility come before asymptotics.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -124,7 +125,7 @@ def as_direction(u, n, name="direction"):
 
 def maxabs(A):
     A = np.asarray(A)
-    return float(np.max(np.abs(A))) if A.size else 0.0
+    return float(np.abs(A).max()) if A.size else 0.0
 
 
 def binary_scale(A):
@@ -172,6 +173,44 @@ def sym_eigen(Q, tol=DEFAULT_TOL):
             f"eigenbasis certificate failed: off-diagonal norm {off:.3e} of the "
             f"normalised matrix in its eigenbasis exceeds {target:.3e}", residual=off)
     return w, P
+
+
+class _Matrix:
+    """A, checked once by as_square, and what its analyses share, each formed
+    on first use and kept: max|A| (scale), p = binary_scale(A), the parts sym
+    and skew, and per ToleranceConfig whether each is zero and sym_eigen(sym).
+    The spectral and canonical analyses and decompose take it in place of A."""
+
+    def __init__(self, A):
+        self.A = as_square(A)
+        self.n = self.A.shape[0]
+        self._zero, self._eigen = {}, {}
+
+    scale = cached_property(lambda self: maxabs(self.A))
+    p = cached_property(lambda self: binary_scale(self.A))
+    sym = cached_property(lambda self: 0.5 * (self.A + self.A.T))
+    skew = cached_property(lambda self: 0.5 * (self.A - self.A.T))
+
+    def is_zero(self, part, tol):
+        """is_zero_part of the part named "sym" or "skew"."""
+        if (part, tol) not in self._zero:
+            self._zero[part, tol] = is_zero_part(getattr(self, part), self, tol)
+        return self._zero[part, tol]
+
+    def sym_eigen(self, tol):
+        if tol not in self._eigen:
+            self._eigen[tol] = sym_eigen(self.sym, tol)
+        return self._eigen[tol]
+
+
+def _matrix(A):
+    """The record of A: a _Matrix passes through, an array is checked once."""
+    return A if isinstance(A, _Matrix) else _Matrix(A)
+
+
+def is_zero_part(part, A, tol=DEFAULT_TOL):
+    """Whether a part of A (an array or a _Matrix) is zero: max|part| <= rank_tol max|A|."""
+    return maxabs(part) <= tol.rank_tol * _matrix(A).scale
 
 
 def matrix_powers(A, top):
@@ -345,9 +384,8 @@ def real_spectrum(A, tol=DEFAULT_TOL):
     within n rank_tol s go by imaginary part.  A zero matrix has the
     eigenvalue 0 with multiplicity n.  Measured right on random n up to 64.
     """
-    A = as_square(A)
-    n = A.shape[0]
-    s = maxabs(A)
+    M = _matrix(A)
+    A, n, s = M.A, M.n, M.scale
     if s == 0.0:
         return Spectrum(n, ((0.0, n),), (), (None,))
     Ah = A / s

@@ -17,11 +17,12 @@ import numpy as np
 from .errors import InputError
 from .linalg import (
     DEFAULT_TOL,
+    _matrix,
     as_direction,
     as_square,
     as_vector,
-    binary_scale,
     check_orthogonal,
+    is_zero_part,  # noqa: F401  (re-exported)
     maxabs,
     sym_eigen,
 )
@@ -162,11 +163,6 @@ def form_extremes(q, tol=DEFAULT_TOL):
     return float(w[0]), float(w[-1]), P[:, 0].copy(), P[:, -1].copy()
 
 
-def is_zero_part(part, A, tol=DEFAULT_TOL):
-    """Whether a symmetric or skew part of A is zero: max|part| <= rank_tol max|A|."""
-    return maxabs(part) <= tol.rank_tol * maxabs(A)
-
-
 def decompose(A, u, tol=DEFAULT_TOL):
     """Split A(u) into expansion and rotation parts evaluated at u-hat.
 
@@ -175,11 +171,11 @@ def decompose(A, u, tol=DEFAULT_TOL):
     reconstruction error (absolute when A(u) = 0), all formed on A / p and
     scaled back by p = binary_scale(A), so no norm under- or overflows.
     """
-    A = as_square(A)
-    uhat = as_direction(u, A.shape[0], "u")
+    M = _matrix(A)
+    uhat = as_direction(u, M.n, "u")
     u = as_vector(u)
-    p = binary_scale(A)
-    X = A / p
+    p = M.p
+    X = M.A / p
     e = float(uhat @ (X @ uhat))
     r = rotation_values(X, uhat)
     Xu = X @ u
@@ -194,14 +190,11 @@ def commutator_forms(A, pair):
     """Rotation form split into the symmetric-part commutator piece and the
     skew-part anti-commutator piece; they sum to rotation_form(A, pair) and the
     commutator piece is traceless."""
-    A = as_square(A)
-    n = A.shape[0]
-    R = quasi_rotation(n, pair)
-    Asym = 0.5 * (A + A.T)
-    Askew = 0.5 * (A - A.T)
-    sym_part = 0.5 * (Asym @ R - R @ Asym)
-    skew_part = -0.5 * (Askew @ R + R @ Askew)
-    return QForm(n, sym_part), QForm(n, skew_part)
+    M = _matrix(A)
+    R = quasi_rotation(M.n, pair)
+    sym_part = 0.5 * (M.sym @ R - R @ M.sym)
+    skew_part = -0.5 * (M.skew @ R + R @ M.skew)
+    return QForm(M.n, sym_part), QForm(M.n, skew_part)
 
 
 def rotation_form_change_of_basis(A, P, pq):

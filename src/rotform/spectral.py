@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .linalg import (
     DEFAULT_TOL,
+    _matrix,
     _sign_fix,
     ascending_runs,
     as_direction,
@@ -26,7 +27,7 @@ from .linalg import (
     real_spectrum,
     sym_eigen,
 )
-from .qforms import evaluate, expansion_form, is_zero_part, rotation_form
+from .qforms import evaluate, expansion_form, rotation_form
 from .quasirot import _wedge
 
 
@@ -87,13 +88,12 @@ def bromwich_bounds(A, tol=DEFAULT_TOL):
     The top rotation rate of the skew part K is its spectral norm ||K||_2
     (LAPACK SVD, which rescales internally, so any scale is safe).
     """
-    A = as_square(A)
-    w, _ = sym_eigen(0.5 * (A + A.T), tol)
+    M = _matrix(A)
+    w, _ = M.sym_eigen(tol)
     nu, N = float(w[0]), float(w[-1])
-    K = 0.5 * (A - A.T)
-    if is_zero_part(K, A, tol):
+    if M.is_zero("skew", tol):
         return (nu, N, 0.0, 0.0)
-    top = float(np.linalg.norm(K, 2))
+    top = float(np.linalg.norm(M.skew, 2))
     return (nu, N, -top, top)
 
 
@@ -108,10 +108,9 @@ def eigenstructure(A, tol=DEFAULT_TOL):
     multiplicity above the algebraic one raises NumericalError.  Complex
     pairs and the containment bounds ride along.
     """
-    A = as_square(A)
-    n = A.shape[0]
-    spectrum = real_spectrum(A, tol)
-    scale = maxabs(A)
+    M = _matrix(A)
+    A, n, scale = M.A, M.n, M.scale
+    spectrum = real_spectrum(M, tol)
     cz_tol = tol.residual_tol * scale
     threshold = n * tol.rank_tol * scale
     entries, flags = [], []
@@ -134,7 +133,7 @@ def eigenstructure(A, tol=DEFAULT_TOL):
     return SpectralReport(
         entries=tuple(entries),
         complex_pairs=spectrum.complex_pairs,
-        bromwich=bromwich_bounds(A, tol),
+        bromwich=bromwich_bounds(M, tol),
         flags=tuple(flags),
     )
 

@@ -6,6 +6,7 @@ import pytest
 
 import rotform.canonical
 import rotform.invariants
+import rotform.linalg
 import rotform.qforms
 import rotform.quasirot
 import rotform.spectral
@@ -51,7 +52,7 @@ def test_skew_canonical_basis_runs_no_sym_eigen(monkeypatch, n):
 
 
 def test_bromwich_bounds_runs_one_sym_eigen(monkeypatch):
-    calls = _count(monkeypatch, [rotform.spectral], "sym_eigen")
+    calls = _count(monkeypatch, [rotform.spectral, rotform.linalg], "sym_eigen")
     bromwich_bounds(np.random.default_rng(1).standard_normal((6, 6)))
     assert len(calls) == 1
 
@@ -112,3 +113,20 @@ def test_eigenstructure_runs_nullspace_only_for_the_cluster(monkeypatch):
         report = eigenstructure(A)
         assert [e.geometric_multiplicity for e in report.entries] == [2, 1]
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("basis, sym_eigens", [("given", 1), ("expansion", 2),
+                                               ("skew-canonical", 1)])
+def test_analyze_solves_the_expansion_form_once_per_matrix(monkeypatch, tmp_path, capsys,
+                                                           basis, sym_eigens):
+    from rotform.cli import main
+
+    path = tmp_path / "A.txt"
+    np.savetxt(path, np.random.default_rng(9).uniform(-1, 1, (4, 4)))
+    modules = [rotform.linalg, rotform.spectral, rotform.canonical, rotform.qforms]
+    calls = _count(monkeypatch, modules, "sym_eigen")
+    eigs = _count(monkeypatch, [np.linalg], "eig")
+    assert main(["analyze", "--input", str(path), "--basis", basis]) == 0
+    assert capsys.readouterr().out
+    # the expansion basis solves the expansion form of A, then that of the matrix in it
+    assert (len(calls), len(eigs)) == (sym_eigens, 1)

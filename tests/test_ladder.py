@@ -21,6 +21,7 @@ KEYS = {
     "spectrum": _TIMING | {"function", "n", "seed", "refused", "requests", "eig_error_over_maxabs"},
     "frenet_report": _TIMING | {"field", "m", "spacing", "field_queries", "kappa", "tau",
                                 "kappa_error", "tau_error"},
+    "analyze": _TIMING | {"n", "seed", "basis", "exit", "sym_eigen_calls"},
 }
 
 
@@ -68,3 +69,11 @@ def test_frenet_report_matches_the_analytic_helix(small):
     analytic = rows["helix analytic"]
     assert analytic["field_queries"] == 10
     assert analytic["kappa_error"] < 1e-6 and analytic["tau_error"] < 1e-6
+
+
+def test_analyze_rows_count_the_sym_eigen_calls(small, monkeypatch):
+    monkeypatch.setattr(ladder, "ANALYZE_SIZES", ladder.ANALYZE_SIZES[:1])
+    rows = _layer("analyze")
+    assert [(row["n"], row["basis"]) for row in rows] == [(2, basis) for basis in ladder.BASES]
+    # the expansion basis solves A's expansion form, then that of the matrix in it
+    assert [(row["exit"], row["sym_eigen_calls"]) for row in rows] == [(0, 1), (0, 2), (0, 1)]

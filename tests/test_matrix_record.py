@@ -1,0 +1,96 @@
+"""The matrix record (linalg._Matrix): every analysis that takes it returns
+what it returns for the plain array, and one record keeps a separate
+zero-part decision and symmetric eigenproblem per tolerance."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rotform import (
+    DEFAULT_TOL,
+    InputError,
+    NumericalError,
+    ToleranceConfig,
+    bromwich_bounds,
+    decompose,
+    eigenstructure,
+    expansion_eigenbasis,
+    normality_report,
+    real_spectrum,
+    skew_canonical_basis,
+)
+from rotform.linalg import _matrix
+
+LOOSE = ToleranceConfig(rank_tol=1e-6)
+ANALYSES = (real_spectrum, eigenstructure, bromwich_bounds, normality_report,
+            expansion_eigenbasis, skew_canonical_basis)
+
+
+def _same(a, b):
+    """Equal types and bits throughout: arrays by their bytes, floats by repr."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args)
+    except (InputError, NumericalError) as exc:
+        return type(exc), str(exc)
+
+
+def _family(seed, n):
+    """Random, symmetric, skew, zero, or scaled by 2^-600 or 1e200."""
+    rng = np.random.default_rng(seed)
+    G = rng.uniform(-1, 1, (n, n))
+    return [G, G + G.T, G - G.T, np.zeros((n, n)), np.ldexp(G, -600), 1e200 * G][seed % 6]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7))
+def test_analyses_of_a_record_equal_those_of_its_array(seed, n):
+    A = _family(seed, n)
+    u = np.random.default_rng(seed + 1).standard_normal(n)
+    for tol in (DEFAULT_TOL, LOOSE):
+        M = _matrix(A)  # one record shared by every analysis, as analyze does
+        for func in ANALYSES:
+            assert _same(_outcome(func, M, tol), _outcome(func, A, tol)), func.__name__
+        assert _same(_outcome(decompose, M, u, tol), _outcome(decompose, A, u, tol))
+
+
+def test_a_record_passes_through_and_an_array_is_checked():
+    M = _matrix(np.eye(3))
+    assert _matrix(M) is M
+    with pytest.raises(InputError):
+        _matrix(np.ones((2, 3)))
+    with pytest.raises(InputError):
+        _matrix([[np.inf]])
+
+
+@pytest.mark.parametrize("first", [DEFAULT_TOL, LOOSE])
+def test_one_record_keeps_a_zero_part_decision_per_tolerance(first):
+    """A skew part 1e-8 of the symmetric one is zero at rank_tol 1e-6 only."""
+    rng = np.random.default_rng(20)
+    G = rng.uniform(-1, 1, (4, 4))
+    A = G + G.T + 1e-8 * (G - G.T)
+    M = _matrix(A)
+    for tol in (first, LOOSE if first is DEFAULT_TOL else DEFAULT_TOL):
+        assert M.is_zero("skew", tol) == (tol is LOOSE)
+        assert not M.is_zero("sym", tol)
+        assert _same(bromwich_bounds(M, tol), bromwich_bounds(A, tol))
+        assert _same(normality_report(M, tol), normality_report(A, tol))
+        assert _same(_outcome(skew_canonical_basis, M, tol), _outcome(skew_canonical_basis, A, tol))
+    assert bromwich_bounds(M, LOOSE)[2:] == (0.0, 0.0) != bromwich_bounds(M, DEFAULT_TOL)[2:]
+    assert set(M._zero) == {(part, tol) for part in ("sym", "skew") for tol in (DEFAULT_TOL, LOOSE)}

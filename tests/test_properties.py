@@ -533,3 +533,29 @@ def test_single_linkage_groups_and_cuts_keep_conjugate_mirrors(seed, n):
     canon = {tuple(sorted(part, key=lambda z: (z.real, z.imag))) for part in parts}
     assert canon == {tuple(sorted((z.conjugate() for z in part), key=lambda z: (z.real, z.imag)))
                      for part in parts}
+
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=SEEDS, n=st.integers(2, 6), data=st.data())
+def test_diagonal_rotation_recursion_follows_power_of_two_scaling(seed, n, data):
+    """At 2^j A the pair (lhs, rhs) is A's times 2^(j (m + 1)), bit for bit,
+    wherever that is a normal double, and never NaN or a numpy warning."""
+    from rotform.invariants import diagonal_rotation_recursion
+
+    A = np.random.default_rng(seed).uniform(-1, 1, (n, n))
+    pair = data.draw(st.sampled_from(list(plane_pairs(n))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (1, 2, 3):
+            base = diagonal_rotation_recursion(A, m, pair)
+            for j in (-300, -60, 60, 300):
+                scaled = diagonal_rotation_recursion(np.ldexp(A, j), m, pair)
+                for value, got in zip(base, scaled):
+                    assert not math.isnan(got)
+                    try:
+                        want = math.ldexp(value, j * (m + 1))
+                    except OverflowError:
+                        continue
+                    if abs(want) >= np.finfo(float).tiny or value == 0.0:
+                        assert got == want, (m, j)

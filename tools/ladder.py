@@ -27,16 +27,25 @@ in this process, for every label.  The layers:
   (the frenet:grid request of perfbench's cli_small).  Adds the FlowField.at
   queries of one call, kappa, tau and their absolute errors against
   tests/test_frenet.py::helix_reference.
+- analyze: `rotform analyze` through the in-process cli.main on a
+  uniform(-1, 1) matrix with seed n, in each of the three bases.  Adds the
+  exit code and the sym_eigen calls of one request, counted in every rotform
+  module that holds the function.
 """
 
 import argparse
+import contextlib
+import importlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
+import types
 
 import mpmath
 import numpy as np
@@ -51,6 +60,8 @@ C = 0.5
 POINT = (1.0, 0.2, 0.1)
 HALF_WIDTH = 0.16
 GRID_SIZES = (5, 9, 17, 33)
+ANALYZE_SIZES = (2, 4, 8, 16, 32, 48, 64)
+BASES = ("given", "expansion", "skew-canonical")
 _ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -224,12 +235,64 @@ def frenet_document(results):
     }
 
 
+# --- analyze -----------------------------------------------------------------
+def _quiet(main, argv):
+    """The exit code of main(argv), with the report and messages discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def _sym_eigen_calls(rotform, func, *args):
+    """How many times func(*args) calls sym_eigen, through any rotform module."""
+    original, calls = rotform.linalg.sym_eigen, []
+
+    def counted(*a, **k):
+        calls.append(1)
+        return original(*a, **k)
+
+    holders = [m for m in vars(rotform).values()
+               if isinstance(m, types.ModuleType) and getattr(m, "sym_eigen", None) is original]
+    for module in holders:
+        module.sym_eigen = counted
+    try:
+        func(*args)
+    finally:
+        for module in holders:
+            module.sym_eigen = original
+    return len(calls)
+
+
+def analyze_rows(rotform):
+    main = importlib.import_module("rotform.cli").main
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in ANALYZE_SIZES:
+            path = os.path.join(tmp, f"uniform{n}.txt")
+            np.savetxt(path, _uniform(n, n))
+            for basis in BASES:
+                argv = ["analyze", "--input", path, "--basis", basis]
+                code, timing = _timed(_quiet, main, argv)
+                rows.append({"n": n, "seed": n, "basis": basis, **timing, "exit": code,
+                             "sym_eigen_calls": _sym_eigen_calls(rotform, _quiet, main, argv)})
+    return rows
+
+
+def analyze_document(results):
+    return {
+        "command": "rotform analyze --input A --basis B, through rotform.cli.main in process",
+        "input": "A uniform(-1, 1) from numpy default_rng(n), written by numpy.savetxt",
+        "counts": "sym_eigen_calls: calls of linalg.sym_eigen in one request, an exact count",
+        "results": results,
+    }
+
+
 # --- harness -----------------------------------------------------------------
 # layer: (rows(rotform) in a worker, document({label: rows}) in this process)
 LAYERS = {
     "collings_det": (collings_rows, collings_document),
     "spectrum": (spectrum_rows, spectrum_document),
     "frenet_report": (frenet_rows, frenet_document),
+    "analyze": (analyze_rows, analyze_document),
 }
 
 

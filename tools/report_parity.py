@@ -25,7 +25,10 @@ them.  The corpus:
   129 x 129 file, past the CLI's dimension limit;
 - analyze on near-multiple eigenvalues, where cluster decisions show:
   diag(1, 1 + 1e-8, 3), diag(1, 1, 1, 1.000012, 5), and Q D Q^T with
-  D = diag(1, 1, 1 + g, 2.5, 4) for g = 1e-6 and 1e-9.
+  D = diag(1, 1, 1 + g, 2.5, 4) for g = 1e-6 and 1e-9;
+- analyze in the three bases on a zero 3 x 3 and a 1 x 1 matrix, and with
+  --tol rank_tol=1e-6 on a 4 x 4 whose skew part is 1e-8 of its symmetric
+  part, so that it counts as zero only at that tolerance.
 
 The matrices are drawn from fixed numpy seeds and written once to a
 temporary directory that every run shares.  A request counts as identical
@@ -164,6 +167,15 @@ def corpus(workdir):
     for kind, A in near.items():
         path = matrix(f"near {kind}.txt".replace(" ", "-"), A)
         requests.append((f"analyze near-multiple {kind}", ["analyze", "--input", path]))
+    G = np.random.default_rng(4).uniform(-1, 1, (4, 4))
+    edges = {"zero n=3": (np.zeros((3, 3)), []), "n=1": (np.array([[0.7]]), []),
+             "skew 1e-8 of sym n=4 rank_tol=1e-6": (G + G.T + 1e-8 * (G - G.T),
+                                                    ["--tol", "rank_tol=1e-6"])}
+    for kind, (A, tol) in edges.items():
+        path = matrix(f"edge-{kind.split()[0]}.txt", A)
+        for basis in _BASES:
+            requests.append((f"analyze {kind} {basis}",
+                             ["analyze", "--input", path, "--basis", basis, *tol]))
     return requests
 
 
