@@ -42,8 +42,8 @@ class AnalysisRequest:
 # --- deterministic JSON emission -------------------------------------------
 
 def _format_float(x):
-    """x to 17 significant digits, with ".0" on an integral value; the
-    infinities become the strings "inf" and "-inf", and NaN raises."""
+    """x, a Python float, to 17 significant digits, with ".0" on an integral
+    value; the infinities become the strings "inf" and "-inf", and NaN raises."""
     s = "%.17g" % x
     if "." in s or "e" in s:
         return s
@@ -54,31 +54,44 @@ def _format_float(x):
     return s + ".0"
 
 
+# _render's fallback, tried in turn: numpy scalars and arrays, complex numbers
+# and subclasses of the plain types, each as a value of a type it dispatches on.
+_PLAIN = (((float, np.floating), float), (np.ndarray, np.ndarray.tolist),
+          (complex, lambda z: {"re": z.real, "im": z.imag}), (str, str.__str__),
+          ((int, np.integer), int), ((list, tuple), list), (dict, lambda d: dict(d.items())))
+
+
 def _render(obj, pad=""):
     """JSON text of obj; the entries of a dict or list go on their own lines,
-    indented two spaces past pad.  Floats, most of every report, are tested
-    first, and a Python float entry of a dict or list is formatted in place
-    rather than by a call to _render."""
-    if isinstance(obj, (float, np.floating)):
+    indented two spaces past pad.  The exact type of obj picks its text, tested
+    in the order of how often a report holds it: float, list or tuple, dict,
+    str, bool, None, int.  A float entry of a dict or list is formatted in
+    place rather than by a call to _render.  Any other type goes through
+    _PLAIN or, numpy's bool among them, raises InputError."""
+    kind = type(obj)
+    if kind is float:
         return _format_float(obj)
-    if isinstance(obj, np.ndarray):
-        return _render(obj.tolist(), pad)
-    if isinstance(obj, complex):
-        return _render({"re": obj.real, "im": obj.imag}, pad)
-    if isinstance(obj, (bool, str)) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
     inner = pad + "  "
-    if isinstance(obj, dict):
+    if kind is list or kind is tuple:
+        items, ends = [_format_float(v) if type(v) is float else _render(v, inner) for v in obj], "[]"
+    elif kind is dict:
         items = [encode_basestring_ascii(str(k)) + ": "
                  + (_format_float(v) if type(v) is float else _render(v, inner))
                  for k, v in obj.items()]
         ends = "{}"
-    elif isinstance(obj, (list, tuple)):
-        items, ends = [_format_float(v) if type(v) is float else _render(v, inner) for v in obj], "[]"
+    elif kind is str:
+        return encode_basestring_ascii(obj)
+    elif kind is bool:
+        return "true" if obj else "false"
+    elif obj is None:
+        return "null"
+    elif kind is int:
+        return str(obj)
     else:
-        raise InputError(f"cannot serialise object of type {type(obj)!r}")
+        for kinds, plain in _PLAIN:
+            if isinstance(obj, kinds):
+                return _render(plain(obj), pad)
+        raise InputError(f"cannot serialise object of type {kind!r}")
     if not items:
         return ends
     return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
@@ -138,7 +151,7 @@ def _parse_matrix_json(text, source):
         for j, value in enumerate(row):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise InputError(f"{source}: row {i + 1}, column {j + 1}: not a number: {value!r}")
-            if not np.isfinite(value):
+            if not abs(value) <= sys.float_info.max:  # an int past the double range too
                 raise InputError(f"{source}: row {i + 1}, column {j + 1}: non-finite entry")
             data[i, j] = float(value)
     return data
@@ -166,7 +179,7 @@ def _parse_matrix_grid(text, source):
                 value = float(tok)
             except ValueError:
                 raise InputError(f"{source}:{lineno}:{column}: not a number: {tok!r}") from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise InputError(f"{source}:{lineno}:{column}: non-finite entry: {tok!r}")
             row.append(value)
         rows.append(row)
@@ -230,14 +243,16 @@ def _normality_section(report):
 
 def _forms_section(M, tol, seed, bromwich):
     """Form report for the matrix record M; bromwich is its Bromwich box, whose
-    real bounds are the expansion-form extremes."""
-    A, p = M.A, M.p  # the degree-2 gap is formed on A / p
+    real bounds are the expansion-form extremes.  The probe's norm identity gap,
+    |Xu|^2 - e^2 - |r|^2 on X = A / p, is relative to |Xu|^2 (0 when Xu = 0)."""
+    A, p = M.A, M.p
     lo, hi = bromwich[:2]
     rotation_traces = {_pair_key(pair): t for pair, t in qforms.rotation_traces(A).items()}
     u = random_unit(np.random.default_rng(seed), M.n)
     dec = qforms.decompose(M, u, tol)
     w, e, r = (A / p) @ u, dec.e / p, dec.r.vector() / p
-    norm_gap = math.prod([p, p], start=abs(float(w @ w) - e**2 - sum((r * r).tolist())))
+    norm2 = float(w @ w)
+    norm_gap = abs(norm2 - e**2 - sum((r * r).tolist())) / norm2 if norm2 else 0.0
     return {
         "expansion_matrix": M.sym.tolist(),
         "expansion_average": float(np.trace(M.sym)) / M.n,
@@ -288,14 +303,18 @@ def _invariants_section(A, seed):
 
 
 def _apply_basis(A, mode, tol):
+    """The record of A in the basis of mode, and that basis (None when given)."""
     if mode == "given":
-        return A, None
+        return _matrix(A), None
     if mode == "expansion":
         split = canonical.expansion_eigenbasis(A, tol)
-        return split.basis.T @ A @ split.basis, split.basis
+        M = _matrix(split.basis.T @ A @ split.basis)
+        # A's solve in this basis: the unit vectors, with the eigenvalues D descending
+        M.adopt_eigen(split.D[::-1], np.eye(M.n)[:, ::-1], tol)
+        return M, split.basis
     if mode == "skew-canonical":
         block = canonical.skew_canonical_basis(A, tol)
-        return block.basis.T @ A @ block.basis, block.basis
+        return _matrix(block.basis.T @ A @ block.basis), block.basis
     raise InputError(f"unknown basis mode {mode!r}")
 
 
@@ -303,20 +322,19 @@ def _apply_basis(A, mode, tol):
 
 def _cmd_analyze(request):
     A = load_matrix(request.input_path)
-    B, basis = _apply_basis(A, request.basis_mode, request.tol)
-    M = _matrix(B)  # one record for the three sections
+    M, basis = _apply_basis(A, request.basis_mode, request.tol)  # one record for the three sections
     spec_report = spectral.eigenstructure(M, request.tol)
     norm_report = canonical.normality_report(M, request.tol)
     doc = {
         "command": "analyze",
         "seed": request.seed,
         "basis_mode": request.basis_mode,
-        "tolerances": dataclasses.asdict(request.tol),
+        "tolerances": dict(vars(request.tol)),
         "input": _matrix_section(A),
     }
     if basis is not None:
         doc["basis"] = basis.tolist()
-        doc["matrix_in_basis"] = B.tolist()
+        doc["matrix_in_basis"] = M.A.tolist()
     doc["spectral"] = _spectral_section(spec_report)
     doc["normality"] = _normality_section(norm_report)
     doc["forms"] = _forms_section(M, request.tol, request.seed, spec_report.bromwich)
@@ -343,7 +361,7 @@ def _cmd_planar(request):
     return {
         "command": "planar",
         "seed": request.seed,
-        "tolerances": dataclasses.asdict(request.tol),
+        "tolerances": dict(vars(request.tol)),
         "input": _matrix_section(A),
         "planar": {
             "eigenvalues": [{"re": z.real, "im": z.imag} for z in report.eigs],
@@ -369,7 +387,7 @@ def _cmd_identities(request):
     return {
         "command": "identities",
         "seed": request.seed,
-        "tolerances": dataclasses.asdict(request.tol),
+        "tolerances": dict(vars(request.tol)),
         "input": _matrix_section(A),
         "invariants": _invariants_section(A, request.seed),
     }
@@ -428,7 +446,7 @@ def _cmd_frenet(request):
             "delta_max": {_pair_key(p): forms.deltas[p] for p in forms.deltas},
         },
         "expansion_norm": forms.expansion_norm,
-        "model_comparison": dataclasses.asdict(comparison),
+        "model_comparison": dict(vars(comparison)),
     }
 
 

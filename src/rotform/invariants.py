@@ -50,7 +50,7 @@ from .linalg import (
     random_unit,
 )
 from .quasirot import _pair_entries, _pair_index, _rotation_sum, _wedge
-from .quasirot import check_plane_pair, plane_pairs
+from .quasirot import plane_pairs
 
 COLLINGS_MAX_DIM = 20  # largest n the 2^n subset expansion accepts by default
 # Terms per stack in collings_det: 0.6 MB peak; 2^12 is 2x slower, 2^16 10-30% faster at 2.4 MB.
@@ -386,27 +386,6 @@ def power_form_step(A, m, u):
     pairs, back = list(plane_pairs(s.n)), [s.p] * (m + 1)  # A's units, as float products
     lhs_r, rhs_r = ({pq: prod(back, start=x) for pq, x in zip(pairs, r.tolist())} for r in per_pair)
     return prod(back, start=lhs_e), prod(back, start=rhs_e), lhs_r, rhs_r
-
-
-def diagonal_rotation_recursion(A, m, pq):
-    """The basis-direction specialisation of the rotation recurrence.
-
-    For u = b_p the cross terms collapse onto four sums over single planes;
-    returns (lhs, rhs) for the (p, q) rotation form of A^(m+1) at b_p.  The
-    (k, l) rotation value of M at b_p is M[l, p] if k = p, -M[k, p] if l = p, else 0.
-    Formed on X = A / binary_scale(A), scaled back as in power_form_step.
-    """
-    A = as_square(A)
-    n = A.shape[0]
-    p, q = check_plane_pair(n, pq)
-    back = [binary_scale(A)] * (m + 1)  # degree m + 1
-    X = A / back[0]
-    pows = matrix_powers(X, m + 1)
-    i, j = p - 1, q - 1
-    rhs = 0.0  # the (p, q) terms, then l in (p, q), (q, n], [1, p) as the recurrence adds them
-    for l in (i, j, *range(i + 1, j), *range(j + 1, n), *range(i)):
-        rhs += float(pows[m][l, i] * X[j, l])
-    return prod(back, start=float(pows[m + 1][j, i])), prod(back, start=rhs)
 
 
 def invariant_report(A, seed=0, power_steps=3):

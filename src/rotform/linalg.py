@@ -29,7 +29,8 @@ class ToleranceConfig:
     X = A / binary_scale(A), where it cannot under- or overflow.  Functions
     without a tol use DEFAULT_TOL.
 
-    eig_off_tol (1e-12): the certificates of sym_eigen (see there) and
+    eig_off_tol (1e-12): the certificates of sym_eigen (see there), of an
+    eigenbasis that a matrix record adopts (_Matrix.adopt_eigen) and of
     skew_canonical_basis; below about 1e-14 they end in NumericalError.
     rank_tol (1e-12), a quantity is zero:
       - n rank_tol max|X|: nullspace singular values and eigenstructure's
@@ -164,15 +165,21 @@ def sym_eigen(Q, tol=DEFAULT_TOL):
         w, P = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
-    Ah = A / (maxabs(A) or 1.0)
-    D = P.T @ Ah @ P
-    off = float(np.linalg.norm(D - np.diag(np.diag(D))))
-    target = tol.eig_off_tol * float(np.linalg.norm(Ah))
+    off, target = _eigenbasis_gap(A, P, tol)
     if off > target:
         raise NumericalError(
             f"eigenbasis certificate failed: off-diagonal norm {off:.3e} of the "
             f"normalised matrix in its eigenbasis exceeds {target:.3e}", residual=off)
     return w, P
+
+
+def _eigenbasis_gap(Q, P, tol):
+    """sym_eigen's certificate of the eigenbasis P of the symmetric Q: the off-diagonal
+    Frobenius norm of P^T Qh P, Qh = Q / max|Q|, and its bound eig_off_tol ||Qh||_F."""
+    Qh = Q / (maxabs(Q) or 1.0)
+    D = P.T @ Qh @ P
+    off = float(np.linalg.norm(D - np.diag(np.diag(D))))
+    return off, tol.eig_off_tol * float(np.linalg.norm(Qh))
 
 
 class _Matrix:
@@ -201,6 +208,13 @@ class _Matrix:
         if tol not in self._eigen:
             self._eigen[tol] = sym_eigen(self.sym, tol)
         return self._eigen[tol]
+
+    def adopt_eigen(self, w, P, tol):
+        """Keep (w, P), ascending eigenvalues and eigenbasis of sym known from elsewhere,
+        as sym_eigen(sym) if P passes its certificate; else sym_eigen solves on first use."""
+        off, target = _eigenbasis_gap(self.sym, P, tol)
+        if off <= target:
+            self._eigen[tol] = (w, P)
 
 
 def _matrix(A):

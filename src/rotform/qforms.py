@@ -22,20 +22,19 @@ from .linalg import (
     as_square,
     as_vector,
     check_orthogonal,
-    is_zero_part,  # noqa: F401  (re-exported)
     maxabs,
     sym_eigen,
 )
 from .quasirot import (
     RotationCoeffs,
     _pair_entries,
+    _rotation_sum,
+    _wedge,
     check_plane_pair,
     coeffs_to_matrix,
     plane_pairs,
     quasi_rotation,
-    reassemble,
     rotation_change_of_basis,
-    rotation_values,
 )
 
 
@@ -176,13 +175,14 @@ def decompose(A, u, tol=DEFAULT_TOL):
     u = as_vector(u)
     p = M.p
     X = M.A / p
-    e = float(uhat @ (X @ uhat))
-    r = rotation_values(X, uhat)
+    Xuhat = X @ uhat
+    e = float(uhat @ Xuhat)
+    r = _wedge(uhat, Xuhat)  # the rotation values, in plane_pairs order
     Xu = X @ u
-    err = float(np.linalg.norm(Xu - reassemble(e, r, u)))
+    err = float(np.linalg.norm(Xu - (e * u + _rotation_sum(r, M.n) @ u)))
     norm_Xu = float(np.linalg.norm(Xu))
     residual = err / norm_Xu if norm_Xu > 0.0 else err * p
-    r = RotationCoeffs(len(u), {pair: value * p for pair, value in r.items()})
+    r = RotationCoeffs(M.n, dict(zip(plane_pairs(M.n), (r * p).tolist())))
     return Decomposition(u=u.copy(), e=e * p, r=r, residual=residual)
 
 

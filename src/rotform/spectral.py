@@ -27,7 +27,7 @@ from .linalg import (
     real_spectrum,
     sym_eigen,
 )
-from .qforms import evaluate, expansion_form, rotation_form
+from .qforms import rotation_form_matrix
 from .quasirot import _wedge
 
 
@@ -146,46 +146,34 @@ def planar_analyze(A, u=None, tol=DEFAULT_TOL):
     yields the zero count and the classification.  With u supplied, the 2x2
     representation in the (u-hat, u-hat-perp) frame is included.
     """
-    A = as_square(A)
-    if A.shape[0] != 2:
-        raise InputError(f"planar analysis needs a 2x2 matrix, got {A.shape[0]}x{A.shape[0]}")
-    e_form = expansion_form(A)
-    r_form = rotation_form(A, (1, 2))
-    we, _ = sym_eigen(e_form.matrix, tol)
-    wr, _ = sym_eigen(r_form.matrix, tol)
+    M = _matrix(A)
+    if M.n != 2:
+        raise InputError(f"planar analysis needs a 2x2 matrix, got {M.n}x{M.n}")
+    R = rotation_form_matrix(M.A, (1, 2))
+    we, _ = M.sym_eigen(tol)
+    wr, _ = sym_eigen(R, tol)
     mean = 0.5 * (we[0] + we[1])
-    p = binary_scale(A)  # the degree-2 product is formed on A / p
+    p = M.p  # the degree-2 product is formed on A / p
     product = float((wr[0] / p) * (wr[1] / p))
-    zero_eig = tol.rank_tol * maxabs(A) / p
-    z1 = abs(wr[0] / p) <= zero_eig
-    z2 = abs(wr[1] / p) <= zero_eig
-    borderline = (not z1 and not z2) and abs(product) <= zero_eig * maxabs(A) / p
-
+    zero_eig = tol.rank_tol * M.scale / p
+    z1, z2 = (abs(x / p) <= zero_eig for x in wr)
+    borderline = (not z1 and not z2) and abs(product) <= zero_eig * M.scale / p
     if z1 and z2:
-        zero_count = math.inf
-        classification = "repeated-gm2"
-        eigs = (complex(mean), complex(mean))
+        zero_count, classification, eigs = math.inf, "repeated-gm2", (complex(mean),) * 2
     elif z1 != z2 or borderline:
-        zero_count = 1.0
-        classification = "repeated-gm1"
-        eigs = (complex(mean), complex(mean))
+        zero_count, classification, eigs = 1.0, "repeated-gm1", (complex(mean),) * 2
     elif product < 0.0:
-        zero_count = 2.0
-        classification = "real-distinct"
-        root = math.sqrt(-product) * p
+        zero_count, classification, root = 2.0, "real-distinct", math.sqrt(-product) * p
         eigs = (complex(mean - root), complex(mean + root))
     else:
-        zero_count = 0.0
-        classification = "complex"
-        root = math.sqrt(product) * p
+        zero_count, classification, root = 0.0, "complex", math.sqrt(product) * p
         eigs = (complex(mean, -root), complex(mean, root))
-
     rep = None
     if u is not None:
         uhat = as_direction(u, 2, "direction for the planar frame")
         uperp = np.array([-uhat[1], uhat[0]])
-        rep = np.array([[evaluate(e_form, uhat), -evaluate(r_form, uperp)],
-                        [evaluate(r_form, uhat), evaluate(e_form, uperp)]])
+        rep = np.array([[uhat @ M.sym @ uhat, -(uperp @ R @ uperp)],
+                        [uhat @ R @ uhat, uperp @ M.sym @ uperp]])
     return PlanarReport(
         eigs=eigs,
         classification=classification,

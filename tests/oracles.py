@@ -32,10 +32,12 @@ The per-pair loops of quasirot and qforms (the wedge of two vectors, the
 reassembly, the skew coefficients and their matrix, the change of basis of
 a rotation plane, the rotation traces and the rotation form in a new basis)
 are the library's former code, kept unchanged with the suffix _loop, and
-model_rotation_forms_by_hand is the former frenet.model_rotation_forms,
-and diagonal_rotation_recursion_by_dicts the former
-diagonal_rotation_recursion, which read each rotation value from a dict
-over all plane pairs.  trilinear_reference is the former 8-corner loop of
+model_rotation_forms_by_hand is the former frenet.model_rotation_forms.
+diagonal_rotation_recursion, the rotation recurrence of power_form_step
+specialised to a basis direction, is the library's former function of that
+name, an oracle for power_form_step, and diagonal_rotation_recursion_by_dicts
+its earlier form, which read each rotation value from a dict over all plane
+pairs.  trilinear_reference is the former 8-corner loop of
 frenet.GridField, whose gather must round the same, and cluster_points_loop
 is _cluster_points at a given radius by its minimax loop alone, without
 the shortcut for points of which no two are within the radius.
@@ -76,12 +78,14 @@ from rotform.invariants import (
     newton_residuals,
     pm2_sym_skew_residual,
 )
-from rotform.qforms import QForm, is_zero_part, rotation_form_matrix
+from rotform.qforms import QForm, rotation_form_matrix
 from rotform.linalg import (
     Spectrum,
     _cluster_points,
     as_square,
     as_unit as _unit,
+    binary_scale,
+    is_zero_part,
     matrix_powers,
     maxabs,
 )
@@ -813,6 +817,27 @@ def _wedge_values_loop(u, w):
 def rotation_values_loop(A, u):
     """All rotation-form values A(u).R_kl(u) at once, keyed by plane pair."""
     return _wedge_values_loop(u, A @ u)
+
+
+def diagonal_rotation_recursion(A, m, pq):
+    """The basis-direction specialisation of the rotation recurrence.
+
+    For u = b_p the cross terms collapse onto four sums over single planes;
+    returns (lhs, rhs) for the (p, q) rotation form of A^(m+1) at b_p.  The
+    (k, l) rotation value of M at b_p is M[l, p] if k = p, -M[k, p] if l = p, else 0.
+    Formed on X = A / binary_scale(A), scaled back as in power_form_step.
+    """
+    A = as_square(A)
+    n = A.shape[0]
+    p, q = check_plane_pair(n, pq)
+    back = [binary_scale(A)] * (m + 1)  # degree m + 1
+    X = A / back[0]
+    pows = matrix_powers(X, m + 1)
+    i, j = p - 1, q - 1
+    rhs = 0.0  # the (p, q) terms, then l in (p, q), (q, n], [1, p) as the recurrence adds them
+    for l in (i, j, *range(i + 1, j), *range(j + 1, n), *range(i)):
+        rhs += float(pows[m][l, i] * X[j, l])
+    return prod(back, start=float(pows[m + 1][j, i])), prod(back, start=rhs)
 
 
 def diagonal_rotation_recursion_by_dicts(A, m, pq):

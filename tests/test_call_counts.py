@@ -22,9 +22,8 @@ from rotform import (
     skew_canonical_basis,
     sym_eigen,
 )
-from rotform.invariants import diagonal_rotation_recursion
 
-from oracles import random_normal_matrix
+from oracles import diagonal_rotation_recursion, random_normal_matrix
 
 
 def _count(monkeypatch, modules, name):
@@ -115,7 +114,7 @@ def test_eigenstructure_runs_nullspace_only_for_the_cluster(monkeypatch):
         assert len(calls) == 1
 
 
-@pytest.mark.parametrize("basis, sym_eigens", [("given", 1), ("expansion", 2),
+@pytest.mark.parametrize("basis, sym_eigens", [("given", 1), ("expansion", 1),
                                                ("skew-canonical", 1)])
 def test_analyze_solves_the_expansion_form_once_per_matrix(monkeypatch, tmp_path, capsys,
                                                            basis, sym_eigens):
@@ -128,5 +127,30 @@ def test_analyze_solves_the_expansion_form_once_per_matrix(monkeypatch, tmp_path
     eigs = _count(monkeypatch, [np.linalg], "eig")
     assert main(["analyze", "--input", str(path), "--basis", basis]) == 0
     assert capsys.readouterr().out
-    # the expansion basis solves the expansion form of A, then that of the matrix in it
+    # the matrix in the expansion basis takes the solve of A's expansion form, certified
     assert (len(calls), len(eigs)) == (sym_eigens, 1)
+
+
+def test_planar_checks_its_input_once_and_builds_no_qform(monkeypatch, tmp_path, capsys):
+    from rotform.cli import main
+
+    A = np.array([[0.3, -1.2], [0.7, 0.4]])
+    path = tmp_path / "A.txt"
+    np.savetxt(path, A)
+    checked = []
+    original = rotform.linalg.as_square
+
+    def recorded(X, *args, **kwargs):
+        checked.append(np.array(X))
+        return original(X, *args, **kwargs)
+
+    for module in (rotform.linalg, rotform.spectral, rotform.qforms, rotform.quasirot):
+        if getattr(module, "as_square", None) is original:
+            monkeypatch.setattr(module, "as_square", recorded)
+    solves = _count(monkeypatch, [rotform.linalg, rotform.spectral], "sym_eigen")
+    built = []
+    monkeypatch.setattr(rotform.qforms.QForm, "__post_init__", built.append)
+    assert main(["planar", "--input", str(path)]) == 0
+    assert capsys.readouterr().out
+    assert built == [] and len(solves) <= 2
+    assert sum(X.shape == A.shape and np.array_equal(X, A) for X in checked) == 1

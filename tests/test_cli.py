@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -68,6 +69,178 @@ class TestMatrixParsing:
     def test_nan_rejected(self):
         with pytest.raises(InputError, match="non-finite"):
             parse_matrix_text("nan 1\n2 3\n")
+
+    @pytest.mark.parametrize("text", ["inf 1\n2 3\n", '{"n": 1, "rows": [[1e999]]}',
+                                      '{"n": 1, "rows": [[-1%s]]}' % ("0" * 400)],
+                             ids=["grid inf", "json 1e999", "json int -10^400"])
+    def test_entries_past_the_double_range_rejected(self, text):
+        with pytest.raises(InputError, match="non-finite entry"):
+            parse_matrix_text(text)
+
+    def test_json_integer_past_int64_is_read_as_a_double(self):
+        A = parse_matrix_text('{"n": 2, "rows": [[1, %d], [0, -%d]]}' % (10**23, 2**64))
+        np.testing.assert_array_equal(A, [[1.0, 1e23], [0.0, -2.0**64]])
+
+
+Pair = collections.namedtuple("Pair", "a b")
+
+
+def every_accepted_type():
+    """A document holding every type the report writer accepts, in a list
+    and as a dict value: Python and numpy floats and ints, bools, None,
+    strings that need escapes, complex numbers, 1-D, 2-D and empty arrays,
+    tuples, nested empty containers, subclasses of dict and tuple, and keys
+    that are not strings."""
+    return {
+        "floats": [0.1, np.float64(2.0), np.float32(0.1), -0.0, float("inf"), float("-inf"),
+                   5e-324, 1e16, 1e17, {"v": np.float64(-0.0)}, {"w": float("inf")}],
+        "ints": [0, -7, 2**70, np.int64(-3), np.int32(5), {"i": np.int64(9)}],
+        "atoms": [True, False, None, {"t": True, "f": False, "n": None}],
+        "strings": ["", "quote\" back\\ slash/", "line\nbreak\ttab\r\x00\x1f\x7f",
+                    "Grüße ω \U0001f600", {"s": "é"}],
+        "complex": [complex(1.5, -2.0), {"z": complex(0.0, -0.0)}],
+        "arrays": [np.array([1.0, -0.0, np.inf]), np.array([[1, 2], [3, 4]]), np.zeros(0),
+                   np.zeros((0, 3)), np.array([[0.5]]), {"a": np.array([1.5, 2.5])}],
+        "tuple": (1, (2.5, ()), ("x",)),
+        "empty": [[], {}, (), [[]], [{}], {"e": {}}, {"l": []}],
+        "subclasses": [collections.OrderedDict([("b", 1.0), ("a", 2)]), Pair(1.0, "p")],
+        3: "int key",
+        "é": "non-ascii key",
+    }
+
+
+# every_accepted_type() as the writer of rotform 0.1.0 rendered it, before
+# the writer dispatched on exact types.
+EVERY_ACCEPTED_TYPE_TEXT = r"""{
+  "floats": [
+    0.10000000000000001,
+    2.0,
+    0.10000000149011612,
+    -0.0,
+    "inf",
+    "-inf",
+    4.9406564584124654e-324,
+    10000000000000000.0,
+    1e+17,
+    {
+      "v": -0.0
+    },
+    {
+      "w": "inf"
+    }
+  ],
+  "ints": [
+    0,
+    -7,
+    1180591620717411303424,
+    -3,
+    5,
+    {
+      "i": 9
+    }
+  ],
+  "atoms": [
+    true,
+    false,
+    null,
+    {
+      "t": true,
+      "f": false,
+      "n": null
+    }
+  ],
+  "strings": [
+    "",
+    "quote\" back\\ slash/",
+    "line\nbreak\ttab\r\u0000\u001f\u007f",
+    "Gr\u00fc\u00dfe \u03c9 \ud83d\ude00",
+    {
+      "s": "\u00e9"
+    }
+  ],
+  "complex": [
+    {
+      "re": 1.5,
+      "im": -2.0
+    },
+    {
+      "z": {
+        "re": 0.0,
+        "im": -0.0
+      }
+    }
+  ],
+  "arrays": [
+    [
+      1.0,
+      -0.0,
+      "inf"
+    ],
+    [
+      [
+        1,
+        2
+      ],
+      [
+        3,
+        4
+      ]
+    ],
+    [],
+    [],
+    [
+      [
+        0.5
+      ]
+    ],
+    {
+      "a": [
+        1.5,
+        2.5
+      ]
+    }
+  ],
+  "tuple": [
+    1,
+    [
+      2.5,
+      []
+    ],
+    [
+      "x"
+    ]
+  ],
+  "empty": [
+    [],
+    {},
+    [],
+    [
+      []
+    ],
+    [
+      {}
+    ],
+    {
+      "e": {}
+    },
+    {
+      "l": []
+    }
+  ],
+  "subclasses": [
+    {
+      "b": 1.0,
+      "a": 2
+    },
+    [
+      1.0,
+      "p"
+    ]
+  ],
+  "3": "int key",
+  "\u00e9": "non-ascii key"
+}
+"""
 
 
 class TestRenderReport:
@@ -147,6 +320,21 @@ class TestRenderReport:
         with pytest.raises(InputError, match="cannot serialise"):
             render_report({"x": {1, 2}})
 
+    def test_every_accepted_type_matches_the_recorded_text(self):
+        assert render_report(every_accepted_type()) == EVERY_ACCEPTED_TYPE_TEXT
+
+    @pytest.mark.parametrize("value", [{1, 2}, np.bool_(True), [np.bool_(False)],
+                                       np.complex64(1.0), np.array([{1}], dtype=object), b"x"])
+    def test_refused_types_stay_refused(self, value):
+        with pytest.raises(InputError, match="cannot serialise"):
+            render_report({"x": value})
+
+    @pytest.mark.parametrize("value", [float("nan"), np.float64("nan"), np.array([1.0, np.nan]),
+                                       complex(float("nan"), 0.0), (0.5, [float("nan")])])
+    def test_nan_anywhere_is_numerical_error(self, value):
+        with pytest.raises(NumericalError, match="NaN"):
+            render_report({"x": value})
+
     @pytest.mark.parametrize("value, text", [
         (1e16, "10000000000000000.0"),
         (1e17, "1e+17"),
@@ -212,6 +400,15 @@ class TestCommands:
         B = np.array(doc["matrix_in_basis"])
         np.testing.assert_allclose(B, [[3.5, -0.5, 0.0], [0.5, 2.5, 0.0], [0.0, 0.0, 1.0]],
                                    atol=1e-10)
+
+    def test_analyze_at_1e200_reports_a_finite_norm_identity_gap(self, tmp_path):
+        # relative to |Xu|^2, the gap is a rounding error whatever the scale of A
+        A = 1e200 * np.random.default_rng(21).uniform(-1.0, 1.0, (3, 3))
+        out = str(tmp_path / "report.json")
+        assert main(["analyze", "--input", write(tmp_path, "m.txt", _grid(A)),
+                     "--output", out]) == 0
+        gap = json.loads(open(out).read())["forms"]["decomposition_probe"]["norm_identity_gap"]
+        assert isinstance(gap, float) and 0.0 <= gap < 1e-14
 
     def test_analyze_skew_canonical_basis(self, tmp_path):
         matrix = write(tmp_path, "m.txt", "3 1 0\n0 3 0\n0 0 1\n")

@@ -26,9 +26,10 @@ from rotform import (
     rotation_form,
 )
 from rotform import evaluate, plane_pairs, qforms
-from rotform.invariants import _Parts, _pm2, diagonal_rotation_recursion, pm2_sym_skew_residual
+from rotform.invariants import _Parts, _pm2, pm2_sym_skew_residual
 from rotform.linalg import binary_scale
-from rotform.qforms import rotation_form_matrix, rotation_traces, rotation_values
+from rotform.qforms import rotation_form_matrix, rotation_traces
+from rotform.quasirot import rotation_values
 
 from oracles import (
     ch_form_residuals_by_definition,
@@ -37,6 +38,7 @@ from oracles import (
     ch_trace_residuals_per_pair,
     collings_det_loop,
     det_exact,
+    diagonal_rotation_recursion,
     diagonal_rotation_recursion_by_dicts,
     gram_trace_identity_residual_per_pair,
     invariant_report_per_pair,
@@ -636,6 +638,18 @@ class TestPowerFormStep:
                 for q in range(p + 1, 5):
                     lhs, rhs = diagonal_rotation_recursion(A, m, (p, q))
                     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
+
+    def test_power_form_step_at_a_basis_direction_matches_the_diagonal_recursion(self):
+        rng = np.random.default_rng(25)
+        for n in (2, 4, 6):
+            A = rng.uniform(-1, 1, (n, n))
+            for m in (1, 2, 3):
+                for p in range(1, n):
+                    _, _, lhs_r, rhs_r = power_form_step(A, m, np.eye(n)[p - 1])
+                    for q in range(p + 1, n + 1):
+                        lhs, rhs = diagonal_rotation_recursion(A, m, (p, q))
+                        assert abs(lhs_r[p, q] - lhs) <= 1e-14 * max(1.0, abs(lhs))
+                        assert abs(rhs_r[p, q] - rhs) <= 1e-14 * max(1.0, abs(rhs))
 
     def test_diagonal_recursion_equals_dict_version_exactly(self):
         rng = np.random.default_rng(24)

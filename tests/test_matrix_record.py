@@ -1,6 +1,7 @@
 """The matrix record (linalg._Matrix): every analysis that takes it returns
 what it returns for the plain array, and one record keeps a separate
-zero-part decision and symmetric eigenproblem per tolerance."""
+zero-part decision and symmetric eigenproblem per tolerance, which may be
+one adopted from elsewhere once it passes sym_eigen's certificate."""
 
 import dataclasses
 
@@ -19,8 +20,10 @@ from rotform import (
     eigenstructure,
     expansion_eigenbasis,
     normality_report,
+    random_orthogonal,
     real_spectrum,
     skew_canonical_basis,
+    sym_eigen,
 )
 from rotform.linalg import _matrix
 
@@ -94,3 +97,25 @@ def test_one_record_keeps_a_zero_part_decision_per_tolerance(first):
         assert _same(_outcome(skew_canonical_basis, M, tol), _outcome(skew_canonical_basis, A, tol))
     assert bromwich_bounds(M, LOOSE)[2:] == (0.0, 0.0) != bromwich_bounds(M, DEFAULT_TOL)[2:]
     assert set(M._zero) == {(part, tol) for part in ("sym", "skew") for tol in (DEFAULT_TOL, LOOSE)}
+
+
+def test_an_adopted_eigenbasis_is_kept_only_when_it_passes_the_certificate():
+    """The matrix B in A's expansion basis adopts the known solve, as analyze
+    does: eigenvalues D ascending on the unit vectors, which diagonalise
+    B's symmetric part up to rounding.  A basis that does not is refused,
+    and sym_eigen solves instead; so does a certificate no basis can meet."""
+    A = np.random.default_rng(22).uniform(-1, 1, (5, 5))
+    split = expansion_eigenbasis(A)
+    B = split.basis.T @ A @ split.basis
+    known = (split.D[::-1], np.eye(5)[:, ::-1])
+    M = _matrix(B)
+    M.adopt_eigen(*known, DEFAULT_TOL)
+    w, P = M.sym_eigen(DEFAULT_TOL)
+    assert w is known[0] and P is known[1]
+    np.testing.assert_allclose(w, sym_eigen(M.sym)[0], rtol=0.0, atol=1e-14)
+    unreachable = ToleranceConfig(eig_off_tol=1e-300)
+    for P, tol in ((random_orthogonal(5, seed=3), DEFAULT_TOL), (known[1], unreachable)):
+        M = _matrix(B)
+        M.adopt_eigen(known[0], P, tol)
+        assert tol not in M._eigen
+        assert _same(_outcome(M.sym_eigen, tol), _outcome(sym_eigen, M.sym, tol))

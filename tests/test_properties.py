@@ -44,9 +44,11 @@ from rotform import (
     zero_subspace_extend,
 )
 from rotform import linalg
-from rotform.linalg import _cluster_points
+from rotform.cli import _forms_section
+from rotform.linalg import _cluster_points, _matrix
 
 from oracles import (
+    diagonal_rotation_recursion,
     jordan_shear,
     random_normal_matrix,
     random_unit,
@@ -536,13 +538,25 @@ def test_single_linkage_groups_and_cuts_keep_conjugate_mirrors(seed, n):
 
 
 
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 6))
+def test_norm_identity_gap_is_the_same_for_every_power_of_two_multiple(seed, n):
+    """The analyze probe's norm identity gap is formed on X = A / binary_scale(A)
+    and taken over |Xu|^2, so 2^j A reports A's gap bit for bit."""
+    A = np.random.default_rng(seed).uniform(-1, 1, (n, n))
+    gaps = set()
+    for j in (-500, 0, 500):
+        M = _matrix(np.ldexp(A, j))
+        section = _forms_section(M, DEFAULT_TOL, seed, bromwich_bounds(M))
+        gaps.add(repr(section["decomposition_probe"]["norm_identity_gap"]))
+    assert len(gaps) == 1
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(seed=SEEDS, n=st.integers(2, 6), data=st.data())
 def test_diagonal_rotation_recursion_follows_power_of_two_scaling(seed, n, data):
     """At 2^j A the pair (lhs, rhs) is A's times 2^(j (m + 1)), bit for bit,
     wherever that is a normal double, and never NaN or a numpy warning."""
-    from rotform.invariants import diagonal_rotation_recursion
-
     A = np.random.default_rng(seed).uniform(-1, 1, (n, n))
     pair = data.draw(st.sampled_from(list(plane_pairs(n))))
     with warnings.catch_warnings():

@@ -23,7 +23,7 @@ from rotform import (
     rotation_trace_sum,
     zero_subspace_extend,
 )
-from rotform.qforms import rotation_values
+from rotform.quasirot import rotation_values
 
 
 def three_dim_form_matrices(A):

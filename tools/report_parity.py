@@ -10,7 +10,10 @@ them.  The corpus:
 
 - analyze for n = 2..8 on random, symmetric, skew and integer matrices, in
   the given, expansion and skew-canonical bases;
-- planar on five 2x2 matrices at scales 1e-5, 1 and 1e5;
+- planar on five 2x2 matrices at scales 1e-5, 1 and 1e5, on two of them at
+  2^-500 and 2^500, and on the two borderline matrices of perfbench's
+  cli_small, [[a, b], [+-1e-14 b, a]], whose discriminant +-4e-14 b^2 lies
+  inside the rounding band of a double root;
 - identities for n = 1..16, 24 and 32 (seeded), on uniform(-1, 1) * 1e150 at
   n = 3, 6, on the 8 x 8 Hilbert matrix and on diag(10^-k), k = 0..16, where
   the minor sums and the identity residuals that use them show, and on
@@ -28,7 +31,10 @@ them.  The corpus:
   D = diag(1, 1, 1 + g, 2.5, 4) for g = 1e-6 and 1e-9;
 - analyze in the three bases on a zero 3 x 3 and a 1 x 1 matrix, and with
   --tol rank_tol=1e-6 on a 4 x 4 whose skew part is 1e-8 of its symmetric
-  part, so that it counts as zero only at that tolerance.
+  part, so that it counts as zero only at that tolerance;
+- analyze in the expansion basis on S + K for a random skew K and S =
+  diag(1, 1, 3) or Q diag(1, 1, 3, 2) Q^T, whose repeated expansion
+  eigenvalue takes the tie-break that orders eigenvectors.
 
 The matrices are drawn from fixed numpy seeds and written once to a
 temporary directory that every run shares.  A request counts as identical
@@ -92,6 +98,14 @@ def corpus(workdir):
         for scale in (1e-5, 1.0, 1e5):
             path = matrix(f"planar-{kind}-{scale:g}.txt", scale * np.asarray(A, float))
             requests.append((f"planar {kind} x{scale:g}", ["planar", "--input", path]))
+    for kind in ("distinct", "random"):
+        for j in (-500, 500):
+            path = matrix(f"planar-{kind}-2^{j}.txt", np.ldexp(np.asarray(planar[kind], float), j))
+            requests.append((f"planar {kind} x2^{j}", ["planar", "--input", path]))
+    a, b = 0.8, 1.3
+    for sign in (1, -1):
+        path = matrix(f"planar-borderline{sign:+d}.txt", np.array([[a, b], [sign * 1e-14 * b, a]]))
+        requests.append((f"planar borderline {sign:+d}e-14 b", ["planar", "--input", path]))
     for n in (*range(1, 17), 24, 32):
         requests.append((f"identities n={n}", ["identities", "--params", f"n={n}", "--seed", "1"]))
     hilbert = 1.0 / (np.arange(8)[:, None] + np.arange(8)[None, :] + 1.0)
@@ -176,6 +190,14 @@ def corpus(workdir):
         for basis in _BASES:
             requests.append((f"analyze {kind} {basis}",
                              ["analyze", "--input", path, "--basis", basis, *tol]))
+    K = np.random.default_rng(6).uniform(-1, 1, (4, 4))
+    Q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))
+    ties = {"diag(1, 1, 3)": np.diag([1.0, 1.0, 3.0]) + (K - K.T)[:3, :3],
+            "Q diag(1, 1, 3, 2) Q^T": Q @ np.diag([1.0, 1.0, 3.0, 2.0]) @ Q.T + K - K.T}
+    for i, (kind, A) in enumerate(ties.items()):
+        path = matrix(f"tie{i}.txt", A)
+        requests.append((f"analyze repeated expansion eigenvalue {kind} + skew expansion",
+                         ["analyze", "--input", path, "--basis", "expansion"]))
     return requests
 
 
