@@ -41,25 +41,25 @@ class SkewBlockForm:
 class NormalityReport:
     is_normal: bool
     violating_pairs: tuple  # (i, j, rotation trace, expansion eigenvalue gap)
-    commutator_norm: float
+    commutator_norm: float  # max|DS - SD| of X = A / p over max|X|^2: scale-free
     expansion_eigenvalues: tuple
 
 
 def expansion_eigenbasis(A, tol=DEFAULT_TOL):
     """Eigenbasis of the symmetric part, with A re-expressed as diag(D) + S.
 
-    D is sorted descending; repeated eigenvalues are ordered by a lexicographic
-    tie-break on the (sign-fixed) eigenvector entries so reports reproduce.
+    D is sorted descending; repeated eigenvalues by the descending lexicographic
+    order of the (sign-fixed) eigenvectors, so unit vectors keep index order.
     In the returned basis S[q, p] equals half the trace of the (p, q) rotation
     form for p < q.
     """
     M = _matrix(A)
-    A, n = M.A, M.n
+    A = M.A
     if M.is_zero("sym", tol):
         raise InputError("expansion form is zero (pure skew matrix); use skew_canonical_basis")
     w, P = M.sym_eigen(tol)
     P = _sign_fix(P, tol)
-    order = sorted(range(n), key=lambda i: (-w[i], tuple(P[:, i])))
+    order = np.lexsort((*(-P)[::-1], -w))  # by -w, then by -P[0, i], -P[1, i], ...
     w = w[order]
     P = P[:, order]
     B = P.T @ A @ P
@@ -138,7 +138,7 @@ def normality_report(A, tol=DEFAULT_TOL):
     return NormalityReport(
         is_normal=comm_norm <= threshold,
         violating_pairs=tuple(violations),
-        commutator_norm=comm_norm * p * p,
+        commutator_norm=comm_norm / (scale * scale),
         expansion_eigenvalues=tuple(float(x) for x in split.D),
     )
 

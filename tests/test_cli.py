@@ -29,6 +29,12 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+# the skew part and the rotation of tools/report_parity.py's tie requests
+_K = np.random.default_rng(6).uniform(-1.0, 1.0, (4, 4))
+_SKEW = _K - _K.T
+_Q = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))[0]
+
+
 class TestMatrixParsing:
     def test_grid_format(self):
         A = parse_matrix_text("1 2\n3 4\n")
@@ -409,6 +415,38 @@ class TestCommands:
                      "--output", out]) == 0
         gap = json.loads(open(out).read())["forms"]["decomposition_probe"]["norm_identity_gap"]
         assert isinstance(gap, float) and 0.0 <= gap < 1e-14
+
+    def test_analyze_at_1e200_reports_a_finite_commutator_norm(self, tmp_path):
+        # relative to max|X|^2, the commutator of a non-normal matrix stays O(1)
+        A = 1e200 * np.random.default_rng(21).uniform(-1.0, 1.0, (3, 3))
+        out = str(tmp_path / "report.json")
+        assert main(["analyze", "--input", write(tmp_path, "m.txt", _grid(A)),
+                     "--output", out]) == 0
+        normality = json.loads(open(out).read())["normality"]
+        assert not normality["is_normal"]
+        assert isinstance(normality["commutator_norm"], float)
+        assert 1e-3 < normality["commutator_norm"] < 10.0
+
+    @pytest.mark.parametrize("A", [
+        pytest.param(np.diag([1.0, 1.0, 3.0]) + _SKEW[:3, :3], id="diag(1, 1, 3)"),
+        pytest.param(_Q @ np.diag([1.0, 1.0, 3.0, 2.0]) @ _Q.T + _SKEW, id="Q diag(1, 1, 3, 2) Q^T"),
+        pytest.param(np.diag([1.0, 1.0, 1.0, 3.0]) + _SKEW, id="diag(1, 1, 1, 3)"),
+    ])
+    def test_expansion_basis_pairs_index_the_printed_matrix(self, tmp_path, A):
+        # tied expansion eigenvalues keep index order in the split of matrix_in_basis
+        path = write(tmp_path, "m.txt", _grid(A))
+        docs = {}
+        for basis in ("given", "expansion"):
+            out = str(tmp_path / f"{basis}.json")
+            assert main(["analyze", "--input", path, "--basis", basis, "--output", out]) == 0
+            docs[basis] = json.loads(open(out).read())
+        pairs = docs["expansion"]["normality"]["violating_pairs"]
+        traces = docs["expansion"]["forms"]["rotation_traces"]
+        assert pairs
+        for pair in pairs:
+            assert pair["rotation_trace"] == traces[f"{pair['i']},{pair['j']}"]
+        assert [(p["i"], p["j"]) for p in docs["given"]["normality"]["violating_pairs"]] == [
+            (p["i"], p["j"]) for p in pairs]
 
     def test_analyze_skew_canonical_basis(self, tmp_path):
         matrix = write(tmp_path, "m.txt", "3 1 0\n0 3 0\n0 0 1\n")

@@ -1,9 +1,14 @@
 """Every layer of tools/ladder.py, run in process on its smallest size: the
-rows keep the columns of the earlier BENCH files and the oracles agree."""
+rows keep the columns of the earlier BENCH files and the oracles agree; two
+loads of one src tree are separate packages, timed call against call, that
+agree on every cell that is not a timing."""
 
+import ast
+import glob
 import importlib.util
 import os
 import sys
+import types
 
 import pytest
 
@@ -23,11 +28,13 @@ KEYS = {
                                 "kappa_error", "tau_error"},
     "analyze": _TIMING | {"n", "seed", "basis", "exit", "sym_eigen_calls"},
 }
+_RATIOS = {"ratio_median", "ratio_q1", "ratio_q3", "wins"}
+_SRC = os.path.join(_REPO, "src")
 
 
 @pytest.fixture
 def small(monkeypatch):
-    monkeypatch.setattr(ladder, "RUNS", 1)
+    monkeypatch.setattr(ladder, "PAIRS", 3)
     monkeypatch.setattr(ladder, "REQUESTS", 2)
     monkeypatch.setattr(ladder, "COLLINGS_SIZES", ladder.COLLINGS_SIZES[:1])
     monkeypatch.setattr(ladder, "SPECTRUM_SIZES", ladder.SPECTRUM_SIZES[:1])
@@ -38,7 +45,7 @@ def small(monkeypatch):
 def _layer(name):
     """The layer's document for one label measured in this process."""
     rows, document = ladder.LAYERS[name]
-    doc = document({"here": rows(rotform)})
+    doc = document(rows({"here": rotform}))
     for row in doc["results"]["here"]:
         assert set(row) == KEYS[name]
     return doc["results"]["here"]
@@ -77,3 +84,69 @@ def test_analyze_rows_count_the_sym_eigen_calls(small, monkeypatch):
     assert [(row["n"], row["basis"]) for row in rows] == [(2, basis) for basis in ladder.BASES]
     # the matrix in the expansion basis takes the solve of A's expansion form, certified
     assert [(row["exit"], row["sym_eigen_calls"]) for row in rows] == [(0, 1), (0, 1), (0, 1)]
+
+
+def test_every_src_tree_loads_as_a_package_of_its_own():
+    first, second = ladder.load_rotform(_SRC), ladder.load_rotform(_SRC)
+    assert first is not second and first.__name__ != second.__name__
+    importlib.import_module("rotform.cli")
+    for package in (first, second):
+        importlib.import_module(package.__name__ + ".cli")
+    modules = {name for name, value in vars(rotform).items() if isinstance(value, types.ModuleType)
+               and value.__name__.startswith("rotform.")}
+    assert {"linalg", "canonical", "cli", "frenet"} <= modules
+    for name in modules:
+        ours = getattr(sys.modules["rotform"], name)
+        one, two = getattr(first, name), getattr(second, name)
+        assert len({id(ours), id(one), id(two)}) == 3, name
+        assert one.__name__ == f"{first.__name__}.{name}"
+    assert first.NumericalError is not rotform.NumericalError  # what the spectrum layer catches
+
+
+def test_rotform_imports_only_relatively():
+    # with an absolute import, a loaded tree would run another tree's code
+    for path in sorted(glob.glob(os.path.join(_SRC, "rotform", "*.py"))):
+        for node in ast.walk(ast.parse(open(path).read(), path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "rotform"], (path, node.lineno)
+
+
+@pytest.mark.parametrize("layer", sorted(KEYS))
+def test_two_labels_agree_on_every_cell_but_the_timing(small, monkeypatch, layer):
+    monkeypatch.setattr(ladder, "ANALYZE_SIZES", ladder.ANALYZE_SIZES[:1])
+    rows, document = ladder.LAYERS[layer]
+    packages = {"one": ladder.load_rotform(_SRC), "two": ladder.load_rotform(_SRC)}
+    results = document(rows(packages))["results"]
+    assert list(results) == ["one", "two"] and len(results["one"]) == len(results["two"])
+    for one, two in zip(results["one"], results["two"]):
+        assert set(one) == KEYS[layer] and set(two) == KEYS[layer] | _RATIOS
+        assert {k: v for k, v in one.items() if k not in _TIMING} == {
+            k: v for k, v in two.items() if k not in _TIMING | _RATIOS}
+        assert 0 <= two["wins"] <= ladder.PAIRS
+        assert 0.0 < two["ratio_q1"] <= two["ratio_median"] <= two["ratio_q3"]
+
+
+def test_analyze_times_every_call_while_its_input_exists(small, monkeypatch):
+    # a timed call must end the way its warm-up ended, not with "no such file" (exit 2)
+    monkeypatch.setattr(ladder, "ANALYZE_SIZES", ladder.ANALYZE_SIZES[:1])
+    quiet, codes = ladder._quiet, {}
+
+    def recorded(main, argv):
+        code = quiet(main, argv)
+        codes.setdefault(argv[-1], []).append(code)
+        return code
+
+    monkeypatch.setattr(ladder, "_quiet", recorded)
+    packages = {"one": ladder.load_rotform(_SRC), "two": ladder.load_rotform(_SRC)}
+    rows = ladder.analyze_rows(packages)
+    assert sorted(codes) == sorted(ladder.BASES)
+    for row in rows["one"] + rows["two"]:
+        assert row["exit"] == 0
+    # per basis and label: the warm-up, PAIRS timed calls and the counted call
+    for basis, seen in codes.items():
+        assert seen == [0] * 2 * (ladder.PAIRS + 2), basis

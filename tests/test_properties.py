@@ -379,6 +379,25 @@ def test_degree_two_decisions_are_scale_free(seed, c):
         assert r / c <= 1e-12 * np.max(np.abs(S))
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(seed=SEEDS, j=st.sampled_from([-500, -400, 0, 400, 500]))
+def test_commutator_norm_is_scale_free(seed, j):
+    # measured on X = A / p over max|X|^2, so 2^j A gives A's value bit for bit while
+    # LAPACK's eigh takes A as it is; past about 1e+-146 eigh rescales A by a factor
+    # that is no power of two, and the expansion eigenbasis moves by a few ulps
+    rng = np.random.default_rng(seed)
+    A = random_normal_matrix(rng, 4) if seed % 2 else rng.uniform(-1.0, 1.0, (4, 4))
+    base = normality_report(A)
+    scaled = normality_report(math.ldexp(1.0, j) * A)
+    if abs(j) <= 400:
+        assert scaled.commutator_norm == base.commutator_norm
+    else:
+        assert abs(scaled.commutator_norm - base.commutator_norm) <= 1e-14 * max(
+            base.commutator_norm, 1.0)
+    assert scaled.is_normal == base.is_normal
+    assert [v[:2] for v in scaled.violating_pairs] == [v[:2] for v in base.violating_pairs]
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(seed=SEEDS)
 def test_eigenstructure_of_transpose_has_the_same_spectrum_and_box(seed):

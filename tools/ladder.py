@@ -3,14 +3,15 @@ against an independent oracle, and write one JSON file keyed by layer.
 
     python tools/ladder.py --src parent=../parent/src --src change=src --out BENCH.json
 
-Each --src LABEL=PATH names the `src` directory of a rotform checkout.  Every
-label runs in its own Python process, with one BLAS thread, that imports
-rotform from PATH, so two versions are measured by the same code on the same
-inputs.  A row holds the min and spread (max - min) of the CPU time of RUNS
-calls after one warm-up.  Each worker runs REPEATS times, the labels taking
-turns, and a row keeps the repeat with the lowest min: on a shared virtual
-machine a whole process can be off by tens of percent.  The oracles run once,
-in this process, for every label.  The layers:
+Each --src LABEL=PATH names the `src` directory of a rotform checkout.  One
+process, with one BLAS thread, loads every tree as a package of its own
+(src/rotform imports only relatively).  A row times the labels call against
+call on the same inputs: one warm-up per label, then PAIRS rounds of one call
+per label, in --src order reversed every other round, all while the inputs
+exist.  Per label it holds the min and spread (max - min) of the PAIRS CPU
+times; each label after the first adds the median and quartiles of its
+per-round time ratio to the first label (ratio_median, ratio_q1, ratio_q3)
+and the rounds it was faster (wins).  The oracles run once per label:
 
 - collings_det(D, B): D the diagonal and B the rest of a uniform(-1, 1) matrix
   with seed n.  Adds the tracemalloc peak of one more call and the error
@@ -35,12 +36,12 @@ in this process, for every label.  The layers:
 
 import argparse
 import contextlib
-import importlib
+import importlib.util
 import io
+import itertools
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 import time
@@ -50,8 +51,7 @@ import types
 import mpmath
 import numpy as np
 
-RUNS = 5
-REPEATS = 3
+PAIRS = 41
 COLLINGS_SIZES = (4, 8, 12, 15, 16, 20)
 SPECTRUM_SIZES = (2, 4, 8, 16, 32, 48, 64)
 REQUESTS = 20
@@ -64,22 +64,43 @@ ANALYZE_SIZES = (2, 4, 8, 16, 32, 48, 64)
 BASES = ("given", "expansion", "skew-canonical")
 _ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_LOADS = itertools.count()
 
 
 def _uniform(seed, n):
     return np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
 
 
-def _timed(func, *args):
-    """The result of a warm-up call, and the min and spread of RUNS more."""
-    result = func(*args)
-    times = []
-    for _ in range(RUNS):
-        start = time.process_time()
-        func(*args)
-        times.append(time.process_time() - start)
-    low, high = min(times), max(times)
-    return result, {"cpu_ms_min": 1e3 * low, "cpu_ms_spread": 1e3 * (high - low)}
+def load_rotform(path):
+    """rotform from the src directory PATH, as a package under a name of its own."""
+    name, package = f"rotform_{next(_LOADS)}", os.path.join(os.path.abspath(path), "rotform")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _paired(packages, call):
+    """call(rotform) for each {label: rotform}: the warm-up results and each label's timing
+    cells from PAIRS rounds of one call per label, the order reversed every other round."""
+    labels = list(packages)
+    results = {label: call(packages[label]) for label in labels}
+    times = {label: [] for label in labels}
+    for r in range(PAIRS):
+        for label in labels[::-1] if r % 2 else labels:
+            start = time.process_time()
+            call(packages[label])
+            times[label].append(time.process_time() - start)
+    first, cells = np.array(times[labels[0]]), {}
+    for label in labels:
+        t = np.array(times[label])
+        cells[label] = {"cpu_ms_min": 1e3 * float(t.min()), "cpu_ms_spread": 1e3 * float(np.ptp(t))}
+        if label != labels[0]:
+            q1, median, q3 = np.percentile(t / first, [25, 50, 75]).tolist()
+            cells[label].update(ratio_median=median, ratio_q1=q1, ratio_q3=q3,
+                                wins=int(np.sum(t < first)))
+    return results, cells
 
 
 # --- collings_det ------------------------------------------------------------
@@ -90,18 +111,19 @@ def _split(n):
     return A, D, A - D
 
 
-def collings_rows(rotform):
-    """One row per n; `value` carries the expansion to the oracle."""
-    rows = []
+def collings_rows(packages):
+    """One row per n and label; `value` carries the expansion to the oracle."""
+    rows = {label: [] for label in packages}
     for n in COLLINGS_SIZES:
         _, D, B = _split(n)
-        value, timing = _timed(rotform.collings_det, D, B)
-        tracemalloc.start()
-        rotform.collings_det(D, B)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        rows.append({"n": n, "seed": n, **timing, "tracemalloc_peak_mb": peak / 1e6,
-                     "value": value})
+        values, timing = _paired(packages, lambda rf: rf.collings_det(D, B))
+        for label, rf in packages.items():
+            tracemalloc.start()
+            rf.collings_det(D, B)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            rows[label].append({"n": n, "seed": n, **timing[label],
+                                "tracemalloc_peak_mb": peak / 1e6, "value": values[label]})
     return rows
 
 
@@ -136,21 +158,23 @@ def _listed(name, result):
     return [[v, 0.0] for v in reals] + [[z.real, s * z.imag] for z in pairs for s in (1, -1)]
 
 
-def spectrum_rows(rotform):
-    """One row per function and n; `values` carries the listed eigenvalues to the oracle."""
-    rows = []
+def spectrum_rows(packages):
+    """One row per function, n and label; `values` carries the listed eigenvalues to the oracle."""
+    rows = {label: [] for label in packages}
     for name in ("real_spectrum", "eigenstructure"):
-        func = getattr(rotform, name)
         for n in SPECTRUM_SIZES:
-            result, timing = _timed(func, _uniform(n, n))
-            refused = 0
-            for k in range(REQUESTS):
-                try:
-                    func(_uniform(1000 * n + k, n))
-                except rotform.NumericalError:
-                    refused += 1
-            rows.append({"function": name, "n": n, "seed": n, **timing, "refused": refused,
-                         "requests": REQUESTS, "values": _listed(name, result)})
+            A = _uniform(n, n)
+            results, timing = _paired(packages, lambda rf: getattr(rf, name)(A))
+            for label, rf in packages.items():
+                refused = 0
+                for k in range(REQUESTS):
+                    try:
+                        getattr(rf, name)(_uniform(1000 * n + k, n))
+                    except rf.NumericalError:
+                        refused += 1
+                rows[label].append({"function": name, "n": n, "seed": n, **timing[label],
+                                    "refused": refused, "requests": REQUESTS,
+                                    "values": _listed(name, results[label])})
     return rows
 
 
@@ -198,21 +222,24 @@ def _fields(frenet):
     return out
 
 
-def frenet_rows(rotform):
-    frenet = rotform.frenet
+def frenet_rows(packages):
     x = np.array(POINT)
-    rows = []
-    for label, m, h, field in _fields(frenet):
-        (forms, _), timing = _timed(frenet.frenet_report, field, x)
-        calls = []
+    fields = {rf: _fields(rf.frenet) for rf in packages.values()}  # built by each rotform
+    rows = {label: [] for label in packages}
+    for i in range(len(GRID_SIZES) + 2):
+        results, timing = _paired(packages, lambda rf: rf.frenet.frenet_report(fields[rf][i][3], x))
+        for label, rf in packages.items():
+            name, m, h, field = fields[rf][i]
+            calls = []
 
-        def counted(y, evaluator=field.evaluator):
-            calls.append(1)
-            return evaluator(y)
+            def counted(y, evaluator=field.evaluator):
+                calls.append(1)
+                return evaluator(y)
 
-        frenet.frenet_report(frenet.FlowField(counted, field.jacobian, field.fd_step), x)
-        rows.append({"field": label, "m": m, "spacing": h, **timing, "field_queries": len(calls),
-                     "kappa": forms.data.kappa, "tau": forms.data.tau})
+            rf.frenet.frenet_report(rf.frenet.FlowField(counted, field.jacobian, field.fd_step), x)
+            data = results[label][0].data
+            rows[label].append({"field": name, "m": m, "spacing": h, **timing[label],
+                                "field_queries": len(calls), "kappa": data.kappa, "tau": data.tau})
     return rows
 
 
@@ -262,18 +289,20 @@ def _sym_eigen_calls(rotform, func, *args):
     return len(calls)
 
 
-def analyze_rows(rotform):
-    main = importlib.import_module("rotform.cli").main
-    rows = []
+def analyze_rows(packages):
+    mains = {rf: importlib.import_module(rf.__name__ + ".cli").main for rf in packages.values()}
+    rows = {label: [] for label in packages}
     with tempfile.TemporaryDirectory() as tmp:
         for n in ANALYZE_SIZES:
             path = os.path.join(tmp, f"uniform{n}.txt")
             np.savetxt(path, _uniform(n, n))
             for basis in BASES:
                 argv = ["analyze", "--input", path, "--basis", basis]
-                code, timing = _timed(_quiet, main, argv)
-                rows.append({"n": n, "seed": n, "basis": basis, **timing, "exit": code,
-                             "sym_eigen_calls": _sym_eigen_calls(rotform, _quiet, main, argv)})
+                codes, timing = _paired(packages, lambda rf: _quiet(mains[rf], argv))
+                for label, rf in packages.items():
+                    calls = _sym_eigen_calls(rf, _quiet, mains[rf], argv)
+                    rows[label].append({"n": n, "seed": n, "basis": basis, **timing[label],
+                                        "exit": codes[label], "sym_eigen_calls": calls})
     return rows
 
 
@@ -287,7 +316,7 @@ def analyze_document(results):
 
 
 # --- harness -----------------------------------------------------------------
-# layer: (rows(rotform) in a worker, document({label: rows}) in this process)
+# layer: (rows({label: rotform}) -> {label: rows}, document({label: rows}))
 LAYERS = {
     "collings_det": (collings_rows, collings_document),
     "spectrum": (spectrum_rows, spectrum_document),
@@ -298,41 +327,21 @@ LAYERS = {
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", action="append", metavar="LABEL=PATH")
-    parser.add_argument("--out")
-    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    parser.add_argument("--src", action="append", metavar="LABEL=PATH", required=True)
+    parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    if args.worker:  # every layer's rows for the rotform under this path
-        sys.path.insert(0, os.path.abspath(args.worker))
-        import rotform
-
-        json.dump({layer: rows(rotform) for layer, (rows, _) in LAYERS.items()}, sys.stdout)
-        return
-    if not args.src or not args.out:
-        parser.error("--src and --out are required")
     sources = [spec.partition("=") for spec in args.src]
     for label, sep, path in sources:
         if not sep or not os.path.isdir(path):
             parser.error(f"--src wants LABEL=PATH with PATH a directory: {label + sep + path!r}")
-    results = {layer: {} for layer in LAYERS}
-    for _ in range(REPEATS):
-        for label, _, path in sources:
-            measured = json.loads(subprocess.run(
-                [sys.executable, __file__, "--worker", path],
-                env={**os.environ, **_ONE_THREAD}, check=True, capture_output=True, text=True,
-            ).stdout)
-            for layer, rows in measured.items():
-                best = results[layer].setdefault(label, rows)
-                for i, row in enumerate(rows):
-                    if row["cpu_ms_min"] < best[i]["cpu_ms_min"]:
-                        best[i] = row
+    packages = {label: load_rotform(path) for label, _, path in sources}
     doc = {
-        "timer": f"time.process_time, one BLAS thread, min and spread of {RUNS} runs after one "
-                 f"warm-up, from the best of {REPEATS} processes per label",
+        "timer": f"time.process_time, one BLAS thread, all labels in one process; per row a "
+                 f"warm-up, then {PAIRS} rounds of one call per label, reversed in odd rounds",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
-        "layers": {layer: document(results[layer]) for layer, (_, document) in LAYERS.items()},
+        "layers": {layer: document(rows(packages)) for layer, (rows, document) in LAYERS.items()},
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -340,4 +349,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
+    if any(os.environ.get(name) != value for name, value in _ONE_THREAD.items()):
+        # numpy reads the BLAS thread count when it loads, so start again with it set
+        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, **_ONE_THREAD})
     main()
