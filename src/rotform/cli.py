@@ -21,7 +21,7 @@ import numpy as np
 
 from . import canonical, frenet, invariants, qforms, spectral
 from .errors import InputError, NumericalError
-from .linalg import DEFAULT_TOL, ToleranceConfig, _matrix, binary_scale, maxabs, random_unit
+from .linalg import DEFAULT_TOL, ToleranceConfig, _matrix, maxabs, random_unit
 
 IDENTITIES_MAX_DIM = 128  # `identities` keeps all n + 1 powers of A: about 2 (n + 1) n^2 doubles
 
@@ -245,12 +245,11 @@ def _forms_section(M, tol, seed, bromwich):
     """Form report for the matrix record M; bromwich is its Bromwich box, whose
     real bounds are the expansion-form extremes.  The probe's norm identity gap,
     |Xu|^2 - e^2 - |r|^2 on X = A / p, is relative to |Xu|^2 (0 when Xu = 0)."""
-    A, p = M.A, M.p
     lo, hi = bromwich[:2]
-    rotation_traces = {_pair_key(pair): t for pair, t in qforms.rotation_traces(A).items()}
+    rotation_traces = {_pair_key(pair): t for pair, t in qforms.rotation_traces(M.A).items()}
     u = random_unit(np.random.default_rng(seed), M.n)
     dec = qforms.decompose(M, u, tol)
-    w, e, r = (A / p) @ u, dec.e / p, dec.r.vector() / p
+    w, e, r = M.X @ u, dec.e / M.p, dec.r.vector() / M.p
     norm2 = float(w @ w)
     norm_gap = abs(norm2 - e**2 - sum((r * r).tolist())) / norm2 if norm2 else 0.0
     return {
@@ -268,10 +267,11 @@ def _forms_section(M, tol, seed, bromwich):
     }
 
 
-def _invariants_section(A, seed):
-    report = invariants.invariant_report(A, seed=seed)
+def _invariants_section(M, seed):
+    """Identities report for the matrix record M."""
+    report = invariants.invariant_report(M, seed=seed)
     theta, shear, twist = report.ecs
-    n = A.shape[0]
+    A, n = M.A, M.n
     section = {
         "principal_minor_sums": list(report.pms),
         "residuals": {key: report.residuals[key] for key in sorted(report.residuals)},
@@ -291,8 +291,8 @@ def _invariants_section(A, seed):
         )
     else:
         # Relative to the subset-term mass prod_i (|d_i| + |off-diagonal row i|),
-        # which bounds |det| and every partial sum; all formed on A / binary_scale(A).
-        X = A / binary_scale(A)
+        # which bounds |det| and every partial sum; all formed on the record's X = A / p.
+        X = M.X
         d = np.diag(X)
         rest = X - np.diag(d)
         det = float(np.linalg.det(X))
@@ -389,7 +389,7 @@ def _cmd_identities(request):
         "seed": request.seed,
         "tolerances": dict(vars(request.tol)),
         "input": _matrix_section(A),
-        "invariants": _invariants_section(A, request.seed),
+        "invariants": _invariants_section(_matrix(A), request.seed),
     }
 
 
@@ -441,7 +441,7 @@ def _cmd_frenet(request):
         "shape_matrix": data.shape_matrix.tolist(),
         "model_matrix": data.model_matrix.tolist(),
         "rotation_forms": {
-            "computed": {_pair_key(p): forms.computed[p].matrix.tolist() for p in forms.computed},
+            "computed": {_pair_key(p): forms.computed[p].tolist() for p in forms.computed},
             "model": {_pair_key(p): forms.model[p].tolist() for p in forms.model},
             "delta_max": {_pair_key(p): forms.deltas[p] for p in forms.deltas},
         },

@@ -14,8 +14,8 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .errors import FieldError, InputError
-from .linalg import as_direction
-from .qforms import rotation_form, rotation_form_matrix
+from .linalg import as_direction, maxabs
+from .qforms import rotation_form_matrix
 from .quasirot import plane_pairs
 
 _UNIT_TOL = 1e-8
@@ -176,7 +176,7 @@ def model_rotation_forms(kappa, tau, sigma):
 @dataclass(frozen=True)
 class FrenetForms:
     data: FrenetData
-    computed: dict       # pair -> QForm of the numerical shape matrix
+    computed: dict       # pair -> rotation form matrix of the numerical shape matrix
     model: dict          # pair -> model matrix
     deltas: dict         # pair -> max entrywise difference
     expansion_norm: float
@@ -222,10 +222,9 @@ def compare_matrix_to_model(A_F, kappa, tau, sigma):
 def frenet_report(field, x, kappa_tol=1e-8):
     """(frenet_rotation_forms, model_compare) at x from one sampling of the field."""
     data, base, J, dN, dB = _shape_map(field, x, kappa_tol)
-    computed = {pair: rotation_form(data.shape_matrix, pair) for pair in plane_pairs(3)}
+    computed = {pair: rotation_form_matrix(data.shape_matrix, pair) for pair in plane_pairs(3)}
     model = model_rotation_forms(data.kappa, data.tau, data.sigma)
-    deltas = {pair: float(np.max(np.abs(computed[pair].matrix - model[pair])))
-              for pair in computed}
+    deltas = {pair: maxabs(computed[pair] - model[pair]) for pair in computed}
     forms = FrenetForms(data=data, computed=computed, model=model, deltas=deltas,
                         expansion_norm=base["expansion_norm"])
     sigmas = (data.sigma, float((dN - J @ data.N) @ data.B),

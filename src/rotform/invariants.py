@@ -3,9 +3,9 @@ rotation forms.
 
 Every *_residual function returns a residual that an exact identity would
 make zero, over max(max|term|, max|X|^d) for an identity of degree d, all
-formed on X = A / binary_scale(A): no term under- or overflows, and every
-2^j A has the same X.  The test suite and the CLI report them.  The terms
-come from closed forms, which the test suite checks against the form
+formed on the record's X = A / binary_scale(A): no term under- or overflows,
+and every 2^j A has the same X.  The test suite and the CLI report them.  The
+terms come from closed forms, which the test suite checks against the form
 definitions: the (k, l) rotation form of M has trace M[l,k] - M[k,l] and
 value (u (Mu)^T - (Mu) u^T)[k,l] at u, the expansion form has trace tr M and
 value u.Mu, pm^2 of M is the sum of its 2 x 2 principal minors (_pm2), and
@@ -14,8 +14,8 @@ the (k, l) rotation form M_kl of A has tr(M_kl^2) = (|A_k|^2 + |A_l|^2
 
 The minor sums come from the spectrum (linalg.principal_minor_sums), not
 the power traces, so the Newton residuals compare two independent routes.
-invariant_report computes the powers, minor sums and symmetric/skew parts
-of its matrix once, with the per-pair quantities as arrays over the plane
+invariant_report builds the record of X once (_Parts): its powers, minor
+sums and parts, with the per-pair quantities as arrays over the plane
 pairs (see quasirot): the rotation traces of every power once per matrix,
 its rotation values once per probe vector.  Per-pair terms are summed along
 the power axis in the order of the scalar identities.
@@ -39,11 +39,11 @@ from .errors import InputError, NumericalError
 from .canonical import expansion_eigenbasis, normal_power_basis
 from .linalg import (
     DEFAULT_TOL,
+    _Matrix,
     _matrix,
     _pm2,
     as_square,
     as_unit,
-    binary_scale,
     matrix_powers,
     maxabs,
     principal_minor_sums,
@@ -64,27 +64,24 @@ class InvariantReport:
     ecs: tuple       # (theta, shear matrix, twist matrix)
 
 
-class _Parts:
-    """What the identities of one matrix share, each computed once on X = A / p,
-    p = binary_scale(A), kept as self.A (a degree-d value of A is p^d times X's):
-    max|X|, the powers I, X, ..., X^top (top >= n), pm^0..pm^n and (-1)^k pm^k,
-    the symmetric and skew parts and their pm^2, (tr X)^2, the rotation traces
-    T[q] of every power, sum T[1]^2, and tr(M_kl^2) of every rotation form of X."""
+class _Parts(_Matrix):
+    """The record of X = A / p that the identities of one matrix share, built on
+    A's record, which checks A and forms X; unit is p = binary_scale(A) (a
+    degree-d value of A is p^d times X's).  It adds, each once, the powers I, X,
+    ..., X^top (top >= n), pm^0..pm^n and (-1)^k pm^k, the parts' pm^2, the
+    rotation traces T[q] of every power, sum T[1]^2 and every tr(M_kl^2)."""
 
     def __init__(self, A, top=0):
-        A = as_square(A)
-        self.p = binary_scale(A)
-        self.A = A = A / self.p
-        self.n = n = A.shape[0]
-        self.scale = maxabs(A)
-        self.tr_sq = float(np.trace(A)) ** 2
-        self.trace_sq = sum(t ** 2 for t in _pair_entries(A).tolist())
+        M = _matrix(A)
+        super().__init__(M.X)
+        self.unit = M.p
+        A, n = self.A, self.n
         self.pows = np.array(matrix_powers(A, max(n, top)))
-        self.traces = [float(np.trace(M)) for M in self.pows[1 : n + 1]]
-        self.pm = (1.0,) + principal_minor_sums(A)
+        self.traces = [float(np.trace(X)) for X in self.pows[1 : n + 1]]
+        self.pm = (1.0,) + principal_minor_sums(self)
         self.signed = [(-1.0) ** k * self.pm[k] for k in range(n + 1)]
-        self.sym, self.skew = 0.5 * (A + A.T), 0.5 * (A - A.T)
         self.T = _pair_entries(self.pows)
+        self.trace_sq = sum(t ** 2 for t in self.T[1].tolist())
         K, L = _pair_index(n)
         rows = np.sum(A * A, axis=1)
         self.form_sq = 0.5 * (rows[K] + rows[L] + A[L, K] ** 2 + A[K, L] ** 2
@@ -103,7 +100,7 @@ class _Parts:
 
 
 def _parts(A, top=0):
-    """The shared quantities of A; invariant_report passes its own through."""
+    """The shared quantities of A (an array or a record); _Parts pass through."""
     return A if isinstance(A, _Parts) else _Parts(A, top)
 
 
@@ -211,7 +208,7 @@ def gram_trace_identity_residual(A):
     s = _parts(A)
     A, n = s.A, s.n
     lhs = n * float(np.sum(A * A))
-    tr_sq = s.tr_sq  # tr A equals tr of the expansion form exactly
+    tr_sq = s.traces[0] ** 2  # tr A equals tr of the expansion form exactly
     rot_sq = float(np.sum(s.form_sq))
     pm2_rot = float(np.sum(0.5 * (s.T[1] ** 2 - s.form_sq)))
     first = _rel(lhs - 2.0 * rot_sq - tr_sq, [lhs, 2.0 * rot_sq, tr_sq], s.scale, 2)
@@ -226,9 +223,9 @@ def euler_cauchy_stokes(A):
     """Unique split into mean expansion, traceless shear and twist:
     A = (theta/n) I + Sigma + Omega."""
     s = _parts(A)
-    theta = float(np.trace(s.A))
+    theta = s.traces[0]
     sigma = s.sym - (theta / s.n) * np.eye(s.n)
-    return theta * s.p, sigma * s.p, s.skew * s.p
+    return theta * s.unit, sigma * s.unit, s.skew * s.unit
 
 
 def collings_det(Dd, B, max_dim=COLLINGS_MAX_DIM):
@@ -283,11 +280,10 @@ def n4_det_identity_residual(A):
     s = _parts(A)
     if s.n != 4:
         raise InputError("this determinant audit is specific to 4x4 matrices")
-    M = _matrix(s.A)
-    if M.is_zero("sym", DEFAULT_TOL):
+    if s.is_zero("sym", DEFAULT_TOL):
         D, S = np.zeros((4, 4)), s.skew
     else:
-        split = expansion_eigenbasis(M)
+        split = expansion_eigenbasis(s)
         D, S = np.diag(split.D), split.S
     det_a = s.pm[4]
     rhs = (
@@ -316,8 +312,7 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
     n = M.n
     if M.is_zero("skew", tol):
         raise InputError("matrix is symmetric; the power system degenerates")
-    p = M.p
-    A = M.A / p
+    p, A = M.p, M.X
     coupled = tol.residual_tol / 10 * maxabs(A)
     P, _checks = normal_power_basis(A, tol)
 
@@ -383,19 +378,19 @@ def power_form_step(A, m, u):
         raise InputError("power step needs m >= 1")
     s, probe = _probed(A, u, m + 1)
     lhs_e, rhs_e, *per_pair = _power_step(s, m, probe)
-    pairs, back = list(plane_pairs(s.n)), [s.p] * (m + 1)  # A's units, as float products
+    pairs, back = list(plane_pairs(s.n)), [s.unit] * (m + 1)  # A's units, as float products
     lhs_r, rhs_r = ({pq: prod(back, start=x) for pq, x in zip(pairs, r.tolist())} for r in per_pair)
     return prod(back, start=lhs_e), prod(back, start=rhs_e), lhs_r, rhs_r
 
 
 def invariant_report(A, seed=0, power_steps=3):
-    """All identity residuals for one matrix, with seeded probe vectors."""
+    """All identity residuals for one matrix (an array or a record), with seeded probes."""
     s = _Parts(A, power_steps + 1)
     n = s.n
-    pms = tuple(prod([s.p] * k, start=s.pm[k]) for k in range(1, n + 1))
+    pms = tuple(prod([s.unit] * k, start=s.pm[k]) for k in range(1, n + 1))
     for k, value in enumerate(pms, start=1):
         if not isfinite(value):
-            raise NumericalError(f"minor sum pm^{k} = {s.pm[k]:.6g} * {s.p:.6g}^{k} "
+            raise NumericalError(f"minor sum pm^{k} = {s.pm[k]:.6g} * {s.unit:.6g}^{k} "
                                  "leaves the double range")
     rng = np.random.default_rng(seed)
     u = random_unit(rng, n)

@@ -1,16 +1,17 @@
 """Dense real matrix kernel.
 
-Certified symmetric eigensolver (LAPACK eigh plus a one-shot residual
-check), principal-minor sums from the spectrum checked against pm^2 and det,
-full spectra from one LAPACK eig of A / max|A|, simple eigenvalues certified
-by their eigenvector's residual and single-linkage clusters by SVDs or cut,
-SVD nullspaces, and seeded unit and orthogonal sampling.  At desk scale (n up
-to a few dozen), robustness and reproducibility come before asymptotics.
+The matrix record (_Matrix, the one place X = A / binary_scale(A) is formed),
+certified symmetric eigensolver (eigh of Q / binary_scale(Q) plus a one-shot
+residual check), principal-minor sums from the spectrum checked against pm^2
+and det, full spectra from one LAPACK eig of A / max|A|, simple eigenvalues
+certified by their eigenvector's residual and single-linkage clusters by SVDs
+or cut, SVD nullspaces, and seeded unit and orthogonal sampling.  For n up to a
+few dozen, robustness and reproducibility come before asymptotics.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
+from math import frexp, ldexp, prod
 
 import numpy as np
 
@@ -25,9 +26,9 @@ class ToleranceConfig:
     a field below, or a multiple of one listed here, times n where the test
     uses n, times max|X|^d for X the matrix judged and d the quantity's
     degree in X.  No threshold has an absolute floor, so every decision on
-    c X is the one on X, c > 0; a degree-2 quantity is formed on
-    X = A / binary_scale(A), where it cannot under- or overflow.  Functions
-    without a tol use DEFAULT_TOL.
+    c X is the one on X, c > 0; a degree-2 quantity is formed on the
+    record's X = A / binary_scale(A) (_Matrix.X), where it cannot under- or
+    overflow.  Functions without a tol use DEFAULT_TOL.
 
     eig_off_tol (1e-12): the certificates of sym_eigen (see there), of an
     eigenbasis that a matrix record adopts (_Matrix.adopt_eigen) and of
@@ -47,10 +48,10 @@ class ToleranceConfig:
         commutator (d = 2), the CLI's decomposition probe (d = 0);
       - 10 residual_tol max|X| (1e-8): nearby eigenvalues counted equal by
         skew_square_structure (X = (A/p)^2, top |eigenvalue|), normal_power_basis;
-      - residual_tol / 10 max|X|^d (1e-10): a skew input's asymmetry
-        (d = 1), a given vector's unit length (as_unit) and a given basis's
+      - residual_tol / 10 max|X|^d (1e-10): a skew input's asymmetry (as_skew,
+        d = 1), a given vector's unit length (as_unit) and a given basis's
         orthogonality (d = 0), a coupling skew entry in normal_invariant_recover.
-      - residual_tol e_k(r), r the row norms of A / binary_scale(A): the anchors
+      - residual_tol e_k(r), r the row norms of the record's X: the anchors
         of principal_minor_sums, pm^2 (k = 2) and pm^n (k = n).
     Here s = max|A|.  Identity residuals divide by max(max|term|, s^d)
     (invariants._rel).  All three fields must be finite and positive.
@@ -113,6 +114,15 @@ def as_unit(u, name="vector", tol=DEFAULT_TOL.residual_tol / 10):
     return u
 
 
+def as_skew(S, name="matrix", tol=DEFAULT_TOL.residual_tol / 10):
+    """S as a square array whose max|S + S^T| is within tol max|S|; nothing is made skew."""
+    S = as_square(S, name)
+    gap = maxabs(S + S.T)
+    if gap > tol * maxabs(S):
+        raise InputError(f"{name} is not skew-symmetric: max|S + S^T| = {gap:.3e}")
+    return S
+
+
 def as_direction(u, n, name="direction"):
     """The unit vector along u, a non-zero n-vector."""
     u = as_vector(u, name)
@@ -130,9 +140,9 @@ def maxabs(A):
 
 
 def binary_scale(A):
-    """The power of two p with p <= max|A| < 2 p (1/2 for a zero A): A / p is
-    exact, so a degree-d value formed on A / p, times p^d, keeps every bit."""
-    return float(np.ldexp(1.0, np.frexp(maxabs(A))[1] - 1))
+    """The power of two p with p <= max|A| < 2 p (1/2 for a zero A), A an array or
+    the float max|A|: A / p is exact, so a degree-d value on A / p, times p^d, keeps every bit."""
+    return ldexp(1.0, frexp(A if isinstance(A, float) else maxabs(A))[1] - 1)
 
 
 def check_orthogonal(P, name="basis matrix"):
@@ -149,28 +159,29 @@ def sym_eigen(Q, tol=DEFAULT_TOL):
 
     Returns (eigenvalues ascending, P) with the columns of P the matching
     orthonormal eigenvectors.  Q counts as symmetric when max|Q - Q^T| is
-    at most residual_tol * max|Q|, else InputError.  The result is certified
-    once against the matrix: with Qh = Q / max|Q|, the off-diagonal
+    at most residual_tol * max|Q|, else InputError.  eigh solves the exact
+    X = Q / binary_scale(Q), so 2^j Q gives 2^j w and the same P bit for bit.
+    The result is certified once: with Qh = X / max|X|, the off-diagonal
     Frobenius norm of P^T Qh P must not exceed eig_off_tol * ||Qh||_F, else
-    NumericalError.  Both tests are scale-free; eig_off_tol below about
-    1e-14 cannot be met in double precision.  A solver failure also raises
-    NumericalError.
+    NumericalError, as on a solver failure.  Both tests are scale-free;
+    eig_off_tol below about 1e-14 cannot be met in double precision.
     """
     A = as_square(Q, "symmetric matrix")
-    gap = maxabs(A - A.T)
-    if gap > tol.residual_tol * maxabs(A):
+    m, gap = maxabs(A), maxabs(A - A.T)
+    if gap > tol.residual_tol * m:
         raise InputError(f"matrix is not symmetric within tolerance: max|Q - Q^T| = {gap:.3e}")
-    A = 0.5 * (A + A.T)
+    p = binary_scale(m)
+    X = (A + A.T) / (2.0 * p)
     try:
-        w, P = np.linalg.eigh(A)
+        w, P = np.linalg.eigh(X)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
-    off, target = _eigenbasis_gap(A, P, tol)
+    off, target = _eigenbasis_gap(X, P, tol)
     if off > target:
         raise NumericalError(
             f"eigenbasis certificate failed: off-diagonal norm {off:.3e} of the "
             f"normalised matrix in its eigenbasis exceeds {target:.3e}", residual=off)
-    return w, P
+    return w * p, P
 
 
 def _eigenbasis_gap(Q, P, tol):
@@ -184,24 +195,26 @@ def _eigenbasis_gap(Q, P, tol):
 
 class _Matrix:
     """A, checked once by as_square, and what its analyses share, each formed
-    on first use and kept: max|A| (scale), p = binary_scale(A), the parts sym
-    and skew, and per ToleranceConfig whether each is zero and sym_eigen(sym).
-    The spectral and canonical analyses and decompose take it in place of A."""
+    on first use and kept: max|A| (scale), p = binary_scale(A), X = A / p (the
+    one place a record forms it), the parts sym and skew, and per
+    ToleranceConfig whether each is zero and sym_eigen(sym).  The analyses,
+    decompose, principal_minor_sums and the identities take it in place of A."""
 
     def __init__(self, A):
-        self.A = as_square(A)
-        self.n = self.A.shape[0]
+        self.A = A
+        self.n = A.shape[0]
         self._zero, self._eigen = {}, {}
 
     scale = cached_property(lambda self: maxabs(self.A))
-    p = cached_property(lambda self: binary_scale(self.A))
+    p = cached_property(lambda self: binary_scale(self.scale))
+    X = cached_property(lambda self: self.A / self.p)
     sym = cached_property(lambda self: 0.5 * (self.A + self.A.T))
     skew = cached_property(lambda self: 0.5 * (self.A - self.A.T))
 
     def is_zero(self, part, tol):
-        """is_zero_part of the part named "sym" or "skew"."""
+        """Whether the part named "sym" or "skew" is zero: max|part| <= rank_tol max|A|."""
         if (part, tol) not in self._zero:
-            self._zero[part, tol] = is_zero_part(getattr(self, part), self, tol)
+            self._zero[part, tol] = maxabs(getattr(self, part)) <= tol.rank_tol * self.scale
         return self._zero[part, tol]
 
     def sym_eigen(self, tol):
@@ -218,13 +231,8 @@ class _Matrix:
 
 
 def _matrix(A):
-    """The record of A: a _Matrix passes through, an array is checked once."""
-    return A if isinstance(A, _Matrix) else _Matrix(A)
-
-
-def is_zero_part(part, A, tol=DEFAULT_TOL):
-    """Whether a part of A (an array or a _Matrix) is zero: max|part| <= rank_tol max|A|."""
-    return maxabs(part) <= tol.rank_tol * _matrix(A).scale
+    """The record of A: a _Matrix passes through, an array is checked once by as_square."""
+    return A if isinstance(A, _Matrix) else _Matrix(as_square(A))
 
 
 def matrix_powers(A, top):
@@ -248,22 +256,21 @@ def _pm2(M):
 
 
 def principal_minor_sums(A):
-    """Sums pm^1..pm^n of the k x k principal minors of A.
+    """Sums pm^1..pm^n of the k x k principal minors of A, an array or a record.
 
-    pm^1 = tr A; pm^k, k >= 2, is e_k of the eigenvalues of the exact X = A / p,
-    p = binary_scale(A), by np.poly's product recurrence (Rehman & Ipsen,
+    pm^1 = tr A; pm^k, k >= 2, is e_k of the eigenvalues of the record's exact
+    X = A / p, p = binary_scale(A), by np.poly's product recurrence (Rehman & Ipsen,
     SIMAX 32, 2011), real part, times p^k as a float product, so pm^k(2^j A)
     = 2^(jk) pm^k(A) bit for bit.  Anchors computed another way certify it:
     pm^2 against _pm2(X) and pm^n against det(X) by LU, each within
     residual_tol e_k(r), r the row norms of X, the Hadamard mass that bounds
     every k-subset minor; else NumericalError.
     """
-    A = as_square(A)
-    n = A.shape[0]
+    M = _matrix(A)
+    A, n = M.A, M.n
     if n == 1:
         return (float(A[0, 0]),)
-    p = binary_scale(A)
-    X = A / p
+    p, X = M.p, M.X
     try:
         e = [(-1.0) ** k * c for k, c in enumerate(np.poly(X).real.tolist())]
     except np.linalg.LinAlgError as exc:
@@ -442,10 +449,10 @@ def nullspace(A, tol=DEFAULT_TOL, abs_threshold=None):
     SVD of the exact A / binary_scale(A) makes 2^j A's basis A's, bit for bit.
     """
     A = as_square(A)
-    n = A.shape[0]
+    n, m = A.shape[0], maxabs(A)
     if abs_threshold is None:
-        abs_threshold = n * tol.rank_tol * maxabs(A)
-    p = binary_scale(A)
+        abs_threshold = n * tol.rank_tol * m
+    p = binary_scale(m)
     _, s, vh = np.linalg.svd(A / p)
     return [vh[i].copy() for i in range(n) if s[i] <= abs_threshold / p]
 

@@ -101,8 +101,7 @@ def rotation_form_matrix(A, pair):
 
 
 def rotation_traces(A):
-    """Trace of every rotation form of A, keyed by plane pair: A[l,k] - A[k,l]."""
-    A = as_square(A)
+    """Trace of every rotation form of a checked square A, keyed by plane pair: A[l,k] - A[k,l]."""
     return dict(zip(plane_pairs(A.shape[0]), _pair_entries(A).tolist()))
 
 
@@ -167,14 +166,13 @@ def decompose(A, u, tol=DEFAULT_TOL):
 
     A(u) = e*u + sum r(k,l) R_kl(u) with e the expansion of the unit direction
     and r the rotation-form values there; the stored residual is the relative
-    reconstruction error (absolute when A(u) = 0), all formed on A / p and
-    scaled back by p = binary_scale(A), so no norm under- or overflows.
+    reconstruction error (absolute when A(u) = 0), all formed on the record's
+    X = A / p and scaled back by p, so no norm under- or overflows.
     """
     M = _matrix(A)
     uhat = as_direction(u, M.n, "u")
     u = as_vector(u)
-    p = M.p
-    X = M.A / p
+    p, X = M.p, M.X
     Xuhat = X @ uhat
     e = float(uhat @ Xuhat)
     r = _wedge(uhat, Xuhat)  # the rotation values, in plane_pairs order

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_TOL, as_square, as_unit, as_vector, check_orthogonal, maxabs
+from .linalg import DEFAULT_TOL, as_skew, as_square, as_unit, as_vector, check_orthogonal
 
 
 def plane_pairs(n):
@@ -156,10 +156,7 @@ def reassemble(c0, coeffs, v):
 
 def skew_rotation_coeffs(S):
     """Coefficients of a skew matrix over the quasi-rotation basis: c(k,l) = -S[k,l]."""
-    S = as_square(S, "skew matrix")
-    gap = maxabs(S + S.T)
-    if gap > DEFAULT_TOL.residual_tol / 10 * maxabs(S):
-        raise InputError(f"matrix is not skew-symmetric: max|S + S^T| = {gap:.3e}")
+    S = as_skew(S, "skew matrix")
     n = S.shape[0]
     K, L = _pair_index(n)
     return RotationCoeffs(n, dict(zip(plane_pairs(n), (-S[K, L]).tolist())))

@@ -16,12 +16,13 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .linalg import (
     DEFAULT_TOL,
+    _Matrix,
     _matrix,
     _sign_fix,
     ascending_runs,
     as_direction,
+    as_skew,
     as_square,
-    binary_scale,
     maxabs,
     nullspace,
     real_spectrum,
@@ -188,14 +189,10 @@ def planar_analyze(A, u=None, tol=DEFAULT_TOL):
 def skew_square_structure(A, tol=DEFAULT_TOL):
     """Eigenspaces of the square of a skew matrix, each invariant under the
     matrix itself; returns (eigenvalue, orthonormal basis, invariance residual)
-    triples ordered by ascending eigenvalue, all formed on A / binary_scale(A)
+    triples ordered by ascending eigenvalue, all formed on the record's X = A / p
     and rescaled, so none under- or overflows unless its own value does."""
-    A = as_square(A)
-    gap = maxabs(A + A.T)
-    if gap > tol.residual_tol / 10 * maxabs(A):
-        raise InputError(f"matrix is not skew-symmetric: max|A + A^T| = {gap:.3e}")
-    p = binary_scale(A)
-    X = A / p
+    M = _Matrix(as_skew(A, tol=tol.residual_tol / 10))
+    p, X = M.p, M.X
     w, V = sym_eigen(X @ X, tol)
     out = []
     for start, stop in ascending_runs(w, 10 * tol.residual_tol * float(np.max(np.abs(w)))):

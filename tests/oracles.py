@@ -85,7 +85,6 @@ from rotform.linalg import (
     as_square,
     as_unit as _unit,
     binary_scale,
-    is_zero_part,
     matrix_powers,
     maxabs,
 )
@@ -628,7 +627,7 @@ def skew_canonical_basis_deflation(A, tol=DEFAULT_TOL):
     A = as_square(A)
     n = A.shape[0]
     K = 0.5 * (A - A.T)
-    if is_zero_part(K, A, tol):
+    if maxabs(K) <= tol.rank_tol * maxabs(A):
         raise InputError("skew part is zero (symmetric matrix); use expansion_eigenbasis")
     zero_thresh = n * tol.rank_tol * maxabs(K)
 
@@ -801,7 +800,7 @@ def invariant_report_per_pair(A, seed=0, power_steps=3):
     if n == 4:
         residuals["n4_det"] = n4_det_identity_residual(s)
     return InvariantReport(
-        pms=tuple(prod([s.p] * k, start=s.pm[k]) for k in range(1, n + 1)),
+        pms=tuple(prod([s.unit] * k, start=s.pm[k]) for k in range(1, n + 1)),
         residuals=residuals,
         ecs=euler_cauchy_stokes(s),
     )

@@ -154,3 +154,70 @@ def test_planar_checks_its_input_once_and_builds_no_qform(monkeypatch, tmp_path,
     assert capsys.readouterr().out
     assert built == [] and len(solves) <= 2
     assert sum(X.shape == A.shape and np.array_equal(X, A) for X in checked) == 1
+
+
+def test_analyze_checks_its_input_once(monkeypatch, tmp_path, capsys):
+    from rotform.cli import main
+
+    A = np.random.default_rng(9).uniform(-1, 1, (4, 4))
+    path = tmp_path / "A.txt"
+    np.savetxt(path, A)
+    checked = []
+    original = rotform.linalg.as_square
+
+    def recorded(X, *args, **kwargs):
+        checked.append(np.array(X))
+        return original(X, *args, **kwargs)
+
+    for module in (rotform.linalg, rotform.spectral, rotform.canonical, rotform.qforms,
+                   rotform.quasirot):
+        if getattr(module, "as_square", None) is original:
+            monkeypatch.setattr(module, "as_square", recorded)
+    assert main(["analyze", "--input", str(path)]) == 0
+    assert capsys.readouterr().out
+    A = np.loadtxt(path)  # the matrix as the report reads it
+    assert sum(X.shape == A.shape and np.array_equal(X, A) for X in checked) == 1
+
+
+def test_frenet_builds_no_qform_and_checks_no_square_matrix(monkeypatch, capsys):
+    from rotform.cli import main
+
+    modules = [rotform.linalg, rotform.qforms, rotform.quasirot, rotform.frenet]
+    checked = _count(monkeypatch, modules, "as_square")
+    built = []
+    monkeypatch.setattr(rotform.qforms.QForm, "__post_init__", built.append)
+    assert main(["frenet", "--field", "helix", "--point", "1,0,0"]) == 0
+    assert capsys.readouterr().out
+    # the rotation forms of the shape matrix are kept as plain symmetric matrices
+    assert (built, checked) == ([], [])
+
+
+def test_identities_scales_by_binary_scale_at_most_twice(monkeypatch, capsys):
+    import rotform.cli
+    from rotform.cli import main
+
+    modules = [rotform.linalg, rotform.invariants, rotform.spectral, rotform.qforms, rotform.cli]
+    calls = _count(monkeypatch, modules, "binary_scale")
+    assert main(["identities", "--params", "n=12", "--seed", "3"]) == 0
+    assert capsys.readouterr().out
+    # p of A, read by the identities and the subset expansion, and p of X inside pm^k
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_invariant_report_builds_one_record_of_x(monkeypatch, record):
+    built = []
+    original = rotform.linalg._Matrix.__init__
+
+    def recorded(self, A):
+        built.append(type(self))
+        original(self, A)
+
+    A = np.random.default_rng(4).uniform(-1, 1, (4, 4))
+    M = rotform.linalg._matrix(A) if record else A
+    monkeypatch.setattr(rotform.linalg._Matrix, "__init__", recorded)
+    report = invariant_report(M, seed=1)
+    assert "n4_det" in report.residuals
+    # the record of A, unless handed in, and the identities' record of X = A / p
+    # built on it; the n = 4 determinant audit builds none of its own
+    assert built == [rotform.linalg._Matrix] * (not record) + [rotform.invariants._Parts]

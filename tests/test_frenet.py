@@ -157,7 +157,7 @@ class TestFrenetRotationForms:
         field = helix_field(0.5)
         forms = frenet_rotation_forms(field, np.array([1.0, 0.0, 0.0]))
         T_coords = np.array([1.0, 0.0, 0.0])
-        value = float(T_coords @ forms.computed[(1, 2)].matrix @ T_coords)
+        value = float(T_coords @ forms.computed[(1, 2)] @ T_coords)
         assert value == pytest.approx(forms.data.kappa, abs=1e-9)
 
     def test_model_forms_match_printed_layout(self):

@@ -3,7 +3,10 @@ what it returns for the plain array, and one record keeps a separate
 zero-part decision and symmetric eigenproblem per tolerance, which may be
 one adopted from elsewhere once it passes sym_eigen's certificate."""
 
+import ast
 import dataclasses
+import glob
+import os
 
 import numpy as np
 import pytest
@@ -23,8 +26,11 @@ from rotform import (
     random_orthogonal,
     real_spectrum,
     skew_canonical_basis,
+    skew_rotation_coeffs,
+    skew_square_structure,
     sym_eigen,
 )
+from rotform import linalg
 from rotform.linalg import _matrix
 
 LOOSE = ToleranceConfig(rank_tol=1e-6)
@@ -119,3 +125,29 @@ def test_an_adopted_eigenbasis_is_kept_only_when_it_passes_the_certificate():
         M.adopt_eigen(known[0], P, tol)
         assert tol not in M._eigen
         assert _same(_outcome(M.sym_eigen, tol), _outcome(sym_eigen, M.sym, tol))
+
+
+def test_only_linalg_scales_by_binary_scale():
+    # every other module reads p and X = A / p from the matrix record
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(linalg.__file__), "*.py"))):
+        if os.path.basename(path) == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(open(path).read(), path)):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", None), getattr(node, "attr", None)])
+            assert "binary_scale" not in names, (path, getattr(node, "lineno", None))
+
+
+@pytest.mark.parametrize("excess, refused", [(0.5, False), (2.0, True)])
+def test_the_skew_inputs_share_one_check(excess, refused):
+    """skew_square_structure and skew_rotation_coeffs take S while max|S + S^T|
+    is within residual_tol / 10 max|S| (linalg.as_skew) and refuse it beyond."""
+    G = np.random.default_rng(23).uniform(-1, 1, (4, 4))
+    S = G - G.T
+    S[0, 1] += excess * DEFAULT_TOL.residual_tol / 10 * np.max(np.abs(S))
+    for func in (skew_square_structure, skew_rotation_coeffs):
+        if refused:
+            with pytest.raises(InputError, match="is not skew-symmetric"):
+                func(S)
+        else:
+            func(S)

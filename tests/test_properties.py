@@ -219,6 +219,51 @@ def test_identity_residuals_are_bit_identical_across_the_double_range(seed, n):
                 assert abs(got) <= sys.float_info.min, (j, k)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=SEEDS, n=st.integers(2, 8), j=st.sampled_from([-1000, -500, 500, 900]))
+def test_sym_eigen_scales_exactly_by_powers_of_two(seed, n, j):
+    # eigh solves Q / binary_scale(Q), the same bits for every 2^j Q, while
+    # LAPACK rescales a matrix past about 1e+-146 by a factor that is no power of two
+    G = np.random.default_rng(seed).standard_normal((n, n))
+    Q = G + G.T
+    assert np.array_equal(np.ldexp(np.ldexp(Q, j), -j), Q)  # 2^j Q is exact
+    w, P = sym_eigen(Q)
+    w_scaled, P_scaled = sym_eigen(np.ldexp(Q, j))
+    assert w_scaled.tobytes() == np.ldexp(w, j).tobytes()
+    assert P_scaled.tobytes() == P.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sym_eigen_scales_subnormal_matrices_exactly(seed):
+    # max|2^-1060 Q| is below 2^-1024, where 1 / binary_scale would overflow;
+    # small integers keep 2^-1060 Q exact, so its X = Q / p is Q's
+    rng = np.random.default_rng(seed)
+    G = rng.integers(-5, 6, (2 + seed % 6,) * 2).astype(float)
+    Q = G + G.T
+    w, P = sym_eigen(Q)
+    w_scaled, P_scaled = sym_eigen(np.ldexp(Q, -1060))
+    assert np.all(np.isfinite(w_scaled))
+    assert w_scaled.tobytes() == np.ldexp(w, -1060).tobytes()
+    assert P_scaled.tobytes() == P.tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=SEEDS, j=st.sampled_from([-500, 500]))
+def test_planar_values_scale_exactly_by_powers_of_two(seed, j):
+    A = _planar_family(seed)
+    u = random_unit(np.random.default_rng(seed), 2)
+    base = planar_analyze(A, u)
+    scaled = planar_analyze(np.ldexp(A, j), u)
+    assert (scaled.classification, scaled.zero_count, scaled.borderline) == (
+        base.classification, base.zero_count, base.borderline)
+    assert scaled.eigs == tuple(complex(math.ldexp(z.real, j), math.ldexp(z.imag, j))
+                                for z in base.eigs)
+    for got, want in ((scaled.expansion_eigs, base.expansion_eigs),
+                      (scaled.rotation_eigs, base.rotation_eigs),
+                      (scaled.rep_in_u_basis, base.rep_in_u_basis)):
+        assert np.ldexp(np.asarray(want), j).tobytes() == np.asarray(got).tobytes()
+
+
 # At 1e+-160 and 1e+-200 a degree-2 quantity of A (K^T K, A A, a product of
 # two form eigenvalues) under- or overflows; 1e+-8 are ordinary scales.
 EXTREME_SCALES = [1e-200, 1e-160, 1e-8, 1e8, 1e160, 1e200]
@@ -382,18 +427,13 @@ def test_degree_two_decisions_are_scale_free(seed, c):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(seed=SEEDS, j=st.sampled_from([-500, -400, 0, 400, 500]))
 def test_commutator_norm_is_scale_free(seed, j):
-    # measured on X = A / p over max|X|^2, so 2^j A gives A's value bit for bit while
-    # LAPACK's eigh takes A as it is; past about 1e+-146 eigh rescales A by a factor
-    # that is no power of two, and the expansion eigenbasis moves by a few ulps
+    # measured on X = A / p over max|X|^2, with the expansion eigenbasis solved on
+    # sym(A) / p, so 2^j A gives A's value bit for bit
     rng = np.random.default_rng(seed)
     A = random_normal_matrix(rng, 4) if seed % 2 else rng.uniform(-1.0, 1.0, (4, 4))
     base = normality_report(A)
     scaled = normality_report(math.ldexp(1.0, j) * A)
-    if abs(j) <= 400:
-        assert scaled.commutator_norm == base.commutator_norm
-    else:
-        assert abs(scaled.commutator_norm - base.commutator_norm) <= 1e-14 * max(
-            base.commutator_norm, 1.0)
+    assert scaled.commutator_norm == base.commutator_norm
     assert scaled.is_normal == base.is_normal
     assert [v[:2] for v in scaled.violating_pairs] == [v[:2] for v in base.violating_pairs]
 
