@@ -6,7 +6,8 @@ rotation-form traces, and the block basis of the skew part, in which the skew
 part becomes 2x2 rotation blocks plus a kernel.  Each comes from one LAPACK
 eigen-solve: eigh of the symmetric part, and eigh of the Hermitian matrix
 i K / max|K| for the skew part K, whose eigenvectors' real and imaginary
-parts span the rotation planes.  Neither squares the matrix.
+parts span the rotation planes; the trailing columns of one complete QR of
+the planes span the kernel.  Neither squares the matrix.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .linalg import DEFAULT_TOL, ascending_runs, matrix_powers, maxabs
-from .linalg import _matrix, _sign_fix, nullspace, sym_eigen
+from .linalg import _matrix, _sign_fix, sym_eigen
 from .quasirot import _pair_entries, _pair_index
 
 
@@ -82,8 +83,8 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     lambda equals minus half the trace of the matching rotation form.
     The rates above n rank_tol are eigenvalues of the Hermitian i K / max|K|
     (LAPACK eigh), whose eigenvector z spans the plane sqrt(2) Im z, sqrt(2) Re z;
-    the kernel is the nullspace.  One QR keeps the basis orthogonal where z and
-    its conjugate are nearly degenerate, and the block form is certified once.
+    the kernel is the trailing columns of one complete QR of the planes, which keeps the
+    basis orthogonal where z and its conjugate nearly coincide; one certificate covers all.
     """
     M = _matrix(A)
     n, K = M.n, M.skew
@@ -94,21 +95,18 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     w, Z = np.linalg.eigh(1j * X)
     Z = Z[:, w > n * tol.rank_tol][:, ::-1]
     m = Z.shape[1]
-    kernel = nullspace(X, tol)
-    if 2 * m + len(kernel) != n:
-        raise NumericalError(
-            f"block reduction accounted for {2 * m + len(kernel)} of {n} dimensions"
-        )
     planes = np.sqrt(2.0) * np.stack([Z.imag, Z.real], axis=2).reshape(n, 2 * m)
-    P, R = np.linalg.qr(np.column_stack([planes, *kernel]))
-    P = P * np.where(np.diag(R) < 0.0, -1.0, 1.0)
+    P, R = np.linalg.qr(planes, mode="complete")
+    P[:, : 2 * m] *= np.where(np.diag(R) < 0.0, -1.0, 1.0)
     C = P.T @ X @ P
-    lambdas = np.diag(C, 1)[: 2 * m : 2]
-    blocks = np.kron(np.diag(lambdas), [[0.0, 1.0], [-1.0, 0.0]])
-    off = float(np.linalg.norm(C - np.pad(blocks, (0, len(kernel)))))
+    k = np.arange(0, 2 * m, 2)
+    lambdas = C[k, k + 1]
+    C[k, k + 1] -= lambdas
+    C[k + 1, k] += lambdas
+    off = float(np.linalg.norm(C))
     if off > tol.eig_off_tol * float(np.linalg.norm(X)):
         raise NumericalError(f"skew block certificate failed: residual {off:.3e}", residual=off)
-    return SkewBlockForm(basis=P, lambdas=tuple(map(float, s * lambdas)), zero_dim=len(kernel))
+    return SkewBlockForm(basis=P, lambdas=tuple(map(float, s * lambdas)), zero_dim=n - 2 * m)
 
 
 def normality_report(A, tol=DEFAULT_TOL):
@@ -143,18 +141,20 @@ def normality_report(A, tol=DEFAULT_TOL):
     )
 
 
-def _refine_blocks(mats, tol):
-    """Common orthonormal eigenbasis of a commuting family of symmetric
-    matrices, by successive eigenspace refinement."""
-    blocks = [np.eye(mats[0].shape[0])]
-    for M in mats:
-        thr = 10 * tol.residual_tol * maxabs(M)
+def _refine_blocks(M, family, tol):
+    """Common orthonormal eigenbasis of sym(A), A the record M, and a commuting
+    family of symmetric matrices: the record's solve, refined eigenspace by eigenspace."""
+    w, U = M.sym_eigen(tol)
+    blocks = [U[:, a:b] for a, b in ascending_runs(w, 10 * tol.residual_tol * maxabs(M.sym))]
+    for F in family:
+        thr = 10 * tol.residual_tol * maxabs(F)
         new_blocks = []
         for V in blocks:
             if V.shape[1] == 1:
                 new_blocks.append(V)
                 continue
-            w, U = sym_eigen(V.T @ M @ V, tol)
+            B = V.T @ F @ V
+            w, U = sym_eigen(0.5 * (B + B.T), tol)
             new_blocks.extend(V @ U[:, a:b] for a, b in ascending_runs(w, thr))
         blocks = new_blocks
     return _sign_fix(np.hstack(blocks), tol)
@@ -162,23 +162,23 @@ def _refine_blocks(mats, tol):
 
 def normal_power_basis(A, tol=DEFAULT_TOL):
     """Basis simultaneously diagonalising the symmetric parts of all powers
-    A^p (p = 1..n) of a normal matrix, with the square of the skew part
-    diagonal as well.
+    X^k (k = 1..n) of X = A / p for a normal matrix A, with the square of the
+    skew part diagonal as well.
 
-    Returns (basis, checks) where checks holds the off-diagonal residual per
-    power, the off-diagonal residual of S^2, and the largest commutator norm
-    among the symmetric power parts.
+    Returns (basis, checks): the off-diagonal residual per power and of K^2,
+    K the skew part of X, and the largest commutator norm among the symmetric
+    power parts, all measured on X, so 2^j A gives A's basis and checks bit for bit.
     """
     M = _matrix(A)
-    n, Askew = M.n, M.skew
     report = normality_report(M, tol)
     if not report.is_normal:
         raise InputError(
             f"matrix is not normal: commutator norm {report.commutator_norm:.3e}"
         )
-    sym_powers = [0.5 * (X + X.T) for X in matrix_powers(M.A, n)[1:]]
-    family = sym_powers + [Askew @ Askew]
-    P = _refine_blocks(family, tol)
+    K = 0.5 * (M.X - M.X.T)
+    sym_powers = [0.5 * (Y + Y.T) for Y in matrix_powers(M.X, M.n)[1:]]
+    K2 = K @ K
+    P = _refine_blocks(M, sym_powers[1:] + [K2], tol)
 
     checks = {}
     comm_max = 0.0
@@ -186,7 +186,7 @@ def normal_power_basis(A, tol=DEFAULT_TOL):
         checks[f"expansion_power_{p}"] = _offdiag_max(P.T @ Mp @ P)
         for Mq in sym_powers[p:]:
             comm_max = max(comm_max, maxabs(Mp @ Mq - Mq @ Mp))
-    checks["skew_square"] = _offdiag_max(P.T @ (Askew @ Askew) @ P)
+    checks["skew_square"] = _offdiag_max(P.T @ K2 @ P)
     checks["power_commutator_max"] = float(comm_max)
     return P, checks
 

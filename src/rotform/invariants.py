@@ -314,7 +314,7 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
         raise InputError("matrix is symmetric; the power system degenerates")
     p, A = M.p, M.X
     coupled = tol.residual_tol / 10 * maxabs(A)
-    P, _checks = normal_power_basis(A, tol)
+    P, _checks = normal_power_basis(M, tol)
 
     pows = matrix_powers(A, n)
     # diag_powers[p][i] = eigenvalue of the p-th power form

@@ -432,12 +432,9 @@ def real_spectrum(A, tol=DEFAULT_TOL):
 
 def _sign_fix(P, tol):
     """Make the first component above rank_tol in each unit column positive."""
-    Q = P.copy()
-    for col in Q.T:
-        lead = col[np.abs(col) > tol.rank_tol]
-        if lead.size and lead[0] < 0.0:
-            col *= -1.0
-    return Q
+    big = np.abs(P) > tol.rank_tol
+    lead = (P * big)[big.argmax(axis=0), np.arange(P.shape[1])]  # +-0.0 where none is above
+    return P * np.where(lead < 0.0, -1.0, 1.0)
 
 
 def nullspace(A, tol=DEFAULT_TOL, abs_threshold=None):

@@ -114,13 +114,15 @@ def eigenstructure(A, tol=DEFAULT_TOL):
     spectrum = real_spectrum(M, tol)
     cz_tol = tol.residual_tol * scale
     threshold = n * tol.rank_tol * scale
-    entries, flags = [], []
+    entries, flags, bases = [], [], []
     for (lam, mult), x in zip(spectrum.real_eigs, spectrum.real_vectors):
-        basis = [x] if x is not None else nullspace(A - lam * np.eye(n), tol, threshold)
-        if len(basis) > mult:
-            raise NumericalError(f"eigenvalue {lam:.12g} has {len(basis)} kernel directions "
+        bases.append([x] if x is not None else nullspace(A - lam * np.eye(n), tol, threshold))
+        if len(bases[-1]) > mult:
+            raise NumericalError(f"eigenvalue {lam:.12g} has {len(bases[-1])} kernel directions "
                                  f"at {threshold:.3e}, more than its multiplicity {mult}")
-        basis = tuple(_sign_fix(np.reshape(basis, (-1, n)).T, tol).T)
+    signed = iter(_sign_fix(np.reshape(sum(bases, []), (-1, n)).T, tol).T if bases else ())
+    for (lam, _), basis in zip(spectrum.real_eigs, bases):
+        basis = tuple(next(signed) for _ in basis)
         if not basis:
             flags.append(f"no eigenvector found at reported eigenvalue {lam:.12g} "
                          f"(rank threshold {threshold:.3e})")

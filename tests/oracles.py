@@ -40,7 +40,8 @@ its earlier form, which read each rotation value from a dict over all plane
 pairs.  trilinear_reference is the former 8-corner loop of
 frenet.GridField, whose gather must round the same, and cluster_points_loop
 is _cluster_points at a given radius by its minimax loop alone, without
-the shortcut for points of which no two are within the radius.
+the shortcut for points of which no two are within the radius;
+sign_fix_loop is the former per-column loop of linalg._sign_fix.
 Every oracle here takes its rotation values and traces from these loops,
 so none shares the library's pair index.
 """
@@ -959,3 +960,13 @@ def cluster_points_loop(points, tol):
     for p, label in zip(points, (M <= tol).argmax(axis=1).tolist()):
         groups.setdefault(label, []).append(p)
     return list(groups.values())
+
+
+def sign_fix_loop(P, tol):
+    """Make the first component above rank_tol in each unit column positive."""
+    Q = P.copy()
+    for col in Q.T:
+        lead = col[np.abs(col) > tol.rank_tol]
+        if lead.size and lead[0] < 0.0:
+            col *= -1.0
+    return Q

@@ -16,6 +16,7 @@ from rotform import (
     eigenstructure,
     invariant_report,
     normal_invariant_recover,
+    normal_power_basis,
     plane_pairs,
     random_orthogonal,
     real_spectrum,
@@ -48,6 +49,38 @@ def test_skew_canonical_basis_runs_no_sym_eigen(monkeypatch, n):
     block = skew_canonical_basis(M)
     assert len(block.lambdas) == n // 2
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_skew_canonical_basis_runs_no_svd(monkeypatch, n):
+    # the kernel is the trailing columns of the planes' complete QR
+    svds = _count(monkeypatch, [np.linalg], "svd")
+    kernels = _count(monkeypatch, [rotform.canonical, rotform.linalg], "nullspace")
+    block = skew_canonical_basis(np.random.default_rng(n).standard_normal((n, n)))
+    assert block.zero_dim == n % 2
+    assert (svds, kernels) == ([], [])
+
+
+def test_normal_invariant_recover_builds_one_record(monkeypatch):
+    built = []
+    original = rotform.linalg._Matrix.__init__
+
+    def recorded(self, A):
+        built.append(type(self))
+        original(self, A)
+
+    A = random_normal_matrix(np.random.default_rng(2), 4)
+    monkeypatch.setattr(rotform.linalg._Matrix, "__init__", recorded)
+    normal_invariant_recover(A)
+    assert built == [rotform.linalg._Matrix]
+
+
+def test_normal_power_basis_of_a_symmetric_matrix_runs_one_sym_eigen(monkeypatch):
+    # the refinement starts from the record's solve, which normality_report made
+    calls = _count(monkeypatch, [rotform.canonical, rotform.linalg], "sym_eigen")
+    M = np.random.default_rng(12).standard_normal((4, 4))
+    normal_power_basis(M + M.T)
+    assert len(calls) == 1
 
 
 def test_bromwich_bounds_runs_one_sym_eigen(monkeypatch):
@@ -112,6 +145,14 @@ def test_eigenstructure_runs_nullspace_only_for_the_cluster(monkeypatch):
         report = eigenstructure(A)
         assert [e.geometric_multiplicity for e in report.entries] == [2, 1]
         assert len(calls) == 1
+
+
+def test_eigenstructure_signs_every_eigenspace_in_one_call(monkeypatch):
+    calls = _count(monkeypatch, [rotform.spectral], "_sign_fix")
+    M = np.random.default_rng(13).uniform(-1, 1, (6, 6))
+    report = eigenstructure(M + M.T)
+    assert len(report.entries) == 6
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("basis, sym_eigens", [("given", 1), ("expansion", 1),

@@ -7,12 +7,14 @@ from rotform import (
     normal_power_basis,
     normality_report,
     plane_pairs,
+    normal_invariant_recover,
     quasi_rotation,
+    random_orthogonal,
     rotation_form,
     skew_canonical_basis,
 )
 
-from oracles import jordan_shear, random_normal_matrix, rotation_scaling_block
+from oracles import jordan_shear, minor_sums_exact, random_normal_matrix, rotation_scaling_block
 
 
 def block_diag(*blocks):
@@ -211,3 +213,19 @@ class TestNormalPowerBasis:
     def test_rejects_non_normal(self):
         with pytest.raises(InputError, match="not normal"):
             normal_power_basis(jordan_shear(3.0, 1.0))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tied_expansion_eigenvalues_refine_within_their_block(self, seed):
+        # Q blockdiag(B(1), B(3), B(5)) Q^T, B(r) = [[1, r], [-r, 1]]: the expansion
+        # form is I, so every refinement step solves a block that rounding leaves
+        # a little asymmetric
+        Q = random_orthogonal(6, seed)
+        A = Q @ block_diag(*(rotation_scaling_block(1.0, r) for r in (1.0, 3.0, 5.0))) @ Q.T
+        P, checks = normal_power_basis(A)
+        assert np.max(np.abs(P.T @ P - np.eye(6))) < 1e-12
+        for key, value in checks.items():
+            assert value < 1e-9, (key, value)
+        pms, rank = normal_invariant_recover(A)
+        assert rank == 6
+        for got, exact in zip(pms, minor_sums_exact(A)):
+            assert abs(got - float(exact)) <= 1e-8 * max(1.0, abs(float(exact)))

@@ -24,6 +24,8 @@ KEYS = {
     "collings_det": _TIMING | {"n", "seed", "tracemalloc_peak_mb", "error_over_mass",
                                "error_over_n_eps_mass"},
     "spectrum": _TIMING | {"function", "n", "seed", "refused", "requests", "eig_error_over_maxabs"},
+    "skew_canonical_basis": _TIMING | {"n", "seed", "zero_dim", "refused", "requests",
+                                       "rate_error_over_maxabs"},
     "frenet_report": _TIMING | {"field", "m", "spacing", "field_queries", "kappa", "tau",
                                 "kappa_error", "tau_error"},
     "analyze": _TIMING | {"n", "seed", "basis", "exit", "sym_eigen_calls"},
@@ -68,6 +70,12 @@ def test_spectrum_matches_mpmath(small):
     for row in rows:
         assert row["refused"] == 0 and row["requests"] == 2
         assert row["eig_error_over_maxabs"] < 1e-12
+
+
+def test_skew_canonical_basis_rates_match_mpmath(small):
+    (row,) = _layer("skew_canonical_basis")
+    assert (row["n"], row["zero_dim"], row["refused"], row["requests"]) == (2, 0, 0, 2)
+    assert row["rate_error_over_maxabs"] < 1e-13
 
 
 def test_frenet_report_matches_the_analytic_helix(small):

@@ -32,6 +32,7 @@ from oracles import (
     minor_sums_exact,
     polynomial_spectrum,
     row_reduce_rank,
+    sign_fix_loop,
     similarity_with_jordan,
 )
 
@@ -677,3 +678,15 @@ class TestClusterPoints:
                 assert groups == cluster_points_loop(points, tol)
                 close.append(len(groups) < len(points))
         assert any(close) and not all(close)  # both with and without close pairs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8), cols=st.integers(0, 8))
+def test_sign_fix_gives_the_bytes_of_the_column_loop(seed, rows, cols):
+    # columns with zeros, components near rank_tol and no component above it
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-14, 2, (rows, cols))
+    P[rng.random((rows, cols)) < 0.3] = 0.0
+    P[:, rng.random(cols) < 0.2] = 0.0
+    fixed = linalg._sign_fix(P, DEFAULT_TOL)
+    assert fixed.shape == P.shape and fixed.tobytes() == sign_fix_loop(P, DEFAULT_TOL).tobytes()

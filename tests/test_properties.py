@@ -31,6 +31,7 @@ from rotform import (
     form_family,
     invariant_report,
     normal_invariant_recover,
+    normal_power_basis,
     normality_report,
     planar_analyze,
     plane_pairs,
@@ -436,6 +437,23 @@ def test_commutator_norm_is_scale_free(seed, j):
     assert scaled.commutator_norm == base.commutator_norm
     assert scaled.is_normal == base.is_normal
     assert [v[:2] for v in scaled.violating_pairs] == [v[:2] for v in base.violating_pairs]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=SEEDS, n=st.integers(2, 6))
+def test_normal_power_basis_is_the_same_for_every_power_of_two_multiple(seed, n):
+    """The powers, K^2 and every check are formed on X = A / p, so 2^j A gives
+    A's basis and checks bit for bit, all finite, and 1e+-80 A no error or warning."""
+    A = random_normal_matrix(np.random.default_rng(seed), n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        P, checks = normal_power_basis(A)
+        assert all(math.isfinite(value) for value in checks.values())
+        for j in (-600, -300, 300, 600):
+            scaled, scaled_checks = normal_power_basis(np.ldexp(A, j))
+            assert scaled.tobytes() == P.tobytes() and repr(scaled_checks) == repr(checks), j
+        for c in (1e-80, 1e80):
+            normal_power_basis(c * A)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -22,6 +22,11 @@ and the rounds it was faster (wins).  The oracles run once per label:
   NumericalError (CLI exit 3) and, for n <= ORACLE_MAX_N, the Hausdorff
   distance over max|A| from the listed eigenvalues (pairs with both
   conjugates) to mpmath.eig's at 50 digits.
+- skew_canonical_basis of a uniform(-1, 1) matrix with seed n.  Adds the
+  kernel dimension, how many of REQUESTS more (seeds 1000 n + k) ended in
+  NumericalError and, for n <= ORACLE_MAX_N, the largest distance over max|K|
+  from the rates to the positive imaginary parts, descending, of mpmath.eig
+  of the skew part K at 50 digits.
 - frenet_report at POINT on the helix field (-y, x, C) / |(-y, x, C)| with its
   analytic and with a differenced Jacobian, and on grids of m^3 samples of it
   for m in GRID_SIZES, spacing 2 HALF_WIDTH / (m - 1), POINT the middle node
@@ -103,6 +108,18 @@ def _paired(packages, call):
     return results, cells
 
 
+def _refused(rotform, func, n):
+    """How many of REQUESTS uniform(-1, 1) n x n matrices, seeds 1000 n + k, func
+    ends in rotform's NumericalError."""
+    refused = 0
+    for k in range(REQUESTS):
+        try:
+            func(_uniform(1000 * n + k, n))
+        except rotform.NumericalError:
+            refused += 1
+    return refused
+
+
 # --- collings_det ------------------------------------------------------------
 def _split(n):
     """The seed-n matrix A, its diagonal part D and the rest B."""
@@ -166,15 +183,9 @@ def spectrum_rows(packages):
             A = _uniform(n, n)
             results, timing = _paired(packages, lambda rf: getattr(rf, name)(A))
             for label, rf in packages.items():
-                refused = 0
-                for k in range(REQUESTS):
-                    try:
-                        getattr(rf, name)(_uniform(1000 * n + k, n))
-                    except rf.NumericalError:
-                        refused += 1
                 rows[label].append({"function": name, "n": n, "seed": n, **timing[label],
-                                    "refused": refused, "requests": REQUESTS,
-                                    "values": _listed(name, results[label])})
+                                    "refused": _refused(rf, getattr(rf, name), n),
+                                    "requests": REQUESTS, "values": _listed(name, results[label])})
     return rows
 
 
@@ -203,6 +214,46 @@ def spectrum_document(results):
         "input": "A uniform(-1, 1) from numpy default_rng(seed)",
         "refused": f"NumericalError count over {REQUESTS} matrices with seeds 1000 n + k",
         "oracle": f"mpmath.eig at 50 digits, n <= {ORACLE_MAX_N}; Hausdorff distance over max|A|",
+        "results": results,
+    }
+
+
+# --- skew_canonical_basis ----------------------------------------------------
+def skew_rows(packages):
+    """One row per n and label; `lambdas` carries the rates to the oracle."""
+    rows = {label: [] for label in packages}
+    for n in SPECTRUM_SIZES:
+        A = _uniform(n, n)
+        results, timing = _paired(packages, lambda rf: rf.skew_canonical_basis(A))
+        for label, rf in packages.items():
+            block = results[label]
+            rows[label].append({"n": n, "seed": n, **timing[label], "zero_dim": block.zero_dim,
+                                "refused": _refused(rf, rf.skew_canonical_basis, n),
+                                "requests": REQUESTS, "lambdas": list(block.lambdas)})
+    return rows
+
+
+def skew_document(results):
+    reference = {}
+    for rows in results.values():
+        for row in rows:
+            n, lambdas = row["n"], np.array(row.pop("lambdas"))
+            if n > ORACLE_MAX_N:
+                continue
+            A = _uniform(n, n)
+            K = 0.5 * (A - A.T)
+            if n not in reference:
+                with mpmath.workdps(50):
+                    eigs = mpmath.eig(mpmath.matrix(K.tolist()), left=False, right=False)
+                    reference[n] = np.sort([float(mpmath.im(z)) for z in eigs])[::-1]
+            error = np.abs(lambdas - reference[n][: len(lambdas)]).max(initial=0.0)
+            row["rate_error_over_maxabs"] = float(error) / float(np.max(np.abs(K)))
+    return {
+        "function": "rotform.skew_canonical_basis",
+        "input": "A uniform(-1, 1) from numpy default_rng(seed)",
+        "refused": f"NumericalError count over {REQUESTS} matrices with seeds 1000 n + k",
+        "oracle": f"mpmath.eig of K = (A - A^T) / 2 at 50 digits, n <= {ORACLE_MAX_N}; the "
+                  "largest distance from the rates to its imaginary parts, descending, over max|K|",
         "results": results,
     }
 
@@ -320,6 +371,7 @@ def analyze_document(results):
 LAYERS = {
     "collings_det": (collings_rows, collings_document),
     "spectrum": (spectrum_rows, spectrum_document),
+    "skew_canonical_basis": (skew_rows, skew_document),
     "frenet_report": (frenet_rows, frenet_document),
     "analyze": (analyze_rows, analyze_document),
 }
