@@ -54,11 +54,11 @@ def expansion_eigenbasis(A, tol=DEFAULT_TOL):
     In the returned basis S[q, p] equals half the trace of the (p, q) rotation
     form for p < q.
     """
-    M = _matrix(A)
+    M = _matrix(A, tol)
     A = M.A
-    if M.is_zero("sym", tol):
+    if M.sym_zero:
         raise InputError("expansion form is zero (pure skew matrix); use skew_canonical_basis")
-    w, P = M.sym_eigen(tol)
+    w, P = M.eigen
     P = _sign_fix(P, tol)
     order = np.lexsort((*(-P)[::-1], -w))  # by -w, then by -P[0, i], -P[1, i], ...
     w = w[order]
@@ -86,9 +86,9 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     the kernel is the trailing columns of one complete QR of the planes, which keeps the
     basis orthogonal where z and its conjugate nearly coincide; one certificate covers all.
     """
-    M = _matrix(A)
+    M = _matrix(A, tol)
     n, K = M.n, M.skew
-    if M.is_zero("skew", tol):
+    if M.skew_zero:
         raise InputError("skew part is zero (symmetric matrix); use expansion_eigenbasis")
     s = maxabs(K)
     X = K / s
@@ -115,16 +115,14 @@ def normality_report(A, tol=DEFAULT_TOL):
 
     Purely symmetric or purely skew matrices short-circuit to normal.
     """
-    M = _matrix(A)
+    M = _matrix(A, tol)
     p = M.p  # the degree-2 commutator is judged on A / p
     scale = M.scale / p
     threshold = tol.residual_tol * (scale * scale)
-    if M.is_zero("sym", tol) or M.is_zero("skew", tol):
-        eigs = () if M.is_zero("sym", tol) else tuple(float(x) for x in M.sym_eigen(tol)[0][::-1])
-        return NormalityReport(
-            is_normal=True, violating_pairs=(), commutator_norm=0.0,
-            expansion_eigenvalues=eigs,
-        )
+    if M.sym_zero or M.skew_zero:
+        eigs = () if M.sym_zero else tuple(float(x) for x in M.eigen[0][::-1])
+        return NormalityReport(is_normal=True, violating_pairs=(), commutator_norm=0.0,
+                               expansion_eigenvalues=eigs)
     split = expansion_eigenbasis(M, tol)
     D, S = split.D / p, split.S / p
     comm = D[:, None] * S - S * D[None, :]
@@ -141,10 +139,10 @@ def normality_report(A, tol=DEFAULT_TOL):
     )
 
 
-def _refine_blocks(M, family, tol):
+def _refine_blocks(M, family):
     """Common orthonormal eigenbasis of sym(A), A the record M, and a commuting
     family of symmetric matrices: the record's solve, refined eigenspace by eigenspace."""
-    w, U = M.sym_eigen(tol)
+    w, U, tol = *M.eigen, M.tol
     blocks = [U[:, a:b] for a, b in ascending_runs(w, 10 * tol.residual_tol * maxabs(M.sym))]
     for F in family:
         thr = 10 * tol.residual_tol * maxabs(F)
@@ -169,7 +167,7 @@ def normal_power_basis(A, tol=DEFAULT_TOL):
     K the skew part of X, and the largest commutator norm among the symmetric
     power parts, all measured on X, so 2^j A gives A's basis and checks bit for bit.
     """
-    M = _matrix(A)
+    M = _matrix(A, tol)
     report = normality_report(M, tol)
     if not report.is_normal:
         raise InputError(
@@ -178,7 +176,7 @@ def normal_power_basis(A, tol=DEFAULT_TOL):
     K = 0.5 * (M.X - M.X.T)
     sym_powers = [0.5 * (Y + Y.T) for Y in matrix_powers(M.X, M.n)[1:]]
     K2 = K @ K
-    P = _refine_blocks(M, sym_powers[1:] + [K2], tol)
+    P = _refine_blocks(M, sym_powers[1:] + [K2])
 
     checks = {}
     comm_max = 0.0

@@ -241,14 +241,14 @@ def _normality_section(report):
     }
 
 
-def _forms_section(M, tol, seed, bromwich):
+def _forms_section(M, seed, bromwich):
     """Form report for the matrix record M; bromwich is its Bromwich box, whose
     real bounds are the expansion-form extremes.  The probe's norm identity gap,
     |Xu|^2 - e^2 - |r|^2 on X = A / p, is relative to |Xu|^2 (0 when Xu = 0)."""
     lo, hi = bromwich[:2]
     rotation_traces = {_pair_key(pair): t for pair, t in qforms.rotation_traces(M.A).items()}
     u = random_unit(np.random.default_rng(seed), M.n)
-    dec = qforms.decompose(M, u, tol)
+    dec = qforms.decompose(M, u, M.tol)
     w, e, r = M.X @ u, dec.e / M.p, dec.r.vector() / M.p
     norm2 = float(w @ w)
     norm_gap = abs(norm2 - e**2 - sum((r * r).tolist())) / norm2 if norm2 else 0.0
@@ -303,18 +303,18 @@ def _invariants_section(M, seed):
 
 
 def _apply_basis(A, mode, tol):
-    """The record of A in the basis of mode, and that basis (None when given)."""
+    """The record of A in the basis of mode, under tol, and that basis (None when given)."""
     if mode == "given":
-        return _matrix(A), None
+        return _matrix(A, tol), None
     if mode == "expansion":
         split = canonical.expansion_eigenbasis(A, tol)
-        M = _matrix(split.basis.T @ A @ split.basis)
+        M = _matrix(split.basis.T @ A @ split.basis, tol)
         # A's solve in this basis: the unit vectors, with the eigenvalues D descending
-        M.adopt_eigen(split.D[::-1], np.eye(M.n)[:, ::-1], tol)
+        M.adopt_eigen(split.D[::-1], np.eye(M.n)[:, ::-1])
         return M, split.basis
     if mode == "skew-canonical":
         block = canonical.skew_canonical_basis(A, tol)
-        return _matrix(block.basis.T @ A @ block.basis), block.basis
+        return _matrix(block.basis.T @ A @ block.basis, tol), block.basis
     raise InputError(f"unknown basis mode {mode!r}")
 
 
@@ -337,7 +337,7 @@ def _cmd_analyze(request):
         doc["matrix_in_basis"] = M.A.tolist()
     doc["spectral"] = _spectral_section(spec_report)
     doc["normality"] = _normality_section(norm_report)
-    doc["forms"] = _forms_section(M, request.tol, request.seed, spec_report.bromwich)
+    doc["forms"] = _forms_section(M, request.seed, spec_report.bromwich)
     if spec_report.flags:
         raise NumericalError(
             "tolerance failure: " + "; ".join(spec_report.flags),
@@ -389,7 +389,7 @@ def _cmd_identities(request):
         "seed": request.seed,
         "tolerances": dict(vars(request.tol)),
         "input": _matrix_section(A),
-        "invariants": _invariants_section(_matrix(A), request.seed),
+        "invariants": _invariants_section(_matrix(A, request.tol), request.seed),
     }
 
 
@@ -540,8 +540,7 @@ def build_parser():
         cmd.add_argument(
             "--basis",
             choices=("given", "expansion", "skew-canonical"),
-            default="given",
-            help="work in the given basis or a canonical one (analyze only)",
+            help="work in the given basis (default) or a canonical one (analyze only)",
         )
         cmd.add_argument("--tol", action="append", metavar="NAME=VALUE",
                          help="override a tolerance (repeatable)")
@@ -553,17 +552,25 @@ def build_parser():
     return parser
 
 
+# The options each command reads beside --seed and --output; it refuses any other.
+_READS = {"analyze": ("input", "basis", "tol"), "planar": ("input", "tol"),
+          "identities": ("input", "tol", "params"), "frenet": ("field", "params", "point")}
+
+
 def request_from_args(args):
+    for option in ("input", "basis", "tol", "field", "params", "point"):
+        if getattr(args, option) is not None and option not in _READS[args.command]:
+            *others, last = [command for command, reads in _READS.items() if option in reads]
+            names = f"{', '.join(others)} and {last} commands" if others else f"{last} command"
+            raise InputError(f"--{option} applies to the {names} only")
     if args.command in ("analyze", "planar") and args.input is None:
         raise InputError(f"{args.command} needs --input")
-    if args.command != "analyze" and args.basis != "given":
-        raise InputError("--basis applies to the analyze command only")
     if args.seed < 0:
         raise InputError(f"--seed must be non-negative, got {args.seed}")
     return AnalysisRequest(
         command=args.command,
         input_path=args.input,
-        basis_mode=args.basis,
+        basis_mode=args.basis or "given",
         tol=_parse_tol(args.tol),
         seed=args.seed,
         output_path=args.output,

@@ -73,7 +73,7 @@ class _Parts(_Matrix):
 
     def __init__(self, A, top=0):
         M = _matrix(A)
-        super().__init__(M.X)
+        super().__init__(M.X, M.tol)
         self.unit = M.p
         A, n = self.A, self.n
         self.pows = np.array(matrix_powers(A, max(n, top)))
@@ -280,10 +280,10 @@ def n4_det_identity_residual(A):
     s = _parts(A)
     if s.n != 4:
         raise InputError("this determinant audit is specific to 4x4 matrices")
-    if s.is_zero("sym", DEFAULT_TOL):
+    if s.sym_zero:
         D, S = np.zeros((4, 4)), s.skew
     else:
-        split = expansion_eigenbasis(s)
+        split = expansion_eigenbasis(s, s.tol)
         D, S = np.diag(split.D), split.S
     det_a = s.pm[4]
     rhs = (
@@ -308,9 +308,9 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
     as float products: the columns of A's own system scale as p^1..p^n.
     Rank below n raises NumericalError with the assembled system attached.
     """
-    M = _matrix(A)
+    M = _matrix(A, tol)
     n = M.n
-    if M.is_zero("skew", tol):
+    if M.skew_zero:
         raise InputError("matrix is symmetric; the power system degenerates")
     p, A = M.p, M.X
     coupled = tol.residual_tol / 10 * maxabs(A)

@@ -26,9 +26,10 @@ class ToleranceConfig:
     a field below, or a multiple of one listed here, times n where the test
     uses n, times max|X|^d for X the matrix judged and d the quantity's
     degree in X.  No threshold has an absolute floor, so every decision on
-    c X is the one on X, c > 0; a degree-2 quantity is formed on the
-    record's X = A / binary_scale(A) (_Matrix.X), where it cannot under- or
-    overflow.  Functions without a tol use DEFAULT_TOL.
+    c X is the one on X, c > 0; a degree-2 quantity is formed on the record's
+    X = A / binary_scale(A) (_Matrix.X), where it cannot under- or overflow.
+    A function without a tol judges at its matrix record's (_Matrix.tol),
+    DEFAULT_TOL for an array; an input check at DEFAULT_TOL.
 
     eig_off_tol (1e-12): the certificates of sym_eigen (see there), of an
     eigenbasis that a matrix record adopts (_Matrix.adopt_eigen) and of
@@ -51,8 +52,8 @@ class ToleranceConfig:
       - residual_tol / 10 max|X|^d (1e-10): a skew input's asymmetry (as_skew,
         d = 1), a given vector's unit length (as_unit) and a given basis's
         orthogonality (d = 0), a coupling skew entry in normal_invariant_recover.
-      - residual_tol e_k(r), r the row norms of the record's X: the anchors
-        of principal_minor_sums, pm^2 (k = 2) and pm^n (k = n).
+      - the record's residual_tol e_k(r), r the row norms of its X: the
+        anchors of principal_minor_sums, pm^2 (k = 2) and pm^n (k = n).
     Here s = max|A|.  Identity residuals divide by max(max|term|, s^d)
     (invariants._rel).  All three fields must be finite and positive.
     """
@@ -194,45 +195,38 @@ def _eigenbasis_gap(Q, P, tol):
 
 
 class _Matrix:
-    """A, checked once by as_square, and what its analyses share, each formed
-    on first use and kept: max|A| (scale), p = binary_scale(A), X = A / p (the
-    one place a record forms it), the parts sym and skew, and per
-    ToleranceConfig whether each is zero and sym_eigen(sym).  The analyses,
+    """A, checked once by as_square, its one ToleranceConfig tol, and what its
+    analyses share, each formed on first use and kept: max|A| (scale), p =
+    binary_scale(A), X = A / p (the one place a record forms it), the parts sym
+    and skew, whether each is zero at tol and sym_eigen(sym, tol).  The analyses,
     decompose, principal_minor_sums and the identities take it in place of A."""
 
-    def __init__(self, A):
-        self.A = A
-        self.n = A.shape[0]
-        self._zero, self._eigen = {}, {}
+    def __init__(self, A, tol):
+        self.A, self.n, self.tol = A, A.shape[0], tol
 
     scale = cached_property(lambda self: maxabs(self.A))
     p = cached_property(lambda self: binary_scale(self.scale))
     X = cached_property(lambda self: self.A / self.p)
     sym = cached_property(lambda self: 0.5 * (self.A + self.A.T))
     skew = cached_property(lambda self: 0.5 * (self.A - self.A.T))
+    sym_zero = cached_property(lambda self: maxabs(self.sym) <= self.tol.rank_tol * self.scale)
+    skew_zero = cached_property(lambda self: maxabs(self.skew) <= self.tol.rank_tol * self.scale)
+    eigen = cached_property(lambda self: sym_eigen(self.sym, self.tol))
 
-    def is_zero(self, part, tol):
-        """Whether the part named "sym" or "skew" is zero: max|part| <= rank_tol max|A|."""
-        if (part, tol) not in self._zero:
-            self._zero[part, tol] = maxabs(getattr(self, part)) <= tol.rank_tol * self.scale
-        return self._zero[part, tol]
-
-    def sym_eigen(self, tol):
-        if tol not in self._eigen:
-            self._eigen[tol] = sym_eigen(self.sym, tol)
-        return self._eigen[tol]
-
-    def adopt_eigen(self, w, P, tol):
+    def adopt_eigen(self, w, P):
         """Keep (w, P), ascending eigenvalues and eigenbasis of sym known from elsewhere,
-        as sym_eigen(sym) if P passes its certificate; else sym_eigen solves on first use."""
-        off, target = _eigenbasis_gap(self.sym, P, tol)
+        as eigen if P passes sym_eigen's certificate; else sym_eigen solves on first use."""
+        off, target = _eigenbasis_gap(self.sym, P, self.tol)
         if off <= target:
-            self._eigen[tol] = (w, P)
+            self.eigen = (w, P)
 
 
-def _matrix(A):
-    """The record of A: a _Matrix passes through, an array is checked once by as_square."""
-    return A if isinstance(A, _Matrix) else _Matrix(as_square(A))
+def _matrix(A, tol=None):
+    """A's record under tol (if None, a record's own or DEFAULT_TOL): a record under
+    it passes through, else a new one holds its checked A; an array is checked once."""
+    if not isinstance(A, _Matrix):
+        return _Matrix(as_square(A), DEFAULT_TOL if tol is None else tol)
+    return A if tol is None or tol is A.tol or tol == A.tol else _Matrix(A.A, tol)
 
 
 def matrix_powers(A, top):
@@ -263,8 +257,8 @@ def principal_minor_sums(A):
     SIMAX 32, 2011), real part, times p^k as a float product, so pm^k(2^j A)
     = 2^(jk) pm^k(A) bit for bit.  Anchors computed another way certify it:
     pm^2 against _pm2(X) and pm^n against det(X) by LU, each within
-    residual_tol e_k(r), r the row norms of X, the Hadamard mass that bounds
-    every k-subset minor; else NumericalError.
+    residual_tol e_k(r) of the record's tol, r the row norms of X, the Hadamard
+    mass that bounds every k-subset minor; else NumericalError.
     """
     M = _matrix(A)
     A, n = M.A, M.n
@@ -278,7 +272,7 @@ def principal_minor_sums(A):
     r = np.hypot.reduce(X, axis=1)  # np.linalg.norm squares a row of 1e-200 to 0
     for k, value, mass in ((2, _pm2(X), float(r[1:] @ np.cumsum(r)[:-1])),
                            (n, float(np.linalg.det(X)), float(np.prod(r)))):
-        if not abs(e[k] - value) <= DEFAULT_TOL.residual_tol * mass:
+        if not abs(e[k] - value) <= M.tol.residual_tol * mass:
             raise NumericalError(f"minor sum pm^{k} of A / {p:g} is {e[k]:.6e} from the spectrum "
                                  f"but {value:.6e} by another route (row-norm mass {mass:.3e})",
                                  residual=abs(e[k] - value))

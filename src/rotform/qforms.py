@@ -222,7 +222,7 @@ def rotation_trace_sum(A, P):
     return float(sum(rotation_traces(P.T @ A @ P).values()))
 
 
-def form_family(A, basis=None, tol=DEFAULT_TOL):
+def form_family(A, basis=None):
     """All forms of A in the given orthonormal basis (identity by default)."""
     A = as_square(A)
     n = A.shape[0]

@@ -89,10 +89,10 @@ def bromwich_bounds(A, tol=DEFAULT_TOL):
     The top rotation rate of the skew part K is its spectral norm ||K||_2
     (LAPACK SVD, which rescales internally, so any scale is safe).
     """
-    M = _matrix(A)
-    w, _ = M.sym_eigen(tol)
+    M = _matrix(A, tol)
+    w, _ = M.eigen
     nu, N = float(w[0]), float(w[-1])
-    if M.is_zero("skew", tol):
+    if M.skew_zero:
         return (nu, N, 0.0, 0.0)
     top = float(np.linalg.norm(M.skew, 2))
     return (nu, N, -top, top)
@@ -109,7 +109,7 @@ def eigenstructure(A, tol=DEFAULT_TOL):
     multiplicity above the algebraic one raises NumericalError.  Complex
     pairs and the containment bounds ride along.
     """
-    M = _matrix(A)
+    M = _matrix(A, tol)
     A, n, scale = M.A, M.n, M.scale
     spectrum = real_spectrum(M, tol)
     cz_tol = tol.residual_tol * scale
@@ -149,11 +149,11 @@ def planar_analyze(A, u=None, tol=DEFAULT_TOL):
     yields the zero count and the classification.  With u supplied, the 2x2
     representation in the (u-hat, u-hat-perp) frame is included.
     """
-    M = _matrix(A)
+    M = _matrix(A, tol)
     if M.n != 2:
         raise InputError(f"planar analysis needs a 2x2 matrix, got {M.n}x{M.n}")
     R = rotation_form_matrix(M.A, (1, 2))
-    we, _ = M.sym_eigen(tol)
+    we, _ = M.eigen
     wr, _ = sym_eigen(R, tol)
     mean = 0.5 * (we[0] + we[1])
     p = M.p  # the degree-2 product is formed on A / p
@@ -193,7 +193,7 @@ def skew_square_structure(A, tol=DEFAULT_TOL):
     matrix itself; returns (eigenvalue, orthonormal basis, invariance residual)
     triples ordered by ascending eigenvalue, all formed on the record's X = A / p
     and rescaled, so none under- or overflows unless its own value does."""
-    M = _Matrix(as_skew(A, tol=tol.residual_tol / 10))
+    M = _Matrix(as_skew(A, tol=tol.residual_tol / 10), tol)
     p, X = M.p, M.X
     w, V = sym_eigen(X @ X, tol)
     out = []

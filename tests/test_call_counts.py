@@ -65,9 +65,9 @@ def test_normal_invariant_recover_builds_one_record(monkeypatch):
     built = []
     original = rotform.linalg._Matrix.__init__
 
-    def recorded(self, A):
+    def recorded(self, *args):
         built.append(type(self))
-        original(self, A)
+        original(self, *args)
 
     A = random_normal_matrix(np.random.default_rng(2), 4)
     monkeypatch.setattr(rotform.linalg._Matrix, "__init__", recorded)
@@ -250,9 +250,9 @@ def test_invariant_report_builds_one_record_of_x(monkeypatch, record):
     built = []
     original = rotform.linalg._Matrix.__init__
 
-    def recorded(self, A):
+    def recorded(self, *args):
         built.append(type(self))
-        original(self, A)
+        original(self, *args)
 
     A = np.random.default_rng(4).uniform(-1, 1, (4, 4))
     M = rotform.linalg._matrix(A) if record else A

@@ -655,9 +655,51 @@ class TestExitCodes:
         matrix = write(tmp_path, "m.txt", "2 1 0\n1 3 1\n0 1 4\n")
         assert main(["analyze", "--input", matrix, "--tol", "eig_off_tol=1e-300"]) == 3
 
+    @pytest.mark.parametrize("argv, certificate", [
+        (["--params", "n=5", "--tol", "residual_tol=1e-30"], "minor sum pm^2"),
+        (["--params", "n=4", "--tol", "eig_off_tol=1e-300"], "eigenbasis certificate failed"),
+    ])
+    def test_identities_judges_at_the_tolerances_it_prints(self, capsys, argv, certificate):
+        # the minor-sum anchors and the n = 4 audit's eigen-solve read --tol
+        assert main(["identities", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and certificate in captured.err
+
+    def test_identities_prints_the_tolerance_it_passes_at(self, tmp_path):
+        out = str(tmp_path / "r.json")
+        argv = ["identities", "--params", "n=5", "--tol", "residual_tol=1e-6", "--output", out]
+        assert main(argv) == 0
+        assert json.loads(open(out).read())["tolerances"]["residual_tol"] == 1e-6
+
     def test_basis_flag_limited_to_analyze(self, tmp_path):
         matrix = write(tmp_path, "m.txt", "0 -1\n1 0\n")
         assert main(["planar", "--input", matrix, "--basis", "expansion"]) == 2
+
+    @pytest.mark.parametrize("command, option", [
+        ("analyze", "--field"), ("analyze", "--params"), ("analyze", "--point"),
+        ("planar", "--field"), ("planar", "--params"), ("planar", "--point"),
+        ("identities", "--field"), ("identities", "--point"),
+        ("frenet", "--input"), ("frenet", "--tol"),
+    ])
+    def test_every_command_refuses_an_option_it_does_not_read(self, tmp_path, capsys,
+                                                              command, option):
+        value = {"--field": "helix", "--params": "c=0.5", "--point": "1,0,0",
+                 "--input": write(tmp_path, "m.txt", "1 2\n3 4\n"), "--tol": "rank_tol=5"}
+        argv = {"analyze": ["--input", value["--input"]], "planar": ["--input", value["--input"]],
+                "identities": [], "frenet": ["--field", "helix", "--point", "1,0,0"]}[command]
+        assert main([command, *argv]) == 0
+        capsys.readouterr()
+        assert main([command, *argv, option, value[option]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {option} applies to the ")
+
+    def test_an_unread_option_names_the_commands_that_read_it(self, capsys):
+        assert main(["frenet", "--field", "helix", "--point", "1,0,0", "--tol", "rank_tol=5"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: --tol applies to the analyze, planar and identities commands only\n")
+        assert main(["identities", "--basis", "expansion"]) == 2
+        assert capsys.readouterr().err == "input error: --basis applies to the analyze command only\n"
 
     def test_skew_basis_on_symmetric_matrix_is_input_error(self, tmp_path):
         matrix = write(tmp_path, "m.txt", "1 0\n0 2\n")

@@ -1,7 +1,9 @@
 """The matrix record (linalg._Matrix): every analysis that takes it returns
-what it returns for the plain array, and one record keeps a separate
-zero-part decision and symmetric eigenproblem per tolerance, which may be
-one adopted from elsewhere once it passes sym_eigen's certificate."""
+what it returns for the plain array.  A record judges under one tolerance,
+its own: its zero-part decisions and symmetric eigenproblem are made at it,
+and the eigenproblem may be one adopted from elsewhere once it passes the
+record's certificate.  An analysis handed a record under another tolerance
+answers as it does for the plain array."""
 
 import ast
 import dataclasses
@@ -23,6 +25,7 @@ from rotform import (
     eigenstructure,
     expansion_eigenbasis,
     normality_report,
+    principal_minor_sums,
     random_orthogonal,
     real_spectrum,
     skew_canonical_basis,
@@ -88,24 +91,46 @@ def test_a_record_passes_through_and_an_array_is_checked():
         _matrix([[np.inf]])
 
 
-@pytest.mark.parametrize("first", [DEFAULT_TOL, LOOSE])
-def test_one_record_keeps_a_zero_part_decision_per_tolerance(first):
-    """A skew part 1e-8 of the symmetric one is zero at rank_tol 1e-6 only."""
-    rng = np.random.default_rng(20)
-    G = rng.uniform(-1, 1, (4, 4))
-    A = G + G.T + 1e-8 * (G - G.T)
-    M = _matrix(A)
-    for tol in (first, LOOSE if first is DEFAULT_TOL else DEFAULT_TOL):
-        assert M.is_zero("skew", tol) == (tol is LOOSE)
-        assert not M.is_zero("sym", tol)
-        assert _same(bromwich_bounds(M, tol), bromwich_bounds(A, tol))
-        assert _same(normality_report(M, tol), normality_report(A, tol))
-        assert _same(_outcome(skew_canonical_basis, M, tol), _outcome(skew_canonical_basis, A, tol))
-    assert bromwich_bounds(M, LOOSE)[2:] == (0.0, 0.0) != bromwich_bounds(M, DEFAULT_TOL)[2:]
-    assert set(M._zero) == {(part, tol) for part in ("sym", "skew") for tol in (DEFAULT_TOL, LOOSE)}
+def _skew_nearly_zero():
+    """A skew part 1e-8 of the symmetric one: zero at rank_tol 1e-6 only."""
+    G = np.random.default_rng(20).uniform(-1, 1, (4, 4))
+    return G + G.T + 1e-8 * (G - G.T)
 
 
-def test_an_adopted_eigenbasis_is_kept_only_when_it_passes_the_certificate():
+@pytest.mark.parametrize("own", [DEFAULT_TOL, LOOSE])
+def test_a_record_answers_under_its_own_tolerance(own):
+    A = _skew_nearly_zero()
+    M = _matrix(A, own)
+    assert M.tol is own and _matrix(M) is M and _matrix(M, own) is M
+    assert _matrix(M, dataclasses.replace(own)) is M  # an equal tolerance keeps the record
+    assert M.skew_zero == (own is LOOSE) and not M.sym_zero
+    for func in (bromwich_bounds, normality_report, skew_canonical_basis):
+        assert _same(_outcome(func, M, own), _outcome(func, A, own)), func.__name__
+    assert (bromwich_bounds(M, own)[2:] == (0.0, 0.0)) == (own is LOOSE)
+
+
+@pytest.mark.parametrize("own", [DEFAULT_TOL, LOOSE])
+def test_an_analysis_of_a_record_under_another_tolerance_answers_as_for_the_array(own):
+    A = _skew_nearly_zero()
+    other = LOOSE if own is DEFAULT_TOL else DEFAULT_TOL
+    M = _matrix(A, own)
+    decided = M.skew_zero, M.eigen  # made at the record's own tolerance first
+    for func in ANALYSES:
+        assert _same(_outcome(func, M, other), _outcome(func, A, other)), func.__name__
+    assert (M.skew_zero, M.eigen) == decided
+    N = _matrix(M, other)
+    assert N is not M and N.A is M.A and N.tol is other and N.skew_zero == (other is LOOSE)
+
+
+def test_the_minor_sum_anchors_are_judged_at_the_records_residual_tol():
+    A = np.random.default_rng(0).uniform(-1, 1, (5, 5))  # identities --params n=5
+    strict = ToleranceConfig(residual_tol=1e-30)
+    assert principal_minor_sums(_matrix(A)) == principal_minor_sums(A)
+    with pytest.raises(NumericalError, match=r"pm\^2"):
+        principal_minor_sums(_matrix(A, strict))
+
+
+def test_an_adopted_eigenbasis_is_kept_only_when_it_passes_the_records_certificate():
     """The matrix B in A's expansion basis adopts the known solve, as analyze
     does: eigenvalues D ascending on the unit vectors, which diagonalise
     B's symmetric part up to rounding.  A basis that does not is refused,
@@ -115,16 +140,16 @@ def test_an_adopted_eigenbasis_is_kept_only_when_it_passes_the_certificate():
     B = split.basis.T @ A @ split.basis
     known = (split.D[::-1], np.eye(5)[:, ::-1])
     M = _matrix(B)
-    M.adopt_eigen(*known, DEFAULT_TOL)
-    w, P = M.sym_eigen(DEFAULT_TOL)
+    M.adopt_eigen(*known)
+    w, P = M.eigen
     assert w is known[0] and P is known[1]
     np.testing.assert_allclose(w, sym_eigen(M.sym)[0], rtol=0.0, atol=1e-14)
     unreachable = ToleranceConfig(eig_off_tol=1e-300)
     for P, tol in ((random_orthogonal(5, seed=3), DEFAULT_TOL), (known[1], unreachable)):
-        M = _matrix(B)
-        M.adopt_eigen(known[0], P, tol)
-        assert tol not in M._eigen
-        assert _same(_outcome(M.sym_eigen, tol), _outcome(sym_eigen, M.sym, tol))
+        M = _matrix(B, tol)
+        M.adopt_eigen(known[0], P)
+        assert "eigen" not in vars(M)
+        assert _same(_outcome(lambda: M.eigen), _outcome(sym_eigen, M.sym, tol))
 
 
 def test_only_linalg_scales_by_binary_scale():

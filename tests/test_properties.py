@@ -624,7 +624,7 @@ def test_norm_identity_gap_is_the_same_for_every_power_of_two_multiple(seed, n):
     gaps = set()
     for j in (-500, 0, 500):
         M = _matrix(np.ldexp(A, j))
-        section = _forms_section(M, DEFAULT_TOL, seed, bromwich_bounds(M))
+        section = _forms_section(M, seed, bromwich_bounds(M))
         gaps.add(repr(section["decomposition_probe"]["norm_identity_gap"]))
     assert len(gaps) == 1
 

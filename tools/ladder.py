@@ -22,8 +22,9 @@ and the rounds it was faster (wins).  The oracles run once per label:
   NumericalError (CLI exit 3) and, for n <= ORACLE_MAX_N, the Hausdorff
   distance over max|A| from the listed eigenvalues (pairs with both
   conjugates) to mpmath.eig's at 50 digits.
-- skew_canonical_basis of a uniform(-1, 1) matrix with seed n.  Adds the
-  kernel dimension, how many of REQUESTS more (seeds 1000 n + k) ended in
+- skew_canonical_basis of a uniform(-1, 1) matrix with seed n, for n in
+  SKEW_SIZES: the spectrum sizes and odd n, where the skew part has a
+  one-dimensional kernel.  Adds the kernel dimension, how many of REQUESTS more (seeds 1000 n + k) ended in
   NumericalError and, for n <= ORACLE_MAX_N, the largest distance over max|K|
   from the rates to the positive imaginary parts, descending, of mpmath.eig
   of the skew part K at 50 digits.
@@ -59,6 +60,7 @@ import numpy as np
 PAIRS = 41
 COLLINGS_SIZES = (4, 8, 12, 15, 16, 20)
 SPECTRUM_SIZES = (2, 4, 8, 16, 32, 48, 64)
+SKEW_SIZES = (2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 48, 64)
 REQUESTS = 20
 ORACLE_MAX_N = 32
 C = 0.5
@@ -222,7 +224,7 @@ def spectrum_document(results):
 def skew_rows(packages):
     """One row per n and label; `lambdas` carries the rates to the oracle."""
     rows = {label: [] for label in packages}
-    for n in SPECTRUM_SIZES:
+    for n in SKEW_SIZES:
         A = _uniform(n, n)
         results, timing = _paired(packages, lambda rf: rf.skew_canonical_basis(A))
         for label, rf in packages.items():

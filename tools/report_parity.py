@@ -25,7 +25,11 @@ them.  The corpus:
   a node, where the stencil along T crosses a cell face, near the upper
   corner and where the stencil leaves the grid;
 - malformed requests, among them identities on n = 100000000 and on a
-  129 x 129 file, past the CLI's dimension limit;
+  129 x 129 file, past the CLI's dimension limit, and frenet --tol and
+  analyze --point, options those commands do not read;
+- identities under --tol residual_tol=1e-30 (n = 5) and eig_off_tol=1e-300
+  (n = 4), which its minor-sum anchors and its n = 4 audit cannot meet, and
+  under rank_tol=1e-6;
 - analyze on near-multiple eigenvalues, where cluster decisions show:
   diag(1, 1 + 1e-8, 3), diag(1, 1, 1, 1.000012, 5), and Q D Q^T with
   D = diag(1, 1, 1 + g, 2.5, 4) for g = 1e-6 and 1e-9;
@@ -172,7 +176,13 @@ def corpus(workdir):
                                   "--point", "1,0,0"]),
         ("frenet singular", ["frenet", "--field", "circular", "--point", "0,0,0"]),
         ("frenet outside grid", ["frenet", "--field", "file:grid.json", "--point", "5,0,0"]),
+        ("unread option frenet --tol", ["frenet", "--field", "helix", "--point", "1,0,0",
+                                        "--tol", "rank_tol=5"]),
+        ("unread option analyze --point", ["analyze", "--input", three, "--point", "1,0,0"]),
     ]
+    for n, tol in ((5, "residual_tol=1e-30"), (4, "eig_off_tol=1e-300"), (4, "rank_tol=1e-6")):
+        requests.append((f"identities n={n} {tol}",
+                         ["identities", "--params", f"n={n}", "--tol", tol]))
     near = {"diag gap 1e-8": np.diag([1.0, 1.0 + 1e-8, 3.0]),
             "diag triple gap 1.2e-5": np.diag([1.0, 1.0, 1.0, 1.000012, 5.0])}
     Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))
