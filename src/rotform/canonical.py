@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .linalg import DEFAULT_TOL, ascending_runs, matrix_powers, maxabs
-from .linalg import _matrix, _sign_fix, sym_eigen
+from .linalg import _matrix, _shared, _sign_fix, sym_eigen
 from .quasirot import _pair_entries, _pair_index
 
 
@@ -54,25 +54,11 @@ def expansion_eigenbasis(A, tol=DEFAULT_TOL):
     In the returned basis S[q, p] equals half the trace of the (p, q) rotation
     form for p < q.
     """
-    M = _matrix(A, tol)
-    A = M.A
+    M = _shared(A, tol)
     if M.sym_zero:
         raise InputError("expansion form is zero (pure skew matrix); use skew_canonical_basis")
-    w, P = M.eigen
-    P = _sign_fix(P, tol)
-    order = np.lexsort((*(-P)[::-1], -w))  # by -w, then by -P[0, i], -P[1, i], ...
-    w = w[order]
-    P = P[:, order]
-    B = P.T @ A @ P
-    S = 0.5 * (B - B.T)
-    sym_off = B - np.diag(np.diag(B)) - S
-    gap = maxabs(sym_off)
-    if gap > tol.residual_tol * M.scale:
-        raise NumericalError(
-            f"eigenbasis failed to diagonalise the symmetric part: residual {gap:.3e}",
-            residual=gap,
-        )
-    return DSSplit(basis=P, D=w.copy(), S=S)
+    P, D, S = M.split
+    return DSSplit(basis=P.copy(), D=D.copy(), S=S.copy())
 
 
 def skew_canonical_basis(A, tol=DEFAULT_TOL):
@@ -86,7 +72,7 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     the kernel is the trailing columns of one complete QR of the planes, which keeps the
     basis orthogonal where z and its conjugate nearly coincide; one certificate covers all.
     """
-    M = _matrix(A, tol)
+    M = _shared(A, tol)
     n, K = M.n, M.skew
     if M.skew_zero:
         raise InputError("skew part is zero (symmetric matrix); use expansion_eigenbasis")
@@ -115,7 +101,7 @@ def normality_report(A, tol=DEFAULT_TOL):
 
     Purely symmetric or purely skew matrices short-circuit to normal.
     """
-    M = _matrix(A, tol)
+    M = _shared(A, tol)
     p = M.p  # the degree-2 commutator is judged on A / p
     scale = M.scale / p
     threshold = tol.residual_tol * (scale * scale)
@@ -123,19 +109,19 @@ def normality_report(A, tol=DEFAULT_TOL):
         eigs = () if M.sym_zero else tuple(float(x) for x in M.eigen[0][::-1])
         return NormalityReport(is_normal=True, violating_pairs=(), commutator_norm=0.0,
                                expansion_eigenvalues=eigs)
-    split = expansion_eigenbasis(M, tol)
-    D, S = split.D / p, split.S / p
+    _, w, T = M.split
+    D, S = w / p, T / p
     comm = D[:, None] * S - S * D[None, :]
     comm_norm = maxabs(comm)
     K, L = _pair_index(M.n)
     hit = np.abs(comm[K, L]) > threshold
     violations = zip((K[hit] + 1).tolist(), (L[hit] + 1).tolist(),
-                     _pair_entries(split.S)[hit].tolist(), (split.D[K] - split.D[L])[hit].tolist())
+                     _pair_entries(T)[hit].tolist(), (w[K] - w[L])[hit].tolist())
     return NormalityReport(
         is_normal=comm_norm <= threshold,
         violating_pairs=tuple(violations),
         commutator_norm=comm_norm / (scale * scale),
-        expansion_eigenvalues=tuple(float(x) for x in split.D),
+        expansion_eigenvalues=tuple(float(x) for x in w),
     )
 
 

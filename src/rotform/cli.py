@@ -304,16 +304,17 @@ def _invariants_section(M, seed):
 
 def _apply_basis(A, mode, tol):
     """The record of A in the basis of mode, under tol, and that basis (None when given)."""
+    M = _matrix(A, tol)  # a request's own record: the library's kept one is never read
     if mode == "given":
-        return _matrix(A, tol), None
+        return M, None
     if mode == "expansion":
-        split = canonical.expansion_eigenbasis(A, tol)
+        split = canonical.expansion_eigenbasis(M, tol)
         M = _matrix(split.basis.T @ A @ split.basis, tol)
         # A's solve in this basis: the unit vectors, with the eigenvalues D descending
         M.adopt_eigen(split.D[::-1], np.eye(M.n)[:, ::-1])
         return M, split.basis
     if mode == "skew-canonical":
-        block = canonical.skew_canonical_basis(A, tol)
+        block = canonical.skew_canonical_basis(M, tol)
         return _matrix(block.basis.T @ A @ block.basis, tol), block.basis
     raise InputError(f"unknown basis mode {mode!r}")
 
@@ -599,3 +600,7 @@ def main(argv=None):
 
 def console_main():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -36,12 +36,13 @@ from math import comb, isfinite, prod
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .canonical import expansion_eigenbasis, normal_power_basis
+from .canonical import normal_power_basis
 from .linalg import (
     DEFAULT_TOL,
     _Matrix,
     _matrix,
     _pm2,
+    _shared,
     as_square,
     as_unit,
     matrix_powers,
@@ -283,8 +284,8 @@ def n4_det_identity_residual(A):
     if s.sym_zero:
         D, S = np.zeros((4, 4)), s.skew
     else:
-        split = expansion_eigenbasis(s, s.tol)
-        D, S = np.diag(split.D), split.S
+        _, D, S = s.split
+        D = np.diag(D)
     det_a = s.pm[4]
     rhs = (
         float(np.prod(np.diag(D)))
@@ -385,7 +386,7 @@ def power_form_step(A, m, u):
 
 def invariant_report(A, seed=0, power_steps=3):
     """All identity residuals for one matrix (an array or a record), with seeded probes."""
-    s = _Parts(A, power_steps + 1)
+    s = _Parts(_shared(A), power_steps + 1)
     n = s.n
     pms = tuple(prod([s.unit] * k, start=s.pm[k]) for k in range(1, n + 1))
     for k, value in enumerate(pms, start=1):

@@ -198,8 +198,9 @@ class _Matrix:
     """A, checked once by as_square, its one ToleranceConfig tol, and what its
     analyses share, each formed on first use and kept: max|A| (scale), p =
     binary_scale(A), X = A / p (the one place a record forms it), the parts sym
-    and skew, whether each is zero at tol and sym_eigen(sym, tol).  The analyses,
-    decompose, principal_minor_sums and the identities take it in place of A."""
+    and skew, whether each is zero at tol, sym_eigen(sym, tol) and the expansion
+    split.  The analyses, decompose, principal_minor_sums and the identities take
+    it in place of A."""
 
     def __init__(self, A, tol):
         self.A, self.n, self.tol = A, A.shape[0], tol
@@ -212,6 +213,21 @@ class _Matrix:
     sym_zero = cached_property(lambda self: maxabs(self.sym) <= self.tol.rank_tol * self.scale)
     skew_zero = cached_property(lambda self: maxabs(self.skew) <= self.tol.rank_tol * self.scale)
     eigen = cached_property(lambda self: sym_eigen(self.sym, self.tol))
+
+    @cached_property
+    def split(self):
+        """(P, D, S) with A = P (diag(D) + S) P^T, S skew, as expansion_eigenbasis orders them."""
+        w, P = self.eigen
+        P = _sign_fix(P, self.tol)
+        order = np.lexsort((*(-P)[::-1], -w))  # by -w, then by -P[0, i], -P[1, i], ...
+        P = P[:, order]
+        B = P.T @ self.A @ P
+        S = 0.5 * (B - B.T)
+        gap = maxabs(B - np.diag(np.diag(B)) - S)
+        if gap > self.tol.residual_tol * self.scale:
+            raise NumericalError(f"eigenbasis failed to diagonalise the symmetric part: "
+                                 f"residual {gap:.3e}", residual=gap)
+        return P, w[order], S
 
     def adopt_eigen(self, w, P):
         """Keep (w, P), ascending eigenvalues and eigenbasis of sym known from elsewhere,
@@ -227,6 +243,23 @@ def _matrix(A, tol=None):
     if not isinstance(A, _Matrix):
         return _Matrix(as_square(A), DEFAULT_TOL if tol is None else tol)
     return A if tol is None or tol is A.tol or tol == A.tol else _Matrix(A.A, tol)
+
+
+_last = None  # the record _shared built last
+
+
+def _shared(A, tol=None):
+    """_matrix(A, tol), but an array's record is kept until the next array's: a call on
+    the same shape, tol and float64 bits gets it back with all it has formed.  It holds a
+    read-only copy of A, so no caller can change it; the CLI builds its records by _matrix."""
+    global _last
+    if isinstance(A, _Matrix):
+        return _matrix(A, tol)
+    tol, A, last = DEFAULT_TOL if tol is None else tol, np.asarray(A, dtype=float), _last
+    if last is None or (last.tol, last.A.shape, last.A.tobytes()) != (tol, A.shape, A.tobytes()):
+        last = _last = _Matrix(as_square(A).copy(order="C"), tol)
+        last.A.flags.writeable = False
+    return last
 
 
 def matrix_powers(A, top):
@@ -399,7 +432,7 @@ def real_spectrum(A, tol=DEFAULT_TOL):
     within n rank_tol s go by imaginary part.  A zero matrix has the
     eigenvalue 0 with multiplicity n.  Measured right on random n up to 64.
     """
-    M = _matrix(A)
+    M = _shared(A, tol)
     A, n, s = M.A, M.n, M.scale
     if s == 0.0:
         return Spectrum(n, ((0.0, n),), (), (None,))

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_TOL, as_skew, as_square, as_unit, as_vector, check_orthogonal
+from .linalg import DEFAULT_TOL, as_skew, as_unit, as_vector, check_orthogonal
 
 
 def plane_pairs(n):
@@ -132,26 +132,6 @@ def almost_orthogonal_expand(u, v, unit_tol=DEFAULT_TOL.residual_tol / 10):
 def _wedge_values(u, w):
     """The wedge of u and w keyed by plane pair."""
     return dict(zip(plane_pairs(len(u)), _wedge(u, w).tolist()))
-
-
-def rotation_values(A, u):
-    """All rotation-form values A(u).R_kl(u) at once, keyed by plane pair."""
-    A = as_square(A)
-    u = as_vector(u)
-    if len(u) != A.shape[0]:
-        raise InputError("dimension mismatch between matrix and vector")
-    return _wedge_values(u, A @ u)
-
-
-def reassemble(c0, coeffs, v):
-    """c0*v + sum over pairs coeffs[(k,l)] * R_kl(v), for any mapping coeffs:
-    a plane pair it lacks counts as 0, a key that is no plane pair is refused."""
-    v = as_vector(v)
-    values = dict(coeffs.items())
-    c = np.array([values.pop(pair, 0.0) for pair in plane_pairs(len(v))])
-    if values:
-        raise InputError(f"not plane pairs of dimension {len(v)}: {list(values)}")
-    return c0 * v + _rotation_sum(c, len(v)) @ v
 
 
 def skew_rotation_coeffs(S):

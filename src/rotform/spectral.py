@@ -18,6 +18,7 @@ from .linalg import (
     DEFAULT_TOL,
     _Matrix,
     _matrix,
+    _shared,
     _sign_fix,
     ascending_runs,
     as_direction,
@@ -89,7 +90,7 @@ def bromwich_bounds(A, tol=DEFAULT_TOL):
     The top rotation rate of the skew part K is its spectral norm ||K||_2
     (LAPACK SVD, which rescales internally, so any scale is safe).
     """
-    M = _matrix(A, tol)
+    M = _shared(A, tol)
     w, _ = M.eigen
     nu, N = float(w[0]), float(w[-1])
     if M.skew_zero:
@@ -109,7 +110,7 @@ def eigenstructure(A, tol=DEFAULT_TOL):
     multiplicity above the algebraic one raises NumericalError.  Complex
     pairs and the containment bounds ride along.
     """
-    M = _matrix(A, tol)
+    M = _shared(A, tol)
     A, n, scale = M.A, M.n, M.scale
     spectrum = real_spectrum(M, tol)
     cz_tol = tol.residual_tol * scale

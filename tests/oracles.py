@@ -43,7 +43,9 @@ is _cluster_points at a given radius by its minimax loop alone, without
 the shortcut for points of which no two are within the radius;
 sign_fix_loop is the former per-column loop of linalg._sign_fix.
 Every oracle here takes its rotation values and traces from these loops,
-so none shares the library's pair index.
+so none shares the library's pair index, except rotation_values and
+reassemble: the library's former quasirot functions of those names, which
+nothing in it called, kept for the tests of the paper's claims.
 """
 
 from fractions import Fraction
@@ -85,11 +87,12 @@ from rotform.linalg import (
     _cluster_points,
     as_square,
     as_unit as _unit,
+    as_vector,
     binary_scale,
     matrix_powers,
     maxabs,
 )
-from rotform.quasirot import RotationCoeffs, check_plane_pair
+from rotform.quasirot import RotationCoeffs, _rotation_sum, _wedge_values, check_plane_pair
 
 _JACOBI_MAX_SWEEPS = 100
 _ROOT_MAX_ITER = 600
@@ -817,6 +820,26 @@ def _wedge_values_loop(u, w):
 def rotation_values_loop(A, u):
     """All rotation-form values A(u).R_kl(u) at once, keyed by plane pair."""
     return _wedge_values_loop(u, A @ u)
+
+
+def rotation_values(A, u):
+    """All rotation-form values A(u).R_kl(u) at once, keyed by plane pair."""
+    A = as_square(A)
+    u = as_vector(u)
+    if len(u) != A.shape[0]:
+        raise InputError("dimension mismatch between matrix and vector")
+    return _wedge_values(u, A @ u)
+
+
+def reassemble(c0, coeffs, v):
+    """c0*v + sum over pairs coeffs[(k,l)] * R_kl(v), for any mapping coeffs:
+    a plane pair it lacks counts as 0, a key that is no plane pair is refused."""
+    v = as_vector(v)
+    values = dict(coeffs.items())
+    c = np.array([values.pop(pair, 0.0) for pair in plane_pairs(len(v))])
+    if values:
+        raise InputError(f"not plane pairs of dimension {len(v)}: {list(values)}")
+    return c0 * v + _rotation_sum(c, len(v)) @ v
 
 
 def diagonal_rotation_recursion(A, m, pq):

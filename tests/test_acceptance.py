@@ -14,12 +14,12 @@ import pytest
 
 import rotform as rf
 from rotform.invariants import pm2_sym_skew_residual
-from rotform.quasirot import reassemble
 
 from oracles import (
     jordan_shear,
     planar_eigs_direct,
     random_normal_matrix,
+    reassemble,
     rotation_scaling_block,
     row_reduce_rank,
     similarity_with_jordan,

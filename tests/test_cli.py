@@ -773,6 +773,19 @@ class TestProcessLevel:
         count += 2 * sum(p["multiplicity"] for p in spectral["complex_pairs"])
         assert count == 32
 
+    @pytest.mark.parametrize("module", ["rotform", "rotform.cli"])
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(["identities", "--seed", "3", "--params", "n=3"], 0, id="identities"),
+        pytest.param(["analyze"], 2, id="malformed"),
+    ])
+    def test_python_m_runs_a_request_as_main_does(self, tmp_path, capsys, module, argv, code):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rotform.__file__)))
+        proc = subprocess.run([sys.executable, "-m", module, *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+        assert main(argv) == code
+        assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+        assert proc.stdout if code == 0 else "analyze needs --input" in proc.stderr
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_overflow_to_nan_is_numerical_error(self, tmp_path, n):

@@ -29,7 +29,7 @@ from rotform import evaluate, plane_pairs, qforms
 from rotform.invariants import _Parts, _pm2, pm2_sym_skew_residual
 from rotform.linalg import binary_scale
 from rotform.qforms import rotation_form_matrix, rotation_traces
-from rotform.quasirot import rotation_values
+from oracles import rotation_values
 
 from oracles import (
     ch_form_residuals_by_definition,

@@ -29,6 +29,7 @@ KEYS = {
     "frenet_report": _TIMING | {"field", "m", "spacing", "field_queries", "kappa", "tau",
                                 "kappa_error", "tau_error"},
     "analyze": _TIMING | {"n", "seed", "basis", "exit", "sym_eigen_calls"},
+    "session": _TIMING | {"n", "sym_eigen_calls", "digest"},
 }
 _RATIOS = {"ratio_median", "ratio_q1", "ratio_q3", "wins"}
 _SRC = os.path.join(_REPO, "src")
@@ -96,6 +97,17 @@ def test_analyze_rows_count_the_sym_eigen_calls(small, monkeypatch):
     assert [(row["n"], row["basis"]) for row in rows] == [(2, basis) for basis in ladder.BASES]
     # the matrix in the expansion basis takes the solve of A's expansion form, certified
     assert [(row["exit"], row["sym_eigen_calls"]) for row in rows] == [(0, 1), (0, 1), (0, 1)]
+
+
+def test_session_solves_the_expansion_form_once_and_digests_cold_results(small):
+    (row,) = _layer("session")
+    assert (row["n"], row["sym_eigen_calls"]) == (2, 1)
+    A = ladder._uniform([2, 0], 2)  # the warm-up's matrix
+    cold = []
+    for name in ladder.SESSION:
+        rotform.linalg._last = None
+        cold.append(getattr(rotform, name)(A))
+    assert row["digest"] == ladder.digest(cold)
 
 
 def test_every_src_tree_loads_as_a_package_of_its_own():

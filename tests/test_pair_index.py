@@ -28,17 +28,17 @@ from rotform.quasirot import (
     RotationCoeffs,
     _pair_index,
     coeffs_to_matrix,
-    reassemble,
-    rotation_values,
 )
 
 from oracles import (
     coeffs_to_matrix_loop,
     model_rotation_forms_by_hand,
+    reassemble,
     reassemble_loop,
     rotation_change_of_basis_loop,
     rotation_form_change_of_basis_loop,
     rotation_traces_loop,
+    rotation_values,
     rotation_values_loop,
     skew_rotation_coeffs_loop,
 )

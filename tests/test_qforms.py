@@ -23,7 +23,7 @@ from rotform import (
     rotation_trace_sum,
     zero_subspace_extend,
 )
-from rotform.quasirot import rotation_values
+from oracles import rotation_values
 
 
 def three_dim_form_matrices(A):

@@ -18,8 +18,9 @@ from rotform.quasirot import (
     RotationCoeffs,
     check_plane_pair,
     coeffs_to_matrix,
-    reassemble,
 )
+
+from oracles import reassemble
 
 
 class TestQuasiRotationMatrix:

@@ -38,10 +38,17 @@ and the rounds it was faster (wins).  The oracles run once per label:
   uniform(-1, 1) matrix with seed n, in each of the three bases.  Adds the
   exit code and the sym_eigen calls of one request, counted in every rotform
   module that holds the function.
+- session: the four analyses of perfbench's spectral_dense (SESSION) in its
+  order on one uniform(-1, 1) matrix, for n in SPECTRUM_SIZES.  Call k of a
+  label takes the matrix with seed [n, k], so each session starts on a matrix
+  the label has not seen and times no result kept from the one before.  Adds
+  the sym_eigen calls of one more session and the digest of the warm-up's
+  four results, their dataclass fields with arrays by their bytes.
 """
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -69,6 +76,7 @@ HALF_WIDTH = 0.16
 GRID_SIZES = (5, 9, 17, 33)
 ANALYZE_SIZES = (2, 4, 8, 16, 32, 48, 64)
 BASES = ("given", "expansion", "skew-canonical")
+SESSION = ("eigenstructure", "normality_report", "expansion_eigenbasis", "skew_canonical_basis")
 _ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _LOADS = itertools.count()
@@ -368,6 +376,53 @@ def analyze_document(results):
     }
 
 
+# --- session: the analyses of one matrix, in turn ----------------------------
+def _text(obj):
+    """Deterministic text of a result: dataclass fields in order, arrays by their bytes."""
+    if isinstance(obj, np.ndarray):
+        return f"array{obj.shape}:{obj.tobytes().hex()}"
+    if hasattr(obj, "__dataclass_fields__"):
+        return type(obj).__name__ + "(" + ",".join(
+            f"{k}={_text(getattr(obj, k))}" for k in obj.__dataclass_fields__) + ")"
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{_text(k)}:{_text(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_text, obj)) + "]"
+    return repr(obj)
+
+
+def digest(obj):
+    return hashlib.sha256(_text(obj).encode()).hexdigest()
+
+
+def _session(rotform, A):
+    return [getattr(rotform, name)(A) for name in SESSION]
+
+
+def session_rows(packages):
+    rows = {label: [] for label in packages}
+    for n in SPECTRUM_SIZES:
+        matrices = [_uniform([n, k], n) for k in range(PAIRS + 2)]
+        feeds = {rf: iter(matrices) for rf in packages.values()}  # one sequence per label
+        results, timing = _paired(packages, lambda rf: _session(rf, next(feeds[rf])))
+        for label, rf in packages.items():
+            calls = _sym_eigen_calls(rf, _session, rf, next(feeds[rf]))
+            rows[label].append({"n": n, **timing[label], "sym_eigen_calls": calls,
+                                "digest": digest(results[label])})
+    return rows
+
+
+def session_document(results):
+    return {
+        "functions": [f"rotform.{name}" for name in SESSION],
+        "input": f"call k of a label on A uniform(-1, 1) from numpy default_rng([n, k]): "
+                 f"k = 0 the warm-up, 1..{PAIRS} timed, {PAIRS + 1} counted",
+        "counts": "sym_eigen_calls: calls of linalg.sym_eigen in one session, an exact count",
+        "digest": "sha256 of the warm-up session's results, arrays by their bytes",
+        "results": results,
+    }
+
+
 # --- harness -----------------------------------------------------------------
 # layer: (rows({label: rotform}) -> {label: rows}, document({label: rows}))
 LAYERS = {
@@ -376,6 +431,7 @@ LAYERS = {
     "skew_canonical_basis": (skew_rows, skew_document),
     "frenet_report": (frenet_rows, frenet_document),
     "analyze": (analyze_rows, analyze_document),
+    "session": (session_rows, session_document),
 }
 
 
