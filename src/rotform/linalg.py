@@ -5,8 +5,8 @@ certified symmetric eigensolver (eigh of Q / binary_scale(Q) plus a one-shot
 residual check), principal-minor sums from the spectrum checked against pm^2
 and det, full spectra from one LAPACK eig of A / max|A|, simple eigenvalues
 certified by their eigenvector's residual and single-linkage clusters by SVDs
-or cut, SVD nullspaces, and seeded unit and orthogonal sampling.  For n up to a
-few dozen, robustness and reproducibility come before asymptotics.
+or cut, eigenspaces and nullspaces by one SVD rank rule, and seeded sampling.
+For n up to a few dozen, robustness and reproducibility come before asymptotics.
 """
 
 from dataclasses import dataclass, field
@@ -35,9 +35,9 @@ class ToleranceConfig:
     eigenbasis that a matrix record adopts (_Matrix.adopt_eigen) and of
     skew_canonical_basis; below about 1e-14 they end in NumericalError.
     rank_tol (1e-12), a quantity is zero:
-      - n rank_tol max|X|: nullspace singular values and eigenstructure's
-        eigenspaces (X = A), skew_canonical_basis's rates and kernel (X = K / max|K|),
-        real_spectrum's residual or sigma_min (X = A/s) and tie between real parts of pairs (X = A);
+      - n rank_tol max|X|: nullspace singular values (X = A), skew_canonical_basis's
+        rates and kernel (X = K / max|K|), real_spectrum's residual or sigma_min and the
+        eigenspaces from that SVD (X = A/s), and its tie between real parts of pairs (X = A);
       - rank_tol max|X|^d: a zero symmetric or skew part of A, a zero
         planar rotation-form eigenvalue (d = 1) and the planar borderline
         product (d = 2), a QForm's asymmetry, collings_det's off-diagonal D;
@@ -79,7 +79,7 @@ class Spectrum:
     n: int
     real_eigs: tuple      # ((value, multiplicity), ...) ascending in value
     complex_pairs: tuple  # ((a + b j with b > 0, multiplicity), ...)
-    # per real eigenvalue, its unit eigenvector if its residual certified it
+    # per real eigenvalue, an orthonormal basis of its eigenspace (see real_spectrum)
     real_vectors: tuple = field(default=(), compare=False, repr=False)
 
     def total_multiplicity(self):
@@ -325,28 +325,34 @@ _SPREAD_FACTOR = 10.0
 def _cluster_points(points, tol=None):
     """Single-linkage groups of complex points, in order of first member.
 
-    After the loop M[i, j] is the longest step on the best chain from point i
-    to point j.  Points share a group when it is at most tol; without tol,
-    when it is below the longest of all, which cuts each longest link
-    together with its conjugate mirror.
+    With tol, points share a group when a chain of steps of at most tol joins
+    them: the reach of one step, squared until it stops growing.  Without tol,
+    the loop makes M[i, j] the longest step on the best chain from point i to
+    point j, and points share a group when it is below the longest of all,
+    which cuts each longest link together with its conjugate mirror.
     """
     z = np.asarray(points)
     M = np.abs(z[:, None] - z[None, :])
-    if tol is not None and np.count_nonzero(M <= tol) == len(z):
-        return [[p] for p in points]  # only the diagonal: no chain joins two points
-    for k in range(len(z)):
-        np.minimum(M, np.maximum.outer(M[:, k], M[k]), out=M)
-    labels = (M <= tol if tol is not None else M < M.max()).argmax(axis=1)
+    if tol is None:
+        for k in range(len(z)):
+            np.minimum(M, np.maximum.outer(M[:, k], M[k]), out=M)
+        joined = M < M.max()
+    else:
+        joined = M <= tol
+        if np.count_nonzero(joined) == len(z):
+            return [[p] for p in points]  # only the diagonal: no chain joins two points
+        while not np.array_equal(wider := joined @ joined.astype(float) > 0, joined):
+            joined = wider
     groups = {}
-    for p, label in zip(points, labels.tolist()):
+    for p, label in zip(points, joined.argmax(axis=1).tolist()):
         groups.setdefault(label, []).append(p)
     return list(groups.values())
 
 
 def _resolve_clusters(Ah, points, groups, sigma_tol, certified):
-    """(centroid, multiplicity) of each certified cluster that the groups of
-    the eigenvalues points of Ah split into, one entry per real eigenvalue
-    and per conjugate pair; the multiplicities add up to len(points).
+    """(centroid, multiplicity, basis) of each certified cluster that the
+    groups of the eigenvalues points of Ah split into, one entry per real
+    eigenvalue and per conjugate pair; the multiplicities add up to len(points).
 
     Grouping is symmetric under conjugation, so a cluster with points on
     both sides of the real axis (or on it) stands for a real eigenvalue and
@@ -356,15 +362,16 @@ def _resolve_clusters(Ah, points, groups, sigma_tol, certified):
     point is at least eps^(-1/(2m)) spreads away (a relative gap after Dhillon
     & Parlett, LAA 387, 2004: a rounded m-fold eigenvalue keeps eps^(-1/m), a
     decade-graded run 10); and when sigma_min(Ah - z I) <= sigma_tol at the
-    centroid and at the midpoints towards its members, which the
-    pseudospectrum of a perturbed m-fold eigenvalue covers (Rump, LAA 324,
-    2001; Trefethen & Embree, 2005), unless a lone point is in certified.  A
-    failing cluster is cut at its longest single-linkage step, or raises
+    centroid and at the midpoints towards its members on or above the axis
+    (a mirror's has the same sigma_min; a real member's stays real), which
+    the pseudospectrum of a perturbed m-fold eigenvalue covers (Rump, LAA
+    324, 2001; Trefethen & Embree, 2005), unless a lone point is in
+    certified.  The basis, read for a real centroid only, is a certified
+    point's eigenvector, else the kernel from that SVD (_kernel).  A failing
+    cluster is cut at its longest single-linkage step, or raises
     NumericalError if it is one or equal points.
     """
-    n = Ah.shape[0]
-    eps = np.finfo(float).eps
-    accepted = []
+    n, eps, accepted = Ah.shape[0], np.finfo(float).eps, []
     for group in groups:
         imag = [z.imag for z in group]
         if max(imag) < 0.0:
@@ -377,23 +384,36 @@ def _resolve_clusters(Ah, points, groups, sigma_tol, certified):
         ok = spread <= _SPREAD_FACTOR * (n * eps) ** (1.0 / m)
         if ok and 1 < m < n:
             ok = spread <= eps ** (0.5 / m) * np.partition(np.abs(points - centre), m)[m]
-        if ok and not (m == 1 and group[0] in certified):
-            shifts = np.array([centre] + [0.5 * (centre + z) for z in group if m > 1])
-            shifted = Ah[None] - shifts[:, None, None] * np.eye(n)
-            sigma = float(np.max(np.linalg.svd(shifted, compute_uv=False)[:, -1]))
+        basis = (certified[group[0]],) if m == 1 and group[0] in certified else None
+        if ok and basis is None:
+            shifts = [centre] + [0.5 * (centre + (z if z.imag else z.real))
+                                 for z in group if m > 1 and z.imag >= 0.0]
+            sigma, basis = _kernel(Ah, shifts, sigma_tol)
             ok = sigma <= sigma_tol
         if ok:
-            accepted.append((centre, m))
+            accepted.append((centre, m, basis))
             continue
         parts = _cluster_points(group)
         if len(parts) == 1:
-            raise NumericalError(
-                f"eigenvalue {centre:.6g} of A / max|A| (multiplicity {m}) fails its "
-                f"certificate: sigma_min = {sigma:.3e} exceeds {sigma_tol:.3e}",
-                residual=sigma,
-            )
+            raise NumericalError(f"eigenvalue {centre:.6g} of A / max|A| (multiplicity {m}) "
+                                 f"fails its certificate: sigma_min = {sigma:.3e} exceeds "
+                                 f"{sigma_tol:.3e}", residual=sigma)
         accepted.extend(_resolve_clusters(Ah, points, parts, sigma_tol, certified))
     return accepted
+
+
+def _kernel(X, shifts, bound):
+    """The one SVD rank rule: the largest sigma_min(X - z I) over the shifts z and, for a
+    real first z, the right singular vectors of its X - z I with singular values at most
+    bound, by a real SVD (a complex one gives arbitrary phases); the rest in one batch."""
+    eye, sigma, basis = np.eye(len(X)), 0.0, ()
+    if not isinstance(shifts[0], complex):
+        _, s, vh = np.linalg.svd(X - shifts[0] * eye)
+        sigma, basis, shifts = s[-1], tuple(vh[s <= bound]), shifts[1:]
+    if shifts:
+        batch = X - np.array(shifts)[:, None, None] * eye
+        sigma = max(sigma, np.linalg.svd(batch, compute_uv=False)[:, -1].max())
+    return float(sigma), basis
 
 
 def ascending_runs(values, tol):
@@ -427,7 +447,8 @@ def real_spectrum(A, tol=DEFAULT_TOL):
     longest link until its parts pass (see _resolve_clusters).  A lone z
     needs no SVD when |A / s x - z x| for LAPACK's unit x, which bounds that
     sigma_min, plus 4 n eps (|A / s|_F + |z|) for its rounding is within
-    n rank_tol; real_vectors holds the x of each real z so certified.  Centroids
+    n rank_tol; real_vectors holds the x of each real z so certified, else the
+    kernel of A / s - z I at n rank_tol from the SVD that certified z.  Centroids
     are rescaled by s; multiplicities add up to n; pairs with real parts
     within n rank_tol s go by imaginary part.  A zero matrix has the
     eigenvalue 0 with multiplicity n.  Measured right on random n up to 64.
@@ -435,7 +456,7 @@ def real_spectrum(A, tol=DEFAULT_TOL):
     M = _shared(A, tol)
     A, n, s = M.A, M.n, M.scale
     if s == 0.0:
-        return Spectrum(n, ((0.0, n),), (), (None,))
+        return Spectrum(n, ((0.0, n),), (), (tuple(np.eye(n)),))
     Ah = A / s
     try:
         w, X = np.linalg.eig(Ah)
@@ -445,14 +466,10 @@ def real_spectrum(A, tol=DEFAULT_TOL):
     rounding = 4 * n * np.finfo(float).eps * (np.linalg.norm(Ah) + np.abs(w))
     residual = np.linalg.norm(Ah @ X - X * w, axis=0) + rounding
     certified = {z: x.real for z, x, r in zip(raw, X.T, residual) if r <= sigma_tol}
-    reals, pairs = [], []
-    groups = _cluster_points(raw, 3e-3)
-    for centre, m in _resolve_clusters(Ah, np.array(raw), groups, sigma_tol, certified):
-        if isinstance(centre, complex):
-            pairs.append((centre * s, m))
-        else:
-            reals.append((centre * s, m, certified.get(centre) if m == 1 else None))
-    reals.sort(key=lambda t: t[0])
+    found = _resolve_clusters(Ah, np.array(raw), _cluster_points(raw, 3e-3), sigma_tol, certified)
+    pairs = [(z * s, m) for z, m, _ in found if isinstance(z, complex)]
+    reals = sorted([(z * s, m, b) for z, m, b in found if not isinstance(z, complex)],
+                   key=lambda t: t[0])
     return Spectrum(n, tuple((v, m) for v, m, _ in reals), _sort_pairs(pairs, sigma_tol * s),
                     tuple(x for *_, x in reals))
 
@@ -468,17 +485,14 @@ def nullspace(A, tol=DEFAULT_TOL, abs_threshold=None):
     """Orthonormal basis of the numerical kernel of A.
 
     Singular directions with s <= threshold count as kernel (ties favour the
-    larger kernel).  The default threshold is n * rank_tol * max|A|; pass
-    abs_threshold to override it, e.g. when A carries eigenvalue error.  The
-    SVD of the exact A / binary_scale(A) makes 2^j A's basis A's, bit for bit.
+    larger kernel), by _kernel.  The default threshold is n * rank_tol * max|A|;
+    pass abs_threshold to override it.  The SVD of the exact A / binary_scale(A)
+    makes 2^j A's basis A's, bit for bit.
     """
     A = as_square(A)
-    n, m = A.shape[0], maxabs(A)
-    if abs_threshold is None:
-        abs_threshold = n * tol.rank_tol * m
-    p = binary_scale(m)
-    _, s, vh = np.linalg.svd(A / p)
-    return [vh[i].copy() for i in range(n) if s[i] <= abs_threshold / p]
+    p = binary_scale(m := maxabs(A))
+    bound = A.shape[0] * tol.rank_tol * m if abs_threshold is None else abs_threshold
+    return list(_kernel(A / p, [0.0], bound / p)[1])
 
 
 def random_unit(rng, n):

@@ -2,10 +2,10 @@
 
 A direction is an eigenvector exactly when every rotation form vanishes on
 it, and the dimension of a maximal common-zero subspace is the geometric
-multiplicity of the matching eigenvalue.  A simple eigenvalue's eigenspace
-is its certified eigenvector, a repeated one's a nullspace; each is verified
-against that common-zero criterion, and any disagreement is flagged rather
-than silently accepted.
+multiplicity of the matching eigenvalue.  Each eigenspace is the one
+real_spectrum certified its eigenvalue with, verified against that
+common-zero criterion, and any disagreement is flagged rather than silently
+accepted.
 """
 
 import math
@@ -25,7 +25,6 @@ from .linalg import (
     as_skew,
     as_square,
     maxabs,
-    nullspace,
     real_spectrum,
     sym_eigen,
 )
@@ -102,11 +101,10 @@ def bromwich_bounds(A, tol=DEFAULT_TOL):
 def eigenstructure(A, tol=DEFAULT_TOL):
     """Real eigenvalues with geometric multiplicities from common zeros.
 
-    A simple eigenvalue that real_spectrum certified by its residual has
-    its unit eigenvector as eigenspace; any other the nullspace of A -
-    lambda I at n rank_tol max|A|, the bound real_spectrum certified lambda
-    at.  Every basis vector, signed by _sign_fix, is re-checked against the
-    rotation forms; failures are reported in flags.  A geometric
+    Each eigenspace is the basis real_spectrum certified lambda with, of at
+    least one vector: its residual-certified eigenvector, else the kernel from
+    its SVD.  Every basis vector, signed by _sign_fix, is re-checked against
+    the rotation forms; failures are reported in flags.  A geometric
     multiplicity above the algebraic one raises NumericalError.  Complex
     pairs and the containment bounds ride along.
     """
@@ -114,32 +112,20 @@ def eigenstructure(A, tol=DEFAULT_TOL):
     A, n, scale = M.A, M.n, M.scale
     spectrum = real_spectrum(M, tol)
     cz_tol = tol.residual_tol * scale
-    threshold = n * tol.rank_tol * scale
-    entries, flags, bases = [], [], []
-    for (lam, mult), x in zip(spectrum.real_eigs, spectrum.real_vectors):
-        bases.append([x] if x is not None else nullspace(A - lam * np.eye(n), tol, threshold))
-        if len(bases[-1]) > mult:
-            raise NumericalError(f"eigenvalue {lam:.12g} has {len(bases[-1])} kernel directions "
-                                 f"at {threshold:.3e}, more than its multiplicity {mult}")
-    signed = iter(_sign_fix(np.reshape(sum(bases, []), (-1, n)).T, tol).T if bases else ())
-    for (lam, _), basis in zip(spectrum.real_eigs, bases):
+    entries, flags = [], []
+    signed = iter(_sign_fix(np.reshape(sum(spectrum.real_vectors, ()), (-1, n)).T, tol).T)
+    for (lam, mult), basis in zip(spectrum.real_eigs, spectrum.real_vectors):
+        if len(basis) > mult:
+            raise NumericalError(f"eigenvalue {lam:.12g} has {len(basis)} kernel directions "
+                                 f"at {n * tol.rank_tol * scale:.3e}, more than its "
+                                 f"multiplicity {mult}")
         basis = tuple(next(signed) for _ in basis)
-        if not basis:
-            flags.append(f"no eigenvector found at reported eigenvalue {lam:.12g} "
-                         f"(rank threshold {threshold:.3e})")
         residuals = [maxabs(_wedge(vec, A @ vec)) for vec in basis]
-        flags.extend(
-            f"eigenvector of {lam:.12g} fails the common-zero check: "
-            f"rotation residual {r:.3e} exceeds {cz_tol:.3e}"
-            for r in residuals if r > cz_tol
-        )
+        flags.extend(f"eigenvector of {lam:.12g} fails the common-zero check: rotation "
+                     f"residual {r:.3e} exceeds {cz_tol:.3e}" for r in residuals if r > cz_tol)
         entries.append(SpectralEntry(float(lam), len(basis), basis, max(residuals, default=0.0)))
-    return SpectralReport(
-        entries=tuple(entries),
-        complex_pairs=spectrum.complex_pairs,
-        bromwich=bromwich_bounds(M, tol),
-        flags=tuple(flags),
-    )
+    return SpectralReport(tuple(entries), spectrum.complex_pairs, bromwich_bounds(M, tol),
+                          tuple(flags))
 
 
 def planar_analyze(A, u=None, tol=DEFAULT_TOL):

@@ -39,9 +39,11 @@ name, an oracle for power_form_step, and diagonal_rotation_recursion_by_dicts
 its earlier form, which read each rotation value from a dict over all plane
 pairs.  trilinear_reference is the former 8-corner loop of
 frenet.GridField, whose gather must round the same, and cluster_points_loop
-is _cluster_points at a given radius by its minimax loop alone, without
-the shortcut for points of which no two are within the radius;
+is the former _cluster_points at a given radius, by its minimax loop alone
+(the library now squares the reach of one step instead);
 sign_fix_loop is the former per-column loop of linalg._sign_fix.
+integer_similar and jordan_form build integer matrices with a known Jordan
+form, exact in floating point; INTEGER_JORDAN_CASES lists four.
 Every oracle here takes its rotation values and traces from these loops,
 so none shares the library's pair index, except rotation_values and
 reassemble: the library's former quasirot functions of those names, which
@@ -278,6 +280,41 @@ def similarity_with_jordan(rng, blocks):
         if abs(np.linalg.det(S)) > 0.5:
             break
     return S @ J @ np.linalg.inv(S)
+
+
+def integer_similar(rng, J):
+    """S J S^-1 for S = L U with L, U unit triangular and entries in {-1, 0, 1}:
+    an integer matrix with the Jordan form J, exact in floating point."""
+    n = len(J)
+    L = np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    U = np.triu(rng.integers(-1, 2, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    S = L @ U
+    S_inv = np.rint(np.linalg.inv(U)).astype(np.int64) @ np.rint(np.linalg.inv(L)).astype(np.int64)
+    assert np.array_equal(S @ S_inv, np.eye(n, dtype=np.int64))
+    return (S @ np.asarray(J, dtype=np.int64) @ S_inv).astype(float)
+
+
+def jordan_form(*blocks):
+    """Block diagonal of Jordan blocks (value, size)."""
+    n = sum(size for _, size in blocks)
+    J = np.zeros((n, n), dtype=np.int64)
+    start = 0
+    for value, size in blocks:
+        for i in range(start, start + size):
+            J[i, i] = value
+            if i + 1 < start + size:
+                J[i, i + 1] = 1
+        start += size
+    return J
+
+
+# (value, size) Jordan blocks and the real eigenvalues with geometric multiplicities
+INTEGER_JORDAN_CASES = {
+    "J2(1)+1+3-2": (((1, 2), (1, 1), (3, 1), (-2, 1)), [(-2.0, 1), (1.0, 2), (3.0, 1)]),
+    "J3(2)+2+5": (((2, 3), (2, 1), (5, 1)), [(2.0, 2), (5.0, 1)]),
+    "diag(1,1,1,2,2,2)": (((1, 1),) * 3 + ((2, 1),) * 3, [(1.0, 3), (2.0, 3)]),
+    "diag(1..6)": (tuple((k, 1) for k in range(1, 7)), [(float(k), 1) for k in range(1, 7)]),
+}
 
 
 def _powers(A):

@@ -137,14 +137,34 @@ def test_real_spectrum_of_distinct_eigenvalues_runs_no_svd(monkeypatch, n):
     assert calls == []
 
 
-def test_eigenstructure_runs_nullspace_only_for_the_cluster(monkeypatch):
-    calls = _count(monkeypatch, [rotform.spectral], "nullspace")
+def test_eigenstructure_runs_no_svd_beyond_those_of_real_spectrum(monkeypatch):
+    # the eigenspaces come from the SVDs that certified their eigenvalues
+    calls = _count(monkeypatch, [np.linalg], "svd")
     Q = random_orthogonal(3, seed=8)
     for A in (np.diag([1.0, 1.0, 3.0]), Q @ np.diag([1.0, 1.0, 3.0]) @ Q.T):
         del calls[:]
+        real_spectrum(A)
+        certified = len(calls)
+        del calls[:]
         report = eigenstructure(A)
         assert [e.geometric_multiplicity for e in report.entries] == [2, 1]
-        assert len(calls) == 1
+        assert certified >= 1 and len(calls) == certified
+
+
+def test_a_simple_real_eigenvalue_without_a_residual_certificate_costs_one_svd(monkeypatch):
+    # eigenvectors moved by 1e-6 fail every residual certificate
+    eig = np.linalg.eig
+
+    def perturbed_eig(a):
+        w, X = eig(a)
+        return w, X + 1e-6 * np.random.default_rng(0).standard_normal(X.shape)
+
+    monkeypatch.setattr(np.linalg, "eig", perturbed_eig)
+    calls = _count(monkeypatch, [np.linalg], "svd")
+    Q = random_orthogonal(4, seed=3)
+    report = eigenstructure(Q @ np.diag([-1.0, 0.5, 2.0, 3.0]) @ Q.T)
+    assert [e.geometric_multiplicity for e in report.entries] == [1, 1, 1, 1]
+    assert len(calls) == 4
 
 
 def test_eigenstructure_signs_every_eigenspace_in_one_call(monkeypatch):

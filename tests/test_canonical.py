@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from rotform import (
+    DEFAULT_TOL,
     InputError,
+    NumericalError,
     expansion_eigenbasis,
     normal_power_basis,
     normality_report,
@@ -138,6 +140,24 @@ class TestSkewCanonicalBasis:
     def test_rejects_symmetric(self):
         with pytest.raises(InputError, match="symmetric"):
             skew_canonical_basis(np.eye(3))
+
+    @pytest.mark.xfail(strict=True, raises=NumericalError,
+                       reason="ROADMAP item 2: the kernel cut at n rank_tol is looser than the "
+                              "certificate, so a cut rate r leaves sqrt(2) r in it")
+    def test_a_rate_near_the_kernel_cut_keeps_its_certificate(self):
+        # K = Q blockdiag(rates 1, 1, 1, r) Q^T: whether r is cut into the kernel or kept
+        # as a block, the returned basis must pass the certificate
+        for r in (2e-12, 4e-12, 6e-12):
+            rates = block_diag(*(lam * np.array([[0.0, 1.0], [-1.0, 0.0]]) for lam in (1, 1, 1, r)))
+            for seed in range(10):
+                Q = random_orthogonal(8, seed)
+                K = Q @ rates @ Q.T
+                block = skew_canonical_basis(K)
+                target = block_diag(*(lam * np.array([[0.0, 1.0], [-1.0, 0.0]])
+                                      for lam in block.lambdas), np.zeros((block.zero_dim,) * 2))
+                reduced = block.basis.T @ K @ block.basis
+                bound = DEFAULT_TOL.eig_off_tol * np.linalg.norm(K)
+                assert np.linalg.norm(reduced - target) <= bound, (r, seed)
 
 
 class TestNormalityReport:

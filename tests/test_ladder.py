@@ -10,6 +10,7 @@ import os
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import rotform
@@ -23,8 +24,9 @@ _TIMING = {"cpu_ms_min", "cpu_ms_spread"}
 KEYS = {
     "collings_det": _TIMING | {"n", "seed", "tracemalloc_peak_mb", "error_over_mass",
                                "error_over_n_eps_mass"},
-    "spectrum": _TIMING | {"function", "n", "seed", "refused", "requests", "eig_error_over_maxabs"},
-    "skew_canonical_basis": _TIMING | {"n", "seed", "zero_dim", "refused", "requests",
+    "spectrum": _TIMING | {"function", "family", "n", "refused", "requests", "as_built",
+                           "eig_error_over_maxabs"},
+    "skew_canonical_basis": _TIMING | {"n", "zero_dim", "refused", "requests",
                                        "rate_error_over_maxabs"},
     "frenet_report": _TIMING | {"field", "m", "spacing", "field_queries", "kappa", "tau",
                                 "kappa_error", "tau_error"},
@@ -65,13 +67,50 @@ def test_collings_det_is_within_n_eps_of_the_term_mass(small):
     assert row["error_over_n_eps_mass"] < 10
 
 
-def test_spectrum_matches_mpmath(small):
+def test_spectrum_matches_mpmath_and_the_construction(small):
     rows = _layer("spectrum")
-    assert [(row["function"], row["n"]) for row in rows] == [
-        ("real_spectrum", 2), ("eigenstructure", 2)]
+    assert [(row["function"], row["family"], row["n"]) for row in rows] == [
+        (name, family, 2) for name in ("real_spectrum", "eigenstructure")
+        for family in ladder.SPECTRUM_FAMILIES]
     for row in rows:
         assert row["refused"] == 0 and row["requests"] == 2
+        assert row["as_built"] == (None if row["family"] == "uniform" else 2)
         assert row["eig_error_over_maxabs"] < 1e-12
+
+
+def test_spectrum_inputs_have_the_multiplicities_they_are_built_with():
+    # 1 is double in both families: with gm 2 in clustered, gm 1 in jordan
+    for n in (2, 5):
+        clustered, jordan = ladder._clustered([n, 1], n), ladder._jordan([n, 1], n)
+        assert np.array_equal(jordan, np.rint(jordan))
+        for A, gm in ((clustered, 2), (jordan, 1)):
+            np.testing.assert_allclose(np.sort(np.linalg.eigvals(A).real), ladder._diagonal(n),
+                                       atol=1e-6)
+            assert n - np.linalg.matrix_rank(A - np.eye(n), tol=1e-9) == gm
+    assert ladder._built("jordan", "eigenstructure", 5) == [1, 1, 1, 1]
+    assert ladder._built("jordan", "real_spectrum", 5) == [2, 1, 1, 1]
+    assert ladder._built("clustered", "eigenstructure", 5) == [2, 1, 1, 1]
+
+
+def test_spectrum_and_skew_rows_give_every_call_a_new_matrix(small, monkeypatch):
+    # against a kept record, one matrix in every round would time its hits; the
+    # jordan family is left out, as it has only three members at n = 2
+    monkeypatch.setattr(ladder, "SPECTRUM_FAMILIES", {
+        family: make for family, make in ladder.SPECTRUM_FAMILIES.items() if family != "jordan"})
+    packages = {"one": ladder.load_rotform(_SRC), "two": ladder.load_rotform(_SRC)}
+    seen = {}
+    for label, rf in packages.items():
+        for name in ("real_spectrum", "eigenstructure", "skew_canonical_basis"):
+            def recorded(A, _key=(label, name), _original=getattr(rf, name)):
+                seen.setdefault(_key, []).append(A.tobytes())
+                return _original(A)
+
+            setattr(rf, name, recorded)
+    ladder.spectrum_rows(packages)
+    ladder.skew_rows(packages)
+    assert len(seen) == 6
+    for key, matrices in seen.items():
+        assert len(matrices) > ladder.PAIRS and len(set(matrices)) == len(matrices), key
 
 
 def test_skew_canonical_basis_rates_match_mpmath(small):

@@ -152,15 +152,29 @@ def test_an_adopted_eigenbasis_is_kept_only_when_it_passes_the_records_certifica
         assert _same(_outcome(lambda: M.eigen), _outcome(sym_eigen, M.sym, tol))
 
 
-def test_only_linalg_scales_by_binary_scale():
-    # every other module reads p and X = A / p from the matrix record
+def _module_names():
+    """(file name, line, name) of every name, attribute and imported name in the
+    package's modules other than linalg."""
     for path in sorted(glob.glob(os.path.join(os.path.dirname(linalg.__file__), "*.py"))):
-        if os.path.basename(path) == "linalg.py":
+        base = os.path.basename(path)
+        if base == "linalg.py":
             continue
         for node in ast.walk(ast.parse(open(path).read(), path)):
             names = ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
                      else [getattr(node, "id", None), getattr(node, "attr", None)])
-            assert "binary_scale" not in names, (path, getattr(node, "lineno", None))
+            for name in names:
+                yield base, getattr(node, "lineno", None), name
+
+
+def test_only_linalg_scales_by_binary_scale():
+    # every other module reads p and X = A / p from the matrix record
+    assert [hit for hit in _module_names() if hit[2] == "binary_scale"] == []
+
+
+def test_only_linalg_makes_svd_rank_decisions():
+    # every SVD rank decision goes through linalg._kernel; __init__ re-exports nullspace
+    assert [hit for hit in _module_names() if hit[2] == "svd"
+            or (hit[2] == "nullspace" and hit[0] != "__init__.py")] == []
 
 
 @pytest.mark.parametrize("excess, refused", [(0.5, False), (2.0, True)])

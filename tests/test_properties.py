@@ -49,7 +49,10 @@ from rotform.cli import _forms_section
 from rotform.linalg import _cluster_points, _matrix
 
 from oracles import (
+    INTEGER_JORDAN_CASES,
     diagonal_rotation_recursion,
+    integer_similar,
+    jordan_form,
     jordan_shear,
     random_normal_matrix,
     random_unit,
@@ -559,6 +562,41 @@ def test_residual_certificates_are_sound_on_uniform_matrices(seed, n):
 @given(seed=SEEDS)
 def test_residual_certificates_are_sound_near_multiple_eigenvalues(seed):
     _assert_residual_certificates_are_sound(_near_multiple_family(seed)[0])
+
+
+def _assert_eigenspace_bases_are_certified(A):
+    """Every real eigenvalue lambda has an orthonormal basis of at least one v with
+    |Ah v - lh v| <= n rank_tol + 4 n eps (|Ah|_F + |lh|), for Ah = A / max|A| and
+    lh = lambda / max|A|: the bound that certified lambda, with its rounding."""
+    spectrum = real_spectrum(A)
+    n, s, eps = len(A), np.max(np.abs(A)), np.finfo(float).eps
+    Ah = A / s
+    assert len(spectrum.real_vectors) == len(spectrum.real_eigs)
+    for (lam, _), basis in zip(spectrum.real_eigs, spectrum.real_vectors):
+        V, lh = np.array(basis).T, lam / s
+        assert V.shape[1] >= 1
+        assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 4 * n * eps
+        bound = n * DEFAULT_TOL.rank_tol + 4 * n * eps * (np.linalg.norm(Ah) + abs(lh))
+        assert np.max(np.linalg.norm(Ah @ V - lh * V, axis=0)) <= bound
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=SEEDS)
+def test_eigenspace_bases_are_certified_near_multiple_eigenvalues(seed):
+    # alone, and beside one far eigenvalue t that sets max|A ⊕ [t]|
+    A = _near_multiple_family(seed)[0]
+    C = np.zeros((len(A) + 1,) * 2)
+    C[:-1, :-1], C[-1, -1] = A, 10 * max(np.max(np.abs(A)), 1.0)
+    _assert_eigenspace_bases_are_certified(A)
+    _assert_eigenspace_bases_are_certified(C)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=SEEDS, case=st.sampled_from(sorted(INTEGER_JORDAN_CASES)))
+def test_eigenspace_bases_are_certified_on_integer_jordan_similarities(seed, case):
+    blocks, _ = INTEGER_JORDAN_CASES[case]
+    _assert_eigenspace_bases_are_certified(
+        integer_similar(np.random.default_rng(seed), jordan_form(*blocks)))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

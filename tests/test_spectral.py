@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-import rotform.spectral
+import rotform.linalg
 from rotform.cli import main
 from rotform import (
     InputError,
@@ -23,6 +23,9 @@ from rotform import (
 )
 
 from oracles import (
+    INTEGER_JORDAN_CASES,
+    integer_similar,
+    jordan_form,
     jordan_shear,
     planar_eigs_direct,
     rotation_scaling_block,
@@ -145,32 +148,6 @@ class TestEigenstructure:
                 assert entry.geometric_multiplicity == oracle
 
 
-def _integer_similar(rng, J):
-    """S J S^-1 for S = L U with L, U unit triangular and entries in {-1, 0, 1}:
-    an integer matrix with the Jordan form J, exact in floating point."""
-    n = len(J)
-    L = np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n, dtype=np.int64)
-    U = np.triu(rng.integers(-1, 2, (n, n)), 1) + np.eye(n, dtype=np.int64)
-    S = L @ U
-    S_inv = np.rint(np.linalg.inv(U)).astype(np.int64) @ np.rint(np.linalg.inv(L)).astype(np.int64)
-    assert np.array_equal(S @ S_inv, np.eye(n, dtype=np.int64))
-    return (S @ np.asarray(J, dtype=np.int64) @ S_inv).astype(float)
-
-
-def _jordan(*blocks):
-    """Block diagonal of Jordan blocks (value, size)."""
-    n = sum(size for _, size in blocks)
-    J = np.zeros((n, n), dtype=np.int64)
-    start = 0
-    for value, size in blocks:
-        for i in range(start, start + size):
-            J[i, i] = value
-            if i + 1 < start + size:
-                J[i, i + 1] = 1
-        start += size
-    return J
-
-
 class TestMultiplicitiesAddUp:
     """Geometric multiplicities of distinct eigenvalues add up to at most n
     and none exceeds its algebraic multiplicity."""
@@ -202,29 +179,26 @@ class TestMultiplicitiesAddUp:
         assert [e["geometric_multiplicity"] for e in entries] == [g for _, g in expected]
         assert [e["value"] for e in entries] == pytest.approx([v for v, _ in expected], abs=1e-13)
 
-    @pytest.mark.parametrize("J, expected", [
-        (_jordan((1, 2), (1, 1), (3, 1), (-2, 1)), [(-2.0, 1), (1.0, 2), (3.0, 1)]),
-        (_jordan((2, 3), (2, 1), (5, 1)), [(2.0, 2), (5.0, 1)]),
-        (np.diag([1, 1, 1, 2, 2, 2]), [(1.0, 3), (2.0, 3)]),
-        (np.diag([1, 2, 3, 4, 5, 6]), [(float(k), 1) for k in range(1, 7)]),
-    ], ids=["J2(1)+1+3-2", "J3(2)+2+5", "diag(1,1,1,2,2,2)", "diag(1..6)"])
-    def test_integer_jordan_oracle(self, J, expected):
+    @pytest.mark.parametrize("blocks, expected", INTEGER_JORDAN_CASES.values(),
+                             ids=list(INTEGER_JORDAN_CASES))
+    def test_integer_jordan_oracle(self, blocks, expected):
+        J = jordan_form(*blocks)
         rng = np.random.default_rng(len(J) + int(np.trace(J)))
         for _ in range(30):
-            A = _integer_similar(rng, J)
+            A = integer_similar(rng, J)
             pairs = self._pairs(A)
             assert [g for _, g in pairs] == [g for _, g in expected]
             assert [v for v, _ in pairs] == pytest.approx(
                 [v for v, _ in expected], abs=1e-6 * np.max(np.abs(A)))
 
     def test_more_kernel_directions_than_the_multiplicity_is_refused(self, monkeypatch):
-        nullspace = rotform.spectral.nullspace
+        kernel = rotform.linalg._kernel
 
-        def one_too_many(A, tol, abs_threshold=None):
-            basis = nullspace(A, tol, abs_threshold=abs_threshold)
-            return basis + [np.ones(len(A)) / np.sqrt(len(A))]
+        def one_too_many(X, shifts, bound):
+            sigma, basis = kernel(X, shifts, bound)
+            return sigma, basis + (np.ones(len(X)) / np.sqrt(len(X)),)
 
-        monkeypatch.setattr(rotform.spectral, "nullspace", one_too_many)
+        monkeypatch.setattr(rotform.linalg, "_kernel", one_too_many)
         with pytest.raises(NumericalError, match="multiplicity"):
             eigenstructure(np.diag([1.0, 1.0, 3.0]))
 

@@ -17,17 +17,29 @@ and the rounds it was faster (wins).  The oracles run once per label:
   with seed n.  Adds the tracemalloc peak of one more call and the error
   against mpmath's det at 60 digits over the term mass
   prod_i (|d_i| + |row i of B|_2), and over n eps times that mass.
-- spectrum: real_spectrum and eigenstructure of a uniform(-1, 1) matrix with
-  seed n.  Adds how many of REQUESTS more (seeds 1000 n + k) ended in
-  NumericalError (CLI exit 3) and, for n <= ORACLE_MAX_N, the Hausdorff
-  distance over max|A| from the listed eigenvalues (pairs with both
-  conjugates) to mpmath.eig's at 50 digits.
-- skew_canonical_basis of a uniform(-1, 1) matrix with seed n, for n in
-  SKEW_SIZES: the spectrum sizes and odd n, where the skew part has a
-  one-dimensional kernel.  Adds the kernel dimension, how many of REQUESTS more (seeds 1000 n + k) ended in
-  NumericalError and, for n <= ORACLE_MAX_N, the largest distance over max|K|
-  from the rates to the positive imaginary parts, descending, of mpmath.eig
-  of the skew part K at 50 digits.
+- spectrum: real_spectrum and eigenstructure on three families of n x n
+  matrices (SPECTRUM_FAMILIES): uniform(-1, 1); clustered, Q diag(1, 1, 2,
+  ..., n - 1) Q^T for Q the orthogonal factor of a standard-normal draw, where
+  1 is double with a two-dimensional eigenspace; and jordan, an integer
+  similarity of the same diagonal with J[0, 1] = 1, where 1 is double with a
+  one-dimensional eigenspace.  Call k of a label takes the matrix with seed
+  [n, k], so every call starts on a new draw and times no result kept from
+  the one before (jordan has only three members at n = 2, so draws repeat
+  there).  Adds how many of REQUESTS more (seeds 1000 n + k) ended in
+  NumericalError (CLI exit 3), for clustered and jordan how many of those
+  listed the construction's real eigenvalues with its multiplicities
+  (as_built: algebraic for real_spectrum, geometric for eigenstructure, and
+  no complex pair), and the Hausdorff distance over max|A| from the
+  warm-up's listed eigenvalues (pairs with both conjugates) to mpmath.eig's
+  at 50 digits for uniform with n <= ORACLE_MAX_N, to the construction's
+  for the other families.
+- skew_canonical_basis of a uniform(-1, 1) matrix, for n in SKEW_SIZES: the
+  spectrum sizes and odd n, where the skew part has a one-dimensional
+  kernel.  Call k of a label takes the matrix with seed [n, k].  Adds the
+  kernel dimension, how many of REQUESTS more (seeds 1000 n + k) ended in
+  NumericalError and, for n <= ORACLE_MAX_N, the largest distance over
+  max|K| from the warm-up's rates to the positive imaginary parts,
+  descending, of mpmath.eig of the skew part K at 50 digits.
 - frenet_report at POINT on the helix field (-y, x, C) / |(-y, x, C)| with its
   analytic and with a differenced Jacobian, and on grids of m^3 samples of it
   for m in GRID_SIZES, spacing 2 HALF_WIDTH / (m - 1), POINT the middle node
@@ -118,16 +130,23 @@ def _paired(packages, call):
     return results, cells
 
 
-def _refused(rotform, func, n):
-    """How many of REQUESTS uniform(-1, 1) n x n matrices, seeds 1000 n + k, func
-    ends in rotform's NumericalError."""
-    refused = 0
+def _outcomes(rotform, func, make, n):
+    """func on REQUESTS more n x n matrices make(1000 n + k, n): each result, or None
+    where it ended in rotform's NumericalError."""
+    out = []
     for k in range(REQUESTS):
         try:
-            func(_uniform(1000 * n + k, n))
+            out.append(func(make(1000 * n + k, n)))
         except rotform.NumericalError:
-            refused += 1
-    return refused
+            out.append(None)
+    return out
+
+
+def _fresh(packages, make, n, call):
+    """_paired over call(rotform, A), call k of each label on its own make([n, k], n)."""
+    matrices = [make([n, k], n) for k in range(PAIRS + 1)]
+    feeds = {rf: iter(matrices) for rf in packages.values()}  # one sequence per label
+    return _paired(packages, lambda rf: call(rf, next(feeds[rf])))
 
 
 # --- collings_det ------------------------------------------------------------
@@ -177,6 +196,31 @@ def collings_document(results):
 
 
 # --- spectrum: real_spectrum and eigenstructure ------------------------------
+def _diagonal(n):
+    """The diagonal 1, 1, 2, ..., n - 1 of the clustered and jordan families."""
+    return np.concatenate([[1.0], np.arange(1.0, n)])
+
+
+def _clustered(seed, n):
+    """Q diag(1, 1, 2, ..., n - 1) Q^T, Q the orthogonal factor of a standard-normal draw."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return Q @ np.diag(_diagonal(n)) @ Q.T
+
+
+def _jordan(seed, n):
+    """S J S^-1 for J = diag(1, 1, 2, ..., n - 1) with J[0, 1] = 1 and S = L U, L and U
+    unit bidiagonal with entries in {-1, 0, 1}: an integer matrix, exact in floats."""
+    rng = np.random.default_rng(seed)
+    J = np.diag(_diagonal(n))
+    J[0, 1] = 1.0
+    L = np.eye(n) + np.diag(rng.integers(-1, 2, n - 1).astype(float), -1)
+    U = np.eye(n) + np.diag(rng.integers(-1, 2, n - 1).astype(float), 1)
+    return L @ U @ J @ np.rint(np.linalg.inv(U)) @ np.rint(np.linalg.inv(L))
+
+
+SPECTRUM_FAMILIES = {"uniform": _uniform, "clustered": _clustered, "jordan": _jordan}
+
+
 def _listed(name, result):
     """[re, im] of every eigenvalue a result lists, pairs with both conjugates."""
     reals = ([v for v, _ in result.real_eigs] if name == "real_spectrum"
@@ -186,17 +230,40 @@ def _listed(name, result):
 
 
 def spectrum_rows(packages):
-    """One row per function, n and label; `values` carries the listed eigenvalues to the oracle."""
+    """One row per function, family, n and label; `values` carries the listed eigenvalues
+    of the warm-up to the oracle."""
     rows = {label: [] for label in packages}
     for name in ("real_spectrum", "eigenstructure"):
-        for n in SPECTRUM_SIZES:
-            A = _uniform(n, n)
-            results, timing = _paired(packages, lambda rf: getattr(rf, name)(A))
-            for label, rf in packages.items():
-                rows[label].append({"function": name, "n": n, "seed": n, **timing[label],
-                                    "refused": _refused(rf, getattr(rf, name), n),
-                                    "requests": REQUESTS, "values": _listed(name, results[label])})
+        for family, make in SPECTRUM_FAMILIES.items():
+            for n in SPECTRUM_SIZES:
+                results, timing = _fresh(packages, make, n, lambda rf, A: getattr(rf, name)(A))
+                for label, rf in packages.items():
+                    outcomes = _outcomes(rf, getattr(rf, name), make, n)
+                    rows[label].append({
+                        "function": name, "family": family, "n": n, **timing[label],
+                        "refused": outcomes.count(None), "requests": REQUESTS,
+                        "as_built": None if family == "uniform" else sum(
+                            r is not None and _multiplicities(name, r) == _built(family, name, n)
+                            for r in outcomes),
+                        "values": _listed(name, results[label])})
     return rows
+
+
+def _multiplicities(name, result):
+    """The real eigenvalues' multiplicities, algebraic for real_spectrum and geometric for
+    eigenstructure, or None when the result lists a complex pair."""
+    if result.complex_pairs:
+        return None
+    if name == "real_spectrum":
+        return [m for _, m in result.real_eigs]
+    return [e.geometric_multiplicity for e in result.entries]
+
+
+def _built(family, name, n):
+    """The multiplicities of 1, 2, ..., n - 1 by construction: 1 is double, with a
+    two-dimensional eigenspace in clustered and a one-dimensional one in jordan."""
+    first = 1 if family == "jordan" and name == "eigenstructure" else 2
+    return [first] + [1] * (n - 2)
 
 
 def _hausdorff(got, ref):
@@ -209,36 +276,45 @@ def spectrum_document(results):
     reference = {}
     for rows in results.values():
         for row in rows:
-            n, values = row["n"], row.pop("values")
-            if n > ORACLE_MAX_N:
+            family, n, values = row["family"], row["n"], row.pop("values")
+            A = SPECTRUM_FAMILIES[family]([n, 0], n)  # the warm-up's matrix
+            if family != "uniform":
+                reference[family, n] = _diagonal(n)
+            elif n > ORACLE_MAX_N:
                 continue
-            A = _uniform(n, n)
-            if n not in reference:
+            elif (family, n) not in reference:
                 with mpmath.workdps(50):
                     eigs = mpmath.eig(mpmath.matrix(A.tolist()), left=False, right=False)
-                    reference[n] = np.array([complex(z) for z in eigs])
+                    reference[family, n] = np.array([complex(z) for z in eigs])
             got = np.array([complex(re, im) for re, im in values])
-            row["eig_error_over_maxabs"] = _hausdorff(got, reference[n]) / float(np.max(np.abs(A)))
+            row["eig_error_over_maxabs"] = (_hausdorff(got, reference[family, n])
+                                            / float(np.max(np.abs(A))))
     return {
         "functions": ["rotform.real_spectrum", "rotform.eigenstructure"],
-        "input": "A uniform(-1, 1) from numpy default_rng(seed)",
+        "input": "call k of a label on the family's matrix with seed [n, k], k = 0 the warm-up: "
+                 "uniform(-1, 1) from numpy default_rng; clustered Q diag(1, 1, 2, ..., n - 1) "
+                 "Q^T; jordan S J S^-1 with J that diagonal and J[0, 1] = 1, S integer",
         "refused": f"NumericalError count over {REQUESTS} matrices with seeds 1000 n + k",
-        "oracle": f"mpmath.eig at 50 digits, n <= {ORACLE_MAX_N}; Hausdorff distance over max|A|",
+        "as_built": f"of the {REQUESTS}, how many list 1, 2, ..., n - 1 with the construction's "
+                    "multiplicities (algebraic for real_spectrum, geometric for eigenstructure) "
+                    "and no complex pair; null for uniform",
+        "oracle": f"the warm-up's eigenvalues: mpmath.eig at 50 digits for uniform, n <= "
+                  f"{ORACLE_MAX_N}; the construction's otherwise; Hausdorff distance over max|A|",
         "results": results,
     }
 
 
 # --- skew_canonical_basis ----------------------------------------------------
 def skew_rows(packages):
-    """One row per n and label; `lambdas` carries the rates to the oracle."""
+    """One row per n and label; `lambdas` carries the warm-up's rates to the oracle."""
     rows = {label: [] for label in packages}
     for n in SKEW_SIZES:
-        A = _uniform(n, n)
-        results, timing = _paired(packages, lambda rf: rf.skew_canonical_basis(A))
+        results, timing = _fresh(packages, _uniform, n, lambda rf, A: rf.skew_canonical_basis(A))
         for label, rf in packages.items():
             block = results[label]
-            rows[label].append({"n": n, "seed": n, **timing[label], "zero_dim": block.zero_dim,
-                                "refused": _refused(rf, rf.skew_canonical_basis, n),
+            rows[label].append({"n": n, **timing[label], "zero_dim": block.zero_dim,
+                                "refused": _outcomes(rf, rf.skew_canonical_basis, _uniform,
+                                                     n).count(None),
                                 "requests": REQUESTS, "lambdas": list(block.lambdas)})
     return rows
 
@@ -250,7 +326,7 @@ def skew_document(results):
             n, lambdas = row["n"], np.array(row.pop("lambdas"))
             if n > ORACLE_MAX_N:
                 continue
-            A = _uniform(n, n)
+            A = _uniform([n, 0], n)  # the warm-up's matrix
             K = 0.5 * (A - A.T)
             if n not in reference:
                 with mpmath.workdps(50):
@@ -260,7 +336,8 @@ def skew_document(results):
             row["rate_error_over_maxabs"] = float(error) / float(np.max(np.abs(K)))
     return {
         "function": "rotform.skew_canonical_basis",
-        "input": "A uniform(-1, 1) from numpy default_rng(seed)",
+        "input": "call k of a label on A uniform(-1, 1) from numpy default_rng([n, k]), "
+                 "k = 0 the warm-up",
         "refused": f"NumericalError count over {REQUESTS} matrices with seeds 1000 n + k",
         "oracle": f"mpmath.eig of K = (A - A^T) / 2 at 50 digits, n <= {ORACLE_MAX_N}; the "
                   "largest distance from the rates to its imaginary parts, descending, over max|K|",
@@ -402,11 +479,9 @@ def _session(rotform, A):
 def session_rows(packages):
     rows = {label: [] for label in packages}
     for n in SPECTRUM_SIZES:
-        matrices = [_uniform([n, k], n) for k in range(PAIRS + 2)]
-        feeds = {rf: iter(matrices) for rf in packages.values()}  # one sequence per label
-        results, timing = _paired(packages, lambda rf: _session(rf, next(feeds[rf])))
+        results, timing = _fresh(packages, _uniform, n, _session)
         for label, rf in packages.items():
-            calls = _sym_eigen_calls(rf, _session, rf, next(feeds[rf]))
+            calls = _sym_eigen_calls(rf, _session, rf, _uniform([n, PAIRS + 1], n))
             rows[label].append({"n": n, **timing[label], "sym_eigen_calls": calls,
                                 "digest": digest(results[label])})
     return rows

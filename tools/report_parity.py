@@ -33,6 +33,9 @@ them.  The corpus:
 - analyze on near-multiple eigenvalues, where cluster decisions show:
   diag(1, 1 + 1e-8, 3), diag(1, 1, 1, 1.000012, 5), and Q D Q^T with
   D = diag(1, 1, 1 + g, 2.5, 4) for g = 1e-6 and 1e-9;
+- analyze in the three bases on integer similarities of J2(1) + [3] and
+  J3(2) + [2] + [5], whose defective eigenvalues (gm < am) LAPACK returns as
+  clusters with complex members;
 - analyze in the three bases on a zero 3 x 3 and a 1 x 1 matrix, and with
   --tol rank_tol=1e-6 on a 4 x 4 whose skew part is 1e-8 of its symmetric
   part, so that it counts as zero only at that tolerance;
@@ -70,6 +73,15 @@ _BASES = ("given", "expansion", "skew-canonical")
 
 def _grid(A):
     return "".join(" ".join(repr(float(x)) for x in row) + "\n" for row in A)
+
+
+def _integer_similar(J, seed):
+    """S J S^-1 for S = L U, L and U unit triangular with entries in {-1, 0, 1} drawn
+    from seed: an integer matrix with the Jordan form J, exact in floating point."""
+    rng = np.random.default_rng(seed)
+    L = np.tril(rng.integers(-1, 2, J.shape), -1) + np.eye(len(J))
+    U = np.triu(rng.integers(-1, 2, J.shape), 1) + np.eye(len(J))
+    return L @ U @ J @ np.rint(np.linalg.inv(U)) @ np.rint(np.linalg.inv(L))
 
 
 def _helix(p, c=0.5):
@@ -191,6 +203,13 @@ def corpus(workdir):
     for kind, A in near.items():
         path = matrix(f"near {kind}.txt".replace(" ", "-"), A)
         requests.append((f"analyze near-multiple {kind}", ["analyze", "--input", path]))
+    defective = {"J2(1)+3 n=3": (np.diag([1.0, 1, 3]) + np.diag([1.0, 0], 1), 7),
+                 "J3(2)+2+5 n=5": (np.diag([2.0, 2, 2, 2, 5]) + np.diag([1.0, 1, 0, 0], 1), 0)}
+    for kind, (J, seed) in defective.items():
+        path = matrix(f"defective-{kind.split()[0]}.txt", _integer_similar(J, seed))
+        for basis in _BASES:
+            requests.append((f"analyze defective {kind} {basis}",
+                             ["analyze", "--input", path, "--basis", basis]))
     G = np.random.default_rng(4).uniform(-1, 1, (4, 4))
     edges = {"zero n=3": (np.zeros((3, 3)), []), "n=1": (np.array([[0.7]]), []),
              "skew 1e-8 of sym n=4 rank_tol=1e-6": (G + G.T + 1e-8 * (G - G.T),
