@@ -4,10 +4,10 @@ Two bases matter here: the eigenbasis of the symmetric part, in which the
 matrix splits into a diagonal D plus a skew S whose entries are half the
 rotation-form traces, and the block basis of the skew part, in which the skew
 part becomes 2x2 rotation blocks plus a kernel.  Each comes from one LAPACK
-eigen-solve: eigh of the symmetric part, and eigh of the Hermitian matrix
-i K / max|K| for the skew part K, whose eigenvectors' real and imaginary
-parts span the rotation planes; the trailing columns of one complete QR of
-the planes span the kernel.  Neither squares the matrix.
+eigen-solve that the matrix record keeps: eigh of the symmetric part, and eigh
+of the Hermitian i K / max|K| for the skew part K, whose eigenvectors' real and
+imaginary parts span the rotation planes; the trailing columns of one complete
+QR of the planes span the kernel.  Neither squares the matrix.
 """
 
 from dataclasses import dataclass
@@ -67,19 +67,20 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     Returns blocks ordered by descending rotation rate lambda > 0; in that
     basis the skew part equals -sum lambda_k [R_(k, k+1)] over odd k, and each
     lambda equals minus half the trace of the matching rotation form.
-    The rates above n rank_tol are eigenvalues of the Hermitian i K / max|K|
-    (LAPACK eigh), whose eigenvector z spans the plane sqrt(2) Im z, sqrt(2) Re z;
-    the kernel is the trailing columns of one complete QR of the planes, which keeps the
-    basis orthogonal where z and its conjugate nearly coincide; one certificate covers all.
+    Each rate, a positive eigenvalue of i X, X = K / max|K| (the record's skew_eigen), spans
+    the plane sqrt(2) Im z, sqrt(2) Re z of its eigenvector z; rates r <= n rank_tol are cut,
+    smallest first, while sqrt(2 sum r^2) stays within the certificate's eig_off_tol ||X||_F.
+    One complete QR of the planes, whose trailing columns are the kernel, keeps P orthogonal.
     """
     M = _shared(A, tol)
     n, K = M.n, M.skew
     if M.skew_zero:
         raise InputError("skew part is zero (symmetric matrix); use expansion_eigenbasis")
-    s = maxabs(K)
+    s, w, Z = M.skew_eigen
     X = K / s
-    w, Z = np.linalg.eigh(1j * X)
-    Z = Z[:, w > n * tol.rank_tol][:, ::-1]
+    bound = tol.eig_off_tol * float(np.linalg.norm(X))
+    cut_norm = np.hypot.accumulate(np.where(w > n * tol.rank_tol, np.inf, np.maximum(w, 0.0)))
+    Z = Z[:, cut_norm.searchsorted(bound / np.sqrt(2.0), side="right"):][:, ::-1]
     m = Z.shape[1]
     planes = np.sqrt(2.0) * np.stack([Z.imag, Z.real], axis=2).reshape(n, 2 * m)
     P, R = np.linalg.qr(planes, mode="complete")
@@ -90,7 +91,7 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     C[k, k + 1] -= lambdas
     C[k + 1, k] += lambdas
     off = float(np.linalg.norm(C))
-    if off > tol.eig_off_tol * float(np.linalg.norm(X)):
+    if off > bound:
         raise NumericalError(f"skew block certificate failed: residual {off:.3e}", residual=off)
     return SkewBlockForm(basis=P, lambdas=tuple(map(float, s * lambdas)), zero_dim=n - 2 * m)
 

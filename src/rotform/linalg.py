@@ -35,8 +35,8 @@ class ToleranceConfig:
     eigenbasis that a matrix record adopts (_Matrix.adopt_eigen) and of
     skew_canonical_basis; below about 1e-14 they end in NumericalError.
     rank_tol (1e-12), a quantity is zero:
-      - n rank_tol max|X|: nullspace singular values (X = A), skew_canonical_basis's
-        rates and kernel (X = K / max|K|), real_spectrum's residual or sigma_min and the
+      - n rank_tol max|X|: nullspace singular values (X = A), the skew kernel's rates, cut
+        within the certificate (X = K / max|K|), real_spectrum's residual or sigma_min and the
         eigenspaces from that SVD (X = A/s), and its tie between real parts of pairs (X = A);
       - rank_tol max|X|^d: a zero symmetric or skew part of A, a zero
         planar rotation-form eigenvalue (d = 1) and the planar borderline
@@ -197,10 +197,10 @@ def _eigenbasis_gap(Q, P, tol):
 class _Matrix:
     """A, checked once by as_square, its one ToleranceConfig tol, and what its
     analyses share, each formed on first use and kept: max|A| (scale), p =
-    binary_scale(A), X = A / p (the one place a record forms it), the parts sym
-    and skew, whether each is zero at tol, sym_eigen(sym, tol) and the expansion
-    split.  The analyses, decompose, principal_minor_sums and the identities take
-    it in place of A."""
+    binary_scale(A), X = A / p (the one place a record forms it), the parts sym and
+    skew, whether each is zero at tol, sym_eigen(sym, tol), the expansion split and
+    skew_eigen: max|K| of a non-zero skew part K and eigh of i K / max|K|.  The analyses,
+    decompose, principal_minor_sums and the identities take it in place of A."""
 
     def __init__(self, A, tol):
         self.A, self.n, self.tol = A, A.shape[0], tol
@@ -213,6 +213,11 @@ class _Matrix:
     sym_zero = cached_property(lambda self: maxabs(self.sym) <= self.tol.rank_tol * self.scale)
     skew_zero = cached_property(lambda self: maxabs(self.skew) <= self.tol.rank_tol * self.scale)
     eigen = cached_property(lambda self: sym_eigen(self.sym, self.tol))
+
+    @cached_property
+    def skew_eigen(self):
+        s = maxabs(self.skew)
+        return (s, *np.linalg.eigh(1j * (self.skew / s)))
 
     @cached_property
     def split(self):

@@ -86,15 +86,15 @@ def bromwich_bounds(A, tol=DEFAULT_TOL):
     expansion form), imaginary parts in [mu, M] (extreme rotation rates of the
     skew part, zero for symmetric input).
 
-    The top rotation rate of the skew part K is its spectral norm ||K||_2
-    (LAPACK SVD, which rescales internally, so any scale is safe).
+    The top rotation rate of the skew part K, its spectral norm ||K||_2, is
+    max|K| times the top eigenvalue of i K / max|K| (the record's skew_eigen).
     """
     M = _shared(A, tol)
     w, _ = M.eigen
     nu, N = float(w[0]), float(w[-1])
     if M.skew_zero:
         return (nu, N, 0.0, 0.0)
-    top = float(np.linalg.norm(M.skew, 2))
+    top = M.skew_eigen[0] * float(M.skew_eigen[1][-1])
     return (nu, N, -top, top)
 
 

@@ -14,9 +14,11 @@ from rotform import (
     bromwich_bounds,
     common_zero_check,
     eigenstructure,
+    expansion_eigenbasis,
     invariant_report,
     normal_invariant_recover,
     normal_power_basis,
+    normality_report,
     plane_pairs,
     random_orthogonal,
     real_spectrum,
@@ -29,6 +31,8 @@ from oracles import diagonal_rotation_recursion, random_normal_matrix
 
 def _count(monkeypatch, modules, name):
     calls = []
+    if np.linalg in modules:  # np.linalg.norm(., 2) reaches svd through numpy.linalg._linalg
+        modules = [*modules, np.linalg._linalg]
     for module in modules:
         original = getattr(module, name, None)
         if original is None:
@@ -135,6 +139,34 @@ def test_real_spectrum_of_distinct_eigenvalues_runs_no_svd(monkeypatch, n):
     spectrum = real_spectrum(np.random.default_rng(n).uniform(-1, 1, (n, n)))
     assert spectrum.total_multiplicity() == n
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_eigenstructure_of_distinct_eigenvalues_runs_no_svd(monkeypatch, n):
+    # the Bromwich box reads the top rotation rate from the skew part's eigh
+    calls = _count(monkeypatch, [np.linalg], "svd")
+    report = eigenstructure(np.random.default_rng(n).uniform(-1, 1, (n, n)))
+    assert report.bromwich[3] > 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [4, 9, 32])
+def test_the_four_spectral_analyses_of_one_array_solve_the_skew_part_once(monkeypatch, n):
+    svds = _count(monkeypatch, [np.linalg], "svd")
+    kinds = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        kinds.append(a.dtype.kind)
+        return eigh(a, *args, **kwargs)
+
+    for module in (np.linalg, np.linalg._linalg):
+        monkeypatch.setattr(module, "eigh", recorded)
+    monkeypatch.setattr(rotform.linalg, "_last", None)  # no record kept from an earlier test
+    A = np.random.default_rng(n).uniform(-1, 1, (n, n))
+    for analysis in (eigenstructure, normality_report, expansion_eigenbasis, skew_canonical_basis):
+        analysis(A)
+    assert (kinds.count("c"), svds) == (1, [])
 
 
 def test_eigenstructure_runs_no_svd_beyond_those_of_real_spectrum(monkeypatch):

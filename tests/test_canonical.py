@@ -4,7 +4,6 @@ import pytest
 from rotform import (
     DEFAULT_TOL,
     InputError,
-    NumericalError,
     expansion_eigenbasis,
     normal_power_basis,
     normality_report,
@@ -141,9 +140,6 @@ class TestSkewCanonicalBasis:
         with pytest.raises(InputError, match="symmetric"):
             skew_canonical_basis(np.eye(3))
 
-    @pytest.mark.xfail(strict=True, raises=NumericalError,
-                       reason="ROADMAP item 2: the kernel cut at n rank_tol is looser than the "
-                              "certificate, so a cut rate r leaves sqrt(2) r in it")
     def test_a_rate_near_the_kernel_cut_keeps_its_certificate(self):
         # K = Q blockdiag(rates 1, 1, 1, r) Q^T: whether r is cut into the kernel or kept
         # as a block, the returned basis must pass the certificate

@@ -177,6 +177,11 @@ def test_only_linalg_makes_svd_rank_decisions():
             or (hit[2] == "nullspace" and hit[0] != "__init__.py")] == []
 
 
+def test_only_linalg_calls_eigh():
+    # the symmetric part is solved by sym_eigen, the skew part by the record's skew_eigen
+    assert [hit for hit in _module_names() if hit[2] == "eigh"] == []
+
+
 @pytest.mark.parametrize("excess, refused", [(0.5, False), (2.0, True)])
 def test_the_skew_inputs_share_one_check(excess, refused):
     """skew_square_structure and skew_rotation_coeffs take S while max|S + S^T|

@@ -36,6 +36,10 @@ them.  The corpus:
 - analyze in the three bases on integer similarities of J2(1) + [3] and
   J3(2) + [2] + [5], whose defective eigenvalues (gm < am) LAPACK returns as
   clusters with complex members;
+- analyze in the given and skew-canonical bases on K = Q blockdiag(rates 1,
+  1, 1, 4e-12) Q^T, Q = random_orthogonal(n, 0), for n = 8 and for n = 9
+  with a zero block, where the rate 4e-12 lies below the kernel cut n rank_tol
+  but leaves more in the skew block certificate than its bound allows;
 - analyze in the three bases on a zero 3 x 3 and a 1 x 1 matrix, and with
   --tol rank_tol=1e-6 on a 4 x 4 whose skew part is 1e-8 of its symmetric
   part, so that it counts as zero only at that tolerance;
@@ -82,6 +86,13 @@ def _integer_similar(J, seed):
     L = np.tril(rng.integers(-1, 2, J.shape), -1) + np.eye(len(J))
     U = np.triu(rng.integers(-1, 2, J.shape), 1) + np.eye(len(J))
     return L @ U @ J @ np.rint(np.linalg.inv(U)) @ np.rint(np.linalg.inv(L))
+
+
+def _random_orthogonal(n, seed):
+    """rotform.random_orthogonal(n, seed), bit for bit: the Q of a seeded standard-normal
+    sample, its columns signed by R's diagonal."""
+    Q, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return Q * np.where(np.diag(R) < 0.0, -1.0, 1.0)
 
 
 def _helix(p, c=0.5):
@@ -209,6 +220,14 @@ def corpus(workdir):
         path = matrix(f"defective-{kind.split()[0]}.txt", _integer_similar(J, seed))
         for basis in _BASES:
             requests.append((f"analyze defective {kind} {basis}",
+                             ["analyze", "--input", path, "--basis", basis]))
+    for n in (8, 9):
+        B, i = np.zeros((n, n)), np.arange(0, 8, 2)
+        B[i, i + 1] = (1.0, 1.0, 1.0, 4e-12)
+        Q = _random_orthogonal(n, 0)
+        path = matrix(f"skew-band{n}.txt", Q @ (B - B.T) @ Q.T)
+        for basis in ("given", "skew-canonical"):
+            requests.append((f"analyze skew rates 1, 1, 1, 4e-12 n={n} {basis}",
                              ["analyze", "--input", path, "--basis", basis]))
     G = np.random.default_rng(4).uniform(-1, 1, (4, 4))
     edges = {"zero n=3": (np.zeros((3, 3)), []), "n=1": (np.array([[0.7]]), []),
