@@ -73,16 +73,14 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     One complete QR of the planes, whose trailing columns are the kernel, keeps P orthogonal.
     """
     M = _shared(A, tol)
-    n, K = M.n, M.skew
     if M.skew_zero:
         raise InputError("skew part is zero (symmetric matrix); use expansion_eigenbasis")
-    s, w, Z = M.skew_eigen
-    X = K / s
+    s, X, w, Z = M.skew_eigen
     bound = tol.eig_off_tol * float(np.linalg.norm(X))
-    cut_norm = np.hypot.accumulate(np.where(w > n * tol.rank_tol, np.inf, np.maximum(w, 0.0)))
+    cut_norm = np.hypot.accumulate(np.where(w > M.n * tol.rank_tol, np.inf, np.maximum(w, 0.0)))
     Z = Z[:, cut_norm.searchsorted(bound / np.sqrt(2.0), side="right"):][:, ::-1]
     m = Z.shape[1]
-    planes = np.sqrt(2.0) * np.stack([Z.imag, Z.real], axis=2).reshape(n, 2 * m)
+    planes = np.sqrt(2.0) * np.stack([Z.imag, Z.real], axis=2).reshape(M.n, 2 * m)
     P, R = np.linalg.qr(planes, mode="complete")
     P[:, : 2 * m] *= np.where(np.diag(R) < 0.0, -1.0, 1.0)
     C = P.T @ X @ P
@@ -93,7 +91,7 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     off = float(np.linalg.norm(C))
     if off > bound:
         raise NumericalError(f"skew block certificate failed: residual {off:.3e}", residual=off)
-    return SkewBlockForm(basis=P, lambdas=tuple(map(float, s * lambdas)), zero_dim=n - 2 * m)
+    return SkewBlockForm(basis=P, lambdas=tuple(map(float, s * lambdas)), zero_dim=M.n - 2 * m)
 
 
 def normality_report(A, tol=DEFAULT_TOL):

@@ -377,6 +377,10 @@ def _cmd_planar(request):
 
 
 def _cmd_identities(request):
+    for name in request.params:  # it reads n, and only without --input
+        if name != "n" or request.input_path is not None:
+            where = " beside --input, whose file sets n" if name == "n" else ""
+            raise InputError(f"identities does not read parameter {name!r}{where}")
     A = None if request.input_path is None else load_matrix(request.input_path)
     n = request.params.get("n", 4) if A is None else len(A)
     if n < 1:

@@ -19,6 +19,7 @@ from .qforms import rotation_form_matrix
 from .quasirot import plane_pairs
 
 _UNIT_TOL = 1e-8
+_AXES, _STEPS = np.eye(3), np.array([-2.0, -1.0, 1.0, 2.0])  # stencil axes, offsets over h
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,8 @@ class FlowField:
     1e-8 (checked on every query); jacobian, when supplied, returns the
     analytic 3x3 derivative and is preferred over finite differences.
     fd_step scales the central-difference step: h = fd_step * (1 + |x|).
+    frenet_report queries T and the Jacobian at x, then at each stencil point
+    along T, in that order: 10 queries, or 65 with differences (field_jacobian).
     """
 
     evaluator: object
@@ -55,7 +58,7 @@ def _point(x):
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise InputError(f"point must be a 3-vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError("point has non-finite coordinates")
     return x
 
@@ -63,7 +66,8 @@ def _point(x):
 def field_jacobian(field, x):
     """Derivative matrix of the field at x: column j holds the directional
     derivative along the j-th axis.  Analytic when the field provides one,
-    otherwise fourth-order central differences."""
+    otherwise fourth-order central differences from 12 queries: axis by
+    axis, at x - 2h e, x - h e, x + h e, x + 2h e along each."""
     x = _point(x)
     if field.jacobian is not None:
         field.at(x)  # enforce the unit contract at the query point
@@ -72,15 +76,14 @@ def field_jacobian(field, x):
             raise FieldError(f"analytic jacobian returned shape {J.shape}")
         return J
     h = field.step(x)
-    J = np.zeros((3, 3))
-    for j, e in enumerate(np.eye(3)):
-        J[:, j] = _difference([field.at(y) for y in _stencil(x, e, h)], h)
-    return J
+    samples = np.array([field.at(y) for y in _stencil(x, _AXES, h)]).reshape(3, 4, 3)
+    # C order: J @ T on an F-ordered J can differ in the last bit
+    return np.ascontiguousarray(_difference(samples.transpose(1, 2, 0), h))
 
 
 def _stencil(x, d, h):
-    """The four points of a fourth-order central difference along d."""
-    return (x - 2.0 * h * d, x - h * d, x + h * d, x + 2.0 * h * d)
+    """x + c h d, c = -2, -1, 1, 2: the difference stencil along d, or each row of d in turn."""
+    return (x + (h * _STEPS)[:, None] * d[..., None, :]).reshape(-1, 3)
 
 
 def _difference(samples, h):
@@ -95,7 +98,7 @@ def _frame_at(field, x, kappa_tol):
     T = field.at(x)
     J = field_jacobian(field, x)
     dT = J @ T
-    kappa = float(np.linalg.norm(dT))
+    kappa = sqrt(dT @ dT)
     if kappa <= kappa_tol:
         raise InputError(f"straight flow: curvature {kappa:.3e} at {tuple(float(c) for c in x)} "
                          f"is below {kappa_tol:.3e}")
@@ -115,6 +118,12 @@ class FrenetData:
     skew_residual: float       # max|A + A^T| of the numerical shape matrix
 
 
+def _cross(a, b):
+    """np.cross of two 3-vectors, by its products and differences."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def model_shape_matrix(kappa, tau, sigma):
     return np.array([[0.0, -kappa, 0.0], [kappa, 0.0, -tau + sigma], [0.0, tau - sigma, 0.0]])
 
@@ -126,11 +135,10 @@ def _shape_map(field, x, kappa_tol):
     four stencil points along T."""
     x = _point(x)
     T, N, J, kappa = _frame_at(field, x, kappa_tol)
-    B = np.cross(T, N)
+    B = _cross(T, N)
     h = 10.0 * field.step(x)
     frames = [_frame_at(field, y, kappa_tol * 0.01)[:2] for y in _stencil(x, T, h)]
-    dN = _difference([n for _, n in frames], h)
-    dB = _difference([np.cross(t, n) for t, n in frames], h)
+    dN, dB = _difference(np.array([(n, _cross(t, n)) for t, n in frames]), h)
     tau = float(dN @ B)
     F = np.column_stack([T, N, B])
     A_F = F.T @ J @ F
@@ -205,16 +213,15 @@ def compare_matrix_to_model(A_F, kappa, tau, sigma):
     """Entry-level comparison of a frame matrix against the skew model."""
     A_F = np.asarray(A_F, dtype=float)
     w = np.array([sigma - tau, 0.0, -kappa])
-    norm_w = float(np.linalg.norm(w))
-    kernel_residual = float(np.linalg.norm(A_F @ w)) / norm_w if norm_w > 0 else 0.0
+    norm_w, Aw = sqrt(w @ w), A_F @ w
+    kernel_residual = sqrt(Aw @ Aw) / norm_w if norm_w > 0 else 0.0
+    skew_residual = maxabs(A_F + A_F.T)
+    (_, a12, _), (_, a22, _), (_, _, a33) = A_F.tolist()
     return {
-        "skew_residual": float(np.max(np.abs(A_F + A_F.T))),
-        "entry_12": float(A_F[0, 1]),
-        "model_entry_12": -kappa,
-        "delta_12": float(abs(A_F[0, 1] + kappa)),
-        "diag_22": float(A_F[1, 1]),
-        "diag_33": float(A_F[2, 2]),
-        "expansion_norm": float(np.max(np.abs(0.5 * (A_F + A_F.T)))),
+        "skew_residual": skew_residual,
+        "entry_12": a12, "model_entry_12": -kappa, "delta_12": abs(a12 + kappa),
+        "diag_22": a22, "diag_33": a33,
+        "expansion_norm": 0.5 * skew_residual,  # = max|(A + A^T) / 2|: halving is monotone
         "kernel_residual": kernel_residual,
     }
 
@@ -298,9 +305,9 @@ def constant_field(direction):
 class GridField:
     """Trilinear interpolation of unit samples on a regular grid.
 
-    Raw samples must be unit within 1e-8 (checked at construction); the
-    interpolated value is renormalised so queries meet the unit contract.
-    Queries outside the closed grid box raise; its upper faces are inside.
+    Raw samples must be unit within 1e-8 (checked at construction); the interpolant
+    is renormalised to meet the unit contract.  A query outside the closed box (its
+    upper faces are inside) raises naming its point: a stencil names its first such query.
     """
 
     origin: np.ndarray
@@ -327,17 +334,21 @@ class GridField:
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "values", values)
+        # origin, spacing and node counts as Python numbers, for the cell arithmetic
+        object.__setattr__(self, "_cell", (origin.tolist(), spacing.tolist(), values.shape[:3]))
 
     def __call__(self, x):
-        r0, r1, r2 = ((np.asarray(x, dtype=float) - self.origin) / self.spacing).tolist()
-        nx, ny, nz = self.values.shape[:3]
+        x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+        (o0, o1, o2), (s0, s1, s2), (nx, ny, nz) = self._cell
+        r0, r1, r2 = (x0 - o0) / s0, (x1 - o1) / s1, (x2 - o2) / s2
         if not (0.0 <= r0 <= nx - 1 and 0.0 <= r1 <= ny - 1 and 0.0 <= r2 <= nz - 1):
-            raise FieldError(f"point {tuple(float(v) for v in x)} lies outside the sampled grid")
+            raise FieldError(f"point {(x0, x1, x2)} lies outside the sampled grid")
         i, j, k = min(int(r0), nx - 2), min(int(r1), ny - 2), min(int(r2), nz - 2)
-        wx, wy, wz = ((1.0 - f, f) for f in (r0 - i, r1 - j, r2 - k))
-        # corners (dx, dy, dz) in C order, weighted (wx * wy) * wz and added in that
-        # order; + 0.0 turns a -0.0 sum into the 0.0 that a sum started at 0.0 gives
-        weights = np.array([a * b * c for a in wx for b in wy for c in wz])
+        (g0, f0), (g1, f1), (g2, f2) = ((1.0 - f, f) for f in (r0 - i, r1 - j, r2 - k))
+        # corners (dx, dy, dz) in C order, weighted (w_dx * w_dy) * w_dz, w = (1 - f, f), and
+        # added in that order; + 0.0 turns a -0.0 sum into the 0.0 a sum started at 0.0 gives
+        a, b, c, d = g0 * g1, g0 * f1, f0 * g1, f0 * f1
+        weights = np.array([a * g2, a * f2, b * g2, b * f2, c * g2, c * f2, d * g2, d * f2])
         corners = self.values[i : i + 2, j : j + 2, k : k + 2].reshape(8, 3)
         out = np.add.accumulate(weights[:, None] * corners)[-1] + 0.0
         norm = sqrt(out @ out)

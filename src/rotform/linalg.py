@@ -199,7 +199,7 @@ class _Matrix:
     analyses share, each formed on first use and kept: max|A| (scale), p =
     binary_scale(A), X = A / p (the one place a record forms it), the parts sym and
     skew, whether each is zero at tol, sym_eigen(sym, tol), the expansion split and
-    skew_eigen: max|K| of a non-zero skew part K and eigh of i K / max|K|.  The analyses,
+    skew_eigen: max|K| of a non-zero skew part K, X = K / max|K| and eigh of i X.  The analyses,
     decompose, principal_minor_sums and the identities take it in place of A."""
 
     def __init__(self, A, tol):
@@ -217,7 +217,8 @@ class _Matrix:
     @cached_property
     def skew_eigen(self):
         s = maxabs(self.skew)
-        return (s, *np.linalg.eigh(1j * (self.skew / s)))
+        X = self.skew / s
+        return (s, X, *np.linalg.eigh(1j * X))
 
     @cached_property
     def split(self):

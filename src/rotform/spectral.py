@@ -94,7 +94,7 @@ def bromwich_bounds(A, tol=DEFAULT_TOL):
     nu, N = float(w[0]), float(w[-1])
     if M.skew_zero:
         return (nu, N, 0.0, 0.0)
-    top = M.skew_eigen[0] * float(M.skew_eigen[1][-1])
+    top = M.skew_eigen[0] * float(M.skew_eigen[2][-1])
     return (nu, N, -top, top)
 
 

@@ -1030,3 +1030,34 @@ def sign_fix_loop(P, tol):
         if lead.size and lead[0] < 0.0:
             col *= -1.0
     return Q
+
+
+def _axis_stencil_loop(x, h):
+    """The 12 points of a differenced Jacobian at x: axis by axis, x - 2h e, x - h e,
+    x + h e, x + 2h e along each."""
+    return [y for e in np.eye(3) for y in (x - 2.0 * h * e, x - h * e, x + h * e, x + 2.0 * h * e)]
+
+
+def field_jacobian_loop(field, x):
+    """The differenced Jacobian of frenet.field_jacobian by a loop over the axes:
+    column j is the fourth-order central difference of field.at along e_j at
+    _axis_stencil_loop(x, h), h = field.step(x)."""
+    x = np.asarray(x, dtype=float)
+    h = field.step(x)
+    J = np.zeros((3, 3))
+    for j in range(3):
+        f1, f2, f3, f4 = (field.at(y) for y in _axis_stencil_loop(x, h)[4 * j : 4 * j + 4])
+        J[:, j] = (f1 - 8.0 * f2 + 8.0 * f3 - f4) / (12.0 * h)
+    return J
+
+
+def frenet_query_points(field, x):
+    """The 65 points that frenet_report queries on a differenced field, in order:
+    x and its 12 Jacobian points, then for each y of x - 2h T, x - h T, x + h T,
+    x + 2h T (T = field.at(x), h = 10 field.step(x)) y and its 12 Jacobian points."""
+    x = np.asarray(x, dtype=float)
+    T, h = field.at(x), 10.0 * field.step(x)
+    points = []
+    for y in (x, x - 2.0 * h * T, x - h * T, x + h * T, x + 2.0 * h * T):
+        points += [y, *_axis_stencil_loop(y, field.step(y))]
+    return points

@@ -846,3 +846,21 @@ class TestCollingsResidual:
             residuals.append(json.loads(open(out).read())["invariants"]["collings_residual"])
         assert residuals[1] == pytest.approx(residuals[0], rel=1e-9)
         assert residuals[1] > 1e-3
+
+
+class TestIdentitiesParams:
+    """identities reads the parameter n, and only when no --input file sets n;
+    it refuses any other parameter with exit 2 and one line naming it."""
+
+    @pytest.mark.parametrize("params, with_input, message", [
+        ("foo=1", False, "identities does not read parameter 'foo'"),
+        ("n=3,c=2", False, "identities does not read parameter 'c'"),
+        ("n=3", True, "identities does not read parameter 'n' beside --input, whose file sets n"),
+    ], ids=["unknown", "beside n", "n beside input"])
+    def test_an_unread_parameter_exits_two(self, tmp_path, capsys, params, with_input, message):
+        source = ["--input", write(tmp_path, "m.txt", "1 2\n3 4\n")] if with_input else []
+        assert main(["identities", *source, "--output", str(tmp_path / "r.json")]) == 0
+        assert main(["identities", *source, "--params", params]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"

@@ -1,5 +1,8 @@
 import json
+import re
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from rotform import (
 from rotform import rotation_form
 from rotform.frenet import (
     GridField,
+    _cross,
     compare_matrix_to_model,
     frenet_report,
     grid_field,
@@ -27,7 +31,7 @@ from rotform.frenet import (
     model_shape_matrix,
 )
 
-from oracles import trilinear_reference
+from oracles import field_jacobian_loop, frenet_query_points, trilinear_reference
 
 
 def helix_reference(r, c):
@@ -359,3 +363,64 @@ class TestGridField:
                 x[axis] = face + outward * 1e-9 * self.SPACING[axis]
                 with pytest.raises(FieldError, match="outside"):
                     grid(x)
+
+
+class TestSampling:
+    """The differenced Jacobian, the order of the field queries and the cross
+    product, bit for bit against loops that sample one point at a time."""
+
+    @staticmethod
+    def assert_equals_the_loop(field, x):
+        J = field_jacobian(field, x)
+        assert J.flags.c_contiguous
+        assert J.tobytes() == field_jacobian_loop(field, x).tobytes(), x
+
+    def test_differenced_helix_jacobian_equals_the_loop(self):
+        rng = np.random.default_rng(30)
+        field = helix_field(0.5, analytic=False)
+        for x in [*rng.uniform(-2.0, 2.0, (200, 3)), np.array([1.0, 0.0, -0.0]), np.zeros(3)]:
+            self.assert_equals_the_loop(field, x)
+
+    @pytest.mark.parametrize("planar", [False, True], ids=["general", "planar"])
+    def test_grid_jacobian_equals_the_loop(self, planar):
+        grid = TestGridField().random_grid(planar)
+        top = grid.origin + (np.array(grid.values.shape[:3]) - 1) * grid.spacing
+        field = FlowField(grid, fd_step=1e-3)
+        rng = np.random.default_rng(31)
+        for rel in rng.uniform(0.05, 0.95, (200, 3)):
+            self.assert_equals_the_loop(field, grid.origin + rel * (top - grid.origin))
+
+    def test_differenced_report_queries_in_the_loop_order(self):
+        calls = []
+        field = helix_field(0.5, analytic=False)
+        probe = FlowField(lambda y: calls.append(y.copy()) or field.evaluator(y),
+                          fd_step=field.fd_step)
+        x = np.array([1.0, 0.2, 0.1])
+        frenet_report(probe, x)
+        expected = frenet_query_points(field, x)
+        assert len(calls) == len(expected) == 65
+        assert np.array(calls).tobytes() == np.array(expected).tobytes()
+
+    def test_a_stencil_past_two_faces_names_its_first_query_outside(self):
+        # 1.7 h below the face x = 1.08 and 0.7 h below y = 0.08: the +2h point along
+        # axis 0 and the +h and +2h points along axis 1 are outside; axis 0 comes first
+        field = TestGridField.helix_grid()
+        h = field.step(np.array([1.08, 0.08, 0.02]))
+        x = np.array([1.08 - 1.7 * h, 0.08 - 0.7 * h, 0.02])
+        points = frenet_query_points(field, x)
+        outside = []
+        for y in points[:13]:
+            try:
+                field.at(y)
+            except FieldError:
+                outside.append(tuple(y.tolist()))
+        assert outside == [tuple(points[i].tolist()) for i in (4, 7, 8)]
+        with pytest.raises(FieldError, match=re.escape(f"point {outside[0]} lies outside")):
+            frenet_report(field, x)
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150)),
+                    min_size=6, max_size=6))
+    def test_cross_equals_np_cross(self, entries):
+        a, b = np.array(entries[:3]), np.array(entries[3:])
+        assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()

@@ -23,10 +23,13 @@ them.  The corpus:
   matrix (3 x 3), whose degree-2 report values pass the double range;
 - frenet on the helix, the circular field and a grid field, on the grid at
   a node, where the stencil along T crosses a cell face, near the upper
-  corner and where the stencil leaves the grid;
+  corner, where the stencil leaves the grid, and where the Jacobian's
+  stencil leaves it past two faces, so that the error names the first
+  query outside in the order of the queries;
 - malformed requests, among them identities on n = 100000000 and on a
-  129 x 129 file, past the CLI's dimension limit, and frenet --tol and
-  analyze --point, options those commands do not read;
+  129 x 129 file, past the CLI's dimension limit, frenet --tol and
+  analyze --point, options those commands do not read, and identities
+  with a parameter c beside n and with n beside --input, which it does not read;
 - identities under --tol residual_tol=1e-30 (n = 5) and eig_off_tol=1e-300
   (n = 4), which its minor-sum anchors and its n = 4 audit cannot meet, and
   under rank_tol=1e-6;
@@ -170,6 +173,11 @@ def corpus(workdir):
          ["frenet", "--field", "file:grid.json", "--point", "1.0395,0.0395,0.0395"]),
         ("frenet grid stencil past the upper corner",
          ["frenet", "--field", "file:grid.json", "--point", "1.0399,0.0399,0.0399"]),
+        # 1.7 h and 0.7 h below the faces x = 1.04 and y = 0.04, h = 1e-5 (1 + |x|): the
+        # Jacobian's +2h point along axis 0 is the first query outside, before axis 1's +h
+        ("frenet grid stencil past two faces",
+         ["frenet", "--field", "file:grid.json",
+          "--point=1.0399653036613956,0.039985713272339386,0.02"]),
     ]
     with open(os.path.join(workdir, "bad.txt"), "w") as fh:
         fh.write("1 2\n3 x\n")
@@ -202,6 +210,9 @@ def corpus(workdir):
         ("unread option frenet --tol", ["frenet", "--field", "helix", "--point", "1,0,0",
                                         "--tol", "rank_tol=5"]),
         ("unread option analyze --point", ["analyze", "--input", three, "--point", "1,0,0"]),
+        ("unread parameter identities c", ["identities", "--params", "n=3,c=2"]),
+        ("unread parameter identities n beside --input",
+         ["identities", "--input", three, "--params", "n=5"]),
     ]
     for n, tol in ((5, "residual_tol=1e-30"), (4, "eig_off_tol=1e-300"), (4, "rank_tol=1e-6")):
         requests.append((f"identities n={n} {tol}",
