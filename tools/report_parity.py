@@ -30,6 +30,11 @@ them.  The corpus:
   129 x 129 file, past the CLI's dimension limit, frenet --tol and
   analyze --point, options those commands do not read, and identities
   with a parameter c beside n and with n beside --input, which it does not read;
+- requests argparse refuses or reads: analyze --basis bogus, identities
+  --seed x, and --seed placed before the command;
+- frenet with parameters it does not read: c and foo on the circular field,
+  and r beside --point;
+- planar with an --output in a missing directory and one that is a directory;
 - identities under --tol residual_tol=1e-30 (n = 5) and eig_off_tol=1e-300
   (n = 4), which its minor-sum anchors and its n = 4 audit cannot meet, and
   under rank_tol=1e-6;
@@ -54,7 +59,8 @@ The matrices are drawn from fixed numpy seeds and written once to a
 temporary directory that every run shares.  A request counts as identical
 when exit code, stdout and stderr agree byte for byte with the first label,
 after each checkout's PATH in stderr is replaced by `<src>` (numpy's
-warnings name the file they come from).  Such a stderr that differs only in
+warnings name the file they come from) and the random name of a report's
+temporary file by `.report-<tmp>`.  Such a stderr that differs only in
 the line numbers after `<src>` still counts as different, but is marked, since
 moving code shifts them.
 For a request that differs the tool prints the exit codes, the last stderr
@@ -184,6 +190,7 @@ def corpus(workdir):
     with open(os.path.join(workdir, "rect.txt"), "w") as fh:
         fh.write("1 2\n3 4\n5 6\n")
     three = matrix("three.txt", np.arange(9.0).reshape(3, 3))
+    two = matrix("two.txt", np.array([[0.0, -1.0], [1.0, 0.0]]))
     wide = matrix("wide.txt", np.random.default_rng(129).uniform(-1, 1, (129, 129)))
     requests += [
         ("malformed no input", ["analyze"]),
@@ -213,7 +220,18 @@ def corpus(workdir):
         ("unread parameter identities c", ["identities", "--params", "n=3,c=2"]),
         ("unread parameter identities n beside --input",
          ["identities", "--input", three, "--params", "n=5"]),
+        ("malformed basis choice", ["analyze", "--input", three, "--basis", "bogus"]),
+        ("malformed seed value", ["identities", "--seed", "x"]),
+        ("option before the command", ["--seed", "3", "identities", "--params", "n=2"]),
+        ("unread parameter frenet c and foo on circular",
+         ["frenet", "--field", "circular", "--params", "c=0.3,foo=1,r=1.5"]),
+        ("unread parameter frenet r beside --point",
+         ["frenet", "--field", "helix", "--params", "c=0.5,r=2", "--point", "1,0,0"]),
+        ("unwritable output missing directory",
+         ["planar", "--input", two, "--output", "missing_dir/r.json"]),
+        ("unwritable output a directory", ["planar", "--input", two, "--output", "outdir"]),
     ]
+    os.mkdir(os.path.join(workdir, "outdir"))
     for n, tol in ((5, "residual_tol=1e-30"), (4, "eig_off_tol=1e-300"), (4, "rank_tol=1e-6")):
         requests.append((f"identities n={n} {tol}",
                          ["identities", "--params", f"n={n}", "--tol", tol]))
@@ -264,7 +282,8 @@ def run_one(src, argv, workdir):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-c", _RUN, *argv], cwd=workdir, env=env,
                           capture_output=True, text=True, timeout=300)
-    return proc.returncode, proc.stdout, proc.stderr.replace(os.path.abspath(src), "<src>")
+    err = proc.stderr.replace(os.path.abspath(src), "<src>")
+    return proc.returncode, proc.stdout, re.sub(r"\.report-\w{8}", ".report-<tmp>", err)
 
 
 def key_differences(a, b, key="", out=None):
