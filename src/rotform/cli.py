@@ -106,15 +106,17 @@ def _write_report(text, output_path):
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output_path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, output_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, output_path)
+        finally:  # tmp is still there only when the write or os.replace failed
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise InputError(f"cannot write {output_path}: {exc.strerror}") from None
 
 
 # --- matrix ingestion -------------------------------------------------------
@@ -132,10 +134,7 @@ def parse_matrix_text(text, source="<input>"):
 
 
 def _parse_matrix_json(text, source):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{source}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+    obj = _decode_json(text, source)
     if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
         raise InputError(f"{source}: matrix object needs keys 'n' and 'rows'")
     n = obj["n"]
@@ -190,13 +189,24 @@ def _parse_matrix_grid(text, source):
     return np.array(rows)
 
 
-def load_matrix(path):
+def _read_text(path):
+    """The text of an input file: the --input matrix or a --field file: grid."""
     try:
         with open(path, "r") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
-    return parse_matrix_text(text, source=path)
+
+
+def _decode_json(text, source):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{source}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+
+
+def load_matrix(path):
+    return parse_matrix_text(_read_text(path), source=path)
 
 
 # --- report sections --------------------------------------------------------
@@ -377,10 +387,6 @@ def _cmd_planar(request):
 
 
 def _cmd_identities(request):
-    for name in request.params:  # it reads n, and only without --input
-        if name != "n" or request.input_path is not None:
-            where = " beside --input, whose file sets n" if name == "n" else ""
-            raise InputError(f"identities does not read parameter {name!r}{where}")
     A = None if request.input_path is None else load_matrix(request.input_path)
     n = request.params.get("n", 4) if A is None else len(A)
     if n < 1:
@@ -409,13 +415,7 @@ def _field_from_spec(request):
         return frenet.circular_field()
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        try:
-            with open(path, "r") as handle:
-                obj = json.load(handle)
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc.strerror}") from None
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+        obj = _decode_json(_read_text(path), path)
         for key in ("origin", "spacing", "values"):
             if key not in obj:
                 raise InputError(f"{path}: grid field needs key {key!r}")
@@ -533,33 +533,28 @@ def build_parser():
         prog="rotform",
         description="Expansion/rotation quadratic-form analysis of real matrices and flow fields",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analyze", "eigenstructure, normality and form report for a matrix"),
-        ("planar", "complete 2x2 classification"),
-        ("identities", "invariant identity residual sweep"),
-        ("frenet", "Frenet shape-map analysis of a unit flow field"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--input", help="matrix file (JSON object or whitespace grid)")
-        cmd.add_argument(
-            "--basis",
-            choices=("given", "expansion", "skew-canonical"),
-            help="work in the given basis (default) or a canonical one (analyze only)",
-        )
-        cmd.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                         help="override a tolerance (repeatable)")
-        cmd.add_argument("--seed", type=int, default=0, help="seed for probe vectors")
-        cmd.add_argument("--output", help="report path (stdout when omitted)")
-        cmd.add_argument("--field", help="frenet: helix, circular or file:<path>")
-        cmd.add_argument("--params", help="comma-separated name=value parameters")
-        cmd.add_argument("--point", help="frenet: evaluation point x,y,z")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--input", help="matrix file (JSON object or whitespace grid)")
+    parser.add_argument("--basis", choices=("given", "expansion", "skew-canonical"),
+                        help="work in the given basis (default) or a canonical one (analyze only)")
+    parser.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                        help="override a tolerance (repeatable)")
+    parser.add_argument("--seed", type=int, default=0, help="seed for probe vectors")
+    parser.add_argument("--output", help="report path (stdout when omitted)")
+    parser.add_argument("--field", help="frenet: helix, circular or file:<path>")
+    parser.add_argument("--params", help="comma-separated name=value parameters")
+    parser.add_argument("--point", help="frenet: evaluation point x,y,z")
     return parser
 
 
-# The options each command reads beside --seed and --output; it refuses any other.
+# What each command reads beside --seed and --output: its options, and the parameters of
+# --params, each with the option that leaves it unread unless that option's value is
+# listed, and the words that say so.  A command refuses any other option or parameter.
 _READS = {"analyze": ("input", "basis", "tol"), "planar": ("input", "tol"),
           "identities": ("input", "tol", "params"), "frenet": ("field", "params", "point")}
+_PARAMS = {"identities": {"n": ("input", (None,), " beside --input, whose file sets n")},
+           "frenet": {"c": ("field", (None, "helix"), " beside --field {field}"),
+                      "r": ("point", (None,), " beside --point")}}
 
 
 def request_from_args(args):
@@ -572,7 +567,7 @@ def request_from_args(args):
         raise InputError(f"{args.command} needs --input")
     if args.seed < 0:
         raise InputError(f"--seed must be non-negative, got {args.seed}")
-    return AnalysisRequest(
+    request = AnalysisRequest(
         command=args.command,
         input_path=args.input,
         basis_mode=args.basis or "given",
@@ -583,6 +578,12 @@ def request_from_args(args):
         params=_parse_params(args.params),
         point=_parse_point(args.point),
     )
+    for name in request.params:  # a parameter with no entry is never read
+        option, read_with, where = _PARAMS[args.command].get(name, ("command", (), ""))
+        if getattr(args, option) not in read_with:
+            raise InputError(f"{args.command} does not read parameter {name!r}"
+                             + where.format(**vars(args)))
+    return request
 
 
 # Built once at import; parse_args keeps no state between calls.

@@ -40,6 +40,7 @@ from .canonical import normal_power_basis
 from .linalg import (
     DEFAULT_TOL,
     _Matrix,
+    _kernel,
     _matrix,
     _pm2,
     _shared,
@@ -304,7 +305,8 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
 
     Assembles one equation per basis direction from the diagonalised power
     forms plus one per coupled plane from the skew closed form, solves by
-    least squares, and returns (pm estimates, system rank).  The system is
+    least squares through QR, and returns (pm estimates, system rank), the
+    rank by linalg's one SVD rank rule on the row-scaled system.  The system is
     built for X = A / p, p = binary_scale(A), whose pm^k come back times p^k
     as float products: the columns of A's own system scale as p^1..p^n.
     Rank below n raises NumericalError with the assembled system attached.
@@ -348,10 +350,11 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
     norms[norms == 0.0] = 1.0
     M_scaled = M / norms[:, None]
     b_scaled = b / norms
-    rank = int(np.linalg.matrix_rank(M_scaled))
+    rank = n - len(_kernel(M_scaled, [0.0], n * tol.rank_tol * maxabs(M_scaled))[1])
     if rank < n:
         raise NumericalError(f"power system is rank deficient: rank {rank} < {n}", system=(M, b))
-    solution, *_ = np.linalg.lstsq(M_scaled, b_scaled, rcond=None)
+    Q, R = np.linalg.qr(M_scaled)
+    solution = np.linalg.solve(R, Q.T @ b_scaled)
     return tuple(prod([p] * k, start=float(x)) for k, x in enumerate(solution, start=1)), rank
 
 

@@ -38,6 +38,7 @@ class ToleranceConfig:
       - n rank_tol max|X|: nullspace singular values (X = A), the skew kernel's rates, cut
         within the certificate (X = K / max|K|), real_spectrum's residual or sigma_min and the
         eigenspaces from that SVD (X = A/s), and its tie between real parts of pairs (X = A);
+        the rank of normal_invariant_recover's row-scaled power system (X, n columns);
       - rank_tol max|X|^d: a zero symmetric or skew part of A, a zero
         planar rotation-form eigenvalue (d = 1) and the planar borderline
         product (d = 2), a QForm's asymmetry, collings_det's off-diagonal D;
@@ -411,8 +412,9 @@ def _resolve_clusters(Ah, points, groups, sigma_tol, certified):
 def _kernel(X, shifts, bound):
     """The one SVD rank rule: the largest sigma_min(X - z I) over the shifts z and, for a
     real first z, the right singular vectors of its X - z I with singular values at most
-    bound, by a real SVD (a complex one gives arbitrary phases); the rest in one batch."""
-    eye, sigma, basis = np.eye(len(X)), 0.0, ()
+    bound, by a real SVD (a complex one gives arbitrary phases); the rest in one batch.
+    X may be tall when its one shift is 0; I then has X's shape."""
+    eye, sigma, basis = np.eye(*X.shape), 0.0, ()
     if not isinstance(shifts[0], complex):
         _, s, vh = np.linalg.svd(X - shifts[0] * eye)
         sigma, basis, shifts = s[-1], tuple(vh[s <= bound]), shifts[1:]

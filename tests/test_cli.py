@@ -539,7 +539,7 @@ class TestCommands:
 
     def test_frenet_helix(self, tmp_path):
         out = str(tmp_path / "report.json")
-        assert main(["frenet", "--field", "helix", "--params", "r=1,c=0.5",
+        assert main(["frenet", "--field", "helix", "--params", "c=0.5",
                      "--point", "1,0,0", "--output", out]) == 0
         doc = json.loads(open(out).read())
         assert doc["kappa"] == pytest.approx(0.8, abs=1e-6)
@@ -864,3 +864,94 @@ class TestIdentitiesParams:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: {message}\n"
+
+
+class TestRefusals:
+    """Each refusal of a malformed request: exit 2 and its one stderr line, names
+    relative to the working directory."""
+
+    FILES = {"keys.json": '{"n": 2}', "zero.json": '{"n": 0, "rows": []}',
+             "short.json": '{"n": 2, "rows": [[1, 2], [3]]}', "blank.txt": "\n  \n",
+             "three.txt": "1 2 3\n4 5 6\n7 8 9\n", "broken.json": "{",
+             "nogrid.json": '{"origin": [0, 0, 0], "values": []}'}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--input", "keys.json"], "keys.json: matrix object needs keys 'n' and 'rows'"),
+        (["analyze", "--input", "zero.json"], "zero.json: 'n' must be a positive integer, got 0"),
+        (["analyze", "--input", "short.json"], "short.json: row 2 must hold 2 numbers"),
+        (["planar", "--input", "blank.txt"], "blank.txt: no matrix data found"),
+        (["frenet", "--point", "1,0,0"], "frenet command needs --field"),
+        (["frenet", "--field", "file:missing.json", "--point", "1,0,0"],
+         "cannot read missing.json: No such file or directory"),
+        (["frenet", "--field", "file:broken.json", "--point", "1,0,0"],
+         "broken.json:1:2: invalid JSON: Expecting property name enclosed in double quotes"),
+        (["frenet", "--field", "file:nogrid.json", "--point", "1,0,0"],
+         "nogrid.json: grid field needs key 'spacing'"),
+        (["frenet", "--field", "helix"], "frenet command needs --point (or a radius parameter r)"),
+        (["analyze", "--input", "three.txt", "--tol", "rank_tol"],
+         "tolerance override must look like name=value, got 'rank_tol'"),
+        (["analyze", "--input", "three.txt", "--tol", "rank_tol=x"],
+         "tolerance 'rank_tol' needs a numeric value, got 'x'"),
+        (["identities", "--params", "n"], "parameter must look like name=value, got 'n'"),
+        (["identities", "--params", "n=x"], "parameter 'n' needs a numeric value, got 'x'"),
+        (["frenet", "--field", "helix", "--point", "1,0"], "point must be x,y,z, got '1,0'"),
+        (["frenet", "--field", "helix", "--point", "1,0,x"],
+         "point coordinates must be numeric, got '1,0,x'"),
+        (["identities", "--params", "n=0"], "dimension must be >= 1, got 0"),
+        (["planar", "--input", "three.txt"], "planar command needs a 2x2 matrix, got 3x3"),
+    ], ids=["json keys", "json n", "json row", "empty grid", "no field", "field unreadable",
+            "field JSON", "field key", "no point", "tol no =", "tol value", "params no =",
+            "params value", "point count", "point value", "n=0", "planar 3x3"])
+    def test_a_malformed_request_exits_two_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                                         argv, message):
+        monkeypatch.chdir(tmp_path)
+        for name, text in self.FILES.items():
+            write(tmp_path, name, text)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+    @pytest.mark.parametrize("output, reason", [("missing_dir/r.json", "No such file or directory"),
+                                                ("outdir", "Is a directory")])
+    def test_an_unwritable_output_exits_two_and_leaves_no_file(self, tmp_path, monkeypatch, capsys,
+                                                              output, reason):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("outdir")
+        write(tmp_path, "m.txt", "0 -1\n1 0\n")
+        assert main(["planar", "--input", "m.txt", "--output", output]) == 2
+        assert capsys.readouterr() == ("", f"input error: cannot write {output}: {reason}\n")
+        assert (sorted(os.listdir()), os.listdir("outdir")) == (["m.txt", "outdir"], [])
+
+    def test_an_empty_params_chunk_is_skipped(self, tmp_path, capsys):
+        out = str(tmp_path / "r.json")
+        assert main(["identities", "--params", "n=2,,", "--output", out]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert json.loads(open(out).read())["input"]["n"] == 2
+
+    def test_run_refuses_an_unknown_basis_mode(self, tmp_path):
+        request = AnalysisRequest(command="analyze", input_path=write(tmp_path, "m.txt", "1 2\n3 4\n"),
+                                  basis_mode="bogus")
+        with pytest.raises(InputError, match="^unknown basis mode 'bogus'$"):
+            run(request)
+
+
+class TestFrenetParams:
+    """frenet reads the parameter c only with --field helix and r only without
+    --point; it refuses any other parameter with exit 2 and one line naming it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--field", "helix", "--params", "c=0.5", "--point", "1,0.2,0.1"],
+        ["--field", "circular", "--params", "r=1.5"],
+    ], ids=["helix c beside point", "circular r"])
+    def test_a_read_parameter_exits_zero(self, tmp_path, argv):
+        assert main(["frenet", *argv, "--output", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--field", "circular", "--params", "c=0.3,foo=1,r=1.5"],
+         "frenet does not read parameter 'c' beside --field circular"),
+        (["--field", "circular", "--params", "foo=1,r=1.5"], "frenet does not read parameter 'foo'"),
+        (["--field", "helix", "--params", "c=0.5,r=2", "--point", "1,0,0"],
+         "frenet does not read parameter 'r' beside --point"),
+    ], ids=["c on circular", "unknown", "r beside point"])
+    def test_an_unread_parameter_exits_two(self, capsys, argv, message):
+        assert main(["frenet", *argv]) == 2
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
