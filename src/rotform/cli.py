@@ -192,10 +192,12 @@ def _parse_matrix_grid(text, source):
 def _read_text(path):
     """The text of an input file: the --input matrix or a --field file: grid."""
     try:
-        with open(path, "r") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _decode_json(text, source):
@@ -416,6 +418,8 @@ def _field_from_spec(request):
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         obj = _decode_json(_read_text(path), path)
+        if not isinstance(obj, dict):
+            raise InputError(f"{path}: grid field must be a JSON object")
         for key in ("origin", "spacing", "values"):
             if key not in obj:
                 raise InputError(f"{path}: grid field needs key {key!r}")

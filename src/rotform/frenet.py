@@ -301,6 +301,16 @@ def constant_field(direction):
                      name="constant")
 
 
+def _float_array(value, name):
+    """A read-only float copy of value, which a caller's later writes cannot reach."""
+    try:
+        out = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"grid {name} must be a regular array of numbers") from None
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class GridField:
     """Trilinear interpolation of unit samples on a regular grid.
@@ -308,6 +318,9 @@ class GridField:
     Raw samples must be unit within 1e-8 (checked at construction); the interpolant
     is renormalised to meet the unit contract.  A query outside the closed box (its
     upper faces are inside) raises naming its point: a stencil names its first such query.
+    origin, spacing and values are kept as read-only float copies, so a caller's later
+    writes to its arrays reach no query; each cell's 8 corners are read once per field,
+    as Python floats, at the cell's first query.
     """
 
     origin: np.ndarray
@@ -315,9 +328,9 @@ class GridField:
     values: np.ndarray  # shape (nx, ny, nz, 3)
 
     def __post_init__(self):
-        origin = np.asarray(self.origin, dtype=float)
-        spacing = np.asarray(self.spacing, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        origin = _float_array(self.origin, "origin")
+        spacing = _float_array(self.spacing, "spacing")
+        values = _float_array(self.values, "values")
         if origin.shape != (3,) or spacing.shape != (3,):
             raise InputError("grid origin and spacing must be 3-vectors")
         if np.any(spacing <= 0.0):
@@ -336,6 +349,7 @@ class GridField:
         object.__setattr__(self, "values", values)
         # origin, spacing and node counts as Python numbers, for the cell arithmetic
         object.__setattr__(self, "_cell", (origin.tolist(), spacing.tolist(), values.shape[:3]))
+        object.__setattr__(self, "_corners", {})  # (i, j, k) -> the cell's 8 corners, as lists
 
     def __call__(self, x):
         x0, x1, x2 = np.asarray(x, dtype=float).tolist()
@@ -344,13 +358,21 @@ class GridField:
         if not (0.0 <= r0 <= nx - 1 and 0.0 <= r1 <= ny - 1 and 0.0 <= r2 <= nz - 1):
             raise FieldError(f"point {(x0, x1, x2)} lies outside the sampled grid")
         i, j, k = min(int(r0), nx - 2), min(int(r1), ny - 2), min(int(r2), nz - 2)
+        corners = self._corners.get((i, j, k))
+        if corners is None:
+            corners = self.values[i : i + 2, j : j + 2, k : k + 2].reshape(8, 3).tolist()
+            self._corners[i, j, k] = corners
         (g0, f0), (g1, f1), (g2, f2) = ((1.0 - f, f) for f in (r0 - i, r1 - j, r2 - k))
         # corners (dx, dy, dz) in C order, weighted (w_dx * w_dy) * w_dz, w = (1 - f, f), and
-        # added in that order; + 0.0 turns a -0.0 sum into the 0.0 a sum started at 0.0 gives
+        # added in that order to 0.0, which turns an all -0.0 component into 0.0
         a, b, c, d = g0 * g1, g0 * f1, f0 * g1, f0 * f1
-        weights = np.array([a * g2, a * f2, b * g2, b * f2, c * g2, c * f2, d * g2, d * f2])
-        corners = self.values[i : i + 2, j : j + 2, k : k + 2].reshape(8, 3)
-        out = np.add.accumulate(weights[:, None] * corners)[-1] + 0.0
+        weights = (a * g2, a * f2, b * g2, b * f2, c * g2, c * f2, d * g2, d * f2)
+        u0 = u1 = u2 = 0.0
+        for w, (v0, v1, v2) in zip(weights, corners):
+            u0 += w * v0
+            u1 += w * v1
+            u2 += w * v2
+        out = np.array([u0, u1, u2])
         norm = sqrt(out @ out)
         if norm == 0.0:
             raise FieldError("interpolated field vanished; samples disagree too strongly")

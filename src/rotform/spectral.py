@@ -9,6 +9,7 @@ accepted.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,11 +176,20 @@ def planar_analyze(A, u=None, tol=DEFAULT_TOL):
     )
 
 
+def _rescaled(x, p, k, name):
+    """x p^k as float products, x a value on X = A / p; NumericalError naming it when the
+    product leaves the double range: not finite, or 0 or subnormal from a non-zero x."""
+    value = math.prod((p,) * k, start=x)
+    if not math.isfinite(value) or (x != 0.0 and abs(value) < sys.float_info.min):
+        raise NumericalError(f"{name} {x:.6g} * {p:.6g}^{k} leaves the double range")
+    return value
+
+
 def skew_square_structure(A, tol=DEFAULT_TOL):
     """Eigenspaces of the square of a skew matrix, each invariant under the
     matrix itself; returns (eigenvalue, orthonormal basis, invariance residual)
     triples ordered by ascending eigenvalue, all formed on the record's X = A / p
-    and rescaled, so none under- or overflows unless its own value does."""
+    and rescaled.  A rescaled value that leaves the double range raises NumericalError."""
     M = _Matrix(as_skew(A, tol=tol.residual_tol / 10), tol)
     p, X = M.p, M.X
     w, V = sym_eigen(X @ X, tol)
@@ -188,5 +198,6 @@ def skew_square_structure(A, tol=DEFAULT_TOL):
         block = V[:, start:stop]
         image = X @ block
         residual = float(np.max(np.linalg.norm(image - block @ (block.T @ image), axis=0)))
-        out.append((float(np.mean(w[start:stop])) * p * p, block, residual * p))
+        out.append((_rescaled(float(np.mean(w[start:stop])), p, 2, "skew square eigenvalue"),
+                    block, _rescaled(residual, p, 1, "invariance residual")))
     return out

@@ -921,6 +921,31 @@ class TestRefusals:
         assert capsys.readouterr() == ("", f"input error: cannot write {output}: {reason}\n")
         assert (sorted(os.listdir()), os.listdir("outdir")) == (["m.txt", "outdir"], [])
 
+    RAGGED = [[[[1, 0, 0]] * 2, [[1, 0, 0]]]] * 2  # one row holds one vector, not two
+    UNDECODABLE = ("cannot read {}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte")
+
+    @pytest.mark.parametrize("argv, content, message", [
+        (["frenet", "--field", "file:g.json", "--point", "1,0,0"], b"3",
+         "g.json: grid field must be a JSON object"),
+        (["frenet", "--field", "file:g.json", "--point", "1,0,0"],
+         json.dumps({"origin": "x", "spacing": [1, 1, 1], "values": []}).encode(),
+         "grid origin must be a regular array of numbers"),
+        (["frenet", "--field", "file:g.json", "--point", "1,0,0"],
+         json.dumps({"origin": [0, 0, 0], "spacing": [1, 1, 1], "values": RAGGED}).encode(),
+         "grid values must be a regular array of numbers"),
+        (["planar", "--input", "g.json"], b"\xff\xfe1 2\n3 4\n", UNDECODABLE.format("g.json")),
+        (["frenet", "--field", "file:g.json", "--point", "1,0,0"], b"\xff\xfe{}",
+         UNDECODABLE.format("g.json")),
+    ], ids=["grid not an object", "grid origin", "grid ragged values", "input not UTF-8",
+            "field not UTF-8"])
+    def test_a_malformed_file_exits_two_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                                      argv, content, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.json").write_bytes(content)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
     def test_an_empty_params_chunk_is_skipped(self, tmp_path, capsys):
         out = str(tmp_path / "r.json")
         assert main(["identities", "--params", "n=2,,", "--output", out]) == 0

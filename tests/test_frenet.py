@@ -32,6 +32,7 @@ from rotform.frenet import (
 )
 
 from oracles import field_jacobian_loop, frenet_query_points, trilinear_reference
+from test_shared_record import _text
 
 
 def helix_reference(r, c):
@@ -363,6 +364,50 @@ class TestGridField:
                 x[axis] = face + outward * 1e-9 * self.SPACING[axis]
                 with pytest.raises(FieldError, match="outside"):
                     grid(x)
+
+    @pytest.mark.parametrize("planar", [False, True], ids=["general", "planar"])
+    def test_report_equals_the_report_on_the_corner_loop_bit_for_bit(self, planar):
+        # the planar samples' -0.0 components reach T, the Jacobian and the sigmas
+        grid = self.random_grid(planar)
+        fields = [FlowField(grid, fd_step=1e-3),
+                  FlowField(lambda y: trilinear_reference(grid, y), fd_step=1e-3)]
+        rng = np.random.default_rng(13)
+        top = np.array(self.DIMS) - 1.0
+        rels = list(rng.uniform(0.0, top, (200, 3)))
+        rels += list(rng.integers(0, self.DIMS, (20, 3)).astype(float))  # nodes
+        for axis in range(3):                                          # upper faces
+            for rel in rng.uniform(0.0, top, (5, 3)):
+                rel[axis] = top[axis]
+                rels.append(rel)
+        reports = 0
+        for rel in rels:
+            x = self.ORIGIN + rel * self.SPACING
+            got, want = (_report_text(field, x) for field in fields)
+            assert got == want, rel
+            reports += got.startswith("tuple[FrenetForms")
+        assert reports >= 100
+
+    def test_a_write_to_the_callers_samples_changes_no_query(self):
+        values = np.random.default_rng(14).standard_normal((*self.DIMS, 3))
+        values /= np.linalg.norm(values, axis=3, keepdims=True)
+        grid = GridField(self.ORIGIN, self.SPACING, values)
+        x = self.ORIGIN + np.array([1.3, 2.6, 0.4]) * self.SPACING
+        before = grid(x)
+        values[...] = [1.0, 0.0, 0.0]
+        assert grid(x).tobytes() == before.tobytes()
+        y = x + self.SPACING  # a cell not queried before the write
+        assert grid(y).tobytes() == trilinear_reference(grid, y).tobytes()
+        assert not grid.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid.values[0, 0, 0] = [0.0, 1.0, 0.0]
+
+
+def _report_text(field, x):
+    """frenet_report at x as bit-exact text, or the type and message of its error."""
+    try:
+        return _text(frenet_report(field, x))
+    except (FieldError, InputError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestSampling:

@@ -388,3 +388,15 @@ class TestSkewSquareStructure:
     def test_rejects_non_skew(self):
         with pytest.raises(InputError):
             skew_square_structure(np.eye(2))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_an_eigenvalue_past_the_double_range_is_refused(self, scale):
+        # -scale^2 overflows to -inf at 1e160 and underflows to -0.0 at 1e-170
+        A = scale * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(NumericalError, match="skew square eigenvalue .* leaves the double range"):
+            skew_square_structure(A)
+
+    def test_an_eigenvalue_inside_the_double_range_is_the_float_product(self):
+        [(value, _, residual)] = skew_square_structure(1e150 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert value == -(1e150 * 1e150) and math.isfinite(value)
+        assert residual == 0.0

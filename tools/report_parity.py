@@ -35,6 +35,8 @@ them.  The corpus:
 - frenet with parameters it does not read: c and foo on the circular field,
   and r beside --point;
 - planar with an --output in a missing directory and one that is a directory;
+- malformed files: a grid file holding a JSON number, a grid origin "x", grid
+  values with a ragged row, and an --input file that is not UTF-8;
 - identities under --tol residual_tol=1e-30 (n = 5) and eig_off_tol=1e-300
   (n = 4), which its minor-sum anchors and its n = 4 audit cannot meet, and
   under rank_tol=1e-6;
@@ -231,6 +233,17 @@ def corpus(workdir):
          ["planar", "--input", two, "--output", "missing_dir/r.json"]),
         ("unwritable output a directory", ["planar", "--input", two, "--output", "outdir"]),
     ]
+    ragged = [[[[1.0, 0.0, 0.0]] * 2, [[1.0, 0.0, 0.0]]]] * 2  # one row holds one vector, not two
+    bad_grids = {"number": 3, "origin": {"origin": "x", "spacing": [1, 1, 1], "values": []},
+                 "ragged": {"origin": [0, 0, 0], "spacing": [1, 1, 1], "values": ragged}}
+    for kind, obj in bad_grids.items():
+        with open(os.path.join(workdir, f"grid-{kind}.json"), "w") as fh:
+            json.dump(obj, fh)
+        requests.append((f"malformed grid file {kind}",
+                         ["frenet", "--field", f"file:grid-{kind}.json", "--point", "1,0,0"]))
+    with open(os.path.join(workdir, "latin1.txt"), "wb") as fh:
+        fh.write(b"\xff\xfe1 2\n3 4\n")
+    requests.append(("malformed input not UTF-8", ["planar", "--input", "latin1.txt"]))
     os.mkdir(os.path.join(workdir, "outdir"))
     for n, tol in ((5, "residual_tol=1e-30"), (4, "eig_off_tol=1e-300"), (4, "rank_tol=1e-6")):
         requests.append((f"identities n={n} {tol}",
