@@ -342,7 +342,7 @@ class GridField:
             )
         norms = np.linalg.norm(values, axis=3)
         worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > _UNIT_TOL:
+        if not worst <= _UNIT_TOL:  # a NaN sample (JSON null or NaN) fails too
             raise InputError(f"grid samples are not unit: worst |v| deviation {worst:.3e}")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", spacing)

@@ -48,8 +48,8 @@ class ToleranceConfig:
         at a unit common zero, expansion_eigenbasis's residual,
         zero_subspace_extend's values over |x||y| (d = 1), the normality
         commutator (d = 2), the CLI's decomposition probe (d = 0);
-      - 10 residual_tol max|X| (1e-8): nearby eigenvalues counted equal by
-        skew_square_structure (X = (A/p)^2, top |eigenvalue|), normal_power_basis;
+      - 10 residual_tol max|X| (1e-8): nearby eigenvalues counted equal by normal_power_basis
+        and skew_square_structure (X = (A/p)^2, top |eigenvalue|), a run within it of 0 as 0;
       - residual_tol / 10 max|X|^d (1e-10): a skew input's asymmetry (as_skew,
         d = 1), a given vector's unit length (as_unit) and a given basis's
         orthogonality (d = 0), a coupling skew entry in normal_invariant_recover.
@@ -330,7 +330,7 @@ _SPREAD_FACTOR = 10.0
 
 
 def _cluster_points(points, tol=None):
-    """Single-linkage groups of complex points, in order of first member.
+    """Single-linkage groups of complex points, as index lists, in order of first member.
 
     With tol, points share a group when a chain of steps of at most tol joins
     them: the reach of one step, squared until it stops growing.  Without tol,
@@ -347,65 +347,65 @@ def _cluster_points(points, tol=None):
     else:
         joined = M <= tol
         if np.count_nonzero(joined) == len(z):
-            return [[p] for p in points]  # only the diagonal: no chain joins two points
+            return [[i] for i in range(len(z))]  # only the diagonal: no chain joins two points
         while not np.array_equal(wider := joined @ joined.astype(float) > 0, joined):
             joined = wider
     groups = {}
-    for p, label in zip(points, joined.argmax(axis=1).tolist()):
-        groups.setdefault(label, []).append(p)
+    for i, label in enumerate(joined.argmax(axis=1).tolist()):
+        groups.setdefault(label, []).append(i)
     return list(groups.values())
 
 
-def _resolve_clusters(Ah, points, groups, sigma_tol, certified):
-    """(centroid, multiplicity, basis) of each certified cluster that the
-    groups of the eigenvalues points of Ah split into, one entry per real
-    eigenvalue and per conjugate pair; the multiplicities add up to len(points).
+def _resolve_clusters(Ah, z, X, groups, sigma_tol, certified):
+    """(centroid, multiplicity, basis) of each certified cluster that the groups of indices
+    i into z, Ah's eigenvalues with eigenvectors X[:, i], split into, one entry per real
+    eigenvalue and per conjugate pair; the multiplicities add up to the number of indices.
 
     Grouping is symmetric under conjugation, so a cluster with points on
     both sides of the real axis (or on it) stands for a real eigenvalue and
     one above the axis for a pair whose mirror below is skipped.  A cluster
     of m is accepted when its spread from the centroid is within
     _SPREAD_FACTOR (n eps)^(1/m); when, for 1 < m < n, the (m+1)-th nearest
-    point is at least eps^(-1/(2m)) spreads away (a relative gap after Dhillon
+    point of z is at least eps^(-1/(2m)) spreads away (a relative gap after Dhillon
     & Parlett, LAA 387, 2004: a rounded m-fold eigenvalue keeps eps^(-1/m), a
     decade-graded run 10); and when sigma_min(Ah - z I) <= sigma_tol at the
     centroid and at the midpoints towards its members on or above the axis
     (a mirror's has the same sigma_min; a real member's stays real), which
     the pseudospectrum of a perturbed m-fold eigenvalue covers (Rump, LAA
-    324, 2001; Trefethen & Embree, 2005), unless a lone point is in
-    certified.  The basis, read for a real centroid only, is a certified
-    point's eigenvector, else the kernel from that SVD (_kernel).  A failing
+    324, 2001; Trefethen & Embree, 2005), unless it is one index i with
+    certified[i].  The basis, read for a real centroid only, is then
+    X[:, i].real, else the kernel from that SVD (_kernel).  A failing
     cluster is cut at its longest single-linkage step, or raises
     NumericalError if it is one or equal points.
     """
     n, eps, accepted = Ah.shape[0], np.finfo(float).eps, []
     for group in groups:
-        imag = [z.imag for z in group]
+        values, m = [complex(z[i]) for i in group], len(group)
+        imag = [v.imag for v in values]
         if max(imag) < 0.0:
             continue
-        m = len(group)
-        centre = complex(sum(group) / m)
-        spread = max(abs(z - centre) for z in group)
+        centre = complex(sum(values) / m)
+        spread = max(abs(v - centre) for v in values)
         if min(imag) <= 0.0:
             centre = centre.real
         ok = spread <= _SPREAD_FACTOR * (n * eps) ** (1.0 / m)
         if ok and 1 < m < n:
-            ok = spread <= eps ** (0.5 / m) * np.partition(np.abs(points - centre), m)[m]
-        basis = (certified[group[0]],) if m == 1 and group[0] in certified else None
+            ok = spread <= eps ** (0.5 / m) * np.partition(np.abs(z - centre), m)[m]
+        basis = (X[:, group[0]].real,) if m == 1 and certified[group[0]] else None
         if ok and basis is None:
-            shifts = [centre] + [0.5 * (centre + (z if z.imag else z.real))
-                                 for z in group if m > 1 and z.imag >= 0.0]
+            shifts = [centre] + [0.5 * (centre + (v if v.imag else v.real))
+                                 for v in values if m > 1 and v.imag >= 0.0]
             sigma, basis = _kernel(Ah, shifts, sigma_tol)
             ok = sigma <= sigma_tol
         if ok:
             accepted.append((centre, m, basis))
             continue
-        parts = _cluster_points(group)
+        parts = [[group[j] for j in part] for part in _cluster_points(values)]
         if len(parts) == 1:
             raise NumericalError(f"eigenvalue {centre:.6g} of A / max|A| (multiplicity {m}) "
                                  f"fails its certificate: sigma_min = {sigma:.3e} exceeds "
                                  f"{sigma_tol:.3e}", residual=sigma)
-        accepted.extend(_resolve_clusters(Ah, points, parts, sigma_tol, certified))
+        accepted.extend(_resolve_clusters(Ah, z, X, parts, sigma_tol, certified))
     return accepted
 
 
@@ -448,18 +448,18 @@ def real_spectrum(A, tol=DEFAULT_TOL):
     """Full spectrum of A, real eigenvalues and conjugate pairs, each with
     its algebraic multiplicity.
 
-    With s = max|A|, the eigenvalues z and eigenvectors x of A / s come from
-    one LAPACK eig (Hessenberg QR, backward stable), are grouped by single
-    linkage at 3e-3, and each group is certified against A / s by
-    sigma_min(A / s - z I) <= n rank_tol among other tests, or cut at its
-    longest link until its parts pass (see _resolve_clusters).  A lone z
-    needs no SVD when |A / s x - z x| for LAPACK's unit x, which bounds that
-    sigma_min, plus 4 n eps (|A / s|_F + |z|) for its rounding is within
-    n rank_tol; real_vectors holds the x of each real z so certified, else the
-    kernel of A / s - z I at n rank_tol from the SVD that certified z.  Centroids
-    are rescaled by s; multiplicities add up to n; pairs with real parts
-    within n rank_tol s go by imaginary part.  A zero matrix has the
-    eigenvalue 0 with multiplicity n.  Measured right on random n up to 64.
+    With s = max|A|, the eigenvalues z and eigenvectors X of A / s come from one LAPACK
+    eig (Hessenberg QR, backward stable), are grouped by single linkage at 3e-3 as
+    indices into z, so each member keeps its own column x of X, and each group is
+    certified against A / s by sigma_min(A / s - z I) <= n rank_tol among other tests,
+    or cut at its longest link until its parts pass (see _resolve_clusters).  A lone z
+    needs no SVD when |A / s x - z x| for LAPACK's unit x, which bounds that sigma_min,
+    plus 4 n eps (|A / s|_F + |z|) for its rounding is within n rank_tol; real_vectors
+    holds the x of each real z so certified, else the kernel of A / s - z I at n
+    rank_tol from the SVD that certified z.  Centroids are rescaled by s; multiplicities
+    add up to n; pairs with real parts within n rank_tol s go by imaginary part.  A
+    zero matrix has the eigenvalue 0 with multiplicity n.  Measured right on random n
+    up to 64.
     """
     M = _shared(A, tol)
     A, n, s = M.A, M.n, M.scale
@@ -470,13 +470,12 @@ def real_spectrum(A, tol=DEFAULT_TOL):
         w, X = np.linalg.eig(Ah)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
-    raw, sigma_tol = [complex(z) for z in w], n * tol.rank_tol
+    z, sigma_tol = w.astype(complex), n * tol.rank_tol
     rounding = 4 * n * np.finfo(float).eps * (np.linalg.norm(Ah) + np.abs(w))
-    residual = np.linalg.norm(Ah @ X - X * w, axis=0) + rounding
-    certified = {z: x.real for z, x, r in zip(raw, X.T, residual) if r <= sigma_tol}
-    found = _resolve_clusters(Ah, np.array(raw), _cluster_points(raw, 3e-3), sigma_tol, certified)
-    pairs = [(z * s, m) for z, m, _ in found if isinstance(z, complex)]
-    reals = sorted([(z * s, m, b) for z, m, b in found if not isinstance(z, complex)],
+    certified = np.linalg.norm(Ah @ X - X * w, axis=0) + rounding <= sigma_tol
+    found = _resolve_clusters(Ah, z, X, _cluster_points(z, 3e-3), sigma_tol, certified)
+    pairs = [(c * s, m) for c, m, _ in found if isinstance(c, complex)]
+    reals = sorted([(c * s, m, b) for c, m, b in found if not isinstance(c, complex)],
                    key=lambda t: t[0])
     return Spectrum(n, tuple((v, m) for v, m, _ in reals), _sort_pairs(pairs, sigma_tol * s),
                     tuple(x for *_, x in reals))

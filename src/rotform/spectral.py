@@ -186,18 +186,19 @@ def _rescaled(x, p, k, name):
 
 
 def skew_square_structure(A, tol=DEFAULT_TOL):
-    """Eigenspaces of the square of a skew matrix, each invariant under the
-    matrix itself; returns (eigenvalue, orthonormal basis, invariance residual)
-    triples ordered by ascending eigenvalue, all formed on the record's X = A / p
-    and rescaled.  A rescaled value that leaves the double range raises NumericalError."""
+    """Eigenspaces of the square of a skew matrix, each invariant under the matrix itself;
+    returns (eigenvalue, orthonormal basis, invariance residual) triples ordered by ascending
+    eigenvalue, all formed on the record's X = A / p and rescaled, a run within its tie of 0
+    as 0.0.  A rescaled value that leaves the double range raises NumericalError."""
     M = _Matrix(as_skew(A, tol=tol.residual_tol / 10), tol)
     p, X = M.p, M.X
     w, V = sym_eigen(X @ X, tol)
-    out = []
-    for start, stop in ascending_runs(w, 10 * tol.residual_tol * float(np.max(np.abs(w)))):
-        block = V[:, start:stop]
+    out, tie = [], 10 * tol.residual_tol * float(np.max(np.abs(w)))
+    for start, stop in ascending_runs(w, tie):
+        block, run = V[:, start:stop], w[start:stop]
         image = X @ block
         residual = float(np.max(np.linalg.norm(image - block @ (block.T @ image), axis=0)))
-        out.append((_rescaled(float(np.mean(w[start:stop])), p, 2, "skew square eigenvalue"),
+        value = float(np.mean(run)) if maxabs(run) > tie else 0.0
+        out.append((_rescaled(value, p, 2, "skew square eigenvalue"),
                     block, _rescaled(residual, p, 1, "invariance residual")))
     return out

@@ -555,7 +555,7 @@ class _SpectrumRetry(Exception):
 
 
 def _extract_spectrum(coeffs, raw, cluster_tol, scale, imag_thresh, n):
-    clusters = _cluster_points(list(raw), cluster_tol)
+    clusters = [[raw[i] for i in group] for group in _cluster_points(list(raw), cluster_tol)]
     refined = []
     for group in clusters:
         mult = len(group)

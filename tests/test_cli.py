@@ -868,7 +868,7 @@ class TestIdentitiesParams:
 
 class TestRefusals:
     """Each refusal of a malformed request: exit 2 and its one stderr line, names
-    relative to the working directory."""
+    relative to the working directory; and of a certificate that cannot be met: exit 3."""
 
     FILES = {"keys.json": '{"n": 2}', "zero.json": '{"n": 0, "rows": []}',
              "short.json": '{"n": 2, "rows": [[1, 2], [3]]}', "blank.txt": "\n  \n",
@@ -945,6 +945,30 @@ class TestRefusals:
         (tmp_path / "g.json").write_bytes(content)
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+    @pytest.mark.parametrize("bad", [None, float("nan")], ids=["null", "NaN"])
+    def test_a_grid_sample_that_is_not_a_number_exits_two(self, tmp_path, monkeypatch, capsys,
+                                                         bad):
+        # the 5^3 helix grid (c = 0.5, spacing 0.02) centred at the query point, its last
+        # sample, in a corner cell that the query never reads, written as JSON null or NaN
+        base, h = rotform.helix_field(0.5), 0.02
+        origin = np.array([1.0, 0.0, 0.0]) - 2 * h
+        values = [[[base.at(origin + h * np.array([i, j, k])).tolist() for k in range(5)]
+                   for j in range(5)] for i in range(5)]
+        values[4][4][4] = [1, 0, bad]
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "g.json",
+              json.dumps({"origin": origin.tolist(), "spacing": [h, h, h], "values": values}))
+        assert main(["frenet", "--field", "file:g.json", "--point", "1,0,0"]) == 2
+        assert capsys.readouterr() == (
+            "", "input error: grid samples are not unit: worst |v| deviation nan\n")
+
+    def test_an_unreachable_split_certificate_exits_three(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "m.txt", _grid(np.random.default_rng(3).uniform(-1, 1, (4, 4))))
+        assert main(["analyze", "--input", "m.txt", "--tol", "residual_tol=1e-17"]) == 3
+        assert capsys.readouterr() == ("", "numerical error: eigenbasis failed to diagonalise "
+                                           "the symmetric part: residual 4.718e-16\n")
 
     def test_an_empty_params_chunk_is_skipped(self, tmp_path, capsys):
         out = str(tmp_path / "r.json")

@@ -303,6 +303,15 @@ class TestGridField:
         with pytest.raises(InputError, match="unit"):
             grid_field([0, 0, 0], [1, 1, 1], values)
 
+    @pytest.mark.parametrize("bad", [None, float("nan")])
+    def test_rejects_a_sample_that_is_not_a_number(self, bad):
+        values = np.zeros((2, 2, 2, 3))
+        values[..., 2] = 1.0
+        values = values.tolist()
+        values[1][1][1] = [1.0, 0.0, bad]  # JSON null or NaN, which numpy reads as NaN
+        with pytest.raises(InputError, match=r"^grid samples are not unit: .* deviation nan$"):
+            grid_field([0, 0, 0], [1, 1, 1], values)
+
     def test_rejects_out_of_range_query(self):
         values = np.zeros((2, 2, 2, 3))
         values[..., 2] = 1.0

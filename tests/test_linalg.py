@@ -674,7 +674,7 @@ class TestClusterPoints:
         for seed in range(80):
             points = self.spectrum(seed)
             for tol in (3e-3, 1e-9):
-                groups = linalg._cluster_points(points, tol)
+                groups = [[points[i] for i in g] for g in linalg._cluster_points(points, tol)]
                 assert groups == cluster_points_loop(points, tol)
                 close.append(len(groups) < len(points))
         assert any(close) and not all(close)  # both with and without close pairs

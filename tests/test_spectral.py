@@ -396,6 +396,18 @@ class TestSkewSquareStructure:
         with pytest.raises(NumericalError, match="skew square eigenvalue .* leaves the double range"):
             skew_square_structure(A)
 
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_the_kernel_of_an_odd_skew_matrix_is_exactly_zero_at_every_scale(self, n):
+        # the kernel's value on X is round-off, which would leave the range at c = 1e-150
+        M = np.random.default_rng(n).standard_normal((n, n))
+        base = skew_square_structure(M - M.T)
+        for c in (1.0, 1e-150, 1e150):
+            out = skew_square_structure(c * (M - M.T))
+            assert [b.shape[1] for _, b, _ in out] == [2] * (n // 2) + [1]
+            assert out[-1][0] == 0.0
+            for (v, _, _), (w, _, _) in zip(out[:-1], base):
+                assert abs(v - c * c * w) <= 1e-12 * abs(c * c * w)
+
     def test_an_eigenvalue_inside_the_double_range_is_the_float_product(self):
         [(value, _, residual)] = skew_square_structure(1e150 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert value == -(1e150 * 1e150) and math.isfinite(value)

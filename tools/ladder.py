@@ -43,7 +43,9 @@ and the rounds it was faster (wins).  The oracles run once per label:
 - frenet_report at POINT on the helix field (-y, x, C) / |(-y, x, C)| with its
   analytic and with a differenced Jacobian, and on grids of m^3 samples of it
   for m in GRID_SIZES, spacing 2 HALF_WIDTH / (m - 1), POINT the middle node
-  (the frenet:grid request of perfbench's cli_small).  Adds the FlowField.at
+  (the frenet:grid request of perfbench's cli_small).  A grid row's call builds
+  its field from the sample arrays, as a request does, so no call reads a cell
+  that an earlier call has read.  Adds the FlowField.at
   queries of one call, kappa, tau and their absolute errors against
   tests/test_frenet.py::helix_reference.
 - analyze: `rotform analyze` through the in-process cli.main on a
@@ -60,6 +62,7 @@ and the rounds it was faster (wins).  The oracles run once per label:
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -347,16 +350,20 @@ def skew_document(results):
 
 # --- frenet_report -----------------------------------------------------------
 def _fields(frenet):
-    """(label, m, spacing, FlowField) of every benchmarked field."""
-    out = [("helix analytic", None, None, frenet.helix_field(C)),
-           ("helix differenced", None, None, frenet.helix_field(C, analytic=False))]
+    """(label, m, spacing, make) of every benchmarked field, make() its FlowField: the
+    helix fields built once, a grid field built anew by each call from arrays built once,
+    as a request builds its field from the grid file's."""
+    helix = frenet.helix_field(C), frenet.helix_field(C, analytic=False)
+    out = [("helix analytic", None, None, lambda: helix[0]),
+           ("helix differenced", None, None, lambda: helix[1])]
     for m in GRID_SIZES:
         h = 2.0 * HALF_WIDTH / (m - 1)
         origin = np.array(POINT) - h * (m // 2)
         X, Y, Z = np.meshgrid(*(origin[i] + h * np.arange(m) for i in range(3)), indexing="ij")
         V = np.stack([-Y, X, np.full_like(X, C)], axis=-1)
         V /= np.linalg.norm(V, axis=-1, keepdims=True)
-        out.append((f"helix grid m={m}", m, h, frenet.grid_field(origin, [h, h, h], V)))
+        make = functools.partial(frenet.grid_field, origin, [h, h, h], V)
+        out.append((f"helix grid m={m}", m, h, make))
     return out
 
 
@@ -365,10 +372,11 @@ def frenet_rows(packages):
     fields = {rf: _fields(rf.frenet) for rf in packages.values()}  # built by each rotform
     rows = {label: [] for label in packages}
     for i in range(len(GRID_SIZES) + 2):
-        results, timing = _paired(packages, lambda rf: rf.frenet.frenet_report(fields[rf][i][3], x))
+        results, timing = _paired(packages,
+                                  lambda rf: rf.frenet.frenet_report(fields[rf][i][3](), x))
         for label, rf in packages.items():
-            name, m, h, field = fields[rf][i]
-            calls = []
+            name, m, h, make = fields[rf][i]
+            field, calls = make(), []
 
             def counted(y, evaluator=field.evaluator):
                 calls.append(1)

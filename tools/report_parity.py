@@ -36,7 +36,10 @@ them.  The corpus:
   and r beside --point;
 - planar with an --output in a missing directory and one that is a directory;
 - malformed files: a grid file holding a JSON number, a grid origin "x", grid
-  values with a ragged row, and an --input file that is not UTF-8;
+  values with a ragged row, an --input file that is not UTF-8, and the helix
+  grid with one sample null;
+- analyze under --tol residual_tol=1e-17 on a uniform 4 x 4, whose expansion
+  split certificate cannot be met;
 - identities under --tol residual_tol=1e-30 (n = 5) and eig_off_tol=1e-300
   (n = 4), which its minor-sum anchors and its n = 4 audit cannot meet, and
   under rank_tol=1e-6;
@@ -244,6 +247,14 @@ def corpus(workdir):
     with open(os.path.join(workdir, "latin1.txt"), "wb") as fh:
         fh.write(b"\xff\xfe1 2\n3 4\n")
     requests.append(("malformed input not UTF-8", ["planar", "--input", "latin1.txt"]))
+    values[4][4][4] = [1.0, 0.0, None]  # written as null, read as NaN
+    with open(os.path.join(workdir, "grid-null.json"), "w") as fh:
+        json.dump({"origin": origin.tolist(), "spacing": [h, h, h], "values": values}, fh)
+    requests.append(("malformed grid file null sample",
+                     ["frenet", "--field", "file:grid-null.json", "--point", "1,0,0"]))
+    split = matrix("split4.txt", np.random.default_rng(3).uniform(-1, 1, (4, 4)))
+    requests.append(("unreachable split certificate residual_tol=1e-17",
+                     ["analyze", "--input", split, "--tol", "residual_tol=1e-17"]))
     os.mkdir(os.path.join(workdir, "outdir"))
     for n, tol in ((5, "residual_tol=1e-30"), (4, "eig_off_tol=1e-300"), (4, "rank_tol=1e-6")):
         requests.append((f"identities n={n} {tol}",
