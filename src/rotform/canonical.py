@@ -7,10 +7,13 @@ part becomes 2x2 rotation blocks plus a kernel.  Each comes from one LAPACK
 eigen-solve that the matrix record keeps: eigh of the symmetric part, and eigh
 of the Hermitian i K / max|K| for the skew part K, whose eigenvectors' real and
 imaginary parts span the rotation planes; the trailing columns of one complete
-QR of the planes span the kernel.  Neither squares the matrix.
+QR of the planes span the kernel.  Neither squares the matrix.  The normal route
+(_normal_powers) forms each power's symmetric part and K^2 once and refines the
+expansion solve by K^2 alone, for normal_power_basis and normal_invariant_recover.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -124,53 +127,50 @@ def normality_report(A, tol=DEFAULT_TOL):
     )
 
 
-def _refine_blocks(M, family):
-    """Common orthonormal eigenbasis of sym(A), A the record M, and a commuting
-    family of symmetric matrices: the record's solve, refined eigenspace by eigenspace."""
+def _refine_blocks(M, F):
+    """Common orthonormal eigenbasis of sym(A), A the record M, and a symmetric F that
+    commutes with it: the record's solve, each run of tied eigenvalues turned into F's
+    eigenbasis on that run's span."""
     w, U, tol = *M.eigen, M.tol
-    blocks = [U[:, a:b] for a, b in ascending_runs(w, 10 * tol.residual_tol * maxabs(M.sym))]
-    for F in family:
-        thr = 10 * tol.residual_tol * maxabs(F)
-        new_blocks = []
-        for V in blocks:
-            if V.shape[1] == 1:
-                new_blocks.append(V)
-                continue
+    blocks = []
+    for a, b in ascending_runs(w, 10 * tol.residual_tol * maxabs(M.sym)):
+        V = U[:, a:b]
+        if b - a > 1:
             B = V.T @ F @ V
-            w, U = sym_eigen(0.5 * (B + B.T), tol)
-            new_blocks.extend(V @ U[:, a:b] for a, b in ascending_runs(w, thr))
-        blocks = new_blocks
+            V = V @ sym_eigen(0.5 * (B + B.T), tol)[1]
+        blocks.append(V)
     return _sign_fix(np.hstack(blocks), tol)
+
+
+def _normal_powers(M):
+    """The normal route's one pass over the record M of a normal A: (P, Y, F) with Y[k]
+    the symmetric part of X^k, k = 0..n, X = A / p, Y[n + 1] = K^2 for K the skew part of X,
+    P the record's expansion solve refined by K^2 alone and F[k] = P^T Y[k] P.  H = sym(X)
+    and K commute, so each Y[k] = sum_i C(k, 2i) H^(k - 2i) K^(2i) is a polynomial in H and
+    K^2, and the common eigenbasis of those two diagonalises every power's symmetric part."""
+    report = normality_report(M, M.tol)
+    if not report.is_normal:
+        raise InputError(f"matrix is not normal: commutator norm {report.commutator_norm:.3e}")
+    K = 0.5 * (M.X - M.X.T)
+    Y = [0.5 * (Z + Z.T) for Z in matrix_powers(M.X, M.n)] + [K @ K]
+    P = _refine_blocks(M, Y[-1])
+    return P, Y, [P.T @ Z @ P for Z in Y]
 
 
 def normal_power_basis(A, tol=DEFAULT_TOL):
     """Basis simultaneously diagonalising the symmetric parts of all powers
     X^k (k = 1..n) of X = A / p for a normal matrix A, with the square of the
-    skew part diagonal as well.
+    skew part diagonal as well: sym(A)'s eigenbasis refined by K^2 alone (_normal_powers).
 
     Returns (basis, checks): the off-diagonal residual per power and of K^2,
     K the skew part of X, and the largest commutator norm among the symmetric
     power parts, all measured on X, so 2^j A gives A's basis and checks bit for bit.
     """
-    M = _matrix(A, tol)
-    report = normality_report(M, tol)
-    if not report.is_normal:
-        raise InputError(
-            f"matrix is not normal: commutator norm {report.commutator_norm:.3e}"
-        )
-    K = 0.5 * (M.X - M.X.T)
-    sym_powers = [0.5 * (Y + Y.T) for Y in matrix_powers(M.X, M.n)[1:]]
-    K2 = K @ K
-    P = _refine_blocks(M, sym_powers[1:] + [K2])
-
-    checks = {}
-    comm_max = 0.0
-    for p, Mp in enumerate(sym_powers, start=1):
-        checks[f"expansion_power_{p}"] = _offdiag_max(P.T @ Mp @ P)
-        for Mq in sym_powers[p:]:
-            comm_max = max(comm_max, maxabs(Mp @ Mq - Mq @ Mp))
-    checks["skew_square"] = _offdiag_max(P.T @ K2 @ P)
-    checks["power_commutator_max"] = float(comm_max)
+    P, Y, F = _normal_powers(_matrix(A, tol))
+    checks = {f"expansion_power_{k}": _offdiag_max(F[k]) for k in range(1, len(Y) - 1)}
+    checks["skew_square"] = _offdiag_max(F[-1])
+    checks["power_commutator_max"] = max(
+        (maxabs(Yp @ Yq - Yq @ Yp) for Yp, Yq in combinations(Y[1:-1], 2)), default=0.0)
     return P, checks
 
 

@@ -315,9 +315,10 @@ def _float_array(value, name):
 class GridField:
     """Trilinear interpolation of unit samples on a regular grid.
 
-    Raw samples must be unit within 1e-8 (checked at construction); the interpolant
-    is renormalised to meet the unit contract.  A query outside the closed box (its
-    upper faces are inside) raises naming its point: a stencil names its first such query.
+    origin and spacing must be finite and the raw samples unit within 1e-8 (checked at
+    construction); the interpolant is renormalised to meet the unit contract.  A query
+    outside the closed box (its upper faces are inside) raises naming its point: a stencil
+    names its first such query.
     origin, spacing and values are kept as read-only float copies, so a caller's later
     writes to its arrays reach no query; each cell's 8 corners are read once per field,
     as Python floats, at the cell's first query.
@@ -333,6 +334,8 @@ class GridField:
         values = _float_array(self.values, "values")
         if origin.shape != (3,) or spacing.shape != (3,):
             raise InputError("grid origin and spacing must be 3-vectors")
+        if not np.isfinite([origin, spacing]).all():
+            raise InputError("grid origin and spacing must be finite")
         if np.any(spacing <= 0.0):
             raise InputError("grid spacing must be positive")
         if values.ndim != 4 or values.shape[3] != 3 or min(values.shape[:3]) < 2:

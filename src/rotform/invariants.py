@@ -23,20 +23,22 @@ the power axis in the order of the scalar identities.
 The subset determinant expansion and the diagonal-plus-skew determinant
 audit live here too, as does the linear system that recovers the
 characteristic-polynomial coefficients of a normal matrix from its form
-eigenvalues.  The subset expansion takes all principal minors from one
-shared Schur-complement recursion, vectorised over the prefixes of each
-length: about 4 ms of CPU time at n = 16, 40 to 70 ms at n = 20.  The rotation
+eigenvalues: its basis and power forms come from canonical's one pass
+(_normal_powers), a coupled plane's coefficients from Im(z^k) / Im z.  The
+subset expansion takes all principal minors from one shared Schur-complement
+recursion, vectorised over the prefixes of each length: about 4 ms of CPU
+time at n = 16, 40 to 70 ms at n = 20.  The rotation
 power recurrence contracts its double sum over plane pairs to one vector,
 so its right-hand side costs O(n^2) work per step.
 """
 
 from dataclasses import dataclass
-from math import comb, isfinite, prod
+from math import isfinite, prod
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .canonical import normal_power_basis
+from .canonical import _normal_powers
 from .linalg import (
     DEFAULT_TOL,
     _Matrix,
@@ -317,33 +319,19 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
         raise InputError("matrix is symmetric; the power system degenerates")
     p, A = M.p, M.X
     coupled = tol.residual_tol / 10 * maxabs(A)
-    P, _checks = normal_power_basis(M, tol)
-
-    pows = matrix_powers(A, n)
-    # diag_powers[p][i] = eigenvalue of the p-th power form
-    diag_powers = [np.diag(P.T @ (0.5 * (M + M.T)) @ P) for M in pows]
+    P, _, F = _normal_powers(M)
+    E = np.array([np.diag(Fk) for Fk in F[: n + 1]])  # E[k][i]: eigenvalue of the k-th power form
     B = P.T @ A @ P
     S = 0.5 * (B - B.T)
-    S2 = S @ S
-    lam_e = diag_powers[1]
 
-    rows = [[(-1.0) ** k * diag_powers[n - k][i] for k in range(1, n + 1)] for i in range(n)]
-    rhs = [-diag_powers[n][i] for i in range(n)]
-
-    for k in range(n):
-        for l in range(k + 1, n):
-            if abs(S[l, k]) <= coupled:
-                continue
-            c = [0.0] + [  # c[p] for p = 1..n
-                sum(
-                    comb(p, p - m) * lam_e[l] ** m * S2[l, l] ** ((p - m - 1) // 2)
-                    for m in range(p)
-                    if (p - m) % 2 == 1
-                )
-                for p in range(1, n + 1)
-            ]
-            rows.append([(-1.0) ** j * c[n - j] for j in range(1, n)] + [0.0])
-            rhs.append(-c[n])
+    rows = list((-1.0) ** np.arange(1, n + 1) * E[n - 1 :: -1].T)
+    rhs = list(-E[n])
+    K, L = _pair_index(n)
+    for l in L[np.abs(S[L, K]) > coupled].tolist():
+        # the plane's eigenvalue lam_e + i |S[l]|, |S[l]| = sqrt(-S^2[l, l]) for skew S
+        c = _plane_coefficients(complex(E[1, l], np.linalg.norm(S[l])), n)
+        rows.append([(-1.0) ** j * c[n - j] for j in range(1, n)] + [0.0])
+        rhs.append(-c[n])
 
     M, b = np.array(rows), np.array(rhs)
     norms = np.linalg.norm(np.column_stack([M, b]), axis=1)
@@ -356,6 +344,12 @@ def normal_invariant_recover(A, tol=DEFAULT_TOL):
     Q, R = np.linalg.qr(M_scaled)
     solution = np.linalg.solve(R, Q.T @ b_scaled)
     return tuple(prod([p] * k, start=float(x)) for k, x in enumerate(solution, start=1)), rank
+
+
+def _plane_coefficients(z, n):
+    """c[k] = Im(z^k) / Im z, k = 0..n, for z = a + i b, b > 0, an eigenvalue of a coupled
+    plane: the imaginary part of p(z) = 0, p the characteristic polynomial, over b."""
+    return [(z**k).imag / z.imag for k in range(n + 1)]
 
 
 def _power_step(s, m, probe):

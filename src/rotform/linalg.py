@@ -48,8 +48,9 @@ class ToleranceConfig:
         at a unit common zero, expansion_eigenbasis's residual,
         zero_subspace_extend's values over |x||y| (d = 1), the normality
         commutator (d = 2), the CLI's decomposition probe (d = 0);
-      - 10 residual_tol max|X| (1e-8): nearby eigenvalues counted equal by normal_power_basis
-        and skew_square_structure (X = (A/p)^2, top |eigenvalue|), a run within it of 0 as 0;
+      - 10 residual_tol max|X| (1e-8): nearby expansion eigenvalues counted equal by
+        normal_power_basis (X = sym(A)), which solves K^2 once on each such run, and nearby
+        rates by skew_square_structure (X's top rate, X = A / p), a run within it of 0 as 0;
       - residual_tol / 10 max|X|^d (1e-10): a skew input's asymmetry (as_skew,
         d = 1), a given vector's unit length (as_unit) and a given basis's
         orthogonality (d = 0), a coupling skew entry in normal_invariant_recover.

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .canonical import SkewBlockForm, skew_canonical_basis
 from .errors import InputError, NumericalError
 from .linalg import (
     DEFAULT_TOL,
@@ -186,19 +187,18 @@ def _rescaled(x, p, k, name):
 
 
 def skew_square_structure(A, tol=DEFAULT_TOL):
-    """Eigenspaces of the square of a skew matrix, each invariant under the matrix itself;
-    returns (eigenvalue, orthonormal basis, invariance residual) triples ordered by ascending
-    eigenvalue, all formed on the record's X = A / p and rescaled, a run within its tie of 0
-    as 0.0.  A rescaled value that leaves the double range raises NumericalError."""
+    """Eigenspaces of the square of a skew matrix, each invariant under the matrix itself, as
+    (eigenvalue, orthonormal basis, invariance residual) by ascending eigenvalue: the planes of
+    skew_canonical_basis at -r^2, r its rates on X = A / p tied within 10 residual_tol max r, then
+    its kernel, with a run within that tie of 0, at 0.0; rescaled by _rescaled's rule."""
     M = _Matrix(as_skew(A, tol=tol.residual_tol / 10), tol)
-    p, X = M.p, M.X
-    w, V = sym_eigen(X @ X, tol)
-    out, tie = [], 10 * tol.residual_tol * float(np.max(np.abs(w)))
-    for start, stop in ascending_runs(w, tie):
-        block, run = V[:, start:stop], w[start:stop]
-        image = X @ block
+    form = SkewBlockForm(np.eye(M.n), (), M.n) if M.skew_zero else skew_canonical_basis(M, tol)
+    r = np.repeat(np.append(form.lambdas, 0.0) / M.p, [2] * len(form.lambdas) + [form.zero_dim])
+    out, tie = [], 10 * tol.residual_tol * r[0]
+    for start, stop in ascending_runs(-r, tie):
+        image = M.X @ (block := form.basis[:, start:stop])
         residual = float(np.max(np.linalg.norm(image - block @ (block.T @ image), axis=0)))
-        value = float(np.mean(run)) if maxabs(run) > tie else 0.0
-        out.append((_rescaled(value, p, 2, "skew square eigenvalue"),
-                    block, _rescaled(residual, p, 1, "invariance residual")))
+        value = -float(np.mean(r[start:stop] ** 2)) if r[start] > tie else 0.0
+        out.append((_rescaled(value, M.p, 2, "skew square eigenvalue"),
+                    block, _rescaled(residual, M.p, 1, "invariance residual")))
     return out

@@ -52,7 +52,7 @@ nothing in it called, kept for the tests of the paper's claims.
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import prod
+from math import comb, prod
 
 import mpmath
 import numpy as np
@@ -203,6 +203,16 @@ def minor_sums_exact(A):
         pm.append(Fraction((-1) ** (k - 1) * c, 2 ** (s * k)))
         M = BM - c * identity
     return tuple(pm)
+
+
+def plane_coefficients_binomial(lam, s2, n):
+    """c[0..n] of a coupled plane's equation in normal_invariant_recover by the binomial
+    double sum: c[p] = sum over m < p, p - m odd, of C(p, m) lam^m s2^((p - m - 1) / 2),
+    for the plane's eigenvalues lam +- i b and its entry s2 = -b^2 of S^2."""
+    return [0.0] + [
+        sum(comb(p, p - m) * lam**m * s2 ** ((p - m - 1) // 2) for m in range(p) if (p - m) % 2 == 1)
+        for p in range(1, n + 1)
+    ]
 
 
 def planar_eigs_direct(A):

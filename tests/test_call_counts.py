@@ -87,6 +87,28 @@ def test_normal_power_basis_of_a_symmetric_matrix_runs_one_sym_eigen(monkeypatch
     assert len(calls) == 1
 
 
+def _tied_normal():
+    # Q blockdiag(B(1), B(3), B(5)) Q^T, B(r) = [[1, r], [-r, 1]]: the expansion form is I
+    Q = random_orthogonal(6, 0)
+    B = np.zeros((6, 6))
+    for i, r in enumerate((1.0, 3.0, 5.0)):
+        B[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[1.0, r], [-r, 1.0]]
+    return Q @ B @ Q.T
+
+
+def test_normal_power_basis_refines_by_the_skew_square_alone(monkeypatch):
+    # the record's solve of sym(A) = I, then one solve of K^2 on its one tied run
+    calls = _count(monkeypatch, [rotform.canonical, rotform.linalg], "sym_eigen")
+    normal_power_basis(_tied_normal())
+    assert len(calls) == 2
+
+
+def test_normal_invariant_recover_forms_the_powers_once(monkeypatch):
+    calls = _count(monkeypatch, [rotform.canonical, rotform.invariants], "matrix_powers")
+    pms, rank = normal_invariant_recover(_tied_normal())
+    assert rank == 6 and len(calls) == 1
+
+
 def test_bromwich_bounds_runs_one_sym_eigen(monkeypatch):
     calls = _count(monkeypatch, [rotform.spectral, rotform.linalg], "sym_eigen")
     bromwich_bounds(np.random.default_rng(1).standard_normal((6, 6)))

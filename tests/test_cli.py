@@ -897,11 +897,14 @@ class TestRefusals:
         (["frenet", "--field", "helix", "--point", "1,0"], "point must be x,y,z, got '1,0'"),
         (["frenet", "--field", "helix", "--point", "1,0,x"],
          "point coordinates must be numeric, got '1,0,x'"),
+        (["frenet", "--field", "helix", "--point", "inf,0,0"], "point has non-finite coordinates"),
+        (["frenet", "--field", "helix", "--point", "nan,0,0"], "point has non-finite coordinates"),
         (["identities", "--params", "n=0"], "dimension must be >= 1, got 0"),
         (["planar", "--input", "three.txt"], "planar command needs a 2x2 matrix, got 3x3"),
     ], ids=["json keys", "json n", "json row", "empty grid", "no field", "field unreadable",
             "field JSON", "field key", "no point", "tol no =", "tol value", "params no =",
-            "params value", "point count", "point value", "n=0", "planar 3x3"])
+            "params value", "point count", "point value", "point inf", "point nan", "n=0",
+            "planar 3x3"])
     def test_a_malformed_request_exits_two_with_one_line(self, tmp_path, monkeypatch, capsys,
                                                          argv, message):
         monkeypatch.chdir(tmp_path)
@@ -946,22 +949,41 @@ class TestRefusals:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"input error: {message}\n")
 
-    @pytest.mark.parametrize("bad", [None, float("nan")], ids=["null", "NaN"])
-    def test_a_grid_sample_that_is_not_a_number_exits_two(self, tmp_path, monkeypatch, capsys,
-                                                         bad):
-        # the 5^3 helix grid (c = 0.5, spacing 0.02) centred at the query point, its last
-        # sample, in a corner cell that the query never reads, written as JSON null or NaN
+    @staticmethod
+    def helix_grid():
+        """The 5^3 helix grid (c = 0.5, spacing 0.02) centred at the query point 1,0,0."""
         base, h = rotform.helix_field(0.5), 0.02
         origin = np.array([1.0, 0.0, 0.0]) - 2 * h
         values = [[[base.at(origin + h * np.array([i, j, k])).tolist() for k in range(5)]
                    for j in range(5)] for i in range(5)]
-        values[4][4][4] = [1, 0, bad]
+        return {"origin": origin.tolist(), "spacing": [h, h, h], "values": values}
+
+    @pytest.mark.parametrize("bad", [None, float("nan")], ids=["null", "NaN"])
+    def test_a_grid_sample_that_is_not_a_number_exits_two(self, tmp_path, monkeypatch, capsys,
+                                                         bad):
+        # the last sample, in a corner cell that the query never reads, as JSON null or NaN
+        grid = self.helix_grid()
+        grid["values"][4][4][4] = [1, 0, bad]
         monkeypatch.chdir(tmp_path)
-        write(tmp_path, "g.json",
-              json.dumps({"origin": origin.tolist(), "spacing": [h, h, h], "values": values}))
+        write(tmp_path, "g.json", json.dumps(grid))
         assert main(["frenet", "--field", "file:g.json", "--point", "1,0,0"]) == 2
         assert capsys.readouterr() == (
             "", "input error: grid samples are not unit: worst |v| deviation nan\n")
+
+    @pytest.mark.parametrize("key, entry", [("spacing", float("inf")), ("spacing", float("nan")),
+                                            ("origin", float("nan")), ("origin", float("-inf"))],
+                             ids=["spacing Infinity", "spacing NaN", "origin NaN",
+                                  "origin -Infinity"])
+    def test_a_grid_with_a_non_finite_origin_or_spacing_exits_two(self, tmp_path, monkeypatch,
+                                                                 capsys, key, entry):
+        # json reads the literals Infinity and NaN; an infinite spacing would put every query
+        # in the first cell, a NaN one in none
+        grid = self.helix_grid()
+        grid[key][0] = entry
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "g.json", json.dumps(grid))
+        assert main(["frenet", "--field", "file:g.json", "--point", "1,0,0"]) == 2
+        assert capsys.readouterr() == ("", "input error: grid origin and spacing must be finite\n")
 
     def test_an_unreachable_split_certificate_exits_three(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -93,6 +93,11 @@ class TestFieldJacobian:
 
 
 class TestFrenetFrame:
+    @pytest.mark.parametrize("func", [field_jacobian, frenet_frame])
+    def test_a_point_that_is_not_a_3_vector_is_refused(self, func):
+        with pytest.raises(InputError, match=r"^point must be a 3-vector, got shape \(2,\)$"):
+            func(helix_field(0.5), [1.0, 0.0])
+
     @pytest.mark.parametrize("r,c", [(1.0, 0.5), (2.0, 0.25)])
     def test_helix_curvature_and_torsion(self, r, c):
         field = helix_field(c)
@@ -311,6 +316,17 @@ class TestGridField:
         values[1][1][1] = [1.0, 0.0, bad]  # JSON null or NaN, which numpy reads as NaN
         with pytest.raises(InputError, match=r"^grid samples are not unit: .* deviation nan$"):
             grid_field([0, 0, 0], [1, 1, 1], values)
+
+    @pytest.mark.parametrize("origin, spacing", [
+        ([0, 0, 0], [np.inf, 1, 1]), ([0, 0, 0], [1, np.nan, 1]),
+        ([np.nan, 0, 0], [1, 1, 1]), ([0, 0, -np.inf], [1, 1, 1]),
+    ], ids=["spacing inf", "spacing nan", "origin nan", "origin -inf"])
+    def test_rejects_a_non_finite_origin_or_spacing(self, origin, spacing):
+        # an infinite spacing would put every query in the first cell; a NaN one in none
+        values = np.zeros((2, 2, 2, 3))
+        values[..., 2] = 1.0
+        with pytest.raises(InputError, match="^grid origin and spacing must be finite$"):
+            grid_field(origin, spacing, values)
 
     def test_rejects_out_of_range_query(self):
         values = np.zeros((2, 2, 2, 3))

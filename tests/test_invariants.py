@@ -26,7 +26,7 @@ from rotform import (
     rotation_form,
 )
 from rotform import evaluate, plane_pairs, qforms
-from rotform.invariants import _Parts, _pm2, pm2_sym_skew_residual
+from rotform.invariants import _Parts, _plane_coefficients, _pm2, pm2_sym_skew_residual
 from rotform.linalg import binary_scale
 from rotform.qforms import rotation_form_matrix, rotation_traces
 from oracles import rotation_values
@@ -43,6 +43,7 @@ from oracles import (
     gram_trace_identity_residual_per_pair,
     invariant_report_per_pair,
     jordan_shear,
+    plane_coefficients_binomial,
     power_form_step_loop,
     power_form_step_per_pair,
     random_normal_matrix,
@@ -586,6 +587,18 @@ class TestNormalInvariantRecover:
         direct = principal_minor_sums(A)
         assert rank == 8 and pm[-1] == direct[-1] == np.inf
         np.testing.assert_allclose(pm[:-1], direct[:-1], rtol=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 16])
+    def test_plane_coefficients_are_the_binomial_sums(self, n):
+        # Im(z^k) / Im z against the sum over the odd powers of i b in (a + i b)^k, within
+        # k eps of its term mass sum C(k, m) |a|^m b^(k - m - 1) <= k (|a| + b)^(k - 1)
+        rng = np.random.default_rng(n)
+        for a, b in [(1.0, 1e-9), (-0.5, 1.0), (0.0, 2.0)] + list(zip(rng.uniform(-2, 2, 20),
+                                                                       rng.uniform(0.01, 2, 20))):
+            got = _plane_coefficients(complex(a, b), n)
+            want = plane_coefficients_binomial(a, -b * b, n)
+            for k, (x, y) in enumerate(zip(got, want)):
+                assert abs(x - y) <= 4 * k * np.finfo(float).eps * (abs(a) + b) ** max(k - 1, 0)
 
     def test_rejects_symmetric(self):
         rng = np.random.default_rng(20)

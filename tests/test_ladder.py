@@ -28,6 +28,7 @@ KEYS = {
                            "eig_error_over_maxabs"},
     "skew_canonical_basis": _TIMING | {"n", "zero_dim", "refused", "requests",
                                        "rate_error_over_maxabs"},
+    "normal": _TIMING | {"function", "family", "n", "refused", "requests", "pm_error_over_mass"},
     "frenet_report": _TIMING | {"field", "m", "spacing", "field_queries", "kappa", "tau",
                                 "kappa_error", "tau_error"},
     "analyze": _TIMING | {"n", "seed", "basis", "exit", "sym_eigen_calls"},
@@ -45,6 +46,7 @@ def small(monkeypatch):
     monkeypatch.setattr(ladder, "SPECTRUM_SIZES", ladder.SPECTRUM_SIZES[:1])
     monkeypatch.setattr(ladder, "SKEW_SIZES", ladder.SKEW_SIZES[:2])
     monkeypatch.setattr(ladder, "GRID_SIZES", ladder.GRID_SIZES[:1])
+    monkeypatch.setattr(ladder, "NORMAL_SIZES", ladder.NORMAL_SIZES[:1])
     monkeypatch.setattr(sys, "path", sys.path[:])
 
 
@@ -120,6 +122,30 @@ def test_skew_canonical_basis_rates_match_mpmath(small):
         # an odd n leaves the uniform skew part a one-dimensional kernel
         assert (row["zero_dim"], row["refused"], row["requests"]) == (row["n"] % 2, 0, 2)
         assert row["rate_error_over_maxabs"] < 1e-13
+
+
+def test_normal_minor_sums_match_the_construction(small):
+    rows = _layer("normal")
+    assert [(row["function"], row["family"], row["n"]) for row in rows] == [
+        (name, family, 3) for name in ladder.NORMAL for family in ladder.NORMAL_FAMILIES]
+    for row in rows:
+        assert (row["refused"], row["requests"]) == (0, 2)
+        if row["function"] == "normal_power_basis":
+            assert row["pm_error_over_mass"] is None
+        else:
+            assert row["pm_error_over_mass"] < 1e-13
+
+
+def test_normal_inputs_have_the_eigenvalues_they_are_built_with():
+    for family, make in ladder.NORMAL_FAMILIES.items():
+        for n in (3, 4):
+            A = make([n, 1], n)
+            _, a, b, c = ladder._normal_parts([n, 1], n, family)
+            built = [complex(x, s * y) for x, y in zip(a, b) for s in (1, -1)] + [c] * (n % 2)
+            assert np.max(np.abs(A @ A.T - A.T @ A)) < 1e-14
+            assert ladder._hausdorff(np.linalg.eigvals(A), np.array(built)) < 1e-12
+            if family == "tied":
+                np.testing.assert_allclose(A + A.T, 2 * np.eye(n), atol=1e-14)
 
 
 def test_frenet_report_matches_the_analytic_helix(small):

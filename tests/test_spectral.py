@@ -16,6 +16,7 @@ from rotform import (
     expansion_eigenbasis,
     expansion_form,
     planar_analyze,
+    random_orthogonal,
     real_spectrum,
     rotation_form,
     skew_canonical_basis,
@@ -384,6 +385,21 @@ class TestSkewSquareStructure:
                 continue
             for _, _, residual in skew_square_structure(A):
                 assert residual < 1e-9
+
+    @pytest.mark.parametrize("rate", [1e-4, 1e-3])
+    def test_a_small_rate_keeps_its_plane_and_its_value(self, rate):
+        # K = Q blockdiag(J, rate J, [0]) Q^T: read from the rates, -rate^2 keeps its digits and
+        # its plane; from the eigenvalues of K^2 it would lie within 1e-8 of the kernel's 0 at
+        # rate 1e-4 and be 1.7e-10 off at 1e-3
+        J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        B = np.zeros((5, 5))
+        B[:2, :2], B[2:4, 2:4] = J, rate * J
+        Q = random_orthogonal(5, 0)
+        out = skew_square_structure(Q @ B @ Q.T)
+        assert [b.shape[1] for _, b, _ in out] == [2, 2, 1]
+        assert abs(out[0][0] + 1.0) <= 1e-12
+        assert abs(out[1][0] + rate * rate) <= 1e-12 * rate * rate
+        assert out[2][0] == 0.0
 
     def test_rejects_non_skew(self):
         with pytest.raises(InputError):

@@ -40,6 +40,17 @@ and the rounds it was faster (wins).  The oracles run once per label:
   NumericalError and, for n <= ORACLE_MAX_N, the largest distance over
   max|K| from the warm-up's rates to the positive imaginary parts,
   descending, of mpmath.eig of the skew part K at 50 digits.
+- normal: normal_power_basis and normal_invariant_recover on Q D Q^T, D the
+  block diagonal of n // 2 rotation-scaling blocks [[a, b], [-b, a]] and, for odd
+  n, one real entry c, for n in NORMAL_SIZES and two families (NORMAL_FAMILIES):
+  distinct, a and c uniform(-1, 1), and tied, a = c = 1, where the expansion form
+  is I and the whole basis comes from the refinement by K^2; b is uniform(0.5, 2)
+  and Q the orthogonal factor of a standard-normal draw.  Call k of a label takes
+  the matrix with seed [n, k].  Adds how many of REQUESTS more (seeds 1000 n + k)
+  ended in NumericalError (a timed call may end so too) and, for
+  normal_invariant_recover, the largest error of the warm-up's pm^k against e_k of
+  the construction's eigenvalues a +- i b and c in mpmath at 50 digits, over e_k
+  of their moduli (null where the warm-up was refused).
 - frenet_report at POINT on the helix field (-y, x, C) / |(-y, x, C)| with its
   analytic and with a differenced Jacobian, and on grids of m^3 samples of it
   for m in GRID_SIZES, spacing 2 HALF_WIDTH / (m - 1), POINT the middle node
@@ -89,6 +100,7 @@ C = 0.5
 POINT = (1.0, 0.2, 0.1)
 HALF_WIDTH = 0.16
 GRID_SIZES = (5, 9, 17, 33)
+NORMAL_SIZES = (3, 4, 6, 8, 12, 16)
 ANALYZE_SIZES = (2, 4, 8, 16, 32, 48, 64)
 BASES = ("given", "expansion", "skew-canonical")
 SESSION = ("eigenstructure", "normality_report", "expansion_eigenbasis", "skew_canonical_basis")
@@ -133,16 +145,18 @@ def _paired(packages, call):
     return results, cells
 
 
+def _attempt(rotform, func, A):
+    """func(A), or None where it ended in rotform's NumericalError."""
+    try:
+        return func(A)
+    except rotform.NumericalError:
+        return None
+
+
 def _outcomes(rotform, func, make, n):
     """func on REQUESTS more n x n matrices make(1000 n + k, n): each result, or None
     where it ended in rotform's NumericalError."""
-    out = []
-    for k in range(REQUESTS):
-        try:
-            out.append(func(make(1000 * n + k, n)))
-        except rotform.NumericalError:
-            out.append(None)
-    return out
+    return [_attempt(rotform, func, make(1000 * n + k, n)) for k in range(REQUESTS)]
 
 
 def _fresh(packages, make, n, call):
@@ -348,6 +362,89 @@ def skew_document(results):
     }
 
 
+# --- normal: normal_power_basis and normal_invariant_recover -----------------
+def _normal_parts(seed, n, family):
+    """(Q, a, b, c) of the seed's Q D Q^T: the blocks' centres a and rates b, the real
+    entry c of an odd n, and Q the orthogonal factor of a standard-normal draw."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = n // 2
+    b = rng.uniform(0.5, 2.0, m)
+    if family == "tied":
+        return Q, np.ones(m), b, 1.0
+    return Q, rng.uniform(-1.0, 1.0, m), b, rng.uniform(-1.0, 1.0)
+
+
+def _normal_family(family):
+    def make(seed, n):
+        Q, a, b, c = _normal_parts(seed, n, family)
+        D, i = np.zeros((n, n)), np.arange(0, n - 1, 2)
+        D[i, i] = D[i + 1, i + 1] = a
+        D[i, i + 1], D[i + 1, i] = b, -b
+        if n % 2:
+            D[-1, -1] = c
+        return Q @ D @ Q.T
+    return make
+
+
+NORMAL_FAMILIES = {family: _normal_family(family) for family in ("distinct", "tied")}
+NORMAL = ("normal_power_basis", "normal_invariant_recover")
+
+
+def normal_rows(packages):
+    """One row per function, family, n and label; `pms` carries the warm-up's minor sums
+    to the oracle."""
+    rows = {label: [] for label in packages}
+    for name in NORMAL:
+        for family, make in NORMAL_FAMILIES.items():
+            for n in NORMAL_SIZES:
+                results, timing = _fresh(packages, make, n,
+                                         lambda rf, A: _attempt(rf, getattr(rf, name), A))
+                for label, rf in packages.items():
+                    outcomes, result = _outcomes(rf, getattr(rf, name), make, n), results[label]
+                    rows[label].append({
+                        "function": name, "family": family, "n": n, **timing[label],
+                        "refused": outcomes.count(None), "requests": REQUESTS,
+                        "pms": result[0] if name == NORMAL[1] and result else None})
+    return rows
+
+
+def normal_document(results):
+    reference = {}
+    for rows in results.values():
+        for row in rows:
+            family, n, pms = row["family"], row["n"], row.pop("pms")
+            if (family, n) not in reference:
+                _, a, b, c = _normal_parts([n, 0], n, family)  # the warm-up's matrix
+                eigs = [complex(x, s * y) for x, y in zip(a, b) for s in (1, -1)] + [c] * (n % 2)
+                with mpmath.workdps(50):
+                    exact = [mpmath.mpc(z) for z in eigs]
+                    reference[family, n] = list(zip(_elementary(exact),
+                                                    _elementary([abs(z) for z in exact])))
+            row["pm_error_over_mass"] = None if pms is None else max(
+                float(abs(pm - e) / mass) for pm, (e, mass) in zip(pms, reference[family, n]))
+    return {
+        "functions": [f"rotform.{name}" for name in NORMAL],
+        "input": "call k of a label on Q D Q^T from numpy default_rng([n, k]), k = 0 the "
+                 "warm-up: D blockdiag([[a, b], [-b, a]], ..., [c]), b uniform(0.5, 2); a, c "
+                 "uniform(-1, 1) for distinct, 1 for tied; Q the orthogonal factor of a "
+                 "standard-normal draw",
+        "refused": f"NumericalError count over {REQUESTS} matrices with seeds 1000 n + k",
+        "oracle": "e_k of the construction's eigenvalues a +- i b and c in mpmath at 50 digits; "
+                  "the largest |pm^k - e_k| over e_k of the moduli, for normal_invariant_recover",
+        "results": results,
+    }
+
+
+def _elementary(values):
+    """e_1, ..., e_n of the n values, by the product recurrence in their arithmetic."""
+    e = [1] + [0] * len(values)
+    for v in values:
+        for j in range(len(values), 0, -1):
+            e[j] += v * e[j - 1]
+    return e[1:]
+
+
 # --- frenet_report -----------------------------------------------------------
 def _fields(frenet):
     """(label, m, spacing, make) of every benchmarked field, make() its FlowField: the
@@ -512,6 +609,7 @@ LAYERS = {
     "collings_det": (collings_rows, collings_document),
     "spectrum": (spectrum_rows, spectrum_document),
     "skew_canonical_basis": (skew_rows, skew_document),
+    "normal": (normal_rows, normal_document),
     "frenet_report": (frenet_rows, frenet_document),
     "analyze": (analyze_rows, analyze_document),
     "session": (session_rows, session_document),

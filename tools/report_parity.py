@@ -37,7 +37,8 @@ them.  The corpus:
 - planar with an --output in a missing directory and one that is a directory;
 - malformed files: a grid file holding a JSON number, a grid origin "x", grid
   values with a ragged row, an --input file that is not UTF-8, and the helix
-  grid with one sample null;
+  grid with one sample null, with the spacing Infinity along x and with the
+  origin NaN along x;
 - analyze under --tol residual_tol=1e-17 on a uniform 4 x 4, whose expansion
   split certificate cannot be met;
 - identities under --tol residual_tol=1e-30 (n = 5) and eig_off_tol=1e-300
@@ -252,6 +253,14 @@ def corpus(workdir):
         json.dump({"origin": origin.tolist(), "spacing": [h, h, h], "values": values}, fh)
     requests.append(("malformed grid file null sample",
                      ["frenet", "--field", "file:grid-null.json", "--point", "1,0,0"]))
+    values[4][4][4] = _helix(origin + h * 4).tolist()
+    for kind, start, step in (("spacing Infinity", origin, [np.inf, h, h]),
+                              ("origin NaN", [np.nan, 0.0, 0.0], [h, h, h])):
+        name = f"grid-{kind.replace(' ', '-')}.json"
+        with open(os.path.join(workdir, name), "w") as fh:  # json writes Infinity and NaN
+            json.dump({"origin": list(start), "spacing": step, "values": values}, fh)
+        requests.append((f"malformed grid file {kind}",
+                         ["frenet", "--field", f"file:{name}", "--point", "1,0,0"]))
     split = matrix("split4.txt", np.random.default_rng(3).uniform(-1, 1, (4, 4)))
     requests.append(("unreachable split certificate residual_tol=1e-17",
                      ["analyze", "--input", split, "--tol", "residual_tol=1e-17"]))
