@@ -8,18 +8,17 @@ eigen-solve that the matrix record keeps: eigh of the symmetric part, and eigh
 of the Hermitian i K / max|K| for the skew part K, whose eigenvectors' real and
 imaginary parts span the rotation planes; the trailing columns of one complete
 QR of the planes span the kernel.  Neither squares the matrix.  The normal route
-(_normal_powers) forms each power's symmetric part and K^2 once and refines the
-expansion solve by K^2 alone, for normal_power_basis and normal_invariant_recover.
+(_normal_powers) forms each power and K^2 once and refines the expansion solve by
+K^2 alone, for normal_power_basis and normal_invariant_recover.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import InputError, NumericalError
 from .linalg import DEFAULT_TOL, ascending_runs, matrix_powers, maxabs
-from .linalg import _matrix, _shared, _sign_fix, sym_eigen
+from .linalg import _matrix, _rel, _shared, _sign_fix, sym_eigen
 from .quasirot import _pair_entries, _pair_index
 
 
@@ -129,11 +128,11 @@ def normality_report(A, tol=DEFAULT_TOL):
 
 def _refine_blocks(M, F):
     """Common orthonormal eigenbasis of sym(A), A the record M, and a symmetric F that
-    commutes with it: the record's solve, each run of tied eigenvalues turned into F's
-    eigenbasis on that run's span."""
+    commutes with it: the record's solve, each run of eigenvalues tied within 10 residual_tol
+    max|A| turned into F's eigenbasis on that run's span."""
     w, U, tol = *M.eigen, M.tol
     blocks = []
-    for a, b in ascending_runs(w, 10 * tol.residual_tol * maxabs(M.sym)):
+    for a, b in ascending_runs(w, 10 * tol.residual_tol * M.scale):
         V = U[:, a:b]
         if b - a > 1:
             B = V.T @ F @ V
@@ -143,18 +142,18 @@ def _refine_blocks(M, F):
 
 
 def _normal_powers(M):
-    """The normal route's one pass over the record M of a normal A: (P, Y, F) with Y[k]
-    the symmetric part of X^k, k = 0..n, X = A / p, Y[n + 1] = K^2 for K the skew part of X,
-    P the record's expansion solve refined by K^2 alone and F[k] = P^T Y[k] P.  H = sym(X)
-    and K commute, so each Y[k] = sum_i C(k, 2i) H^(k - 2i) K^(2i) is a polynomial in H and
-    K^2, and the common eigenbasis of those two diagonalises every power's symmetric part."""
+    """The normal route's one pass over the record M of a normal A: (P, Z, F) with Z[k] = X^k,
+    k = 0..n, X = A / p, Z[n + 1] = K^2 for K the skew part of X, P the record's expansion
+    solve refined by K^2 alone and F[k] = P^T sym(Z[k]) P.  H = sym(X) and K commute, so each
+    sym(X^k) = sum_i C(k, 2i) H^(k - 2i) K^(2i) is a polynomial in H and K^2, and the common
+    eigenbasis of those two diagonalises every power's symmetric part."""
     report = normality_report(M, M.tol)
     if not report.is_normal:
         raise InputError(f"matrix is not normal: commutator norm {report.commutator_norm:.3e}")
     K = 0.5 * (M.X - M.X.T)
-    Y = [0.5 * (Z + Z.T) for Z in matrix_powers(M.X, M.n)] + [K @ K]
-    P = _refine_blocks(M, Y[-1])
-    return P, Y, [P.T @ Z @ P for Z in Y]
+    Z = matrix_powers(M.X, M.n) + [K @ K]
+    P = _refine_blocks(M, Z[-1])
+    return P, Z, [P.T @ (0.5 * (W + W.T)) @ P for W in Z]
 
 
 def normal_power_basis(A, tol=DEFAULT_TOL):
@@ -162,18 +161,19 @@ def normal_power_basis(A, tol=DEFAULT_TOL):
     X^k (k = 1..n) of X = A / p for a normal matrix A, with the square of the
     skew part diagonal as well: sym(A)'s eigenbasis refined by K^2 alone (_normal_powers).
 
-    Returns (basis, checks): the off-diagonal residual per power and of K^2,
-    K the skew part of X, and the largest commutator norm among the symmetric
-    power parts, all measured on X, so 2^j A gives A's basis and checks bit for bit.
+    Returns (basis, checks): the off-diagonal of each power's symmetric part and of K^2, K the
+    skew part of X, and [H, K^2], H = sym(X), each by _rel on the term X^k, K^2 or H K^2, so
+    2^j A gives A's basis and checks bit for bit; one above residual_tol is NumericalError.
     """
-    P, Y, F = _normal_powers(_matrix(A, tol))
-    checks = {f"expansion_power_{k}": _offdiag_max(F[k]) for k in range(1, len(Y) - 1)}
-    checks["skew_square"] = _offdiag_max(F[-1])
-    checks["power_commutator_max"] = max(
-        (maxabs(Yp @ Yq - Yq @ Yp) for Yp, Yq in combinations(Y[1:-1], 2)), default=0.0)
+    P, Z, F = _normal_powers(M := _matrix(A, tol))
+    x, HK = M.scale / M.p, 0.5 * (Z[1] + Z[1].T) @ Z[-1]  # max|X|; H K^2, transposed K^2 H
+    checked = np.array(F[1:] + [HK - HK.T])  # P^T sym(X^k) P, k = 1..n, P^T K^2 P, [H, K^2]
+    off = np.abs(checked - checked * np.eye(M.n)).max(axis=(1, 2)).tolist()
+    size = np.abs(np.array(Z[1:] + [HK])).max(axis=(1, 2)).tolist()  # of X^k, K^2 and H K^2
+    degrees = {f"expansion_power_{k}": k for k in range(1, M.n + 1)}
+    degrees.update(skew_square=2, power_commutator_max=3)
+    checks = {key: _rel(v, [s], x, d) for (key, d), v, s in zip(degrees.items(), off, size)}
+    for key, value in checks.items():
+        if value > tol.residual_tol:
+            raise NumericalError(f"check {key} = {value:.3e} exceeds residual_tol", residual=value)
     return P, checks
-
-
-def _offdiag_max(M):
-    off = M - np.diag(np.diag(M))
-    return float(maxabs(off))

@@ -260,7 +260,7 @@ def _forms_section(M, seed, bromwich):
     lo, hi = bromwich[:2]
     rotation_traces = {_pair_key(pair): t for pair, t in qforms.rotation_traces(M.A).items()}
     u = random_unit(np.random.default_rng(seed), M.n)
-    dec = qforms.decompose(M, u, M.tol)
+    dec = qforms.decompose(M, u)
     w, e, r = M.X @ u, dec.e / M.p, dec.r.vector() / M.p
     norm2 = float(w @ w)
     norm_gap = abs(norm2 - e**2 - sum((r * r).tolist())) / norm2 if norm2 else 0.0

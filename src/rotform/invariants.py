@@ -45,6 +45,7 @@ from .linalg import (
     _kernel,
     _matrix,
     _pm2,
+    _rel,
     _shared,
     as_square,
     as_unit,
@@ -106,15 +107,6 @@ class _Parts(_Matrix):
 def _parts(A, top=0):
     """The shared quantities of A (an array or a record); _Parts pass through."""
     return A if isinstance(A, _Parts) else _Parts(A, top)
-
-
-def _rel(total, terms, scale, degree):
-    """|total| relative to the largest term along axis 0, and at least to
-    scale^degree for an identity of that degree in X with max|X| = scale:
-    a float for one identity, a list for an array of them."""
-    denom = np.maximum(np.abs(terms).max(axis=0, initial=0.0), prod([scale] * degree))
-    out = np.zeros(np.shape(denom))
-    return np.divide(np.abs(total), denom, out=out, where=denom != 0).tolist()
 
 
 def _probed(A, u, top=0):

@@ -47,17 +47,17 @@ class ToleranceConfig:
       - residual_tol max|X|^d: sym_eigen's asymmetry, rotation-form values
         at a unit common zero, expansion_eigenbasis's residual,
         zero_subspace_extend's values over |x||y| (d = 1), the normality
-        commutator (d = 2), the CLI's decomposition probe (d = 0);
+        commutator (d = 2), the CLI's decomposition probe, normal_power_basis's checks (d = 0);
       - 10 residual_tol max|X| (1e-8): nearby expansion eigenvalues counted equal by
-        normal_power_basis (X = sym(A)), which solves K^2 once on each such run, and nearby
+        normal_power_basis (X = A), which solves K^2 once on each such run, and nearby
         rates by skew_square_structure (X's top rate, X = A / p), a run within it of 0 as 0;
       - residual_tol / 10 max|X|^d (1e-10): a skew input's asymmetry (as_skew,
         d = 1), a given vector's unit length (as_unit) and a given basis's
         orthogonality (d = 0), a coupling skew entry in normal_invariant_recover.
       - the record's residual_tol e_k(r), r the row norms of its X: the
         anchors of principal_minor_sums, pm^2 (k = 2) and pm^n (k = n).
-    Here s = max|A|.  Identity residuals divide by max(max|term|, s^d)
-    (invariants._rel).  All three fields must be finite and positive.
+    Here s = max|A|.  Identity residuals and normal_power_basis's checks divide by
+    max(max|term|, s^d) (_rel).  All three fields must be finite and positive.
     """
 
     eig_off_tol: float = 1e-12
@@ -140,6 +140,15 @@ def as_direction(u, n, name="direction"):
 def maxabs(A):
     A = np.asarray(A)
     return float(np.abs(A).max()) if A.size else 0.0
+
+
+def _rel(total, terms, scale, degree):
+    """|total| relative to the largest term along axis 0, and at least to
+    scale^degree for an identity of that degree in X with max|X| = scale:
+    a float for one identity, a list for an array of them."""
+    denom = np.maximum(np.abs(terms).max(axis=0, initial=0.0), prod([scale] * degree))
+    out = np.zeros(np.shape(denom))
+    return np.divide(np.abs(total), denom, out=out, where=denom != 0).tolist()
 
 
 def binary_scale(A):

@@ -161,7 +161,7 @@ def form_extremes(q, tol=DEFAULT_TOL):
     return float(w[0]), float(w[-1]), P[:, 0].copy(), P[:, -1].copy()
 
 
-def decompose(A, u, tol=DEFAULT_TOL):
+def decompose(A, u):
     """Split A(u) into expansion and rotation parts evaluated at u-hat.
 
     A(u) = e*u + sum r(k,l) R_kl(u) with e the expansion of the unit direction

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import rotform
 from rotform import (
     DEFAULT_TOL,
     InputError,
+    NumericalError,
     expansion_eigenbasis,
     normal_power_basis,
     normality_report,
@@ -245,3 +247,52 @@ class TestNormalPowerBasis:
         assert rank == 6
         for got, exact in zip(pms, minor_sums_exact(A)):
             assert abs(got - float(exact)) <= 1e-8 * max(1.0, abs(float(exact)))
+
+    @staticmethod
+    def ladder_normal(n, k, tied):
+        # tools/ladder.py's distinct and tied families at even n: Q blockdiag([[a, b], [-b, a]],
+        # ...) Q^T from default_rng([n, k]), b uniform(0.5, 2), a uniform(-1, 1) or 1
+        rng = np.random.default_rng([n, k])
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        b = rng.uniform(0.5, 2.0, n // 2)
+        a = np.ones(n // 2) if tied else rng.uniform(-1.0, 1.0, n // 2)
+        return Q @ block_diag(*map(rotation_scaling_block, a, b)) @ Q.T
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    def test_every_check_is_relative_to_what_it_checks(self, n, tied):
+        # measured on X^k itself, not absolutely, each check stays at rounding although
+        # X^16 may have entries near 2^16
+        for k in range(20):
+            P, checks = normal_power_basis(self.ladder_normal(n, k, tied))
+            assert list(checks)[-2:] == ["skew_square", "power_commutator_max"]
+            assert max(checks.values()) <= 1e-12, (k, max(checks, key=checks.get))
+
+    @staticmethod
+    def near_skew(seed):
+        # sym(A) is rounding noise, 1e-16 to 2e-16 of max|A|
+        R = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        Q = random_orthogonal(6, seed)
+        return Q @ block_diag(R, 2 * R, 3 * R) @ Q.T
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_noise_symmetric_part_is_one_tied_run(self, seed):
+        # the tie is relative to max|A|, so the noise eigenvalues form one run that K^2
+        # refines, and K^2 comes out diagonal
+        A = self.near_skew(seed)
+        P, checks = normal_power_basis(A)
+        assert max(checks.values()) <= 1e-12, checks
+        S = P.T @ A @ P
+        off = S @ S - np.diag(np.diag(S @ S))
+        assert np.max(np.abs(off)) < 1e-12
+
+    def test_a_failing_check_is_refused_by_name(self, monkeypatch):
+        # with the tie relative to max|sym A| no run is tied, K^2 never refines the basis,
+        # and the checks that catch it end in NumericalError
+        A = self.near_skew(0)
+        ratio = np.max(np.abs(A + A.T)) / 2 / np.max(np.abs(A))
+        runs = rotform.canonical.ascending_runs
+        monkeypatch.setattr(rotform.canonical, "ascending_runs",
+                            lambda w, tie: runs(w, tie * ratio))
+        with pytest.raises(NumericalError, match=r"^check \w+ = \S+ exceeds residual_tol$"):
+            normal_power_basis(A)

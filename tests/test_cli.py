@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -991,6 +992,24 @@ class TestRefusals:
         assert main(["analyze", "--input", "m.txt", "--tol", "residual_tol=1e-17"]) == 3
         assert capsys.readouterr() == ("", "numerical error: eigenbasis failed to diagonalise "
                                            "the symmetric part: residual 4.718e-16\n")
+
+    @pytest.mark.parametrize("part, argv, message", [
+        ("symmetric", ["--tol", "residual_tol=1e-16"], "tolerance failure: eigenvector of "
+         r"\S+ fails the common-zero check: rotation residual \S+ exceeds 2.220e-16; "),
+        ("skew", ["--tol", "residual_tol=1e-17"],
+         r"decomposition residual \S+ exceeds tolerance\n"),
+        ("whole", ["--basis", "skew-canonical", "--tol", "eig_off_tol=1e-300"],
+         r"skew block certificate failed: residual \S+\n"),
+    ])
+    def test_an_unmet_certificate_exits_three_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                                            part, argv, message):
+        G = np.random.default_rng(0).standard_normal((4, 4))
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "m.txt", _grid({"symmetric": G + G.T, "skew": G - G.T, "whole": G}[part]))
+        assert main(["analyze", "--input", "m.txt", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert re.match("numerical error: " + message, err), err
 
     def test_an_empty_params_chunk_is_skipped(self, tmp_path, capsys):
         out = str(tmp_path / "r.json")

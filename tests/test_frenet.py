@@ -91,6 +91,17 @@ class TestFieldJacobian:
             field.at([0.5, 0.0, 0.0])
         assert len(seen) == 1 and seen[0].dtype == np.float64 and seen[0].shape == (3,)
 
+    def test_an_analytic_jacobian_must_be_3_by_3(self):
+        field = FlowField(evaluator=lambda x: np.array([1.0, 0.0, 0.0]),
+                          jacobian=lambda x: np.zeros((2, 2)))
+        with pytest.raises(FieldError, match=r"^analytic jacobian returned shape \(2, 2\)$"):
+            field_jacobian(field, np.zeros(3))
+
+    @pytest.mark.parametrize("query", ["at", "jacobian"])
+    def test_the_circular_field_is_singular_on_its_axis(self, query):
+        with pytest.raises(FieldError, match=r"^helix field singular at \(0.0, 0.0, 0.0\)$"):
+            getattr(circular_field(), query)(np.zeros(3))
+
 
 class TestFrenetFrame:
     @pytest.mark.parametrize("func", [field_jacobian, frenet_frame])
@@ -327,6 +338,25 @@ class TestGridField:
         values[..., 2] = 1.0
         with pytest.raises(InputError, match="^grid origin and spacing must be finite$"):
             grid_field(origin, spacing, values)
+
+    @pytest.mark.parametrize("origin, spacing, shape, message", [
+        ([0, 0], [1, 1, 1], (2, 2, 2, 3), "^grid origin and spacing must be 3-vectors$"),
+        ([0, 0, 0], [1, 0, 1], (2, 2, 2, 3), "^grid spacing must be positive$"),
+        ([0, 0, 0], [1, 1, 1], (2, 2, 3), r"^grid values must have shape \(nx, ny, nz, 3\)"),
+    ], ids=["origin 2-vector", "spacing zero", "values 3-D"])
+    def test_rejects_a_malformed_origin_spacing_or_values(self, origin, spacing, shape, message):
+        values = np.zeros(shape)
+        values[..., -1] = 1.0
+        with pytest.raises(InputError, match=message):
+            grid_field(origin, spacing, values)
+
+    def test_an_interpolant_that_vanishes_is_refused(self):
+        # +e_z on the x = 0 face, -e_z on the x = 1 face: zero halfway between them
+        values = np.zeros((2, 2, 2, 3))
+        values[0, ..., 2], values[1, ..., 2] = 1.0, -1.0
+        field = grid_field([0, 0, 0], [1, 1, 1], values)
+        with pytest.raises(FieldError, match="^interpolated field vanished"):
+            field.at(np.array([0.5, 0.5, 0.5]))
 
     def test_rejects_out_of_range_query(self):
         values = np.zeros((2, 2, 2, 3))

@@ -9,6 +9,7 @@ import pytest
 from rotform import (
     DEFAULT_TOL,
     InputError,
+    NumericalError,
     cayley_hamilton_residual,
     ch_form_residuals,
     ch_trace_residuals,
@@ -23,6 +24,7 @@ from rotform import (
     pm2_identity_residual,
     power_form_step,
     principal_minor_sums,
+    random_orthogonal,
     rotation_form,
 )
 from rotform import evaluate, plane_pairs, qforms
@@ -609,6 +611,31 @@ class TestNormalInvariantRecover:
     def test_rejects_non_normal(self):
         with pytest.raises(InputError, match="not normal"):
             normal_invariant_recover(jordan_shear(3.0, 1.0))
+
+    def test_a_rank_deficient_system_is_refused_with_the_system(self):
+        # two equal planes give the same rows twice: the power system has rank 2
+        B = rotation_scaling_block(0.5, 1.0)
+        Q = random_orthogonal(4, 0)
+        message = r"^power system is rank deficient: rank 2 < 4$"
+        with pytest.raises(NumericalError, match=message) as info:
+            normal_invariant_recover(Q @ block_diag(B, B) @ Q.T)
+        M, b = info.value.system
+        assert M.shape[1] == 4 and b.shape == (M.shape[0],)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ch_form_residuals(np.eye(3), [1.0, 0.0]), "^probe vector must match"),
+    (lambda: cayley_hamilton_residual(np.eye(3), [1.0, 0.0, 0.0], [1.0, 0.0]),
+     "^probe vectors must match"),
+    (lambda: pm2_identity_residual(np.eye(1)), "^the second minor sum needs n >= 2$"),
+    (lambda: pm2_sym_skew_residual(np.eye(1)), "^the second minor sum needs n >= 2$"),
+    (lambda: collings_det(np.eye(2), np.eye(3)), "^matrices must share a dimension$"),
+    (lambda: power_form_step(np.eye(2), 0, [1.0, 0.0]), "^power step needs m >= 1$"),
+], ids=["u length", "v length", "pm2 at n = 1", "pm2 sym skew at n = 1",
+        "collings dimensions", "power step m = 0"])
+def test_an_input_that_does_not_fit_is_refused(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
 
 
 class TestPowerFormStep:

@@ -591,6 +591,14 @@ class TestMinorSumsFromSpectrum:
         with pytest.raises(NumericalError, match=r"pm\^2"):
             principal_minor_sums(np.random.default_rng(8).uniform(-1, 1, (5, 5)))
 
+    def test_a_failing_eigenvalue_solver_is_numerical_error(self, monkeypatch):
+        def failing(X):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np, "poly", failing)
+        with pytest.raises(NumericalError, match="^eigenvalue solver failed: Eigenvalues did"):
+            principal_minor_sums(np.random.default_rng(9).uniform(-1, 1, (5, 5)))
+
     def test_determinant_anchor_disagreement_raises(self, monkeypatch):
         poly = np.poly
         monkeypatch.setattr(np, "poly", lambda X: poly(X) + 1e-6 * np.eye(6)[5])
@@ -645,6 +653,14 @@ class TestEntryLimit:
     def test_non_finite_entries_are_input_error(self):
         with pytest.raises(InputError, match="finite entries"):
             eigenstructure([[np.inf, 0.0], [0.0, np.nan]])
+
+    @pytest.mark.parametrize("u, message", [
+        (np.ones((2, 2)), r"^vector must be one-dimensional, got shape \(2, 2\)$"),
+        ([1.0, np.nan], "^vector has non-finite components$"),
+    ], ids=["2-D", "NaN"])
+    def test_a_vector_must_be_one_dimensional_and_finite(self, u, message):
+        with pytest.raises(InputError, match=message):
+            linalg.as_vector(u)
 
     def test_largest_eigenvalue_below_the_limit_is_still_reported(self):
         report = eigenstructure(1e306 * np.ones((32, 32)))

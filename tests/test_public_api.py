@@ -36,7 +36,7 @@ PARAMETERS = {
     "invariant_report": ("A", "seed", "power_steps"),
     "principal_minor_sums": ("A",),
     "bromwich_bounds": ("A", "tol"),
-    "decompose": ("A", "u", "tol"),
+    "decompose": ("A", "u"),
     "almost_orthogonal_expand": ("u", "v", "unit_tol"),
     "frenet_frame": ("field", "x", "kappa_tol"),
     "frenet_rotation_forms": ("field", "x", "kappa_tol"),

@@ -410,3 +410,20 @@ class TestFamilyInvariants:
         values = rotation_values(A, u)
         for pair in plane_pairs(5):
             assert values[pair] == pytest.approx(evaluate(rotation_form(A, pair), u), abs=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: QForm(3, np.eye(2)), r"^form matrix shape \(2, 2\) does not match n = 3$"),
+    (lambda: QForm(2, [[1.0, 2.0], [0.0, 1.0]]), "^form matrix is not symmetric"),
+    (lambda: evaluate(expansion_form(np.eye(2)), [1.0, 0.0, 0.0]),
+     "^dimension mismatch: form is 2-dimensional, vector is 3$"),
+    (lambda: polar(expansion_form(np.eye(2)), [1.0, 0.0], [1.0, 0.0, 0.0]),
+     "^dimension mismatch: form is 2-dimensional$"),
+    (lambda: rotation_form_change_of_basis(np.eye(2), np.eye(3), (1, 2)),
+     "^basis dimension does not match the matrix$"),
+    (lambda: form_family(np.eye(2), np.eye(3)), "^basis dimension does not match the matrix$"),
+], ids=["QForm shape", "QForm asymmetric", "evaluate", "polar", "change of basis",
+        "form family"])
+def test_an_input_that_does_not_fit_is_refused(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

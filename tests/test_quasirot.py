@@ -65,6 +65,8 @@ class TestQuasiRotationMatrix:
             quasi_rotation(3, (1, 4))
         with pytest.raises(InputError):
             check_plane_pair(3, "12")
+        with pytest.raises(InputError, match=r"^plane pair must be a \(k, l\) index pair"):
+            check_plane_pair(3, ("one", 2))
 
 
 class TestApplyQuasiRotation:
@@ -115,6 +117,10 @@ class TestAlmostOrthogonalExpand:
     def test_rejects_non_unit_axis(self):
         with pytest.raises(InputError):
             almost_orthogonal_expand(np.ones(3), np.array([1.0, 1.0, 0.0]))
+
+    def test_rejects_vectors_of_different_lengths(self):
+        with pytest.raises(InputError, match="^dimension mismatch: 2 vs 3$"):
+            almost_orthogonal_expand(np.ones(2), np.array([1.0, 0.0, 0.0]))
 
 
 class TestSquaredRotationIdentity:

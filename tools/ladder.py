@@ -42,15 +42,17 @@ and the rounds it was faster (wins).  The oracles run once per label:
   descending, of mpmath.eig of the skew part K at 50 digits.
 - normal: normal_power_basis and normal_invariant_recover on Q D Q^T, D the
   block diagonal of n // 2 rotation-scaling blocks [[a, b], [-b, a]] and, for odd
-  n, one real entry c, for n in NORMAL_SIZES and two families (NORMAL_FAMILIES):
-  distinct, a and c uniform(-1, 1), and tied, a = c = 1, where the expansion form
-  is I and the whole basis comes from the refinement by K^2; b is uniform(0.5, 2)
-  and Q the orthogonal factor of a standard-normal draw.  Call k of a label takes
-  the matrix with seed [n, k].  Adds how many of REQUESTS more (seeds 1000 n + k)
-  ended in NumericalError (a timed call may end so too) and, for
-  normal_invariant_recover, the largest error of the warm-up's pm^k against e_k of
-  the construction's eigenvalues a +- i b and c in mpmath at 50 digits, over e_k
-  of their moduli (null where the warm-up was refused).
+  n, one real entry c, for n in NORMAL_SIZES and three families (NORMAL_FAMILIES):
+  distinct, a and c uniform(-1, 1); tied, a = c = 1, where the expansion form
+  is I and the whole basis comes from the refinement by K^2; and skew, a = c = 0,
+  where the symmetric part is rounding noise; b is uniform(0.5, 2) and Q the
+  orthogonal factor of a standard-normal draw.  Call k of a label takes the matrix
+  with seed [n, k].  Adds how many of REQUESTS more (seeds 1000 n + k) ended in
+  NumericalError (a timed call may end so too), for normal_power_basis the warm-up's
+  largest check (checks_max) and, for normal_invariant_recover, the largest error
+  of the warm-up's pm^k against e_k of the construction's eigenvalues a +- i b and
+  c in mpmath at 50 digits, over e_k of their moduli, or over 1 where that is 0
+  (e_n of an odd skew n); each null where the warm-up was refused.
 - frenet_report at POINT on the helix field (-y, x, C) / |(-y, x, C)| with its
   analytic and with a differenced Jacobian, and on grids of m^3 samples of it
   for m in GRID_SIZES, spacing 2 HALF_WIDTH / (m - 1), POINT the middle node
@@ -372,6 +374,8 @@ def _normal_parts(seed, n, family):
     b = rng.uniform(0.5, 2.0, m)
     if family == "tied":
         return Q, np.ones(m), b, 1.0
+    if family == "skew":
+        return Q, np.zeros(m), b, 0.0
     return Q, rng.uniform(-1.0, 1.0, m), b, rng.uniform(-1.0, 1.0)
 
 
@@ -387,13 +391,13 @@ def _normal_family(family):
     return make
 
 
-NORMAL_FAMILIES = {family: _normal_family(family) for family in ("distinct", "tied")}
+NORMAL_FAMILIES = {family: _normal_family(family) for family in ("distinct", "tied", "skew")}
 NORMAL = ("normal_power_basis", "normal_invariant_recover")
 
 
 def normal_rows(packages):
     """One row per function, family, n and label; `pms` carries the warm-up's minor sums
-    to the oracle."""
+    to the oracle, and checks_max is the warm-up's largest check."""
     rows = {label: [] for label in packages}
     for name in NORMAL:
         for family, make in NORMAL_FAMILIES.items():
@@ -405,6 +409,8 @@ def normal_rows(packages):
                     rows[label].append({
                         "function": name, "family": family, "n": n, **timing[label],
                         "refused": outcomes.count(None), "requests": REQUESTS,
+                        "checks_max": (max(result[1].values())
+                                       if name == NORMAL[0] and result else None),
                         "pms": result[0] if name == NORMAL[1] and result else None})
     return rows
 
@@ -419,19 +425,21 @@ def normal_document(results):
                 eigs = [complex(x, s * y) for x, y in zip(a, b) for s in (1, -1)] + [c] * (n % 2)
                 with mpmath.workdps(50):
                     exact = [mpmath.mpc(z) for z in eigs]
-                    reference[family, n] = list(zip(_elementary(exact),
-                                                    _elementary([abs(z) for z in exact])))
+                    masses = _elementary([abs(z) for z in exact])  # e_n 0 for an odd skew n
+                    reference[family, n] = list(zip(_elementary(exact), [m or 1 for m in masses]))
             row["pm_error_over_mass"] = None if pms is None else max(
                 float(abs(pm - e) / mass) for pm, (e, mass) in zip(pms, reference[family, n]))
     return {
         "functions": [f"rotform.{name}" for name in NORMAL],
         "input": "call k of a label on Q D Q^T from numpy default_rng([n, k]), k = 0 the "
                  "warm-up: D blockdiag([[a, b], [-b, a]], ..., [c]), b uniform(0.5, 2); a, c "
-                 "uniform(-1, 1) for distinct, 1 for tied; Q the orthogonal factor of a "
-                 "standard-normal draw",
+                 "uniform(-1, 1) for distinct, 1 for tied, 0 for skew; Q the orthogonal "
+                 "factor of a standard-normal draw",
+        "checks": "checks_max: the largest of the warm-up's normal_power_basis checks",
         "refused": f"NumericalError count over {REQUESTS} matrices with seeds 1000 n + k",
         "oracle": "e_k of the construction's eigenvalues a +- i b and c in mpmath at 50 digits; "
-                  "the largest |pm^k - e_k| over e_k of the moduli, for normal_invariant_recover",
+                  "the largest |pm^k - e_k| over e_k of the moduli (over 1 where that is 0), "
+                  "for normal_invariant_recover",
         "results": results,
     }
 
