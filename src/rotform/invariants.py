@@ -33,6 +33,7 @@ so its right-hand side costs O(n^2) work per step.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isfinite, prod
 
 import numpy as np
@@ -42,6 +43,7 @@ from .canonical import _normal_powers
 from .linalg import (
     DEFAULT_TOL,
     _Matrix,
+    _index,
     _kernel,
     _matrix,
     _pm2,
@@ -82,25 +84,25 @@ class _Parts(_Matrix):
         self.unit = M.p
         A, n = self.A, self.n
         self.pows = np.array(matrix_powers(A, max(n, top)))
-        self.traces = [float(np.trace(X)) for X in self.pows[1 : n + 1]]
+        self.traces = self.pows[1 : n + 1].trace(axis1=1, axis2=2).tolist()
         self.pm = (1.0,) + principal_minor_sums(self)
         self.signed = [(-1.0) ** k * self.pm[k] for k in range(n + 1)]
         self.T = _pair_entries(self.pows)
         self.trace_sq = sum(t ** 2 for t in self.T[1].tolist())
         K, L = _pair_index(n)
-        rows = np.sum(A * A, axis=1)
+        rows = (A * A).sum(axis=1)
         self.form_sq = 0.5 * (rows[K] + rows[L] + A[L, K] ** 2 + A[K, L] ** 2
                               - 2.0 * A[K, K] * A[L, L])
         self.pm2_sym, self.pm2_skew = _pm2(self.sym), _pm2(self.skew)
         self._probe = None
 
     def probe(self, u):
-        """(u, W, e, V, VT) at unit u: W[p] = A^p u, e[p] = u.A^p u by vecdot (it
+        """(u, W, e, V, VT) at unit u: W[p] = A^p u, the floats e[p] = u.A^p u by vecdot (it
         rounds like u @ w, W @ u does not), V[p] and VT the rotation values of A^p, A^T."""
         if self._probe is None or not np.array_equal(self._probe[0], u):
             W = self.pows @ u
             VT = _wedge(u, self.A.T @ u)
-            self._probe = (u.copy(), W, np.vecdot(W, u), _wedge(u, W), VT)
+            self._probe = (u.copy(), W, np.vecdot(W, u).tolist(), _wedge(u, W), VT)
         return self._probe
 
 
@@ -143,7 +145,7 @@ def cayley_hamilton_residual(A, u, v):
     v = as_unit(v, "v")
     if len(v) != n:
         raise InputError("probe vectors must match the matrix dimension")
-    terms = [s.signed[k] * float(W[n - k] @ v) for k in range(n + 1)]
+    terms = [c * x for c, x in zip(s.signed, np.vecdot(W[n::-1], v).tolist())]
     return _rel(sum(terms), terms, s.scale, n)
 
 
@@ -153,7 +155,7 @@ def _ch_lines(s, e_terms, rot):
     n = s.n
     r_terms = np.array(s.signed[:n])[:, None] * rot[n:0:-1]
     return (_rel(sum(e_terms), e_terms, s.scale, n),
-            _rel(np.cumsum(r_terms, axis=0)[-1], r_terms, s.scale, n))
+            _rel(r_terms.cumsum(axis=0)[-1], r_terms, s.scale, n))
 
 
 def ch_form_residuals(A, u):
@@ -163,8 +165,8 @@ def ch_form_residuals(A, u):
     Returns (expansion residual, {pair: rotation residual}).
     """
     s, (_, _, e, V, _) = _probed(A, u)
-    e_res, r_res = _ch_lines(s, [s.signed[k] * float(e[s.n - k]) for k in range(s.n + 1)], V)
-    return e_res, dict(zip(plane_pairs(s.n), r_res))
+    e_res, r_res = _ch_lines(s, [c * x for c, x in zip(s.signed, e[s.n :: -1])], V)
+    return e_res, dict(zip(_pair_names(s.n)[0], r_res))
 
 
 def ch_trace_residuals(A):
@@ -175,7 +177,14 @@ def ch_trace_residuals(A):
     e_terms = [s.signed[k] * s.traces[n - k - 1] for k in range(n)]
     e_terms.append((-1.0) ** n * n * s.pm[n])
     e_res, r_res = _ch_lines(s, e_terms, s.T)
-    return e_res, dict(zip(plane_pairs(s.n), r_res))
+    return e_res, dict(zip(_pair_names(s.n)[0], r_res))
+
+
+@lru_cache(maxsize=64)
+def _pair_names(n):
+    """The plane pairs of dimension n and the report's names of their ch and tr_ch residuals."""
+    pairs = tuple(plane_pairs(n))
+    return pairs, *(tuple(f"{kind}_rotation_{k}_{l}" for k, l in pairs) for kind in ("ch", "tr_ch"))
 
 
 def pm2_identity_residual(A):
@@ -203,10 +212,10 @@ def gram_trace_identity_residual(A):
     tr M_kl^2 of each rotation form come from their closed forms."""
     s = _parts(A)
     A, n = s.A, s.n
-    lhs = n * float(np.sum(A * A))
+    lhs = n * float((A * A).sum())
     tr_sq = s.traces[0] ** 2  # tr A equals tr of the expansion form exactly
-    rot_sq = float(np.sum(s.form_sq))
-    pm2_rot = float(np.sum(0.5 * (s.T[1] ** 2 - s.form_sq)))
+    rot_sq = float(s.form_sq.sum())
+    pm2_rot = float((0.5 * (s.T[1] ** 2 - s.form_sq)).sum())
     first = _rel(lhs - 2.0 * rot_sq - tr_sq, [lhs, 2.0 * rot_sq, tr_sq], s.scale, 2)
     if n < 2:
         return first
@@ -344,17 +353,18 @@ def _plane_coefficients(z, n):
     return [(z**k).imag / z.imag for k in range(n + 1)]
 
 
-def _power_step(s, m, probe):
-    """power_form_step on the shared parts, with per-pair arrays."""
+def _power_steps(s, first, last, probe):
+    """power_form_step on the shared parts for m = first..last, a row per m: the
+    expansion values and their recurrences as lists, the per-pair ones as arrays."""
     u, _, e, V, VT = probe
-    e_m = float(e[m])
-    rhs_e = e_m * float(e[1]) + sum((V[m] * VT).tolist())
+    m = slice(first, last + 1)
+    rhs_e = [e_m * e[1] + sum(row) for e_m, row in zip(e[m], (V[m] * VT).tolist())]
     # The sum over kl of r_m[kl] (A R_kl u).(R_pq u) is (A w).(R_pq u) with
     # w = sum r_m[kl] R_kl u.  w must come from the coefficients r_m: taking
     # it as A^m u - e_m u would make the recurrence hold by construction.
     w = _rotation_sum(V[m], s.n) @ u
-    rhs_r = e_m * V[1] + _wedge(u, s.A @ w)
-    return float(e[m + 1]), rhs_e, V[m + 1], rhs_r
+    rhs_r = np.array(e[m])[:, None] * V[1] + _wedge(u, (s.A @ w[..., None])[..., 0])
+    return e[first + 1 : last + 2], rhs_e, V[first + 1 : last + 2], rhs_r
 
 
 def power_form_step(A, m, u):
@@ -364,17 +374,20 @@ def power_form_step(A, m, u):
     unit u against its recurrence value, and per-pair rotation forms of
     A^(m+1) against theirs.
     """
-    if m < 1:
-        raise InputError("power step needs m >= 1")
+    m = _index(m, 1, "power step needs an integer m >= 1")
     s, probe = _probed(A, u, m + 1)
-    lhs_e, rhs_e, *per_pair = _power_step(s, m, probe)
-    pairs, back = list(plane_pairs(s.n)), [s.unit] * (m + 1)  # A's units, as float products
-    lhs_r, rhs_r = ({pq: prod(back, start=x) for pq, x in zip(pairs, r.tolist())} for r in per_pair)
+    (lhs_e,), (rhs_e,), *per_pair = _power_steps(s, m, m, probe)
+    pairs, back = _pair_names(s.n)[0], [s.unit] * (m + 1)  # A's units, as float products
+    lhs_r, rhs_r = ({pq: prod(back, start=x) for pq, x in zip(pairs, r[0].tolist())}
+                    for r in per_pair)
     return prod(back, start=lhs_e), prod(back, start=rhs_e), lhs_r, rhs_r
 
 
 def invariant_report(A, seed=0, power_steps=3):
-    """All identity residuals for one matrix (an array or a record), with seeded probes."""
+    """All identity residuals for one matrix (an array or a record), with seeded probes;
+    seed and power_steps are integers >= 0, Python's or numpy's, not bools."""
+    seed, power_steps = (_index(value, 0, f"{name} must be an integer >= 0, got {value!r}")
+                         for name, value in (("seed", seed), ("power_steps", power_steps)))
     s = _Parts(_shared(A), power_steps + 1)
     n = s.n
     pms = tuple(prod([s.unit] * k, start=s.pm[k]) for k in range(1, n + 1))
@@ -387,19 +400,17 @@ def invariant_report(A, seed=0, power_steps=3):
     v = random_unit(rng, n)
     residuals = {f"newton_{k}": r for k, r in enumerate(newton_residuals(s), start=1)}
     residuals["ch_vector"] = cayley_hamilton_residual(s, u, v)
-    e_res, r_res = ch_form_residuals(s, u)
-    residuals["ch_expansion"] = e_res
-    residuals.update((f"ch_rotation_{k}_{l}", r) for (k, l), r in r_res.items())
-    e_res, r_res = ch_trace_residuals(s)
-    residuals["tr_ch_expansion"] = e_res
-    residuals.update((f"tr_ch_rotation_{k}_{l}", r) for (k, l), r in r_res.items())
+    _, ch_names, tr_ch_names = _pair_names(n)
+    residuals["ch_expansion"], r_res = ch_form_residuals(s, u)
+    residuals.update(zip(ch_names, r_res.values()))
+    residuals["tr_ch_expansion"], r_res = ch_trace_residuals(s)
+    residuals.update(zip(tr_ch_names, r_res.values()))
     if n >= 2:
         residuals["pm2"] = pm2_identity_residual(s)
         residuals["pm2_sym_skew"] = pm2_sym_skew_residual(s)
     residuals["gram_trace"] = gram_trace_identity_residual(s)
-    probe = s.probe(u)
-    for m in range(1, power_steps + 1):
-        lhs_e, rhs_e, lhs_r, rhs_r = _power_step(s, m, probe)
+    steps = _power_steps(s, 1, power_steps, s.probe(u))
+    for m, (lhs_e, rhs_e, lhs_r, rhs_r) in enumerate(zip(*steps), start=1):
         residuals[f"power_expansion_{m}"] = _rel(lhs_e - rhs_e, [lhs_e, rhs_e], s.scale, m + 1)
         r_res = _rel(lhs_r - rhs_r, [lhs_r, rhs_r], s.scale, m + 1)
         residuals[f"power_rotation_{m}"] = max(r_res, default=0.0)

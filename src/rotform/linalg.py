@@ -9,9 +9,10 @@ or cut, eigenspaces and nullspaces by one SVD rank rule, and seeded sampling.
 For n up to a few dozen, robustness and reproducibility come before asymptotics.
 """
 
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
-from math import frexp, ldexp, prod
+from functools import cached_property, lru_cache
+from math import frexp, isnan, ldexp, nan, prod
 
 import numpy as np
 
@@ -108,6 +109,21 @@ def as_vector(u, name="vector"):
     return u
 
 
+def _index(value, lo, message):
+    """value as a Python int, for an integer >= lo (any integer when lo is None), Python's
+    or numpy's but not a bool; anything else is InputError(message).  int() would truncate
+    1.5 and take True, and a numpy integer kept as it is wraps in its own arithmetic."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        index = operator.index(value)
+    except TypeError:
+        raise InputError(message) from None
+    if lo is not None and index < lo:
+        raise InputError(message)
+    return index
+
+
 def as_unit(u, name="vector", tol=DEFAULT_TOL.residual_tol / 10):
     """u as a vector whose length is 1 within tol; nothing is normalised."""
     u = as_vector(u, name)
@@ -144,9 +160,19 @@ def maxabs(A):
 
 def _rel(total, terms, scale, degree):
     """|total| relative to the largest term along axis 0, and at least to
-    scale^degree for an identity of that degree in X with max|X| = scale:
-    a float for one identity, a list for an array of them."""
-    denom = np.maximum(np.abs(terms).max(axis=0, initial=0.0), prod([scale] * degree))
+    scale^degree for an identity of that degree in X with max|X| = scale, or
+    0.0 where that denominator is 0: a float for one identity, a list for an
+    array of them.  A float total with a flat sequence of float terms is one
+    identity, worked in Python floats: abs and max are exact and the division
+    is one IEEE operation, so it keeps the array path's bits.  A NaN term or
+    scale gives NaN, as np.maximum does, and so does a NaN total over a
+    non-zero denominator; the report writer refuses NaN (CLI exit code 3)."""
+    floor = prod([scale] * degree)
+    if isinstance(total, float):
+        size = [abs(t) for t in terms]
+        denom = nan if isnan(sum(size)) or isnan(floor) else max(0.0, floor, *size)
+        return float(abs(total) / denom) if denom else 0.0
+    denom = np.maximum(np.abs(terms).max(axis=0, initial=0.0), floor)
     out = np.zeros(np.shape(denom))
     return np.divide(np.abs(total), denom, out=out, where=denom != 0).tolist()
 
@@ -295,8 +321,16 @@ def power_traces(A, kmax):
 def _pm2(M):
     """Second minor sum, over i < j of the 2 x 2 minors M[i,i] M[j,j] - M[i,j] M[j,i],
     each formed on its own: rounding stays within n^2 eps e_2 of M's row norms."""
-    d = np.diag(M)
-    return float(d[1:] @ np.cumsum(d)[:-1]) - float(np.sum(np.triu(M * M.T, 1)))
+    d = M.diagonal()
+    return float(d[1:] @ d.cumsum()[:-1]) - float(np.where(_upper(len(d)), M * M.T, 0.0).sum())
+
+
+@lru_cache(maxsize=64)
+def _upper(n):
+    """The read-only n x n mask of the entries above the diagonal, as np.triu(., 1) keeps."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
 
 
 def principal_minor_sums(A):
@@ -320,13 +354,13 @@ def principal_minor_sums(A):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
     r = np.hypot.reduce(X, axis=1)  # np.linalg.norm squares a row of 1e-200 to 0
-    for k, value, mass in ((2, _pm2(X), float(r[1:] @ np.cumsum(r)[:-1])),
-                           (n, float(np.linalg.det(X)), float(np.prod(r)))):
+    for k, value, mass in ((2, _pm2(X), float(r[1:] @ r.cumsum()[:-1])),
+                           (n, float(np.linalg.det(X)), float(r.prod()))):
         if not abs(e[k] - value) <= M.tol.residual_tol * mass:
             raise NumericalError(f"minor sum pm^{k} of A / {p:g} is {e[k]:.6e} from the spectrum "
                                  f"but {value:.6e} by another route (row-norm mass {mass:.3e})",
                                  residual=abs(e[k] - value))
-    return (float(np.trace(A)),) + tuple(prod([p] * k, start=e[k]) for k in range(2, n + 1))
+    return (float(A.trace()),) + tuple(prod([p] * k, start=e[k]) for k in range(2, n + 1))
 
 
 def char_poly_coeffs(A):

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_TOL, as_skew, as_unit, as_vector, check_orthogonal
+from .linalg import DEFAULT_TOL, _index, as_skew, as_unit, as_vector, check_orthogonal
 
 
 def plane_pairs(n):
@@ -38,11 +38,11 @@ def _wedge(u, W):
 
 
 def _rotation_sum(c, n):
-    """The skew n x n matrix sum over the plane pairs of c[kl] [R_kl]."""
+    """The skew n x n matrix sum over the plane pairs of c[kl] [R_kl], one per row of c."""
     K, L = _pair_index(n)
-    M = np.zeros((n, n))
-    M[L, K] = c
-    return M - M.T
+    M = np.zeros(c.shape[:-1] + (n, n))
+    M[..., L, K] = c
+    return M - M.swapaxes(-1, -2)
 
 
 def _pair_entries(X):
@@ -52,13 +52,14 @@ def _pair_entries(X):
 
 
 def check_plane_pair(n, pair):
-    if isinstance(pair, str):
-        raise InputError(f"plane pair must be a (k, l) index pair, got {pair!r}")
+    """pair as Python ints (k, l), 1 <= k < l <= n, for a pair of integers, Python's or
+    numpy's but not bools; anything else is InputError."""
+    message = f"plane pair must be a (k, l) index pair, got {pair!r}"
     try:
         k, l = pair
-        k, l = int(k), int(l)
     except (TypeError, ValueError):
-        raise InputError(f"plane pair must be a (k, l) index pair, got {pair!r}") from None
+        raise InputError(message) from None
+    k, l = _index(k, None, message), _index(l, None, message)
     if not (1 <= k < l <= n):
         raise InputError(f"invalid plane pair {pair!r} for dimension {n}: need 1 <= k < l <= n")
     return k, l

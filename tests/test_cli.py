@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -865,6 +866,23 @@ class TestIdentitiesParams:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: {message}\n"
+
+
+# sha256 of the report of `rotform identities --seed 7 --params n=N`
+_IDENTITIES_SHA256 = {
+    1: "59cc9255723874e82d7e7f695c64a5a3a247e04d25d583b7225885149bbe0a07",
+    3: "67e95b5e90c263495d89696b0bcfa2572048c146cfea8eb42c781aec27099f2c",
+    4: "96e45b902acfdf388fd57fd3e84aa0cbb50f24b6de07ab996691c003881c37c7",
+    9: "e356cd5f52b716552c047c435b84be656f90b8c23c1347c2c1f7555d4bba7cc5",
+    16: "3a173f7d4b37fcccea41c3823774fc878e614eccbdb66774279a205ac706b234",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_IDENTITIES_SHA256))
+def test_identities_reports_keep_their_bytes(capsys, n):
+    assert main(["identities", "--seed", "7", "--params", f"n={n}"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _IDENTITIES_SHA256[n]
 
 
 class TestRefusals:

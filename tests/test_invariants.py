@@ -630,9 +630,13 @@ class TestNormalInvariantRecover:
     (lambda: pm2_identity_residual(np.eye(1)), "^the second minor sum needs n >= 2$"),
     (lambda: pm2_sym_skew_residual(np.eye(1)), "^the second minor sum needs n >= 2$"),
     (lambda: collings_det(np.eye(2), np.eye(3)), "^matrices must share a dimension$"),
-    (lambda: power_form_step(np.eye(2), 0, [1.0, 0.0]), "^power step needs m >= 1$"),
+    (lambda: power_form_step(np.eye(2), 0, [1.0, 0.0]), "^power step needs an integer m >= 1$"),
+    (lambda: power_form_step(np.eye(3), 1.5, [1.0, 0.0, 0.0]),
+     "^power step needs an integer m >= 1$"),
+    (lambda: power_form_step(np.eye(3), True, [1.0, 0.0, 0.0]),
+     "^power step needs an integer m >= 1$"),
 ], ids=["u length", "v length", "pm2 at n = 1", "pm2 sym skew at n = 1",
-        "collings dimensions", "power step m = 0"])
+        "collings dimensions", "power step m = 0", "power step m = 1.5", "power step m = True"])
 def test_an_input_that_does_not_fit_is_refused(call, message):
     with pytest.raises(InputError, match=message):
         call()
@@ -763,6 +767,27 @@ class TestInvariantReport:
                 expected.add("n4_det")
             report = invariant_report(rng.uniform(-1, 1, (n, n)), seed=n)
             assert set(report.residuals) == expected, n
+
+    @pytest.mark.parametrize("kwargs", [
+        {"power_steps": -1}, {"power_steps": True}, {"power_steps": 2.5}, {"seed": -1},
+        {"seed": 1.5}, {"seed": np.True_}, {"seed": "1"},
+    ], ids=["steps -1", "steps True", "steps 2.5", "seed -1", "seed 1.5", "seed np.True_",
+            "seed str"])
+    def test_a_seed_or_step_count_that_is_no_integer_from_zero_is_refused(self, kwargs):
+        name, value = next(iter(kwargs.items()))
+        with pytest.raises(InputError, match=f"^{name} must be an integer >= 0, got "):
+            invariant_report(np.eye(3), **kwargs)
+
+    @pytest.mark.parametrize("seed, steps", [(np.int64(2), np.uint8(0)),
+                                             (np.uint8(7), np.uint8(255))],
+                             ids=["zero steps", "uint8 255 steps"])
+    def test_numpy_integers_and_zero_steps_are_accepted(self, seed, steps):
+        # uint8 arithmetic would wrap steps + 1 to 0; the report must run all 255 steps.
+        A = np.random.default_rng(26).uniform(-1, 1, (3, 3))
+        report = invariant_report(A, seed=seed, power_steps=steps)
+        ref = invariant_report(A, seed=int(seed), power_steps=int(steps))
+        assert (report.pms, report.residuals) == (ref.pms, ref.residuals)
+        assert sum(key.startswith("power_") for key in report.residuals) == 2 * int(steps)
 
     def test_builds_no_form_objects(self, monkeypatch):
         built = []

@@ -33,6 +33,7 @@ KEYS = {
     "frenet_report": _TIMING | {"field", "m", "spacing", "field_queries", "kappa", "tau",
                                 "kappa_error", "tau_error"},
     "analyze": _TIMING | {"n", "seed", "basis", "exit", "sym_eigen_calls"},
+    "identities": _TIMING | {"n", "seed", "exit", "rel_calls", "pm_error_over_mass"},
     "session": _TIMING | {"n", "sym_eigen_calls", "digest"},
 }
 _RATIOS = {"ratio_median", "ratio_q1", "ratio_q3", "wins"}
@@ -48,6 +49,7 @@ def small(monkeypatch):
     monkeypatch.setattr(ladder, "SKEW_SIZES", ladder.SKEW_SIZES[:2])
     monkeypatch.setattr(ladder, "GRID_SIZES", ladder.GRID_SIZES[:1])
     monkeypatch.setattr(ladder, "NORMAL_SIZES", ladder.NORMAL_SIZES[:1])
+    monkeypatch.setattr(ladder, "IDENTITIES_SIZES", ladder.IDENTITIES_SIZES[:1])
     monkeypatch.setattr(sys, "path", sys.path[:])
 
 
@@ -163,6 +165,15 @@ def test_analyze_rows_count_the_sym_eigen_calls(small, monkeypatch):
     assert [(row["n"], row["basis"]) for row in rows] == [(2, basis) for basis in ladder.BASES]
     # the matrix in the expansion basis takes the solve of A's expansion form, certified
     assert [(row["exit"], row["sym_eigen_calls"]) for row in rows] == [(0, 1), (0, 1), (0, 1)]
+
+
+def test_identities_rows_count_the_rel_calls_and_match_the_exact_minor_sums(small):
+    (row,) = _layer("identities")
+    assert (row["n"], row["seed"], row["exit"]) == (2, 2, 0)
+    # newton 1, 2; ch_vector; ch and tr_ch, expansion and rotation; pm2 twice; gram_trace
+    # twice; 3 power steps, expansion and rotation
+    assert row["rel_calls"] == 2 + 1 + 4 + 2 + 2 + 6
+    assert row["pm_error_over_mass"] < 1e-15
 
 
 def test_session_solves_the_expansion_form_once_and_digests_cold_results(small):

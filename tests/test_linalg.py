@@ -706,3 +706,34 @@ def test_sign_fix_gives_the_bytes_of_the_column_loop(seed, rows, cols):
     P[:, rng.random(cols) < 0.2] = 0.0
     fixed = linalg._sign_fix(P, DEFAULT_TOL)
     assert fixed.shape == P.shape and fixed.tobytes() == sign_fix_loop(P, DEFAULT_TOL).tobytes()
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308]
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(total=_FLOATS, terms=st.lists(_FLOATS, max_size=34), scale=_FLOATS,
+       degree=st.integers(0, 32))
+def test_rel_on_floats_gives_the_bits_of_its_array_path(total, terms, scale, degree):
+    # one identity in Python floats against the same data as arrays, NaN and signed zeros
+    # included; a 0-d total takes the array path
+    got = linalg._rel(total, terms, scale, degree)
+    with np.errstate(all="ignore"):
+        ref = linalg._rel(np.array(total), np.array(terms, dtype=float), scale, degree)
+    assert type(got) is float and type(ref) is float
+    assert _bits(got) == _bits(ref) or (np.isnan(got) and np.isnan(ref))
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_pm2_sums_the_upper_triangle_that_triu_keeps(n):
+    for seed in range(20):
+        M = np.random.default_rng([n, seed]).standard_normal((n, n))
+        d = np.diag(M)
+        ref = float(d[1:] @ np.cumsum(d)[:-1]) - float(np.sum(np.triu(M * M.T, 1)))
+        assert _bits(linalg._pm2(M)) == _bits(ref)

@@ -12,6 +12,7 @@ from rotform import (
     quasi_rotation,
     rotation_change_of_basis,
     random_orthogonal,
+    rotation_form,
     skew_rotation_coeffs,
 )
 from rotform.quasirot import (
@@ -67,6 +68,24 @@ class TestQuasiRotationMatrix:
             check_plane_pair(3, "12")
         with pytest.raises(InputError, match=r"^plane pair must be a \(k, l\) index pair"):
             check_plane_pair(3, ("one", 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: quasi_rotation(3, (1.5, 2.9)),
+    lambda: quasi_rotation(3, (True, 2)),
+    lambda: rotation_form(np.eye(3), (1.9, 2)),
+    lambda: check_plane_pair(3, (1, 2.0)),
+    lambda: check_plane_pair(3, (np.float64(1.0), 2)),
+    lambda: check_plane_pair(3, (1, np.True_)),
+], ids=["floats", "bool", "form float", "integral float", "numpy float", "numpy bool"])
+def test_an_index_that_is_no_integer_is_refused(call):
+    with pytest.raises(InputError, match=r"^plane pair must be a \(k, l\) index pair"):
+        call()
+
+
+def test_numpy_integer_indices_come_back_as_python_ints():
+    pair = check_plane_pair(4, (np.int64(1), np.uint8(3)))
+    assert pair == (1, 3) and all(type(k) is int for k in pair)
 
 
 class TestApplyQuasiRotation:

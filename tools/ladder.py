@@ -65,6 +65,12 @@ and the rounds it was faster (wins).  The oracles run once per label:
   uniform(-1, 1) matrix with seed n, in each of the three bases.  Adds the
   exit code and the sym_eigen calls of one request, counted in every rotform
   module that holds the function.
+- identities: `rotform identities --seed n --params n=n` through the in-process
+  cli.main, for n in IDENTITIES_SIZES, on the command's own uniform(-1, 1) matrix
+  with seed n.  Adds the exit code, the linalg._rel calls of one request, counted in
+  every rotform module that holds the function, and the largest error of that
+  request's pm^k against tests/oracles.py::minor_sums_exact over e_k of the row
+  norms of A (null where the request failed).
 - session: the four analyses of perfbench's spectral_dense (SESSION) in its
   order on one uniform(-1, 1) matrix, for n in SPECTRUM_SIZES.  Call k of a
   label takes the matrix with seed [n, k], so each session starts on a matrix
@@ -88,6 +94,7 @@ import tempfile
 import time
 import tracemalloc
 import types
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -105,6 +112,7 @@ GRID_SIZES = (5, 9, 17, 33)
 NORMAL_SIZES = (3, 4, 6, 8, 12, 16)
 ANALYZE_SIZES = (2, 4, 8, 16, 32, 48, 64)
 BASES = ("given", "expansion", "skew-canonical")
+IDENTITIES_SIZES = (2, 4, 8, 16, 32)
 SESSION = ("eigenstructure", "normality_report", "expansion_eigenbasis", "skew_canonical_basis")
 _ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -516,28 +524,35 @@ def frenet_document(results):
 # --- analyze -----------------------------------------------------------------
 def _quiet(main, argv):
     """The exit code of main(argv), with the report and messages discarded."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    return _report(main, argv)[0]
 
 
-def _sym_eigen_calls(rotform, func, *args):
-    """How many times func(*args) calls sym_eigen, through any rotform module."""
-    original, calls = rotform.linalg.sym_eigen, []
+def _report(main, argv):
+    """(exit code, report text) of main(argv), its messages discarded."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv), out.getvalue()
+
+
+def _calls(rotform, name, func, *args):
+    """How many times func(*args) calls linalg's function name, through any rotform
+    module, and what it returned."""
+    original, calls = getattr(rotform.linalg, name), []
 
     def counted(*a, **k):
         calls.append(1)
         return original(*a, **k)
 
     holders = [m for m in vars(rotform).values()
-               if isinstance(m, types.ModuleType) and getattr(m, "sym_eigen", None) is original]
+               if isinstance(m, types.ModuleType) and getattr(m, name, None) is original]
     for module in holders:
-        module.sym_eigen = counted
+        setattr(module, name, counted)
     try:
-        func(*args)
+        result = func(*args)
     finally:
         for module in holders:
-            module.sym_eigen = original
-    return len(calls)
+            setattr(module, name, original)
+    return len(calls), result
 
 
 def analyze_rows(packages):
@@ -551,7 +566,7 @@ def analyze_rows(packages):
                 argv = ["analyze", "--input", path, "--basis", basis]
                 codes, timing = _paired(packages, lambda rf: _quiet(mains[rf], argv))
                 for label, rf in packages.items():
-                    calls = _sym_eigen_calls(rf, _quiet, mains[rf], argv)
+                    calls, _ = _calls(rf, "sym_eigen", _quiet, mains[rf], argv)
                     rows[label].append({"n": n, "seed": n, "basis": basis, **timing[label],
                                         "exit": codes[label], "sym_eigen_calls": calls})
     return rows
@@ -562,6 +577,47 @@ def analyze_document(results):
         "command": "rotform analyze --input A --basis B, through rotform.cli.main in process",
         "input": "A uniform(-1, 1) from numpy default_rng(n), written by numpy.savetxt",
         "counts": "sym_eigen_calls: calls of linalg.sym_eigen in one request, an exact count",
+        "results": results,
+    }
+
+
+# --- identities --------------------------------------------------------------
+def identities_rows(packages):
+    """One row per n and label; `pms` carries the counted request's minor sums to the oracle."""
+    mains = {rf: importlib.import_module(rf.__name__ + ".cli").main for rf in packages.values()}
+    rows = {label: [] for label in packages}
+    for n in IDENTITIES_SIZES:
+        argv = ["identities", "--seed", str(n), "--params", f"n={n}"]
+        _, timing = _paired(packages, lambda rf: _quiet(mains[rf], argv))
+        for label, rf in packages.items():
+            calls, (code, text) = _calls(rf, "_rel", _report, mains[rf], argv)
+            pms = json.loads(text)["invariants"]["principal_minor_sums"] if code == 0 else None
+            rows[label].append({"n": n, "seed": n, **timing[label], "exit": code,
+                                "rel_calls": calls, "pms": pms})
+    return rows
+
+
+def identities_document(results):
+    sys.path[:0] = [os.path.join(_REPO, "src"), os.path.join(_REPO, "tests")]
+    from oracles import minor_sums_exact  # imported with this checkout's rotform
+
+    reference = {}
+    for rows in results.values():
+        for row in rows:
+            n, pms = row["n"], row.pop("pms")
+            if n not in reference:
+                A = _uniform(n, n)  # the request's matrix
+                masses = _elementary(np.linalg.norm(A, axis=1).tolist())
+                reference[n] = list(zip(minor_sums_exact(A), masses))
+            row["pm_error_over_mass"] = None if pms is None else max(
+                float(abs(Fraction(pm) - exact)) / mass
+                for pm, (exact, mass) in zip(pms, reference[n]))
+    return {
+        "command": "rotform identities --seed n --params n=n, through rotform.cli.main in process",
+        "input": "A uniform(-1, 1) from numpy default_rng(n), drawn by the command",
+        "counts": "rel_calls: calls of linalg._rel in one request, an exact count",
+        "oracle": "tests/oracles.py::minor_sums_exact, exact; the largest |pm^k - exact| over "
+                  "e_k of A's row norms",
         "results": results,
     }
 
@@ -594,7 +650,7 @@ def session_rows(packages):
     for n in SPECTRUM_SIZES:
         results, timing = _fresh(packages, _uniform, n, _session)
         for label, rf in packages.items():
-            calls = _sym_eigen_calls(rf, _session, rf, _uniform([n, PAIRS + 1], n))
+            calls, _ = _calls(rf, "sym_eigen", _session, rf, _uniform([n, PAIRS + 1], n))
             rows[label].append({"n": n, **timing[label], "sym_eigen_calls": calls,
                                 "digest": digest(results[label])})
     return rows
@@ -620,6 +676,7 @@ LAYERS = {
     "normal": (normal_rows, normal_document),
     "frenet_report": (frenet_rows, frenet_document),
     "analyze": (analyze_rows, analyze_document),
+    "identities": (identities_rows, identities_document),
     "session": (session_rows, session_document),
 }
 
