@@ -13,12 +13,13 @@ K^2 alone, for normal_power_basis and normal_invariant_recover.
 """
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .linalg import DEFAULT_TOL, ascending_runs, matrix_powers, maxabs
-from .linalg import _matrix, _rel, _shared, _sign_fix, sym_eigen
+from .linalg import DEFAULT_TOL, ascending_runs, matrix_powers
+from .linalg import _matrix, _norm, _rel, _shared, _sign_fix, sym_eigen
 from .quasirot import _pair_entries, _pair_index
 
 
@@ -78,11 +79,11 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     if M.skew_zero:
         raise InputError("skew part is zero (symmetric matrix); use expansion_eigenbasis")
     s, X, w, Z = M.skew_eigen
-    bound = tol.eig_off_tol * float(np.linalg.norm(X))
+    bound = tol.eig_off_tol * _norm(X)
     cut_norm = np.hypot.accumulate(np.where(w > M.n * tol.rank_tol, np.inf, np.maximum(w, 0.0)))
-    Z = Z[:, cut_norm.searchsorted(bound / np.sqrt(2.0), side="right"):][:, ::-1]
+    Z = Z[:, cut_norm.searchsorted(bound / sqrt(2.0), side="right"):][:, ::-1]
     m = Z.shape[1]
-    planes = np.sqrt(2.0) * np.stack([Z.imag, Z.real], axis=2).reshape(M.n, 2 * m)
+    planes = sqrt(2.0) * np.stack([Z.imag, Z.real], axis=2).reshape(M.n, 2 * m)
     P, R = np.linalg.qr(planes, mode="complete")
     P[:, : 2 * m] *= np.where(np.diag(R) < 0.0, -1.0, 1.0)
     C = P.T @ X @ P
@@ -90,10 +91,10 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     lambdas = C[k, k + 1]
     C[k, k + 1] -= lambdas
     C[k + 1, k] += lambdas
-    off = float(np.linalg.norm(C))
+    off = _norm(C)
     if off > bound:
         raise NumericalError(f"skew block certificate failed: residual {off:.3e}", residual=off)
-    return SkewBlockForm(basis=P, lambdas=tuple(map(float, s * lambdas)), zero_dim=M.n - 2 * m)
+    return SkewBlockForm(basis=P, lambdas=tuple((s * lambdas).tolist()), zero_dim=M.n - 2 * m)
 
 
 def normality_report(A, tol=DEFAULT_TOL):
@@ -107,22 +108,22 @@ def normality_report(A, tol=DEFAULT_TOL):
     scale = M.scale / p
     threshold = tol.residual_tol * (scale * scale)
     if M.sym_zero or M.skew_zero:
-        eigs = () if M.sym_zero else tuple(float(x) for x in M.eigen[0][::-1])
+        eigs = () if M.sym_zero else tuple(M.eigen[0][::-1].tolist())
         return NormalityReport(is_normal=True, violating_pairs=(), commutator_norm=0.0,
                                expansion_eigenvalues=eigs)
     _, w, T = M.split
     D, S = w / p, T / p
-    comm = D[:, None] * S - S * D[None, :]
-    comm_norm = maxabs(comm)
+    comm = np.abs(D[:, None] * S - S * D[None, :])
+    comm_norm = float(comm.max())
     K, L = _pair_index(M.n)
-    hit = np.abs(comm[K, L]) > threshold
+    hit = comm[K, L] > threshold
     violations = zip((K[hit] + 1).tolist(), (L[hit] + 1).tolist(),
                      _pair_entries(T)[hit].tolist(), (w[K] - w[L])[hit].tolist())
     return NormalityReport(
         is_normal=comm_norm <= threshold,
         violating_pairs=tuple(violations),
         commutator_norm=comm_norm / (scale * scale),
-        expansion_eigenvalues=tuple(float(x) for x in w),
+        expansion_eigenvalues=tuple(w.tolist()),
     )
 
 

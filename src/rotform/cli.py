@@ -10,6 +10,8 @@ error.
 
 import argparse
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import os
@@ -21,7 +23,8 @@ import numpy as np
 
 from . import canonical, frenet, invariants, qforms, spectral
 from .errors import InputError, NumericalError
-from .linalg import DEFAULT_TOL, ToleranceConfig, _matrix, maxabs, random_unit
+from .linalg import DEFAULT_TOL, ToleranceConfig, _index, _matrix, maxabs, random_unit
+from .quasirot import _pair_entries, plane_pairs
 
 IDENTITIES_MAX_DIM = 128  # `identities` keeps all n + 1 powers of A: about 2 (n + 1) n^2 doubles
 
@@ -134,15 +137,19 @@ def parse_matrix_text(text, source="<input>"):
 
 
 def _parse_matrix_json(text, source):
+    """The matrix of a {"n": ..., "rows": [...]} object: finite floats by one np.array, else
+    entry by entry, which names the row and column of the first entry it refuses."""
     obj = _decode_json(text, source)
     if not isinstance(obj, dict) or "n" not in obj or "rows" not in obj:
         raise InputError(f"{source}: matrix object needs keys 'n' and 'rows'")
-    n = obj["n"]
+    n = _index(obj["n"], 1, f"{source}: 'n' must be a positive integer, got {obj['n']!r}")
     rows = obj["rows"]
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"{source}: 'n' must be a positive integer, got {n!r}")
     if not isinstance(rows, list) or len(rows) != n:
         raise InputError(f"{source}: expected {n} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}")
+    if all(type(row) is list and len(row) == n for row in rows) and \
+            set(map(type, itertools.chain.from_iterable(rows))) == {float} and \
+            all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        return np.array(rows)
     data = np.zeros((n, n))
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
@@ -157,6 +164,19 @@ def _parse_matrix_json(text, source):
 
 
 def _parse_matrix_grid(text, source):
+    """The matrix of a whitespace grid: each line by one map(float, ...), else by the token
+    walk, which names the line and column of the first token it refuses."""
+    try:
+        rows = [list(map(float, tokens)) for line in text.splitlines() if (tokens := line.split())]
+    except ValueError:  # a token that is not a number
+        rows = None
+    if rows and set(map(len, rows)) == {len(rows)} and \
+            all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        return np.array(rows)
+    return _walk_grid(text, source)
+
+
+def _walk_grid(text, source):
     rows = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -217,6 +237,12 @@ def _pair_key(pair):
     return f"{pair[0]},{pair[1]}"
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_keys(n):
+    """The report keys "k,l" of the plane pairs of dimension n, in plane_pairs order."""
+    return tuple(map(_pair_key, plane_pairs(n)))
+
+
 def _matrix_section(A):
     return {"n": int(A.shape[0]), "rows": A.tolist()}
 
@@ -258,22 +284,21 @@ def _forms_section(M, seed, bromwich):
     real bounds are the expansion-form extremes.  The probe's norm identity gap,
     |Xu|^2 - e^2 - |r|^2 on X = A / p, is relative to |Xu|^2 (0 when Xu = 0)."""
     lo, hi = bromwich[:2]
-    rotation_traces = {_pair_key(pair): t for pair, t in qforms.rotation_traces(M.A).items()}
+    keys = _pair_keys(M.n)
     u = random_unit(np.random.default_rng(seed), M.n)
-    dec = qforms.decompose(M, u)
-    w, e, r = M.X @ u, dec.e / M.p, dec.r.vector() / M.p
-    norm2 = float(w @ w)
-    norm_gap = abs(norm2 - e**2 - sum((r * r).tolist())) / norm2 if norm2 else 0.0
+    u, e, r, residual, w = qforms._decompose(M, u)
+    norm2, x = float(w @ w), r / M.p  # (r p) / p, not r: r p may be subnormal
+    norm_gap = abs(norm2 - (e / M.p)**2 - sum((x * x).tolist())) / norm2 if norm2 else 0.0
     return {
         "expansion_matrix": M.sym.tolist(),
-        "expansion_average": float(np.trace(M.sym)) / M.n,
+        "expansion_average": float(M.sym.trace()) / M.n,
         "expansion_extremes": {"min": lo, "max": hi},
-        "rotation_traces": rotation_traces,
+        "rotation_traces": dict(zip(keys, _pair_entries(M.A).tolist())),
         "decomposition_probe": {
             "u": u.tolist(),
-            "expansion": dec.e,
-            "rotations": {_pair_key(pair): value for pair, value in dec.r.items()},
-            "residual": dec.residual,
+            "expansion": e,
+            "rotations": dict(zip(keys, r.tolist())),
+            "residual": residual,
             "norm_identity_gap": norm_gap,
         },
     }
@@ -532,23 +557,52 @@ def _parse_point(raw):
         raise InputError(f"point coordinates must be numeric, got {raw!r}") from None
 
 
+# Every option: each takes one value, kept under its name (--tol's in a list).
+_OPTIONS = {
+    "input": dict(help="matrix file (JSON object or whitespace grid)"),
+    "basis": dict(choices=("given", "expansion", "skew-canonical"),
+                  help="work in the given basis (default) or a canonical one (analyze only)"),
+    "tol": dict(action="append", metavar="NAME=VALUE", help="override a tolerance (repeatable)"),
+    "seed": dict(type=int, default=0, help="seed for probe vectors"),
+    "output": dict(help="report path (stdout when omitted)"),
+    "field": dict(help="frenet: helix, circular or file:<path>"),
+    "params": dict(help="comma-separated name=value parameters"),
+    "point": dict(help="frenet: evaluation point x,y,z"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rotform",
         description="Expansion/rotation quadratic-form analysis of real matrices and flow fields",
     )
     parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--input", help="matrix file (JSON object or whitespace grid)")
-    parser.add_argument("--basis", choices=("given", "expansion", "skew-canonical"),
-                        help="work in the given basis (default) or a canonical one (analyze only)")
-    parser.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                        help="override a tolerance (repeatable)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for probe vectors")
-    parser.add_argument("--output", help="report path (stdout when omitted)")
-    parser.add_argument("--field", help="frenet: helix, circular or file:<path>")
-    parser.add_argument("--params", help="comma-separated name=value parameters")
-    parser.add_argument("--point", help="frenet: evaluation point x,y,z")
+    for name, spec in _OPTIONS.items():
+        parser.add_argument(f"--{name}", **spec)
     return parser
+
+
+def _plain_args(argv):
+    """_PARSER.parse_args(argv) for a command followed by whole option names, each with one
+    valid value that does not start with "-", read without argparse's machinery (about a
+    tenth of a small request); None for any other argv, which argparse reads: abbreviations,
+    "--name=value", refusals and help."""
+    if len(argv) % 2 == 0 or argv[0] not in _COMMANDS:
+        return None
+    values = {name: spec.get("default") for name, spec in _OPTIONS.items()}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        name = flag[2:]
+        spec = _OPTIONS.get(name) if flag[:2] == "--" else None
+        if spec is None or value[:1] == "-" or value not in spec.get("choices", (value,)):
+            return None
+        if "action" in spec:  # --tol, appended
+            values[name] = (values[name] or []) + [value]
+            continue
+        try:
+            values[name] = spec.get("type", str)(value)
+        except ValueError:
+            return None
+    return argparse.Namespace(command=argv[0], **values)
 
 
 # What each command reads beside --seed and --output: its options, and the parameters of
@@ -595,7 +649,8 @@ _PARSER = build_parser()
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or _PARSER.parse_args(argv)
     try:
         request = request_from_args(args)
         return run(request)

@@ -11,8 +11,8 @@ For n up to a few dozen, robustness and reproducibility come before asymptotics.
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from math import frexp, isnan, ldexp, nan, prod
+from functools import lru_cache
+from math import frexp, isnan, ldexp, nan, prod, sqrt
 
 import numpy as np
 
@@ -73,6 +73,7 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 _MAX_ENTRY = np.finfo(float).max / 4
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -89,22 +90,44 @@ class Spectrum:
         return sum(m for _, m in self.real_eigs) + 2 * sum(m for _, m in self.complex_pairs)
 
 
+def _real(A, name):
+    """A as a float array, for an array or nested sequence of real numbers; a complex one
+    with a non-zero imaginary part, or one of object, string or any other dtype that is not
+    a number, is InputError (np.asarray(A, dtype=float) keeps the real part, with only a
+    warning, and reads strings as numbers)."""
+    A = np.asarray(A)
+    kind = A.dtype.kind
+    if kind == "c":
+        if A.imag.any():
+            raise InputError(f"{name} must be real, got a non-zero imaginary part")
+        return A.real.astype(float)  # a contiguous copy, not the strided view .real is
+    if kind not in "fiub":
+        raise InputError(f"{name} must hold real numbers, got dtype {A.dtype}")
+    return A.astype(float, copy=False)
+
+
 def as_square(A, name="matrix"):
     """Coerce to a square float array with finite entries of size at most max
     float / 4, where sums of two entries stay finite; raise InputError otherwise."""
-    A = np.asarray(A, dtype=float)
+    return _square(A, name)[0]
+
+
+def _square(A, name):
+    """as_square(A, name) and max|A|, which it checks."""
+    A = _real(A, name)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise InputError(f"{name} must be square n x n with n >= 1, got shape {A.shape}")
-    if not maxabs(A) <= _MAX_ENTRY:
+    m = maxabs(A)
+    if not m <= _MAX_ENTRY:
         raise InputError(f"{name} needs finite entries of size <= max float / 4 = {_MAX_ENTRY:.3g}")
-    return A
+    return A, m
 
 
 def as_vector(u, name="vector"):
-    u = np.asarray(u, dtype=float)
+    u = _real(u, name)
     if u.ndim != 1 or u.size < 1:
         raise InputError(f"{name} must be one-dimensional, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise InputError(f"{name} has non-finite components")
     return u
 
@@ -127,7 +150,7 @@ def _index(value, lo, message):
 def as_unit(u, name="vector", tol=DEFAULT_TOL.residual_tol / 10):
     """u as a vector whose length is 1 within tol; nothing is normalised."""
     u = as_vector(u, name)
-    norm = float(np.linalg.norm(u))
+    norm = _norm(u)
     if abs(norm - 1.0) > tol:
         raise InputError(f"{name} must be unit length: norm = {norm:.12g}")
     return u
@@ -135,22 +158,34 @@ def as_unit(u, name="vector", tol=DEFAULT_TOL.residual_tol / 10):
 
 def as_skew(S, name="matrix", tol=DEFAULT_TOL.residual_tol / 10):
     """S as a square array whose max|S + S^T| is within tol max|S|; nothing is made skew."""
-    S = as_square(S, name)
+    S, m = _square(S, name)
     gap = maxabs(S + S.T)
-    if gap > tol * maxabs(S):
+    if gap > tol * m:
         raise InputError(f"{name} is not skew-symmetric: max|S + S^T| = {gap:.3e}")
     return S
 
 
 def as_direction(u, n, name="direction"):
     """The unit vector along u, a non-zero n-vector."""
+    return _direction(u, n, name)[1]
+
+
+def _direction(u, n, name):
+    """as_vector(u, name) and as_direction(u, n, name)."""
     u = as_vector(u, name)
     if len(u) != n:
         raise InputError(f"{name} must have {n} components, got {len(u)}")
-    norm = float(np.linalg.norm(u))
+    norm = _norm(u)
     if norm == 0.0:
         raise InputError(f"{name} must be non-zero")
-    return u / norm
+    return u, u / norm
+
+
+def _norm(x):
+    """The Frobenius norm of an array, real or complex: of a real x, float(np.linalg.norm(x))
+    bit for bit, by the same dot over x.ravel("K") without its dispatch."""
+    x = x.ravel("K")
+    return sqrt(np.vdot(x, x).real)
 
 
 def maxabs(A):
@@ -204,8 +239,8 @@ def sym_eigen(Q, tol=DEFAULT_TOL):
     NumericalError, as on a solver failure.  Both tests are scale-free;
     eig_off_tol below about 1e-14 cannot be met in double precision.
     """
-    A = as_square(Q, "symmetric matrix")
-    m, gap = maxabs(A), maxabs(A - A.T)
+    A, m = _square(Q, "symmetric matrix")
+    gap = maxabs(A - A.T)
     if gap > tol.residual_tol * m:
         raise InputError(f"matrix is not symmetric within tolerance: max|Q - Q^T| = {gap:.3e}")
     p = binary_scale(m)
@@ -214,7 +249,7 @@ def sym_eigen(Q, tol=DEFAULT_TOL):
         w, P = np.linalg.eigh(X)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
-    off, target = _eigenbasis_gap(X, P, tol)
+    off, target = _eigenbasis_gap(X, maxabs(X), P, tol)
     if off > target:
         raise NumericalError(
             f"eigenbasis certificate failed: off-diagonal norm {off:.3e} of the "
@@ -222,42 +257,75 @@ def sym_eigen(Q, tol=DEFAULT_TOL):
     return w * p, P
 
 
-def _eigenbasis_gap(Q, P, tol):
-    """sym_eigen's certificate of the eigenbasis P of the symmetric Q: the off-diagonal
-    Frobenius norm of P^T Qh P, Qh = Q / max|Q|, and its bound eig_off_tol ||Qh||_F."""
-    Qh = Q / (maxabs(Q) or 1.0)
+def _eigenbasis_gap(Q, m, P, tol):
+    """sym_eigen's certificate of the eigenbasis P of the symmetric Q, m = max|Q|: the
+    off-diagonal Frobenius norm of P^T Qh P, Qh = Q / m, and its bound eig_off_tol ||Qh||_F."""
+    Qh = Q / (m or 1.0)
     D = P.T @ Qh @ P
-    off = float(np.linalg.norm(D - np.diag(np.diag(D))))
-    return off, tol.eig_off_tol * float(np.linalg.norm(Qh))
+    np.fill_diagonal(D, 0.0)
+    return _norm(D), tol.eig_off_tol * _norm(Qh)
+
+
+class _kept:
+    """functools.cached_property without its lock: func(record), formed on first use and kept
+    in the record's __dict__, where it shadows this descriptor from then on.  Python 3.11's
+    cached_property takes one lock, shared by all instances, at every first use."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = record.__dict__[self.name] = self.func(record)
+        return value
 
 
 class _Matrix:
     """A, checked once by as_square, its one ToleranceConfig tol, and what its
     analyses share, each formed on first use and kept: max|A| (scale), p =
     binary_scale(A), X = A / p (the one place a record forms it), the parts sym and
-    skew, whether each is zero at tol, sym_eigen(sym, tol), the expansion split and
-    skew_eigen: max|K| of a non-zero skew part K, X = K / max|K| and eigh of i X.  The analyses,
-    decompose, principal_minor_sums and the identities take it in place of A."""
+    skew, their max|.| and whether each is zero at tol, sym_eigen(sym, tol), the expansion
+    split and skew_eigen: max|K| of a non-zero skew part K, X = K / max|K| and eigh of i X,
+    certified.  The analyses, decompose, principal_minor_sums and the identities take it in
+    place of A."""
 
     def __init__(self, A, tol):
         self.A, self.n, self.tol = A, A.shape[0], tol
 
-    scale = cached_property(lambda self: maxabs(self.A))
-    p = cached_property(lambda self: binary_scale(self.scale))
-    X = cached_property(lambda self: self.A / self.p)
-    sym = cached_property(lambda self: 0.5 * (self.A + self.A.T))
-    skew = cached_property(lambda self: 0.5 * (self.A - self.A.T))
-    sym_zero = cached_property(lambda self: maxabs(self.sym) <= self.tol.rank_tol * self.scale)
-    skew_zero = cached_property(lambda self: maxabs(self.skew) <= self.tol.rank_tol * self.scale)
-    eigen = cached_property(lambda self: sym_eigen(self.sym, self.tol))
+    scale = _kept(lambda self: maxabs(self.A))
+    p = _kept(lambda self: binary_scale(self.scale))
+    X = _kept(lambda self: self.A / self.p)
+    sym = _kept(lambda self: 0.5 * (self.A + self.A.T))
+    skew = _kept(lambda self: 0.5 * (self.A - self.A.T))
+    sym_max = _kept(lambda self: maxabs(self.sym))
+    skew_max = _kept(lambda self: maxabs(self.skew))
+    sym_zero = _kept(lambda self: self.sym_max <= self.tol.rank_tol * self.scale)
+    skew_zero = _kept(lambda self: self.skew_max <= self.tol.rank_tol * self.scale)
+    eigen = _kept(lambda self: sym_eigen(self.sym, self.tol))
 
-    @cached_property
+    @_kept
     def skew_eigen(self):
-        s = maxabs(self.skew)
+        """(s, X, w, Z): s = max|K|, X = K / s and the eigh of the Hermitian H = i X, certified
+        as sym_eigen is: the off-diagonal Frobenius norm of Z^H H Z is within eig_off_tol
+        ||X||_F, else NumericalError."""
+        s = self.skew_max
         X = self.skew / s
-        return (s, X, *np.linalg.eigh(1j * X))
+        H = 1j * X
+        w, Z = np.linalg.eigh(H)
+        D = Z.conj().T @ H @ Z
+        np.fill_diagonal(D, 0.0)
+        off, target = _norm(D), self.tol.eig_off_tol * _norm(X)
+        if off > target:
+            raise NumericalError(
+                f"skew eigenbasis certificate failed: off-diagonal norm {off:.3e} of i K / "
+                f"max|K| in its eigenbasis exceeds {target:.3e}", residual=off)
+        return s, X, w, Z
 
-    @cached_property
+    @_kept
     def split(self):
         """(P, D, S) with A = P (diag(D) + S) P^T, S skew, as expansion_eigenbasis orders them."""
         w, P = self.eigen
@@ -266,7 +334,9 @@ class _Matrix:
         P = P[:, order]
         B = P.T @ self.A @ P
         S = 0.5 * (B - B.T)
-        gap = maxabs(B - np.diag(np.diag(B)) - S)
+        G = B - S  # B - diag(B) - S off the diagonal, 0 on it
+        np.fill_diagonal(G, 0.0)
+        gap = maxabs(G)
         if gap > self.tol.residual_tol * self.scale:
             raise NumericalError(f"eigenbasis failed to diagonalise the symmetric part: "
                                  f"residual {gap:.3e}", residual=gap)
@@ -275,7 +345,7 @@ class _Matrix:
     def adopt_eigen(self, w, P):
         """Keep (w, P), ascending eigenvalues and eigenbasis of sym known from elsewhere,
         as eigen if P passes sym_eigen's certificate; else sym_eigen solves on first use."""
-        off, target = _eigenbasis_gap(self.sym, P, self.tol)
+        off, target = _eigenbasis_gap(self.sym, self.sym_max, P, self.tol)
         if off <= target:
             self.eigen = (w, P)
 
@@ -298,7 +368,7 @@ def _shared(A, tol=None):
     global _last
     if isinstance(A, _Matrix):
         return _matrix(A, tol)
-    tol, A, last = DEFAULT_TOL if tol is None else tol, np.asarray(A, dtype=float), _last
+    tol, A, last = DEFAULT_TOL if tol is None else tol, _real(A, "matrix"), _last
     if last is None or (last.tol, last.A.shape, last.A.tobytes()) != (tol, A.shape, A.tobytes()):
         last = _last = _Matrix(as_square(A).copy(order="C"), tol)
         last.A.flags.writeable = False
@@ -422,9 +492,9 @@ def _resolve_clusters(Ah, z, X, groups, sigma_tol, certified):
     cluster is cut at its longest single-linkage step, or raises
     NumericalError if it is one or equal points.
     """
-    n, eps, accepted = Ah.shape[0], np.finfo(float).eps, []
+    n, accepted, points, lone = Ah.shape[0], [], z.tolist(), certified.tolist()
     for group in groups:
-        values, m = [complex(z[i]) for i in group], len(group)
+        values, m = [points[i] for i in group], len(group)
         imag = [v.imag for v in values]
         if max(imag) < 0.0:
             continue
@@ -432,10 +502,10 @@ def _resolve_clusters(Ah, z, X, groups, sigma_tol, certified):
         spread = max(abs(v - centre) for v in values)
         if min(imag) <= 0.0:
             centre = centre.real
-        ok = spread <= _SPREAD_FACTOR * (n * eps) ** (1.0 / m)
+        ok = spread <= _SPREAD_FACTOR * (n * _EPS) ** (1.0 / m)
         if ok and 1 < m < n:
-            ok = spread <= eps ** (0.5 / m) * np.partition(np.abs(z - centre), m)[m]
-        basis = (X[:, group[0]].real,) if m == 1 and certified[group[0]] else None
+            ok = spread <= _EPS ** (0.5 / m) * np.partition(np.abs(z - centre), m)[m]
+        basis = (X[:, group[0]].real,) if m == 1 and lone[group[0]] else None
         if ok and basis is None:
             shifts = [centre] + [0.5 * (centre + (v if v.imag else v.real))
                                  for v in values if m > 1 and v.imag >= 0.0]
@@ -515,8 +585,10 @@ def real_spectrum(A, tol=DEFAULT_TOL):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
     z, sigma_tol = w.astype(complex), n * tol.rank_tol
-    rounding = 4 * n * np.finfo(float).eps * (np.linalg.norm(Ah) + np.abs(w))
-    certified = np.linalg.norm(Ah @ X - X * w, axis=0) + rounding <= sigma_tol
+    R = Ah @ X - X * w
+    rounding = 4 * n * _EPS * (_norm(Ah) + np.abs(w))
+    # the column norms by np.linalg.norm's own expression
+    certified = np.sqrt(np.add.reduce((R.conj() * R).real, axis=0)) + rounding <= sigma_tol
     found = _resolve_clusters(Ah, z, X, _cluster_points(z, 3e-3), sigma_tol, certified)
     pairs = [(c * s, m) for c, m, _ in found if isinstance(c, complex)]
     reals = sorted([(c * s, m, b) for c, m, b in found if not isinstance(c, complex)],
@@ -526,7 +598,12 @@ def real_spectrum(A, tol=DEFAULT_TOL):
 
 
 def _sign_fix(P, tol):
-    """Make the first component above rank_tol in each unit column positive."""
+    """Make the first component above rank_tol in each unit column positive: by the signs
+    of the first row, in Python floats, when all its components are above rank_tol (the
+    usual case), else by the first such component of each column."""
+    first = P[0].tolist()
+    if all(abs(x) > tol.rank_tol for x in first):
+        return P * [-1.0 if x < 0.0 else 1.0 for x in first]
     big = np.abs(P) > tol.rank_tol
     lead = (P * big)[big.argmax(axis=0), np.arange(P.shape[1])]  # +-0.0 where none is above
     return P * np.where(lead < 0.0, -1.0, 1.0)
@@ -551,7 +628,7 @@ def random_unit(rng, n):
     again while the norm is at most 1e-6."""
     while True:
         v = rng.standard_normal(n)
-        norm = float(np.linalg.norm(v))
+        norm = _norm(v)
         if norm > 1e-6:
             return v / norm
 
@@ -559,8 +636,7 @@ def random_unit(rng, n):
 def random_orthogonal(n, seed):
     """Deterministic random orthogonal matrix: QR orthonormalisation of a
     seeded standard-normal sample, with column signs fixed by R's diagonal."""
-    if n < 1:
-        raise InputError(f"dimension must be >= 1, got {n}")
+    n = _index(n, 1, f"dimension must be an integer >= 1, got {n!r}")
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, n))
     Q, R = np.linalg.qr(M)

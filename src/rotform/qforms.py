@@ -17,8 +17,9 @@ import numpy as np
 from .errors import InputError
 from .linalg import (
     DEFAULT_TOL,
+    _direction,
     _matrix,
-    as_direction,
+    _norm,
     as_square,
     as_vector,
     check_orthogonal,
@@ -170,18 +171,25 @@ def decompose(A, u):
     X = A / p and scaled back by p, so no norm under- or overflows.
     """
     M = _matrix(A)
-    uhat = as_direction(u, M.n, "u")
-    u = as_vector(u)
+    u, e, r, residual, _ = _decompose(M, u)
+    r = RotationCoeffs(M.n, dict(zip(plane_pairs(M.n), r.tolist())))
+    return Decomposition(u=u.copy(), e=e, r=r, residual=residual)
+
+
+def _decompose(M, u):
+    """decompose's parts for the record M: (u, e, r, residual, X u) with u the checked vector,
+    e the expansion and r the rotation values in plane_pairs order, both scaled back by p,
+    and X u on the record's X = A / p."""
+    u, uhat = _direction(u, M.n, "u")
     p, X = M.p, M.X
     Xuhat = X @ uhat
     e = float(uhat @ Xuhat)
     r = _wedge(uhat, Xuhat)  # the rotation values, in plane_pairs order
     Xu = X @ u
-    err = float(np.linalg.norm(Xu - (e * u + _rotation_sum(r, M.n) @ u)))
-    norm_Xu = float(np.linalg.norm(Xu))
+    err = _norm(Xu - (e * u + _rotation_sum(r, M.n) @ u))
+    norm_Xu = _norm(Xu)
     residual = err / norm_Xu if norm_Xu > 0.0 else err * p
-    r = RotationCoeffs(M.n, dict(zip(plane_pairs(M.n), (r * p).tolist())))
-    return Decomposition(u=u.copy(), e=e * p, r=r, residual=residual)
+    return u, e * p, r * p, residual, Xu
 
 
 def commutator_forms(A, pair):

@@ -32,9 +32,10 @@ def _pair_index(n):
 
 
 def _wedge(u, W):
-    """(u w^T - w u^T)[K, L] for each row w of W: the rotation values at u of a map u -> w."""
-    K, L = _pair_index(len(u))
-    return u[K] * W[..., L] - W[..., K] * u[L]
+    """(u w^T - w u^T)[K, L] for each row w of W: the rotation values at u of a map u -> w;
+    for rows u of a stack, with the matching rows of W."""
+    K, L = _pair_index(u.shape[-1])
+    return u[..., K] * W[..., L] - W[..., K] * u[..., L]
 
 
 def _rotation_sum(c, n):

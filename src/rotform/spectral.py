@@ -8,6 +8,7 @@ common-zero criterion, and any disagreement is flagged rather than silently
 accepted.
 """
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -115,14 +116,19 @@ def eigenstructure(A, tol=DEFAULT_TOL):
     spectrum = real_spectrum(M, tol)
     cz_tol = tol.residual_tol * scale
     entries, flags = [], []
-    signed = iter(_sign_fix(np.reshape(sum(spectrum.real_vectors, ()), (-1, n)).T, tol).T)
+    V = _sign_fix(np.reshape(sum(spectrum.real_vectors, ()), (-1, n)).T, tol).T
+    # A @ vec one vector at a time: a matrix product's columns may differ in the last bit
+    W = np.reshape([A @ vec for vec in V], V.shape)
+    step = max(1, 32768 // (n * n))  # vectors per batch: about 2^14 wedge pairs, kept in cache
+    signed = zip(V, itertools.chain.from_iterable(
+        np.abs(_wedge(V[i:i + step], W[i:i + step])).max(axis=1, initial=0.0).tolist()
+        for i in range(0, len(V), step)))
     for (lam, mult), basis in zip(spectrum.real_eigs, spectrum.real_vectors):
         if len(basis) > mult:
             raise NumericalError(f"eigenvalue {lam:.12g} has {len(basis)} kernel directions "
                                  f"at {n * tol.rank_tol * scale:.3e}, more than its "
                                  f"multiplicity {mult}")
-        basis = tuple(next(signed) for _ in basis)
-        residuals = [maxabs(_wedge(vec, A @ vec)) for vec in basis]
+        basis, residuals = zip(*(next(signed) for _ in basis))
         flags.extend(f"eigenvector of {lam:.12g} fails the common-zero check: rotation "
                      f"residual {r:.3e} exceeds {cz_tol:.3e}" for r in residuals if r > cz_tol)
         entries.append(SpectralEntry(float(lam), len(basis), basis, max(residuals, default=0.0)))

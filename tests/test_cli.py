@@ -13,9 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rotform
-from rotform import invariants
+from rotform import cli, invariants
 from rotform.cli import (
     IDENTITIES_MAX_DIM, AnalysisRequest, main, parse_matrix_text, render_report, run,
 )
@@ -84,6 +86,28 @@ class TestMatrixParsing:
     def test_entries_past_the_double_range_rejected(self, text):
         with pytest.raises(InputError, match="non-finite entry"):
             parse_matrix_text(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": 2, "rows": [[1.5, true], [3.5, 4.5]]}', "row 1, column 2: not a number: True"),
+        ('{"n": 2, "rows": [[1.5, 2.5], [3.5, NaN]]}', "row 2, column 2: non-finite entry"),
+        ('{"n": 2, "rows": [[-Infinity, 2.5], [3.5, 4.5]]}', "row 1, column 1: non-finite entry"),
+        ('{"n": 2, "rows": [[1.5, 2.5], [3.5, 4.5, 5.5]]}', "row 2 must hold 2 numbers"),
+        ('{"n": 2, "rows": [[1.5, 2.5], "ab"]}', "row 2 must hold 2 numbers"),
+        ('{"n": 1.0, "rows": [[2.5]]}', "'n' must be a positive integer, got 1.0"),
+    ], ids=["bool", "NaN", "-Infinity", "long row", "string row", "float n"])
+    def test_a_json_matrix_of_floats_but_one_entry_names_that_entry(self, text, message):
+        # all floats but one: the one np.array cannot take, the entry walk names
+        with pytest.raises(InputError, match=f"^<input>: {re.escape(message)}$"):
+            parse_matrix_text(text)
+
+    @pytest.mark.parametrize("text", ["1 2.5\n-3e-2 4\n", "\n  1\t2.5 \n\x0c-3e-2 4\r\n\n",
+                                      '{"n": 2, "rows": [[1.0, 2.5], [-0.03, 4.0]]}',
+                                      '{"n": 2, "rows": [[1, 2.5], [-0.03, 4]]}'],
+                             ids=["grid", "grid with odd whitespace", "json floats", "json ints"])
+    def test_every_route_reads_the_same_array(self, text):
+        A = parse_matrix_text(text)
+        assert A.dtype == np.float64 and A.flags.c_contiguous
+        np.testing.assert_array_equal(A, [[1.0, 2.5], [-0.03, 4.0]])
 
     def test_json_integer_past_int64_is_read_as_a_double(self):
         A = parse_matrix_text('{"n": 2, "rows": [[1, %d], [0, -%d]]}' % (10**23, 2**64))
@@ -885,11 +909,43 @@ def test_identities_reports_keep_their_bytes(capsys, n):
     assert hashlib.sha256(out.encode()).hexdigest() == _IDENTITIES_SHA256[n]
 
 
+# sha256 of the report of `rotform analyze --seed 7 --basis B` on uniform(-1, 1) from
+# default_rng(n), the same bytes from a grid file and from a JSON matrix object
+_ANALYZE_SHA256 = {
+    (2, "given"): "416d1ea60b02db50259e14c23de7ea41c4262e8d8d8c7e70284fd6bab05127ff",
+    (2, "expansion"): "a5830705ade28e87aa83fef8316edb12c4c120fdc1a9db2bd58f5e396f3fbe77",
+    (2, "skew-canonical"): "070b6fb5399a0a903e4b1f70d4e06b95603a4344a3ce0d5c133aaf2784377822",
+    (3, "given"): "a11f309639e8844792d3ac42a5dc950342375a3b568b10c7715ddcf533f36242",
+    (3, "expansion"): "eac8beb4df57ae6472766ab103657afeff5b5c47a38f8946b1080f7d46c8fe50",
+    (3, "skew-canonical"): "90b7edb3c8b38e87b5198ace1eed0762e1b4b8194535c59efb61eeea55f26b79",
+    (4, "given"): "feea6d2cb80f1dc94c504fb1fba9caecf43f70258b019194dcbf83e2fff7a637",
+    (4, "expansion"): "8f10a8f43298b58c3053ceced1068938571f45b65e384ef129668635899c2e7e",
+    (4, "skew-canonical"): "0ce299981b84d99031c1e7f31214c8b6639a8fe54bbec75e0178dfb2ee9e69e2",
+    (6, "given"): "5b96f4edbcaac7ac2c811610649fbc496d2924cf6e129ea8116f0c5820ee0005",
+    (6, "expansion"): "2ff1ceee21a08e0c2e202b10ba602e00f0663377cbe4070e07ab007aacfb5d61",
+    (6, "skew-canonical"): "69706eecae2b47fdf2bdaf9becd0a018a907aea5398f68402eaaa7aa60e6e799",
+}
+
+
+@pytest.mark.parametrize("form", ["grid", "json"])
+@pytest.mark.parametrize("n, basis", sorted(_ANALYZE_SHA256))
+def test_analyze_reports_keep_their_bytes(tmp_path, capsys, n, basis, form):
+    rows = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n)).tolist()
+    if form == "grid":
+        path = write(tmp_path, "m.txt", "".join(" ".join(map(repr, row)) + "\n" for row in rows))
+    else:
+        path = write(tmp_path, "m.json", json.dumps({"n": n, "rows": rows}))
+    assert main(["analyze", "--seed", "7", "--input", path, "--basis", basis]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _ANALYZE_SHA256[n, basis]
+
+
 class TestRefusals:
     """Each refusal of a malformed request: exit 2 and its one stderr line, names
     relative to the working directory; and of a certificate that cannot be met: exit 3."""
 
     FILES = {"keys.json": '{"n": 2}', "zero.json": '{"n": 0, "rows": []}',
+             "true.json": '{"n": true, "rows": [[2.5]]}',
              "short.json": '{"n": 2, "rows": [[1, 2], [3]]}', "blank.txt": "\n  \n",
              "three.txt": "1 2 3\n4 5 6\n7 8 9\n", "broken.json": "{",
              "nogrid.json": '{"origin": [0, 0, 0], "values": []}'}
@@ -897,6 +953,8 @@ class TestRefusals:
     @pytest.mark.parametrize("argv, message", [
         (["analyze", "--input", "keys.json"], "keys.json: matrix object needs keys 'n' and 'rows'"),
         (["analyze", "--input", "zero.json"], "zero.json: 'n' must be a positive integer, got 0"),
+        (["analyze", "--input", "true.json"],
+         "true.json: 'n' must be a positive integer, got True"),
         (["analyze", "--input", "short.json"], "short.json: row 2 must hold 2 numbers"),
         (["planar", "--input", "blank.txt"], "blank.txt: no matrix data found"),
         (["frenet", "--point", "1,0,0"], "frenet command needs --field"),
@@ -920,10 +978,10 @@ class TestRefusals:
         (["frenet", "--field", "helix", "--point", "nan,0,0"], "point has non-finite coordinates"),
         (["identities", "--params", "n=0"], "dimension must be >= 1, got 0"),
         (["planar", "--input", "three.txt"], "planar command needs a 2x2 matrix, got 3x3"),
-    ], ids=["json keys", "json n", "json row", "empty grid", "no field", "field unreadable",
-            "field JSON", "field key", "no point", "tol no =", "tol value", "params no =",
-            "params value", "point count", "point value", "point inf", "point nan", "n=0",
-            "planar 3x3"])
+    ], ids=["json keys", "json n", "json n true", "json row", "empty grid", "no field",
+            "field unreadable", "field JSON", "field key", "no point", "tol no =", "tol value",
+            "params no =", "params value", "point count", "point value", "point inf",
+            "point nan", "n=0", "planar 3x3"])
     def test_a_malformed_request_exits_two_with_one_line(self, tmp_path, monkeypatch, capsys,
                                                          argv, message):
         monkeypatch.chdir(tmp_path)
@@ -1017,13 +1075,19 @@ class TestRefusals:
         ("skew", ["--tol", "residual_tol=1e-17"],
          r"decomposition residual \S+ exceeds tolerance\n"),
         ("whole", ["--basis", "skew-canonical", "--tol", "eig_off_tol=1e-300"],
-         r"skew block certificate failed: residual \S+\n"),
+         r"skew eigenbasis certificate failed: off-diagonal norm \S+ of i K / max\|K\| in its "
+         r"eigenbasis exceeds \S+\n"),
+        # the Bromwich box reads the same certified solve as the skew-canonical basis
+        ("skew box", ["--tol", "eig_off_tol=1e-300"],
+         r"skew eigenbasis certificate failed: off-diagonal norm \S+ of i K / max\|K\| in its "
+         r"eigenbasis exceeds \S+\n"),
     ])
     def test_an_unmet_certificate_exits_three_with_one_line(self, tmp_path, monkeypatch, capsys,
                                                             part, argv, message):
         G = np.random.default_rng(0).standard_normal((4, 4))
         monkeypatch.chdir(tmp_path)
-        write(tmp_path, "m.txt", _grid({"symmetric": G + G.T, "skew": G - G.T, "whole": G}[part]))
+        parts = {"symmetric": G + G.T, "skew": G - G.T, "whole": G, "skew box": G - G.T}
+        write(tmp_path, "m.txt", _grid(parts[part]))
         assert main(["analyze", "--input", "m.txt", *argv]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
@@ -1063,3 +1127,35 @@ class TestFrenetParams:
     def test_an_unread_parameter_exits_two(self, capsys, argv, message):
         assert main(["frenet", *argv]) == 2
         assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
+_COMMAND_WORDS = ["analyze", "planar", "identities", "frenet", "bogus", "--seed"]
+_FLAGS = ["--input", "--basis", "--tol", "--seed", "--output", "--field", "--params", "--point",
+          "--inp", "--seed=3", "--", "-h", "--bogus", "analyze"]
+_VALUES = ["x.txt", "", "-1", "7", "07", " 7", "1e3", "given", "expansion", "skew-canonical",
+           "bogus", "rank_tol=1e-6", "n=3", "-", "1,0,0", "-0.5,1,0", "--input", "planar"]
+# a command and (option, value) pairs, or words in any order
+_ARGV = st.one_of(
+    st.builds(lambda c, pairs: [c, *(w for pair in pairs for w in pair)],
+              st.sampled_from(_COMMAND_WORDS),
+              st.lists(st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)), max_size=5)),
+    st.lists(st.sampled_from(_COMMAND_WORDS + _FLAGS + _VALUES), max_size=9))
+
+
+@settings(derandomize=True, max_examples=3000, deadline=None)
+@given(_ARGV)
+def test_plain_args_are_what_argparse_reads(argv):
+    # argv that the plain reading takes gives argparse's namespace; any other is argparse's
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(cli._PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--input", "m.txt", "--basis", "expansion", "--seed", "17"],
+    ["identities", "--params", "n=3", "--tol", "rank_tol=1e-6", "--tol", "residual_tol=1e-8"],
+    ["frenet", "--field", "helix", "--point", "1,0.2,0.1", "--output", "r.json"],
+    ["planar", "--input", "m.txt", "--input", "n.txt"],
+])
+def test_plain_args_take_the_usual_requests(argv):
+    assert vars(cli._plain_args(argv)) == vars(cli._PARSER.parse_args(argv))

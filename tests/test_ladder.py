@@ -32,7 +32,7 @@ KEYS = {
                          "pm_error_over_mass"},
     "frenet_report": _TIMING | {"field", "m", "spacing", "field_queries", "kappa", "tau",
                                 "kappa_error", "tau_error"},
-    "analyze": _TIMING | {"n", "seed", "basis", "exit", "sym_eigen_calls"},
+    "analyze": _TIMING | {"n", "seed", "basis", "input", "exit", "sym_eigen_calls"},
     "identities": _TIMING | {"n", "seed", "exit", "rel_calls", "pm_error_over_mass"},
     "session": _TIMING | {"n", "sym_eigen_calls", "digest"},
 }
@@ -162,9 +162,14 @@ def test_frenet_report_matches_the_analytic_helix(small):
 def test_analyze_rows_count_the_sym_eigen_calls(small, monkeypatch):
     monkeypatch.setattr(ladder, "ANALYZE_SIZES", ladder.ANALYZE_SIZES[:1])
     rows = _layer("analyze")
-    assert [(row["n"], row["basis"]) for row in rows] == [(2, basis) for basis in ladder.BASES]
+    assert [(row["n"], row["basis"], row["input"]) for row in rows] == [
+        (2, basis, "grid") for basis in ladder.BASES] + [(2, "given", "json")]
     # the matrix in the expansion basis takes the solve of A's expansion form, certified
-    assert [(row["exit"], row["sym_eigen_calls"]) for row in rows] == [(0, 1), (0, 1), (0, 1)]
+    assert [(row["exit"], row["sym_eigen_calls"]) for row in rows] == [(0, 1)] * 4
+
+
+def test_analyze_sizes_hold_those_of_perfbench_cli_small():
+    assert {2, 3, 4, 6} <= set(ladder.ANALYZE_SIZES)
 
 
 def test_identities_rows_count_the_rel_calls_and_match_the_exact_minor_sums(small):
@@ -239,15 +244,16 @@ def test_analyze_times_every_call_while_its_input_exists(small, monkeypatch):
 
     def recorded(main, argv):
         code = quiet(main, argv)
-        codes.setdefault(argv[-1], []).append(code)
+        codes.setdefault((os.path.splitext(argv[2])[1], argv[-1]), []).append(code)
         return code
 
     monkeypatch.setattr(ladder, "_quiet", recorded)
     packages = {"one": ladder.load_rotform(_SRC), "two": ladder.load_rotform(_SRC)}
     rows = ladder.analyze_rows(packages)
-    assert sorted(codes) == sorted(ladder.BASES)
+    assert sorted(codes) == sorted([(".txt", basis) for basis in ladder.BASES]
+                                   + [(".json", "given")])
     for row in rows["one"] + rows["two"]:
         assert row["exit"] == 0
-    # per basis and label: the warm-up, PAIRS timed calls and the counted call
-    for basis, seen in codes.items():
-        assert seen == [0] * 2 * (ladder.PAIRS + 2), basis
+    # per input, basis and label: the warm-up, PAIRS timed calls and the counted call
+    for key, seen in codes.items():
+        assert seen == [0] * 2 * (ladder.PAIRS + 2), key

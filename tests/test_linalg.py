@@ -737,3 +737,12 @@ def test_pm2_sums_the_upper_triangle_that_triu_keeps(n):
         d = np.diag(M)
         ref = float(d[1:] @ np.cumsum(d)[:-1]) - float(np.sum(np.triu(M * M.T, 1)))
         assert _bits(linalg._pm2(M)) == _bits(ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 33, 64])
+def test_norm_is_numpys_frobenius_norm_bit_for_bit(n):
+    # C and F order, a strided view and a vector: np.linalg.norm ravels each in memory order
+    for seed in range(10):
+        G = np.random.default_rng([n, seed]).standard_normal((n, n)) * 10.0 ** (seed - 5)
+        for x in (G, np.asfortranarray(G), G[:, ::2], G[0], G.T[1 % n]):
+            assert _bits(linalg._norm(x)) == _bits(np.linalg.norm(x))

@@ -195,3 +195,17 @@ def test_the_skew_inputs_share_one_check(excess, refused):
                 func(S)
         else:
             func(S)
+
+
+def test_the_skew_solve_is_certified_where_it_is_made():
+    """The record's skew_eigen meets sym_eigen's off-diagonal test on Z^H (i X) Z, so the
+    Bromwich box, which reads it, refuses what skew_canonical_basis refuses."""
+    G = np.random.default_rng(0).standard_normal((4, 4))
+    tight = ToleranceConfig(eig_off_tol=1e-300)
+    for func in (bromwich_bounds, skew_canonical_basis):
+        with pytest.raises(NumericalError, match="^skew eigenbasis certificate failed"):
+            func(G - G.T, tight)
+    s, X, w, Z = _matrix(G - G.T).skew_eigen
+    D = Z.conj().T @ (1j * X) @ Z
+    assert np.linalg.norm(D - np.diag(np.diag(D))) <= DEFAULT_TOL.eig_off_tol * np.linalg.norm(X)
+    assert bromwich_bounds(G - G.T)[3] == s * w[-1]

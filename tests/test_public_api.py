@@ -1,5 +1,9 @@
 import inspect
 import types
+import warnings
+
+import numpy as np
+import pytest
 
 import rotform
 
@@ -56,3 +60,47 @@ def test_exported_names_are_pinned():
 def test_parameters_of_refactored_functions_are_pinned():
     for name, parameters in PARAMETERS.items():
         assert tuple(inspect.signature(getattr(rotform, name)).parameters) == parameters, name
+
+
+_A = np.array([[1.0, 2.0], [0.5, -1.0]])
+
+# The input contract's real-array gate and integer gate: each call is refused with
+# InputError, where np.asarray(., dtype=float) dropped an imaginary part with only a
+# ComplexWarning, read an object or string array as numbers, and n = 2.5 was a TypeError.
+REFUSED = [
+    ("eigenstructure", (_A + 1j,)),
+    ("real_spectrum", (_A + 1j,)),
+    ("principal_minor_sums", (_A + 1j,)),
+    ("invariant_report", (_A + 1j,)),
+    ("planar_analyze", (_A + 1j,)),
+    ("normality_report", (_A + 1j,)),
+    ("bromwich_bounds", (_A + 1j,)),
+    ("sym_eigen", (_A + _A.T + 1j,)),
+    ("nullspace", (_A + 1j,)),
+    ("eigenstructure", (_A.astype(object),)),
+    ("expansion_eigenbasis", (_A.astype(str),)),
+    ("skew_canonical_basis", ([["1", "2"], ["3", "4"]],)),
+    ("decompose", (_A, [1.0, 1j])),
+    ("almost_orthogonal_expand", ([1.0, 1j], [1.0, 0.0])),
+    ("random_orthogonal", (2.5, 0)),
+    ("random_orthogonal", (True, 0)),
+    ("random_orthogonal", (0, 0)),
+]
+
+
+@pytest.mark.parametrize("name, args", REFUSED,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(REFUSED)])
+def test_malformed_arguments_are_refused_with_input_error(name, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning is no refusal
+        with pytest.raises(rotform.InputError):
+            getattr(rotform, name)(*args)
+
+
+def test_a_complex_array_with_zero_imaginary_part_is_read_as_its_real_part():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rotform.real_spectrum(_A + 0j) == rotform.real_spectrum(_A)
+        assert rotform.principal_minor_sums(_A + 0j) == rotform.principal_minor_sums(_A)
+        np.testing.assert_array_equal(rotform.random_orthogonal(np.int64(3), 1),
+                                      rotform.random_orthogonal(3, 1))

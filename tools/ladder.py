@@ -62,9 +62,10 @@ and the rounds it was faster (wins).  The oracles run once per label:
   queries of one call, kappa, tau and their absolute errors against
   tests/test_frenet.py::helix_reference.
 - analyze: `rotform analyze` through the in-process cli.main on a
-  uniform(-1, 1) matrix with seed n, in each of the three bases.  Adds the
-  exit code and the sym_eigen calls of one request, counted in every rotform
-  module that holds the function.
+  uniform(-1, 1) matrix with seed n, for n in ANALYZE_SIZES, in each of the
+  three bases from a grid file and in the given basis from a JSON matrix
+  object (input: grid or json).  Adds the exit code and the sym_eigen calls
+  of one request, counted in every rotform module that holds the function.
 - identities: `rotform identities --seed n --params n=n` through the in-process
   cli.main, for n in IDENTITIES_SIZES, on the command's own uniform(-1, 1) matrix
   with seed n.  Adds the exit code, the linalg._rel calls of one request, counted in
@@ -110,7 +111,7 @@ POINT = (1.0, 0.2, 0.1)
 HALF_WIDTH = 0.16
 GRID_SIZES = (5, 9, 17, 33)
 NORMAL_SIZES = (3, 4, 6, 8, 12, 16)
-ANALYZE_SIZES = (2, 4, 8, 16, 32, 48, 64)
+ANALYZE_SIZES = (2, 3, 4, 6, 8, 16, 32, 48, 64)
 BASES = ("given", "expansion", "skew-canonical")
 IDENTITIES_SIZES = (2, 4, 8, 16, 32)
 SESSION = ("eigenstructure", "normality_report", "expansion_eigenbasis", "skew_canonical_basis")
@@ -556,26 +557,31 @@ def _calls(rotform, name, func, *args):
 
 
 def analyze_rows(packages):
+    """Per n, a row per basis on the grid file and one on the JSON file in the given basis."""
     mains = {rf: importlib.import_module(rf.__name__ + ".cli").main for rf in packages.values()}
     rows = {label: [] for label in packages}
     with tempfile.TemporaryDirectory() as tmp:
         for n in ANALYZE_SIZES:
-            path = os.path.join(tmp, f"uniform{n}.txt")
-            np.savetxt(path, _uniform(n, n))
-            for basis in BASES:
+            grid, obj = os.path.join(tmp, f"uniform{n}.txt"), os.path.join(tmp, f"uniform{n}.json")
+            np.savetxt(grid, _uniform(n, n))
+            with open(obj, "w") as fh:
+                json.dump({"n": n, "rows": _uniform(n, n).tolist()}, fh)
+            for form, path, basis in [("grid", grid, b) for b in BASES] + [("json", obj, "given")]:
                 argv = ["analyze", "--input", path, "--basis", basis]
                 codes, timing = _paired(packages, lambda rf: _quiet(mains[rf], argv))
                 for label, rf in packages.items():
                     calls, _ = _calls(rf, "sym_eigen", _quiet, mains[rf], argv)
-                    rows[label].append({"n": n, "seed": n, "basis": basis, **timing[label],
-                                        "exit": codes[label], "sym_eigen_calls": calls})
+                    rows[label].append({"n": n, "seed": n, "basis": basis, "input": form,
+                                        **timing[label], "exit": codes[label],
+                                        "sym_eigen_calls": calls})
     return rows
 
 
 def analyze_document(results):
     return {
         "command": "rotform analyze --input A --basis B, through rotform.cli.main in process",
-        "input": "A uniform(-1, 1) from numpy default_rng(n), written by numpy.savetxt",
+        "input": "A uniform(-1, 1) from numpy default_rng(n), written by numpy.savetxt (grid) or "
+                 "as a JSON matrix object of its floats (json)",
         "counts": "sym_eigen_calls: calls of linalg.sym_eigen in one request, an exact count",
         "results": results,
     }

@@ -59,7 +59,15 @@ them.  The corpus:
   part, so that it counts as zero only at that tolerance;
 - analyze in the expansion basis on S + K for a random skew K and S =
   diag(1, 1, 3) or Q diag(1, 1, 3, 2) Q^T, whose repeated expansion
-  eigenvalue takes the tie-break that orders eigenvectors.
+  eigenvalue takes the tie-break that orders eigenvectors;
+- analyze in the three bases on JSON matrix objects: the random 3 x 3 above,
+  all floats, and the integer 4 x 4, whose integer entries take the entry by
+  entry conversion; and JSON matrix objects that are refused: a bool entry,
+  an integer past the double range, the literals NaN and Infinity, a ragged
+  row and "n": true;
+- analyze under --tol eig_off_tol=1e-300 on G - G^T, G a standard-normal
+  4 x 4, in the given and skew-canonical bases, where the certificate of the
+  skew part's solve cannot be met.
 
 The matrices are drawn from fixed numpy seeds and written once to a
 temporary directory that every run shares.  A request counts as identical
@@ -122,13 +130,14 @@ def corpus(workdir):
             fh.write(_grid(A))
         return name
 
-    requests = []
+    requests, drawn = [], {}
     for n in range(2, 9):
         rng = np.random.default_rng(n)
         G = rng.standard_normal((n, n))
         kinds = {"random": G, "symmetric": G + G.T, "skew": G - G.T,
                  "integer": rng.integers(-3, 4, (n, n)).astype(float)}
         for kind, A in kinds.items():
+            drawn[kind, n] = A
             path = matrix(f"{kind}{n}.txt", A)
             for basis in _BASES:
                 requests.append((f"analyze {kind} n={n} {basis}",
@@ -308,6 +317,32 @@ def corpus(workdir):
         path = matrix(f"tie{i}.txt", A)
         requests.append((f"analyze repeated expansion eigenvalue {kind} + skew expansion",
                          ["analyze", "--input", path, "--basis", "expansion"]))
+    # the first two as floats, the integer one as Python ints, which json writes as such
+    rows = {"random n=3": drawn["random", 3].tolist(),
+            "integer n=4": drawn["integer", 4].astype(int).tolist()}
+    bad = [[1.5, 2.0], [3.0, 4.0]]
+    objects = {f"json {kind}": {"n": len(A), "rows": A} for kind, A in rows.items()}
+    objects.update({
+        "malformed json bool entry": {"n": 2, "rows": [[1.5, True], [3.0, 4.0]]},
+        "malformed json int past the double range": {"n": 2, "rows": [bad[0], [3.0, 10**400]]},
+        "malformed json NaN": {"n": 2, "rows": [bad[0], [float("nan"), 4.0]]},
+        "malformed json Infinity": {"n": 2, "rows": [[float("inf"), 2.0], bad[1]]},
+        "malformed json ragged row": {"n": 2, "rows": [bad[0], [3.0]]},
+        "malformed json n true": {"n": True, "rows": [[2.5]]},
+    })
+    for i, (kind, obj) in enumerate(objects.items()):
+        name = f"object{i}.json"
+        with open(os.path.join(workdir, name), "w") as fh:  # json writes NaN and Infinity
+            json.dump(obj, fh)
+        for basis in _BASES if kind.startswith("json") else _BASES[:1]:
+            requests.append((f"analyze {kind} {basis}", ["analyze", "--input", name,
+                                                         "--basis", basis]))
+    G = np.random.default_rng(0).standard_normal((4, 4))
+    path = matrix("skew-cert4.txt", G - G.T)
+    for basis in ("given", "skew-canonical"):
+        requests.append((f"analyze skew n=4 eig_off_tol=1e-300 {basis}",
+                         ["analyze", "--input", path, "--basis", basis,
+                          "--tol", "eig_off_tol=1e-300"]))
     return requests
 
 
