@@ -82,19 +82,21 @@ def skew_canonical_basis(A, tol=DEFAULT_TOL):
     bound = tol.eig_off_tol * _norm(X)
     cut_norm = np.hypot.accumulate(np.where(w > M.n * tol.rank_tol, np.inf, np.maximum(w, 0.0)))
     Z = Z[:, cut_norm.searchsorted(bound / sqrt(2.0), side="right"):][:, ::-1]
-    m = Z.shape[1]
-    planes = sqrt(2.0) * np.stack([Z.imag, Z.real], axis=2).reshape(M.n, 2 * m)
+    m, step = Z.shape[1], 2 * (M.n + 1)
+    planes = np.empty((M.n, 2 * m))
+    planes[:, 0::2], planes[:, 1::2] = Z.imag, Z.real
+    planes *= sqrt(2.0)
     P, R = np.linalg.qr(planes, mode="complete")
-    P[:, : 2 * m] *= np.where(np.diag(R) < 0.0, -1.0, 1.0)
-    C = P.T @ X @ P
-    k = np.arange(0, 2 * m, 2)
-    lambdas = C[k, k + 1]
-    C[k, k + 1] -= lambdas
-    C[k + 1, k] += lambdas
+    P[:, : 2 * m] *= np.where(R.diagonal() < 0.0, -1.0, 1.0)
+    C = (P.T @ X @ P).reshape(-1)  # a fresh C-ordered product, so these are views of it:
+    upper, lower = C[1 : step * m : step], C[M.n : step * m : step]  # C[k, k + 1], C[k + 1, k]
+    lambdas = (s * upper).tolist()
+    lower += upper
+    upper -= upper
     off = _norm(C)
     if off > bound:
         raise NumericalError(f"skew block certificate failed: residual {off:.3e}", residual=off)
-    return SkewBlockForm(basis=P, lambdas=tuple((s * lambdas).tolist()), zero_dim=M.n - 2 * m)
+    return SkewBlockForm(basis=P, lambdas=tuple(lambdas), zero_dim=M.n - 2 * m)
 
 
 def normality_report(A, tol=DEFAULT_TOL):
@@ -117,8 +119,10 @@ def normality_report(A, tol=DEFAULT_TOL):
     comm_norm = float(comm.max())
     K, L = _pair_index(M.n)
     hit = comm[K, L] > threshold
-    violations = zip((K[hit] + 1).tolist(), (L[hit] + 1).tolist(),
-                     _pair_entries(T)[hit].tolist(), (w[K] - w[L])[hit].tolist())
+    columns = [K + 1, L + 1, _pair_entries(T), w[K] - w[L]]
+    if not hit.all():  # a non-normal A usually violates at every pair
+        columns = [c[hit] for c in columns]
+    violations = zip(*(c.tolist() for c in columns))
     return NormalityReport(
         is_normal=comm_norm <= threshold,
         violating_pairs=tuple(violations),

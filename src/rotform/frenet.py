@@ -14,7 +14,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .errors import FieldError, InputError
-from .linalg import as_direction, maxabs
+from .linalg import _positive, as_direction, maxabs
 from .qforms import rotation_form_matrix
 from .quasirot import plane_pairs
 
@@ -29,7 +29,7 @@ class FlowField:
     evaluator maps a point to a 3-vector that must be unit length within
     1e-8 (checked on every query); jacobian, when supplied, returns the
     analytic 3x3 derivative and is preferred over finite differences.
-    fd_step scales the central-difference step: h = fd_step * (1 + |x|).
+    fd_step, finite and > 0, scales the central-difference step: h = fd_step * (1 + |x|).
     frenet_report queries T and the Jacobian at x, then at each stencil point
     along T, in that order: 10 queries, or 65 with differences (field_jacobian).
     """
@@ -38,6 +38,9 @@ class FlowField:
     jacobian: object = None
     fd_step: float = 1e-5
     name: str = "field"
+
+    def __post_init__(self):
+        _positive(self.fd_step, "fd_step")
 
     def at(self, x):
         x = np.asarray(x, dtype=float)
@@ -133,7 +136,7 @@ def _shape_map(field, x, kappa_tol):
     there and the differences dN, dB of the normal and binormal fields along
     T.  The field and its Jacobian are sampled once each at x and at the
     four stencil points along T."""
-    x = _point(x)
+    kappa_tol, x = _positive(kappa_tol, "kappa_tol"), _point(x)
     T, N, J, kappa = _frame_at(field, x, kappa_tol)
     B = _cross(T, N)
     h = 10.0 * field.step(x)

@@ -9,10 +9,11 @@ or cut, eigenspaces and nullspaces by one SVD rank rule, and seeded sampling.
 For n up to a few dozen, robustness and reproducibility come before asymptotics.
 """
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import frexp, isnan, ldexp, nan, prod, sqrt
+from math import frexp, inf, isnan, ldexp, nan, prod, sqrt
 
 import numpy as np
 
@@ -145,6 +146,14 @@ def _index(value, lo, message):
     if lo is not None and index < lo:
         raise InputError(message)
     return index
+
+
+def _positive(value, name):
+    """value as a float, for a real number, Python's or numpy's but not a bool, that is finite
+    and > 0, as ToleranceConfig's fields are; anything else, NaN among it, is InputError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < inf:
+        raise InputError(f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 def as_unit(u, name="vector", tol=DEFAULT_TOL.residual_tol / 10):
@@ -329,8 +338,11 @@ class _Matrix:
     def split(self):
         """(P, D, S) with A = P (diag(D) + S) P^T, S skew, as expansion_eigenbasis orders them."""
         w, P = self.eigen
-        P = _sign_fix(P, self.tol)
-        order = np.lexsort((*(-P)[::-1], -w))  # by -w, then by -P[0, i], -P[1, i], ...
+        P, v = _sign_fix(P, self.tol), w.tolist()
+        if all(a < b for a, b in zip(v, v[1:])):  # no tie: descending w is w reversed
+            order = np.arange(self.n - 1, -1, -1)
+        else:  # by -w, then by -P[0, i], -P[1, i], ...
+            order = np.lexsort((*(-P)[::-1], -w))
         P = P[:, order]
         B = P.T @ self.A @ P
         S = 0.5 * (B - B.T)
@@ -614,12 +626,13 @@ def nullspace(A, tol=DEFAULT_TOL, abs_threshold=None):
 
     Singular directions with s <= threshold count as kernel (ties favour the
     larger kernel), by _kernel.  The default threshold is n * rank_tol * max|A|;
-    pass abs_threshold to override it.  The SVD of the exact A / binary_scale(A)
-    makes 2^j A's basis A's, bit for bit.
+    pass abs_threshold, finite and > 0, to override it.  The SVD of the exact
+    A / binary_scale(A) makes 2^j A's basis A's, bit for bit.
     """
     A = as_square(A)
     p = binary_scale(m := maxabs(A))
-    bound = A.shape[0] * tol.rank_tol * m if abs_threshold is None else abs_threshold
+    bound = (A.shape[0] * tol.rank_tol * m if abs_threshold is None
+             else _positive(abs_threshold, "abs_threshold"))
     return list(_kernel(A / p, [0.0], bound / p)[1])
 
 

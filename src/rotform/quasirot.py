@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_TOL, _index, as_skew, as_unit, as_vector, check_orthogonal
+from .linalg import DEFAULT_TOL, _index, _positive, as_skew, as_unit, as_vector, check_orthogonal
 
 
 def plane_pairs(n):
@@ -121,11 +121,11 @@ def almost_orthogonal_expand(u, v, unit_tol=DEFAULT_TOL.residual_tol / 10):
 
     Returns (c0, coeffs) with c0 = u.v and coeffs[(k, l)] = u.R_kl(v); the
     reassembly c0*v + sum coeffs*R_kl(v) reproduces u and the coefficient
-    squares sum to ||u||^2.  v must already be unit; nothing is normalised
-    silently.
+    squares sum to ||u||^2.  v must already be unit within unit_tol, finite
+    and > 0; nothing is normalised silently.
     """
     u = as_vector(u)
-    v = as_unit(v, "expansion axis", unit_tol)
+    v = as_unit(v, "expansion axis", _positive(unit_tol, "unit_tol"))
     if len(u) != len(v):
         raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return float(u @ v), RotationCoeffs(len(u), _wedge_values(v, u))

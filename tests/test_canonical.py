@@ -1,3 +1,6 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -296,3 +299,60 @@ class TestNormalPowerBasis:
                             lambda w, tie: runs(w, tie * ratio))
         with pytest.raises(NumericalError, match=r"^check \w+ = \S+ exceeds residual_tol$"):
             normal_power_basis(A)
+
+
+_LADDER_SPEC = importlib.util.spec_from_file_location(
+    "ladder", os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "tools", "ladder.py"))
+ladder = importlib.util.module_from_spec(_LADDER_SPEC)
+_LADDER_SPEC.loader.exec_module(ladder)
+
+
+def _session_cases():
+    """perfbench spectral_dense's analyses on matrices that reach each branch of the split
+    and of normality_report: every pair violating, tied expansion eigenvalues, some pairs
+    violating, and odd-n skew parts with a kernel column."""
+    rng = np.random.default_rng(38)
+    G = rng.uniform(-1.0, 1.0, (7, 7))
+    return {
+        "uniform n=6": rng.uniform(-1.0, 1.0, (6, 6)),
+        "uniform n=7": G,
+        "I + K n=4": np.eye(4) + (G - G.T)[:4, :4],
+        "diag(3, -2) + G n=5": block_diag(np.diag([3.0, -2.0]), G[:3, :3]),
+        "skew n=5": (G - G.T)[:5, :5],
+    }
+
+
+# sha256 (tools/ladder.py::digest) of the four analyses, in session order, on each case;
+# a refusal enters as its exception's type and message
+_SESSION_SHA256 = {
+    "uniform n=6": "dd620723565c6b11bff86cde4e4ed00a8df4aca5231e627fc1f65351ac47187f",
+    "uniform n=7": "2776bdb0621dbc9ded3da05673bbee595909e02a0c2f1f487988a4fce98125a2",
+    "I + K n=4": "114a6044de98e8797178a2c7d985b2f85d2d7c5c4ffc0add75347ea2c0c45603",
+    "diag(3, -2) + G n=5": "a74b6e311192fe445ac6939f13dbb38a9bf4c5c30b3c59e0a3d57acb1665cb68",
+    "skew n=5": "3e4944a44dd519e72ff1797fd8abc1d93c4e7103882c9e504c3dcb823f58f02e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SESSION_SHA256))
+def test_the_spectral_dense_session_keeps_its_bytes(case):
+    A, results = _session_cases()[case], []
+    rotform.linalg._last = None
+    for name in ladder.SESSION:
+        try:
+            results.append(getattr(rotform, name)(A))
+        except InputError as exc:
+            results.append(f"{type(exc).__name__}: {exc}")
+    assert ladder.digest(results) == _SESSION_SHA256[case]
+
+
+def test_the_session_cases_reach_every_branch():
+    cases = _session_cases()
+    pairs = {n: n * (n - 1) // 2 for n in range(8)}
+    w = rotform.linalg._shared(cases["I + K n=4"]).eigen[0].tolist()
+    assert any(a == b for a, b in zip(w, w[1:]))  # a tie: the lexsort order
+    for case, violating in (("uniform n=6", pairs[6]), ("uniform n=7", pairs[7]),
+                            ("I + K n=4", 0), ("diag(3, -2) + G n=5", 3)):
+        assert len(normality_report(cases[case]).violating_pairs) == violating, case
+    for case in ("uniform n=7", "diag(3, -2) + G n=5", "skew n=5"):
+        assert skew_canonical_basis(cases[case]).zero_dim >= 1, case

@@ -6,6 +6,7 @@ agree on every cell that is not a timing."""
 import ast
 import glob
 import importlib.util
+import json
 import os
 import sys
 import types
@@ -34,7 +35,7 @@ KEYS = {
                                 "kappa_error", "tau_error"},
     "analyze": _TIMING | {"n", "seed", "basis", "input", "exit", "sym_eigen_calls"},
     "identities": _TIMING | {"n", "seed", "exit", "rel_calls", "pm_error_over_mass"},
-    "session": _TIMING | {"n", "sym_eigen_calls", "digest"},
+    "session": _TIMING | {"analysis", "n", "sym_eigen_calls", "digest"},
 }
 _RATIOS = {"ratio_median", "ratio_q1", "ratio_q3", "wins"}
 _SRC = os.path.join(_REPO, "src")
@@ -182,14 +183,46 @@ def test_identities_rows_count_the_rel_calls_and_match_the_exact_minor_sums(smal
 
 
 def test_session_solves_the_expansion_form_once_and_digests_cold_results(small):
-    (row,) = _layer("session")
-    assert (row["n"], row["sym_eigen_calls"]) == (2, 1)
+    row, *steps = _layer("session")
+    assert (row["analysis"], row["n"], row["sym_eigen_calls"]) == ("session", 2, 1)
     A = ladder._uniform([2, 0], 2)  # the warm-up's matrix
     cold = []
     for name in ladder.SESSION:
         rotform.linalg._last = None
         cold.append(getattr(rotform, name)(A))
     assert row["digest"] == ladder.digest(cold)
+    assert [step["analysis"] for step in steps] == list(ladder.SESSION_STEPS)
+    for step in steps:
+        assert (step["n"], step["sym_eigen_calls"]) == (2, 1)
+        assert step["digest"] == ladder.digest([cold[ladder.SESSION.index(step["analysis"])]])
+
+
+def test_a_session_step_is_timed_after_the_analyses_before_it(small, monkeypatch):
+    # each normality_report call, warm-up and timed, finds eigenstructure's record of its A
+    monkeypatch.setattr(ladder, "SPECTRUM_SIZES", (4,))
+    seen = []
+
+    def report(A, tol=None):
+        seen.append(rotform.linalg._last is not None and rotform.linalg._last.A.tobytes()
+                    == np.asarray(A, float).tobytes() and "eigen" in vars(rotform.linalg._last))
+        return original(A)
+
+    original = rotform.normality_report
+    monkeypatch.setattr(rotform, "normality_report", report)
+    ladder.session_rows({"here": rotform})
+    assert seen and all(seen)
+
+
+def test_layer_keeps_the_file_to_the_layers_named(tmp_path, small, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ladder, "LAYERS", {
+        name: (lambda packages, name=name: calls.append(name) or {}, lambda rows: {})
+        for name in ladder.LAYERS})
+    out = tmp_path / "bench.json"
+    ladder.main(["--src", f"here={_SRC}", "--out", str(out), "--layer", "session",
+                 "--layer", "skew_canonical_basis"])
+    assert calls == ["skew_canonical_basis", "session"]
+    assert list(json.load(open(out))["layers"]) == ["skew_canonical_basis", "session"]
 
 
 def test_every_src_tree_loads_as_a_package_of_its_own():

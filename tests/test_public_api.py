@@ -66,7 +66,10 @@ _A = np.array([[1.0, 2.0], [0.5, -1.0]])
 
 # The input contract's real-array gate and integer gate: each call is refused with
 # InputError, where np.asarray(., dtype=float) dropped an imaginary part with only a
-# ComplexWarning, read an object or string array as numbers, and n = 2.5 was a TypeError.
+# ComplexWarning, read an object or string array as numbers, and n = 2.5 was a TypeError;
+# and its tolerance gate, where nullspace took abs_threshold = -1 or NaN for an empty kernel
+# and frenet_frame kappa_tol = -1 or NaN for a frame.
+_unit = lambda x: np.array([1.0, 0.0, 0.0])  # noqa: E731
 REFUSED = [
     ("eigenstructure", (_A + 1j,)),
     ("real_spectrum", (_A + 1j,)),
@@ -85,6 +88,17 @@ REFUSED = [
     ("random_orthogonal", (2.5, 0)),
     ("random_orthogonal", (True, 0)),
     ("random_orthogonal", (0, 0)),
+    ("nullspace", (_A, rotform.DEFAULT_TOL, -1.0)),
+    ("nullspace", (_A, rotform.DEFAULT_TOL, float("nan"))),
+    ("frenet_frame", (rotform.helix_field(0.5), [1.0, 0.2, 0.1], -1.0)),
+    ("frenet_frame", (rotform.helix_field(0.5), [1.0, 0.2, 0.1], float("nan"))),
+    ("shape_map_frenet", (rotform.helix_field(0.5), [1.0, 0.2, 0.1], float("inf"))),
+    ("almost_orthogonal_expand", ([1.0, 0.0], [1.0, 0.0], -1e-10)),
+    ("almost_orthogonal_expand", ([1.0, 0.0], [1.0, 0.0], float("nan"))),
+    ("almost_orthogonal_expand", ([1.0, 0.0], [1.0, 0.0], "1e-10")),
+    ("FlowField", (_unit, None, 0.0)),
+    ("FlowField", (_unit, None, float("nan"))),
+    ("FlowField", (_unit, None, True)),
 ]
 
 

@@ -3,6 +3,8 @@ against an independent oracle, and write one JSON file keyed by layer.
 
     python tools/ladder.py --src parent=../parent/src --src change=src --out BENCH.json
 
+Each --layer NAME (repeatable) keeps the file to that layer; without one, every layer runs.
+
 Each --src LABEL=PATH names the `src` directory of a rotform checkout.  One
 process, with one BLAS thread, loads every tree as a package of its own
 (src/rotform imports only relatively).  A row times the labels call against
@@ -77,7 +79,11 @@ and the rounds it was faster (wins).  The oracles run once per label:
   label takes the matrix with seed [n, k], so each session starts on a matrix
   the label has not seen and times no result kept from the one before.  Adds
   the sym_eigen calls of one more session and the digest of the warm-up's
-  four results, their dataclass fields with arrays by their bytes.
+  four results, their dataclass fields with arrays by their bytes.  A row per
+  analysis in SESSION_STEPS times that analysis alone on the same matrices,
+  each after the analyses before it in the session ran on it untimed, as they
+  do in spectral_dense; its calls and digest are of the analysis and those
+  before it, and of the analysis's own warm-up result.
 """
 
 import argparse
@@ -115,6 +121,7 @@ ANALYZE_SIZES = (2, 3, 4, 6, 8, 16, 32, 48, 64)
 BASES = ("given", "expansion", "skew-canonical")
 IDENTITIES_SIZES = (2, 4, 8, 16, 32)
 SESSION = ("eigenstructure", "normality_report", "expansion_eigenbasis", "skew_canonical_basis")
+SESSION_STEPS = ("normality_report",)
 _ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _LOADS = itertools.count()
@@ -134,14 +141,20 @@ def load_rotform(path):
     return module
 
 
-def _paired(packages, call):
+def _paired(packages, call, before=None):
     """call(rotform) for each {label: rotform}: the warm-up results and each label's timing
-    cells from PAIRS rounds of one call per label, the order reversed every other round."""
+    cells from PAIRS rounds of one call per label, the order reversed every other round;
+    before(rotform), where given, runs ahead of each call, untimed."""
     labels = list(packages)
-    results = {label: call(packages[label]) for label in labels}
+    before = before or (lambda rf: None)
+    results = {}
+    for label in labels:
+        before(packages[label])
+        results[label] = call(packages[label])
     times = {label: [] for label in labels}
     for r in range(PAIRS):
         for label in labels[::-1] if r % 2 else labels:
+            before(packages[label])
             start = time.process_time()
             call(packages[label])
             times[label].append(time.process_time() - start)
@@ -170,11 +183,19 @@ def _outcomes(rotform, func, make, n):
     return [_attempt(rotform, func, make(1000 * n + k, n)) for k in range(REQUESTS)]
 
 
-def _fresh(packages, make, n, call):
-    """_paired over call(rotform, A), call k of each label on its own make([n, k], n)."""
+def _fresh(packages, make, n, call, before=None):
+    """_paired over call(rotform, A), call k of each label on its own make([n, k], n), after
+    before(rotform, A), untimed, where given."""
     matrices = [make([n, k], n) for k in range(PAIRS + 1)]
     feeds = {rf: iter(matrices) for rf in packages.values()}  # one sequence per label
-    return _paired(packages, lambda rf: call(rf, next(feeds[rf])))
+    current = {}
+
+    def prepare(rf):
+        current[rf] = next(feeds[rf])
+        if before:
+            before(rf, current[rf])
+
+    return _paired(packages, lambda rf: call(rf, current[rf]), prepare)
 
 
 # --- collings_det ------------------------------------------------------------
@@ -647,28 +668,39 @@ def digest(obj):
     return hashlib.sha256(_text(obj).encode()).hexdigest()
 
 
-def _session(rotform, A):
-    return [getattr(rotform, name)(A) for name in SESSION]
+def _session(rotform, A, names=SESSION):
+    return [getattr(rotform, name)(A) for name in names]
 
 
 def session_rows(packages):
+    """Per n and label, a row for the whole session and one for each analysis in
+    SESSION_STEPS, timed alone after the analyses before it in SESSION ran untimed."""
     rows = {label: [] for label in packages}
     for n in SPECTRUM_SIZES:
-        results, timing = _fresh(packages, _uniform, n, _session)
-        for label, rf in packages.items():
-            calls, _ = _calls(rf, "sym_eigen", _session, rf, _uniform([n, PAIRS + 1], n))
-            rows[label].append({"n": n, **timing[label], "sym_eigen_calls": calls,
-                                "digest": digest(results[label])})
+        for analysis in ("session", *SESSION_STEPS):
+            names = SESSION if analysis == "session" else (analysis,)
+            ahead = SESSION[:SESSION.index(names[0])]
+            results, timing = _fresh(packages, _uniform, n,
+                                     functools.partial(_session, names=names),
+                                     functools.partial(_session, names=ahead))
+            for label, rf in packages.items():
+                calls, _ = _calls(rf, "sym_eigen", _session, rf, _uniform([n, PAIRS + 1], n),
+                                  ahead + names)
+                rows[label].append({"analysis": analysis, "n": n, **timing[label],
+                                    "sym_eigen_calls": calls, "digest": digest(results[label])})
     return rows
 
 
 def session_document(results):
     return {
         "functions": [f"rotform.{name}" for name in SESSION],
+        "analysis": "session: the four in turn; an analysis's name: that one alone, timed "
+                    "after the ones before it in the session ran untimed on the same matrix",
         "input": f"call k of a label on A uniform(-1, 1) from numpy default_rng([n, k]): "
                  f"k = 0 the warm-up, 1..{PAIRS} timed, {PAIRS + 1} counted",
-        "counts": "sym_eigen_calls: calls of linalg.sym_eigen in one session, an exact count",
-        "digest": "sha256 of the warm-up session's results, arrays by their bytes",
+        "counts": "sym_eigen_calls: calls of linalg.sym_eigen in one session, or in the "
+                  "analysis and those before it, an exact count",
+        "digest": "sha256 of the warm-up's results, arrays by their bytes",
         "results": results,
     }
 
@@ -691,6 +723,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", metavar="LABEL=PATH", required=True)
     parser.add_argument("--out", required=True)
+    parser.add_argument("--layer", action="append", choices=sorted(LAYERS),
+                        help="measure only this layer (repeatable); default all")
     args = parser.parse_args(argv)
     sources = [spec.partition("=") for spec in args.src]
     for label, sep, path in sources:
@@ -703,7 +737,8 @@ def main(argv=None):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
-        "layers": {layer: document(rows(packages)) for layer, (rows, document) in LAYERS.items()},
+        "layers": {layer: document(rows(packages)) for layer, (rows, document) in LAYERS.items()
+                   if not args.layer or layer in args.layer},
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2)

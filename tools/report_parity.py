@@ -60,6 +60,9 @@ them.  The corpus:
 - analyze in the expansion basis on S + K for a random skew K and S =
   diag(1, 1, 3) or Q diag(1, 1, 3, 2) Q^T, whose repeated expansion
   eigenvalue takes the tie-break that orders eigenvectors;
+- analyze in the three bases on I + K (n = 3 and 4) and on diag(-1, 2, 0.5, 2)
+  + K, K a random skew matrix, whose symmetric parts hold exactly tied
+  eigenvalues, all of them or one pair;
 - analyze in the three bases on JSON matrix objects: the random 3 x 3 above,
   all floats, and the integer 4 x 4, whose integer entries take the entry by
   entry conversion; and JSON matrix objects that are refused: a bool entry,
@@ -317,6 +320,14 @@ def corpus(workdir):
         path = matrix(f"tie{i}.txt", A)
         requests.append((f"analyze repeated expansion eigenvalue {kind} + skew expansion",
                          ["analyze", "--input", path, "--basis", "expansion"]))
+    K = np.random.default_rng(8).uniform(-1, 1, (4, 4))
+    tied = {"I + K n=3": np.eye(3) + (K - K.T)[:3, :3], "I + K n=4": np.eye(4) + K - K.T,
+            "diag(-1, 2, 0.5, 2) + K": np.diag([-1.0, 2.0, 0.5, 2.0]) + K - K.T}
+    for i, (kind, A) in enumerate(tied.items()):
+        path = matrix(f"tied{i}.txt", A)
+        for basis in _BASES:
+            requests.append((f"analyze exactly tied expansion eigenvalues {kind} {basis}",
+                             ["analyze", "--input", path, "--basis", basis]))
     # the first two as floats, the integer one as Python ints, which json writes as such
     rows = {"random n=3": drawn["random", 3].tolist(),
             "integer n=4": drawn["integer", 4].astype(int).tolist()}
