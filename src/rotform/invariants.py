@@ -34,7 +34,7 @@ so its right-hand side costs O(n^2) work per step.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite, ldexp, prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -233,12 +233,6 @@ def euler_cauchy_stokes(A):
     return theta * s.unit, sigma * s.unit, s.skew * s.unit
 
 
-def _ldexp(x, e, top):
-    """np.ldexp(x, e), bit for bit: for -1074 <= e <= top, top such that x 2^top stays finite,
-    x times the double 2^e, which rounds once as ldexp does and costs a third of it."""
-    return x * ldexp(1.0, e) if -1074 <= e <= top else np.ldexp(x, e)
-
-
 def collings_det(Dd, B, max_dim=COLLINGS_MAX_DIM):
     """det(D + B) for diagonal D as a sum over all index subsets theta of
     det(B[theta, theta]) times the product of d over the complement of theta.
@@ -264,7 +258,7 @@ def collings_det(Dd, B, max_dim=COLLINGS_MAX_DIM):
     _, e = np.frexp(np.abs(B).max(axis=1, initial=0.0))
     B = np.ldexp(B, -e[:, None])
     _, f = np.frexp(np.abs(B).max(axis=0, initial=0.0))
-    s, top = (e + f).tolist(), 1023 - n  # |piv|, |delta| < 2^(n - 1): times 2^top, finite
+    s = e + f
     total, todo = 0.0, [(np.ldexp(B, -f)[..., None], np.ones(1))]  # (m, m, L) stacks, weights
     while todo:  # depth first, in stacks of at most _SUBSET_LEAF terms
         M, w = todo.pop()
@@ -276,7 +270,7 @@ def collings_det(Dd, B, max_dim=COLLINGS_MAX_DIM):
             piv = p + delta
             mult = np.divide(row, piv, out=np.zeros_like(row), where=piv != 0)
             M = np.concatenate([rest, rest - col[:, None] * mult], axis=2)
-            w = np.concatenate([w * (d[k] - _ldexp(delta, s[k], top)), w * _ldexp(piv, s[k], top)])
+            w = np.concatenate([w * (d[k] - np.ldexp(delta, s[k])), w * np.ldexp(piv, s[k])])
         if len(M):
             h = len(w) // 2
             todo += [(M[..., h:], w[h:]), (M[..., :h], w[:h])]

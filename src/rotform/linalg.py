@@ -20,6 +20,14 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 
+def _positive(value, name):
+    """value as a float, for a real number, Python's or numpy's but not a bool, that is finite
+    and > 0, a ToleranceConfig field among them; anything else, NaN among it, is InputError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < inf:
+        raise InputError(f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """The one tolerance policy of the matrix analyses (frenet keeps its own).
@@ -67,9 +75,11 @@ class ToleranceConfig:
     residual_tol: float = 1e-9
 
     def __post_init__(self):
-        values = (self.eig_off_tol, self.rank_tol, self.residual_tol)
-        if not all(0 < v < np.inf for v in values):
-            raise InputError("tolerance values must be finite and strictly positive")
+        try:
+            for name in ("eig_off_tol", "rank_tol", "residual_tol"):
+                _positive(getattr(self, name), name)
+        except InputError:
+            raise InputError("tolerance values must be finite and strictly positive") from None
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -146,14 +156,6 @@ def _index(value, lo, message):
     if lo is not None and index < lo:
         raise InputError(message)
     return index
-
-
-def _positive(value, name):
-    """value as a float, for a real number, Python's or numpy's but not a bool, that is finite
-    and > 0, as ToleranceConfig's fields are; anything else, NaN among it, is InputError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < inf:
-        raise InputError(f"{name} must be a finite number > 0, got {value!r}")
-    return float(value)
 
 
 def as_unit(u, name="vector", tol=DEFAULT_TOL.residual_tol / 10):

@@ -68,7 +68,8 @@ _A = np.array([[1.0, 2.0], [0.5, -1.0]])
 # InputError, where np.asarray(., dtype=float) dropped an imaginary part with only a
 # ComplexWarning, read an object or string array as numbers, and n = 2.5 was a TypeError;
 # and its tolerance gate, where nullspace took abs_threshold = -1 or NaN for an empty kernel
-# and frenet_frame kappa_tol = -1 or NaN for a frame.
+# and frenet_frame kappa_tol = -1 or NaN for a frame; a ToleranceConfig field given as a
+# string was a TypeError.
 _unit = lambda x: np.array([1.0, 0.0, 0.0])  # noqa: E731
 REFUSED = [
     ("eigenstructure", (_A + 1j,)),
@@ -99,6 +100,8 @@ REFUSED = [
     ("FlowField", (_unit, None, 0.0)),
     ("FlowField", (_unit, None, float("nan"))),
     ("FlowField", (_unit, None, True)),
+    ("ToleranceConfig", (1e-12, "1e-12")),
+    ("ToleranceConfig", (1e-12, 1e-12, True)),
 ]
 
 
